@@ -400,8 +400,7 @@ class CaseVerdict:
         return out
 
 
-def analyze_record(rec: LeechPairRecord, root: PolarizationRoot,
-                   with_counts: bool = True) -> CaseVerdict:
+def analyze_record(rec: LeechPairRecord, root: PolarizationRoot) -> CaseVerdict:
     cond = condition_check(rec)
     if not cond.passed:
         return CaseVerdict(rec, cond.alpha, False, None, [])
@@ -409,19 +408,19 @@ def analyze_record(rec: LeechPairRecord, root: PolarizationRoot,
     classes: list[TranscendentalClass] = []
     if crit.passed and crit.complement_rank == 2:
         by_form: dict[Rank2Form, bool] = {}
+        first_witness: dict[Rank2Form, SaturationWitness] = {}
         for outcome in crit.outcomes:
             if not outcome.verdict.exists:
                 continue
             for t_form in transcendental_candidates(rec, root, outcome.witness):
                 nontrivial = not outcome.witness.trivial
                 by_form[t_form] = by_form.get(t_form, False) or nontrivial
+                first_witness.setdefault(t_form, outcome.witness)
         for t_form in sorted(by_form):
             cls = TranscendentalClass(t_form, by_form[t_form])
-            if with_counts and rec.aut_qS_surjective:
-                witness = next(o.witness for o in crit.outcomes
-                               if o.verdict.exists and
-                               t_form in transcendental_candidates(rec, root, o.witness))
-                cls.embedding_count = embedding_class_count(rec, root, witness, t_form)
+            if rec.aut_qS_surjective:
+                cls.embedding_count = embedding_class_count(
+                    rec, root, first_witness[t_form], t_form)
             if rec.rank_S == 20 and root.name == "E6":
                 n_bar, total = nonsymplectic_order(rec, t_form, by_form[t_form])
                 cls.nonsymplectic = n_bar
@@ -430,24 +429,10 @@ def analyze_record(rec: LeechPairRecord, root: PolarizationRoot,
     return CaseVerdict(rec, cond.alpha, True, crit, classes)
 
 
-def full_report(table: str, root_name: str = "E6", with_counts: bool = True,
-                workers: int = 1) -> list[CaseVerdict]:
-    """Run the whole pipeline over a bundled table; deterministic output.
-
-    Rows are independent pure computations; with workers > 1 they are
-    evaluated on a thread pool and merged back in row order, so the
-    output is identical to the serial run.
-    """
+def full_report(table: str, root_name: str = "E6") -> list[CaseVerdict]:
+    """Run the whole pipeline over a bundled table; deterministic output."""
     root = polarization_root(root_name)
-    records = load_table(table)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(
-                lambda rec: analyze_record(rec, root, with_counts=with_counts),
-                records))
-    return [analyze_record(rec, root, with_counts=with_counts)
-            for rec in records]
+    return [analyze_record(rec, root) for rec in load_table(table)]
 
 
 def uniqueness_for_record(rec: LeechPairRecord) -> tuple[bool, str]:

@@ -219,7 +219,7 @@ def _render_report(report):
 
 
 def _cmd_cubic_check(args):
-    report = full_report("hm15", "E6", workers=args.threads)
+    report = full_report("hm15", "E6")
     if args.row is not None:
         report = [v for v in report if v.record.row == args.row]
     _emit(args, {"table": "hm15", "root": "E6", "rows": _verdict_rows(report)},
@@ -228,7 +228,7 @@ def _cmd_cubic_check(args):
 
 def _cmd_k3_check(args):
     root = root_for_degree(args.degree)
-    report = full_report("k3max11", root.name, workers=args.threads)
+    report = full_report("k3max11", root.name)
     if args.row is not None:
         report = [v for v in report if v.record.row == args.row]
     _emit(args, {"table": "k3max11", "degree": args.degree, "root": root.name,
@@ -363,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--row", type=int)
     group.add_argument("--all", action="store_true", default=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="evaluate rows on a thread pool; output unchanged")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_cubic_check)
 
@@ -373,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = ksub.add_parser("check", help="run the criterion over the rank-5 table")
     p.add_argument("--degree", type=int, required=True, choices=(0, 2, 4, 6))
     p.add_argument("--row", type=int)
-    p.add_argument("--threads", type=int, default=1,
-                   help="evaluate rows on a thread pool; output unchanged")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_k3_check)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
+from .exactmat import factorize
 from .fqf import FiniteQuadraticForm
 
 GAUSS_ORDER_CAP = 4096
@@ -134,24 +135,11 @@ class CyclotomicInt:
         return self.n == other.n and (self - other).is_zero()
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _sqrt_as_cyclotomic(m: int, n: int) -> CyclotomicInt:
     """sqrt(m) in Z[zeta_n] for positive m whose primes divide n (and 8 | n)."""
     total = CyclotomicInt.integer(n, 1)
     base = 1
-    for p, e in _factorize(m).items():
+    for p, e in factorize(m).items():
         base *= p ** (e // 2)
         if e % 2 == 0:
             continue

@@ -14,6 +14,20 @@ from fractions import Fraction
 from .errors import DegenerateError
 
 
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: exponent} of n >= 1, by trial division."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

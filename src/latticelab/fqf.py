@@ -25,7 +25,7 @@ from .errors import (
     OddLatticeError,
 )
 from .exactmat import (
-    identity_matrix,
+    factorize,
     integer_kernel,
     mat_vec,
     rational_inverse,
@@ -253,16 +253,7 @@ class FiniteQuadraticForm:
     def primes(self):
         ps = set()
         for d in self.orders:
-            dd = d
-            p = 2
-            while p * p <= dd:
-                if dd % p == 0:
-                    ps.add(p)
-                    while dd % p == 0:
-                        dd //= p
-                p += 1
-            if dd > 1:
-                ps.add(dd)
+            ps.update(factorize(d))
         return sorted(ps)
 
     # -- serialization ---------------------------------------------------------
@@ -401,6 +392,30 @@ def total_length(form: FiniteQuadraticForm) -> int:
 # -- subgroup machinery ---------------------------------------------------------
 
 
+def _extend(form: FiniteQuadraticForm, els: frozenset, x) -> frozenset:
+    """The subgroup generated by the subgroup els and the element x.
+
+    Walks the cosets els + k*x for k = 1, 2, ... up to the first k with
+    k*x in els.
+    """
+    if x in els:
+        return els
+    out = set(els)
+    step = x
+    while step not in els:
+        out.update([form.add(h, step) for h in els])
+        step = form.add(step, x)
+    return frozenset(out)
+
+
+def _span(form: FiniteQuadraticForm, gens) -> frozenset:
+    """The subgroup generated by gens."""
+    els = frozenset({form.zero()})
+    for g in gens:
+        els = _extend(form, els, g)
+    return els
+
+
 class Subgroup:
     """A subgroup of a finite quadratic form, stored as an explicit element set."""
 
@@ -408,19 +423,7 @@ class Subgroup:
 
     def __init__(self, ambient: FiniteQuadraticForm, gens):
         self.ambient = ambient
-        gens = [ambient.reduce(g) for g in gens]
-        els = {ambient.zero()}
-        frontier = [ambient.zero()]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = ambient.add(x, g)
-                    if y not in els:
-                        els.add(y)
-                        new.append(y)
-            frontier = new
-        self.elements = frozenset(els)
+        self.elements = _span(ambient, (ambient.reduce(g) for g in gens))
         self.gens = tuple(_minimal_generators(ambient, self.elements))
 
     @property
@@ -441,91 +444,56 @@ class Subgroup:
 
 
 def _minimal_generators(form: FiniteQuadraticForm, elements: frozenset):
-    has = {form.zero()}
+    has = frozenset({form.zero()})
     gens = []
     for x in sorted(elements, key=lambda e: (-form.element_order(e), e)):
-        if x in has:
-            continue
-        gens.append(x)
-        closure = set(has)
-        frontier = list(has)
-        while frontier:
-            new = []
-            for y in frontier:
-                z = form.add(y, x)
-                while z not in closure:
-                    closure.add(z)
-                    new.append(z)
-                    z = form.add(z, x)
-            frontier = new
-        has = closure
         if len(has) == len(elements):
             break
+        if x not in has:
+            gens.append(x)
+            has = _extend(form, has, x)
     return gens
 
 
-def isotropic_subgroups(form: FiniteQuadraticForm, cap: int = BRUTE_CAP):
+def isotropic_subgroups(form: FiniteQuadraticForm):
     """All subgroups on which q vanishes identically, deterministic order.
 
     q = 0 on a subgroup forces b = 0 on it as well, so these are exactly
     the glue groups of even overlattices.  The trivial subgroup comes first.
     """
-    if form.order > cap:
-        raise CapExceededError(f"group order {form.order} exceeds cap {cap}")
-    zero_set = {x for x in form.elements() if form.q(x) == 0}
-    seen = {frozenset({form.zero()})}
-    queue = [frozenset({form.zero()})]
+    if form.order > BRUTE_CAP:
+        raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
+    zero_set = frozenset(x for x in form.elements() if form.q(x) == 0)
+    trivial = frozenset({form.zero()})
+    seen = {trivial}
+    queue = [trivial]
     while queue:
         current = queue.pop()
-        for x in sorted(zero_set):
-            if x in current:
+        for x in zero_set - current:
+            # for isotropic x and h, q(x + h) = 2 b(x, h); so x + h isotropic
+            # for every h in H means b(x, H) = 0 and H + <x> is isotropic
+            if not all(form.add(x, h) in zero_set for h in current):
                 continue
-            closure = set(current)
-            frontier = list(current)
-            good = True
-            while frontier and good:
-                new = []
-                for y in frontier:
-                    z = form.add(y, x)
-                    while z not in closure:
-                        if z not in zero_set:
-                            good = False
-                            break
-                        closure.add(z)
-                        new.append(z)
-                        z = form.add(z, x)
-                    if not good:
-                        break
-                frontier = new
-            if not good:
-                continue
-            fs = frozenset(closure)
+            fs = _extend(form, current, x)
             if fs not in seen:
                 seen.add(fs)
                 queue.append(fs)
-    subs = [Subgroup(form, _minimal_generators(form, els)) for els in seen]
+    subs = [Subgroup(form, els) for els in seen]
     subs.sort(key=Subgroup.sort_key)
     return subs
 
 
-def orthogonal_complement_subgroup(form: FiniteQuadraticForm, sub: Subgroup,
-                                   cap: int = BRUTE_CAP):
-    if form.order > cap:
-        raise CapExceededError(f"group order {form.order} exceeds cap {cap}")
-    perp = [x for x in form.elements()
-            if all(form.b(x, g) == 0 for g in sub.gens)]
-    return perp
-
-
-def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup,
-                        cap: int = BRUTE_CAP) -> FiniteQuadraticForm:
+def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadraticForm:
     """The induced form on H-perp / H for an isotropic subgroup H."""
     for g in sub.gens:
         if form.q(g) != 0:
             raise NotIsotropicError("subgroup is not isotropic")
-    perp = orthogonal_complement_subgroup(form, sub, cap=cap)
+    if form.order > BRUTE_CAP:
+        raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
+    perp = frozenset(x for x in form.elements()
+                     if all(form.b(x, g) == 0 for g in sub.gens))
     # greedy generating subset of the perp group keeps the SNF small
-    gens = _minimal_generators(form, frozenset(perp))
+    gens = _minimal_generators(form, perp)
     quotient, _ = form.subquotient(gens, sub.gens)
     return quotient
 
@@ -534,13 +502,13 @@ def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup,
 
 
 def _gen_images_search(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
-                       find_all: bool, require_onto: bool, cap: int):
+                       find_all: bool, require_onto: bool):
     """Backtracking search for q- and b-preserving maps of f1 into f2.
 
     f1 must be in invariant factor form.  Yields tuples of generator images.
     When require_onto is set, only group isomorphisms onto f2 are kept.
     """
-    if f1.order > cap or f2.order > cap:
+    if f1.order > BRUTE_CAP or f2.order > BRUTE_CAP:
         raise CapExceededError("group order exceeds brute-force cap")
     by_order: dict[int, list] = {}
     for x in f2.elements():
@@ -552,7 +520,7 @@ def _gen_images_search(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
 
     def extend(idx, chosen):
         if idx == len(gens):
-            img = _image_subgroup(f2, chosen)
+            img = _span(f2, chosen)
             if require_onto and len(img) != f2.order:
                 return False
             if not require_onto and len(img) != f1.order:
@@ -581,38 +549,22 @@ def _gen_images_search(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
     return results
 
 
-def _image_subgroup(form: FiniteQuadraticForm, images):
-    closure = {form.zero()}
-    frontier = [form.zero()]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in images:
-                y = form.add(x, g)
-                if y not in closure:
-                    closure.add(y)
-                    new.append(y)
-        frontier = new
-    return closure
-
-
-def bruteforce_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
-                          cap: int = BRUTE_CAP) -> bool:
+def bruteforce_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     """Ground-truth isometry test by explicit generator-image search."""
     n1, _ = f1.normalized()
     n2, _ = f2.normalized()
     if n1.orders != n2.orders:
         return False
-    if n1.order > cap:
+    if n1.order > BRUTE_CAP:
         raise CapExceededError("group order exceeds brute-force cap")
     vals1 = sorted(n1.q(x) for x in n1.elements())
     vals2 = sorted(n2.q(x) for x in n2.elements())
     if vals1 != vals2:
         return False
-    return bool(_gen_images_search(n1, n2, find_all=False, require_onto=True, cap=cap))
+    return bool(_gen_images_search(n1, n2, find_all=False, require_onto=True))
 
 
-def automorphisms(form: FiniteQuadraticForm, cap: int = BRUTE_CAP):
+def automorphisms(form: FiniteQuadraticForm):
     """All isometries of the form onto itself, as generator-image tuples.
 
     The form is first re-presented in invariant factor form; the returned
@@ -621,7 +573,7 @@ def automorphisms(form: FiniteQuadraticForm, cap: int = BRUTE_CAP):
     norm, _ = form.normalized()
     if norm.orders != form.orders:
         raise ValueError("automorphisms() expects an invariant-factor presentation")
-    return _gen_images_search(form, form, find_all=True, require_onto=True, cap=cap)
+    return _gen_images_search(form, form, find_all=True, require_onto=True)
 
 
 def apply_gen_map(form: FiniteQuadraticForm, images, x):
@@ -631,27 +583,26 @@ def apply_gen_map(form: FiniteQuadraticForm, images, x):
     return out
 
 
-def embedding_images(small: FiniteQuadraticForm, big: FiniteQuadraticForm,
-                     cap: int = BRUTE_CAP):
+def embedding_images(small: FiniteQuadraticForm, big: FiniteQuadraticForm):
     """All subgroups of `big` that are isometric images of `small`.
 
     Returned as sorted frozensets of elements of `big`.
     """
     norm, _ = small.normalized()
-    maps = _gen_images_search(norm, big, find_all=True, require_onto=False, cap=cap)
-    images = {frozenset(_image_subgroup(big, m)) for m in maps}
+    maps = _gen_images_search(norm, big, find_all=True, require_onto=False)
+    images = {_span(big, m) for m in maps}
     return sorted(images, key=lambda s: tuple(sorted(s)))
 
 
 def form_embeddings_mod_aut(small: FiniteQuadraticForm, big: FiniteQuadraticForm,
-                            aut_maps, cap: int = BRUTE_CAP):
+                            aut_maps):
     """Count isometric images of `small` inside `big` up to the given maps.
 
     aut_maps is a list of generator-image tuples for `big` (for example
     automorphisms(big), or the subgroup induced by lattice isometries).
     Returns (count, orbit_representatives).
     """
-    images = embedding_images(small, big, cap=cap)
+    images = embedding_images(small, big)
     if not images:
         return 0, []
     index = {img: i for i, img in enumerate(images)}

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadSignatureError, CapExceededError
+from .errors import BadSignatureError
 from .fqf import (
-    BRUTE_CAP,
     FiniteQuadraticForm,
-    Subgroup,
     complement_quotient,
     isotropic_subgroups,
     negate_form,
@@ -35,6 +33,7 @@ from .fqf import (
     total_length,
 )
 from .symbol import (
+    _p_valuation,
     eps_total,
     legendre,
     scale2_is_odd_type,
@@ -78,14 +77,6 @@ class ExistenceVerdict:
         return {"exists": self.exists,
                 "failed_condition": self.failed_condition,
                 "detail": self.detail}
-
-
-def _p_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def even_lattice_exists(inv: LatticeInvariant) -> ExistenceVerdict:
@@ -168,24 +159,21 @@ class SaturationWitness:
 
 
 def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
-                                  q_r: FiniteQuadraticForm,
-                                  cap: int = BRUTE_CAP):
+                                  q_r: FiniteQuadraticForm):
     """All isotropic H <= A_S + A_R with H meet A_S = 0, trivial H first.
 
     Witnesses are deduplicated by the subgroup itself (not by isomorphism
     of the quotient form) and sorted by (index, subgroup elements).
     """
     total = q_s.direct_sum(q_r)
-    if total.order > cap:
-        raise CapExceededError(f"group order {total.order} exceeds cap {cap}")
     ns = q_s.ngens
     witnesses = []
-    for sub in isotropic_subgroups(total, cap=cap):
+    for sub in isotropic_subgroups(total):
         meets_s = any(all(c == 0 for c in x[ns:]) and any(x[:ns])
                       for x in sub.elements)
         if meets_s:
             continue
-        quotient = complement_quotient(total, sub, cap=cap)
+        quotient = complement_quotient(total, sub)
         witnesses.append(SaturationWitness(
             glue_gens=sub.gens, index=sub.order, quotient=quotient,
             trivial=sub.order == 1))

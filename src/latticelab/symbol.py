@@ -28,6 +28,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import RealizabilityError, SymbolSyntaxError
+from .exactmat import factorize
 from .fqf import FiniteQuadraticForm, direct_sum_forms, trivial_form
 
 # -- legendre symbol -------------------------------------------------------
@@ -454,13 +455,10 @@ _TOKEN_RE = re.compile(
 
 
 def _prime_power(scale: int):
-    for p in range(2, scale + 1):
-        if scale % p == 0:
-            k = _p_valuation(scale, p)
-            if p ** k != scale:
-                return None
-            return p, k
-    return None
+    fac = factorize(scale)
+    if len(fac) != 1:
+        return None
+    return next(iter(fac.items()))
 
 
 def parse_symbol(text: str) -> GenusSymbol:

@@ -157,7 +157,16 @@ def test_cubic_check_matches_golden_file(capsys):
     assert out == golden.read_text(encoding="utf-8")
 
 
-def test_threads_flag_unchanged_output(capsys):
-    _, serial = capture(capsys, ["cubic", "check", "--all"])
-    _, threaded = capture(capsys, ["cubic", "check", "--all", "--threads", "4"])
-    assert serial == threaded
+def test_glue_generators_pinned(capsys):
+    """Full --json output, glue generator coordinates included.
+
+    The expected values in tests/data/glue_pins.json were recorded before
+    the subgroup closure in fqf.py was rewritten; Subgroup.gens is the
+    greedy choice over (-element order, element) and must not move.
+    """
+    import pathlib
+    path = pathlib.Path(__file__).parent / "data" / "glue_pins.json"
+    for pin in json.loads(path.read_text(encoding="utf-8")):
+        code, data = capture_json(capsys, pin["argv"])
+        assert code == 0
+        assert data == pin["output"], pin["argv"]

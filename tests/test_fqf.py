@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,8 +19,8 @@ from latticelab import (
     rescale,
     trivial_form,
 )
-from latticelab.errors import NotIsotropicError, OddLatticeError
-from latticelab.fqf import FiniteQuadraticForm, Subgroup, automorphisms
+from latticelab.errors import CapExceededError, NotIsotropicError, OddLatticeError
+from latticelab.fqf import BRUTE_CAP, FiniteQuadraticForm, Subgroup, automorphisms
 
 
 def random_even_lattice(rng, max_rank=5, bound=3, max_det=400):
@@ -121,6 +122,67 @@ def test_isotropic_subgroups_glue_example():
 def test_isotropic_subgroups_trivial_form():
     subs = isotropic_subgroups(trivial_form())
     assert len(subs) == 1 and subs[0].order == 1
+
+
+def _brute_isotropic_subgroups(q):
+    """Every isotropic subgroup, found without fqf's subgroup closure.
+
+    A subgroup of Z/d_1 x ... x Z/d_k needs at most k generators, so
+    closing every set of at most ngens isotropic elements under plain
+    addition reaches each isotropic subgroup; keep the closures on which
+    q vanishes.
+    """
+    zero = (0,) * q.ngens
+
+    def add(x, y):
+        return tuple((a + b) % d for a, b, d in zip(x, y, q.orders))
+
+    def closure(els):
+        out = set(els) | {zero}
+        while True:
+            new = {add(x, y) for x in out for y in out} - out
+            if not new:
+                return frozenset(out)
+            out |= new
+
+    iso = [x for x in q.elements() if q.q(x) == 0]
+    found = set()
+    for k in range(q.ngens + 1):
+        for combo in itertools.combinations(iso, k):
+            h = closure(combo)
+            if all(q.q(x) == 0 for x in h):
+                found.add(h)
+    return found
+
+
+@pytest.mark.parametrize("text", [
+    "3^-2", "5^+2", "3^+3", "3^-1 9^+1", "2_II^+2 3^+1", "2_II^+2 7^+1",
+    "2_II^+4", "2_0^+4", "4_II^+2", "2_1^+1 4_II^+2", "2_II^+2 8_1^+1",
+    "4_7^+1 8_1^+1",
+])
+def test_isotropic_subgroups_match_brute_force(text):
+    from latticelab import form_from_symbol_text
+    q = form_from_symbol_text(text)
+    assert q.order <= 32
+    subs = isotropic_subgroups(q)
+    assert {s.elements for s in subs} == _brute_isotropic_subgroups(q)
+    assert len(subs) == len({s.elements for s in subs})
+    for s in subs:
+        assert Subgroup(q, s.gens) == s
+
+
+def test_brute_force_cap_guards():
+    from latticelab import form_from_symbol_text
+    q = form_from_symbol_text("2_1^+13")
+    assert q.order > BRUTE_CAP
+    with pytest.raises(CapExceededError):
+        isotropic_subgroups(q)
+    with pytest.raises(CapExceededError):
+        complement_quotient(q, Subgroup(q, []))
+    with pytest.raises(CapExceededError):
+        automorphisms(q)
+    with pytest.raises(CapExceededError):
+        bruteforce_isomorphic(q, q)
 
 
 def test_complement_quotient_order_law():
