@@ -45,6 +45,44 @@ from .shortvec import short_vectors
 from .symbol import form_from_symbol_text, is_isomorphic, signature_mod8, to_symbol
 
 
+def _json_matrix(text: str) -> list:
+    """argparse type: a JSON list of integer rows."""
+    try:
+        mat = json.loads(text)
+    except json.JSONDecodeError:
+        raise argparse.ArgumentTypeError(f"not valid JSON: {text!r}") from None
+    if not (isinstance(mat, list) and all(
+            isinstance(row, list) and all(isinstance(x, int) for x in row)
+            for row in mat)):
+        raise argparse.ArgumentTypeError(f"not a list of integer rows: {text!r}")
+    return mat
+
+
+def _int_tuple(count: int):
+    """argparse type: exactly `count` comma-separated integers."""
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            vals = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            vals = ()
+        if len(vals) != count:
+            raise argparse.ArgumentTypeError(
+                f"expected {count} comma-separated integers, got {text!r}")
+        return vals
+    return parse
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _parse_gram(args) -> GramLattice:
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
@@ -55,12 +93,13 @@ def _parse_gram(args) -> GramLattice:
     if args.name:
         return named_lattice(args.name, args.scale)
     if args.gram:
-        return build_lattice(json.loads(args.gram))
+        return build_lattice(args.gram)
     raise LatticeLabError("provide --gram, --name or --file")
 
 
 def _add_lattice_args(p):
-    p.add_argument("--gram", help="row-major Gram matrix, e.g. [[2,1],[1,2]]")
+    p.add_argument("--gram", type=_json_matrix,
+                   help="row-major Gram matrix, e.g. [[2,1],[1,2]]")
     p.add_argument("--name", help="named lattice, e.g. E6, U, II(26,2), Lambda0")
     p.add_argument("--scale", type=int, default=1, help="rescale a named lattice")
     p.add_argument("--file", help="JSON file with a gram or name entry")
@@ -112,7 +151,7 @@ def _cmd_rank2_enum(args):
 
 
 def _cmd_rank2_reduce(args):
-    a, b, c = (int(x) for x in args.form.split(","))
+    a, b, c = args.form
     latt_sign = a < 0
     f = Rank2Form(abs(a), -b if latt_sign else b, abs(c), negative=latt_sign)
     red = rank2_reduce(f)
@@ -121,7 +160,7 @@ def _cmd_rank2_reduce(args):
 
 
 def _cmd_rank2_autorders(args):
-    a, b, c = (int(x) for x in args.form.split(","))
+    a, b, c = args.form
     neg = a < 0
     f = Rank2Form(abs(a), -b if neg else b, abs(c), negative=neg)
     orders = sorted(rank2_automorphism_orders(f))
@@ -261,16 +300,14 @@ def _cmd_nonsymplectic(args):
 
 
 def _cmd_family_dim(args):
-    weights = tuple(int(x) for x in args.weights.split(","))
-    act = DiagonalAction(args.order, weights, args.w0)
+    act = DiagonalAction(args.order, args.weights, args.w0)
     dim = family_dimension(act)
     _emit(args, {"dim": dim, "monomials": len(invariant_monomials([act]))},
           f"family dimension {dim}")
 
 
 def _cmd_symplectic_check(args):
-    weights = tuple(int(x) for x in args.weights.split(","))
-    act = DiagonalAction(args.order, weights, args.w0)
+    act = DiagonalAction(args.order, args.weights, args.w0)
     mons = invariant_monomials([act])
     ok = symplectic_weight_check(act, mons)
     _emit(args, {"symplectic": ok}, "symplectic" if ok else "not symplectic")
@@ -305,11 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_rank2_enum)
     p = rsub.add_parser("reduce", help="Gauss-reduce a form a,b,c")
-    p.add_argument("--form", required=True, help="a,b,c")
+    p.add_argument("--form", type=_int_tuple(3), required=True, help="a,b,c")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_rank2_reduce)
     p = rsub.add_parser("autorders", help="orders of the isometries of a,b,c")
-    p.add_argument("--form", required=True, help="a,b,c")
+    p.add_argument("--form", type=_int_tuple(3), required=True, help="a,b,c")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_rank2_autorders)
 
@@ -386,15 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nonsymplectic)
 
     p = sub.add_parser("family-dim", help="moduli dimension of a diagonal family")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--weights", required=True, help="six residues a,b,c,d,e,f")
+    p.add_argument("--order", type=_positive_int, required=True)
+    p.add_argument("--weights", type=_int_tuple(6), required=True,
+                   help="six residues a,b,c,d,e,f")
     p.add_argument("--w0", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_family_dim)
 
     p = sub.add_parser("symplectic-check", help="weight condition for a diagonal action")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--weights", required=True, help="six residues a,b,c,d,e,f")
+    p.add_argument("--order", type=_positive_int, required=True)
+    p.add_argument("--weights", type=_int_tuple(6), required=True,
+                   help="six residues a,b,c,d,e,f")
     p.add_argument("--w0", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_symplectic_check)

@@ -146,17 +146,33 @@ def rational_inverse(mat) -> list[list[Fraction]]:
 
 
 def unimodular_inverse(mat) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix, returned over the integers."""
-    inv = rational_inverse(mat)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(irow)
-    return out
+    """Inverse of a unimodular integer matrix, by integer row reduction of [mat | I]."""
+    n = len(mat)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    for col in range(n):
+        while True:
+            live = [r for r in range(col, n) if a[r][col]]
+            if not live:
+                raise DegenerateError("matrix is singular")
+            piv = min(live, key=lambda r: abs(a[r][col]))
+            a[col], a[piv] = a[piv], a[col]
+            pv = a[col][col]
+            for r in range(col + 1, n):
+                f = a[r][col] // pv
+                if f:
+                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+            if all(a[r][col] == 0 for r in range(col + 1, n)):
+                break
+        if abs(a[col][col]) != 1:
+            raise ValueError("matrix is not unimodular")
+        if a[col][col] < 0:
+            a[col] = [-x for x in a[col]]
+    for col in range(n - 1, 0, -1):
+        for r in range(col):
+            f = a[r][col]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
 
 
 def smith_normal_form(mat):

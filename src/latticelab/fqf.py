@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import (
     CapExceededError,
@@ -37,53 +37,66 @@ from .lattice import GramLattice
 BRUTE_CAP = 4096
 
 
-def _mod(x: Fraction, m: int) -> Fraction:
-    x = Fraction(x)
-    return x - m * (x / m).__floor__()
-
-
 class FiniteQuadraticForm:
-    """Finite abelian group Z/d_1 x ... x Z/d_k with a Q/2Z quadratic form."""
+    """Finite abelian group Z/d_1 x ... x Z/d_k with a Q/2Z quadratic form.
 
-    __slots__ = ("orders", "qvals", "bmat", "_order")
+    The form is stored over one level N, the common denominator of its
+    values: qints[i] = N*q(e_i) mod 2N and bints[i][j] = N*b(e_i, e_j) mod N.
+    All arithmetic is on these integers; Fraction appears only where the
+    public q()/b() return a value and in the constructor's input.
+    """
+
+    __slots__ = ("orders", "level", "qints", "bints", "_order")
 
     def __init__(self, orders, qvals, bmat=None, check=True):
         orders = tuple(int(d) for d in orders)
         if any(d < 1 for d in orders):
             raise ValueError("generator orders must be positive")
         k = len(orders)
-        qvals = tuple(_mod(Fraction(v), 2) for v in qvals)
-        if bmat is None:
-            bmat = [[Fraction(0)] * k for _ in range(k)]
-            for i in range(k):
-                bmat[i][i] = _mod(qvals[i], 1)
-        else:
-            bmat = [[_mod(Fraction(x), 1) for x in row] for row in bmat]
-            for i in range(k):
-                bmat[i][i] = _mod(qvals[i], 1)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "qvals", qvals)
-        object.__setattr__(self, "bmat", tuple(tuple(row) for row in bmat))
-        prod = 1
-        for d in orders:
-            prod *= d
-        object.__setattr__(self, "_order", prod)
+        qvals = [Fraction(v) for v in qvals]
+        off = [[Fraction(0) if bmat is None or i == j else Fraction(bmat[i][j])
+                for j in range(k)] for i in range(k)]
+        level = lcm(1, *(v.denominator for v in qvals),
+                    *(x.denominator for row in off for x in row))
+        qints = [v.numerator * (level // v.denominator) % (2 * level) for v in qvals]
+        bints = [[qints[i] % level if i == j else
+                  x.numerator * (level // x.denominator) % level
+                  for j, x in enumerate(row)] for i, row in enumerate(off)]
+        self._store(orders, level, qints, bints)
         if check:
             self._validate()
+
+    @classmethod
+    def _from_ints(cls, orders, level, qints, bints) -> "FiniteQuadraticForm":
+        """A form from values already reduced mod 2*level and mod level."""
+        self = object.__new__(cls)
+        self._store(tuple(orders), level, qints, bints)
+        return self
+
+    def _store(self, orders, level, qints, bints):
+        g = gcd(level, *qints, *(x for row in bints for x in row))
+        if g > 1:
+            level //= g
+            qints = [v // g for v in qints]
+            bints = [[x // g for x in row] for row in bints]
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "qints", tuple(qints))
+        object.__setattr__(self, "bints", tuple(tuple(row) for row in bints))
+        object.__setattr__(self, "_order", prod(orders))
 
     def __setattr__(self, *a):
         raise AttributeError("FiniteQuadraticForm is immutable")
 
     def _validate(self):
-        k = len(self.orders)
-        for i in range(k):
-            d = self.orders[i]
-            if _mod(d * d * self.qvals[i], 2) != 0:
+        n = self.level
+        for i, d in enumerate(self.orders):
+            if d * d * self.qints[i] % (2 * n):
                 raise ValueError(f"q value on generator {i} not compatible with order")
-            for j in range(k):
-                if self.bmat[i][j] != self.bmat[j][i]:
+            for j in range(len(self.orders)):
+                if self.bints[i][j] != self.bints[j][i]:
                     raise ValueError("bilinear matrix must be symmetric")
-                if _mod(d * self.bmat[i][j], 1) != 0:
+                if d * self.bints[i][j] % n:
                     raise ValueError("b value not compatible with generator order")
 
     # -- basic group structure -------------------------------------------------
@@ -135,49 +148,52 @@ class FiniteQuadraticForm:
 
     # -- the form --------------------------------------------------------------
 
-    def q(self, x) -> Fraction:
-        total = Fraction(0)
-        k = len(self.orders)
+    def q_int(self, x) -> int:
+        """level * q(x), an integer mod 2 * level."""
+        qints, bints = self.qints, self.bints
+        total = 0
+        k = len(x)
         for i in range(k):
             ci = x[i]
-            if ci == 0:
-                continue
-            total += ci * ci * self.qvals[i]
-            for j in range(i + 1, k):
-                if x[j]:
-                    total += 2 * ci * x[j] * self.bmat[i][j]
-        return _mod(total, 2)
+            if ci:
+                row = bints[i]
+                total += ci * (ci * qints[i]
+                               + 2 * sum(row[j] * x[j] for j in range(i + 1, k)))
+        return total % (2 * self.level)
+
+    def b_row(self, x) -> list[int]:
+        """The integers level * b(x, e_j) mod level, one per generator e_j."""
+        n = self.level
+        return [sum(c * row[j] for c, row in zip(x, self.bints)) % n
+                for j in range(len(self.orders))]
+
+    def b_int(self, x, y) -> int:
+        """level * b(x, y), an integer mod level."""
+        return sum(r * c for r, c in zip(self.b_row(x), y)) % self.level
+
+    def q(self, x) -> Fraction:
+        return Fraction(self.q_int(x), self.level)
 
     def b(self, x, y) -> Fraction:
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            if x[i] == 0:
-                continue
-            for j in range(k):
-                if y[j]:
-                    total += x[i] * y[j] * self.bmat[i][j]
-        return _mod(total, 1)
+        return Fraction(self.b_int(x, y), self.level)
 
     # -- constructions ---------------------------------------------------------
 
     def direct_sum(self, other: "FiniteQuadraticForm") -> "FiniteQuadraticForm":
         k1, k2 = self.ngens, other.ngens
-        orders = self.orders + other.orders
-        qvals = self.qvals + other.qvals
-        b = [[Fraction(0)] * (k1 + k2) for _ in range(k1 + k2)]
-        for i in range(k1):
-            for j in range(k1):
-                b[i][j] = self.bmat[i][j]
-        for i in range(k2):
-            for j in range(k2):
-                b[k1 + i][k1 + j] = other.bmat[i][j]
-        return FiniteQuadraticForm(orders, qvals, b, check=False)
+        level = lcm(self.level, other.level)
+        s1, s2 = level // self.level, level // other.level
+        qints = [v * s1 for v in self.qints] + [v * s2 for v in other.qints]
+        bints = [[x * s1 for x in row] + [0] * k2 for row in self.bints]
+        bints += [[0] * k1 + [x * s2 for x in row] for row in other.bints]
+        return FiniteQuadraticForm._from_ints(self.orders + other.orders, level,
+                                              qints, bints)
 
     def negated(self) -> "FiniteQuadraticForm":
-        qvals = [_mod(-v, 2) for v in self.qvals]
-        b = [[_mod(-x, 1) for x in row] for row in self.bmat]
-        return FiniteQuadraticForm(self.orders, qvals, b, check=False)
+        n = self.level
+        return FiniteQuadraticForm._from_ints(
+            self.orders, n, [-v % (2 * n) for v in self.qints],
+            [[-x % n for x in row] for row in self.bints])
 
     def subquotient(self, gens, mods=()):
         """Present the group <gens>/<mods> with the induced form.
@@ -221,9 +237,10 @@ class FiniteQuadraticForm:
                 el = self.add(el, self.scale(g, c))
             new_orders.append(d[i])
             lifts.append(el)
-        qvals = [self.q(el) for el in lifts]
-        b = [[self.b(x, y) for y in lifts] for x in lifts]
-        return FiniteQuadraticForm(new_orders, qvals, b, check=False), lifts
+        qints = [self.q_int(el) for el in lifts]
+        bints = [[self.b_int(x, y) for y in lifts] for x in lifts]
+        return FiniteQuadraticForm._from_ints(new_orders, self.level, qints,
+                                              bints), lifts
 
     def normalized(self):
         """Re-present in invariant factor form (orders d_1 | d_2 | ...)."""
@@ -259,11 +276,12 @@ class FiniteQuadraticForm:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        n = self.level
         return {
-            "gens": [{"order": d, "q": f"{v.numerator}/{v.denominator}"}
-                     for d, v in zip(self.orders, self.qvals)],
-            "b": [[f"{x.numerator}/{x.denominator}" for x in row]
-                  for row in self.bmat],
+            "gens": [{"order": d, "q": _fraction_text(Fraction(v, n))}
+                     for d, v in zip(self.orders, self.qints)],
+            "b": [[_fraction_text(Fraction(x, n)) for x in row]
+                  for row in self.bints],
         }
 
     @staticmethod
@@ -274,8 +292,13 @@ class FiniteQuadraticForm:
         return FiniteQuadraticForm(orders, qvals, b)
 
     def __repr__(self):
-        parts = ", ".join(f"Z/{d}: q={v}" for d, v in zip(self.orders, self.qvals))
+        parts = ", ".join(f"Z/{d}: q={Fraction(v, self.level)}"
+                          for d, v in zip(self.orders, self.qints))
         return f"FiniteQuadraticForm({parts or 'trivial'})"
+
+
+def _fraction_text(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 def trivial_form() -> FiniteQuadraticForm:
@@ -326,9 +349,9 @@ class DiscriminantGroup:
         bmat = [[Fraction(0)] * len(dual) for _ in range(len(dual))]
         for i, w in enumerate(dual):
             gw = mat_vec(gram, w)
-            qvals.append(_mod(sum(a * b for a, b in zip(w, gw)), 2))
+            qvals.append(sum(a * b for a, b in zip(w, gw)))
             for j in range(i + 1, len(dual)):
-                val = _mod(sum(a * b for a, b in zip(dual[j], gw)), 1)
+                val = sum(a * b for a, b in zip(dual[j], gw))
                 bmat[i][j] = bmat[j][i] = val
         self.lattice = latt
         self.orders = tuple(orders)
@@ -463,20 +486,23 @@ def isotropic_subgroups(form: FiniteQuadraticForm):
     """
     if form.order > BRUTE_CAP:
         raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
-    zero_set = frozenset(x for x in form.elements() if form.q(x) == 0)
+    zero_set = frozenset(x for x in form.elements() if form.q_int(x) == 0)
+    n = form.level
     trivial = frozenset({form.zero()})
-    seen = {trivial}
+    # each subgroup found maps to the b-rows of a generating set of it
+    seen = {trivial: ()}
     queue = [trivial]
     while queue:
         current = queue.pop()
+        rows = seen[current]
         for x in zero_set - current:
-            # for isotropic x and h, q(x + h) = 2 b(x, h); so x + h isotropic
-            # for every h in H means b(x, H) = 0 and H + <x> is isotropic
-            if not all(form.add(x, h) in zero_set for h in current):
+            # for isotropic x and h, q(x + h) = 2 b(x, h); so H + <x> is
+            # isotropic iff b(x, g) = 0 for each generator g of H
+            if any(sum(r * c for r, c in zip(row, x)) % n for row in rows):
                 continue
             fs = _extend(form, current, x)
             if fs not in seen:
-                seen.add(fs)
+                seen[fs] = rows + (form.b_row(x),)
                 queue.append(fs)
     subs = [Subgroup(form, els) for els in seen]
     subs.sort(key=Subgroup.sort_key)
@@ -484,17 +510,22 @@ def isotropic_subgroups(form: FiniteQuadraticForm):
 
 
 def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadraticForm:
-    """The induced form on H-perp / H for an isotropic subgroup H."""
+    """The induced form on H-perp / H for an isotropic subgroup H.
+
+    H-perp comes from the integer kernel of (x, t) -> (b_row(g).x + N*t_g)_g
+    over the generators g of H, N the level: the x-parts of the kernel are
+    exactly the x in Z^k with b(x, g) = 0 in Q/Z for every g.
+    """
     for g in sub.gens:
-        if form.q(g) != 0:
+        if form.q_int(g) != 0:
             raise NotIsotropicError("subgroup is not isotropic")
     if form.order > BRUTE_CAP:
         raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
-    perp = frozenset(x for x in form.elements()
-                     if all(form.b(x, g) == 0 for g in sub.gens))
-    # greedy generating subset of the perp group keeps the SNF small
-    gens = _minimal_generators(form, perp)
-    quotient, _ = form.subquotient(gens, sub.gens)
+    k, m = form.ngens, len(sub.gens)
+    rows = [form.b_row(g) + [form.level if t == s else 0 for t in range(m)]
+            for s, g in enumerate(sub.gens)]
+    perp = [z[:k] for z in integer_kernel(rows)] if rows else form.gens()
+    quotient, _ = form.subquotient(perp, sub.gens)
     return quotient
 
 
@@ -505,43 +536,42 @@ def _gen_images_search(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
                        find_all: bool, require_onto: bool):
     """Backtracking search for q- and b-preserving maps of f1 into f2.
 
-    f1 must be in invariant factor form.  Yields tuples of generator images.
-    When require_onto is set, only group isomorphisms onto f2 are kept.
+    f1 must be in invariant factor form.  When require_onto is set, only
+    group isomorphisms onto f2 are kept and returned as tuples of generator
+    images; otherwise each map found is returned as its image subgroup, the
+    set already built for the size check.  The two levels may differ, so
+    values are compared by cross-multiplication: v1/N1 == v2/N2 iff
+    v1*N2 == v2*N1.
     """
     if f1.order > BRUTE_CAP or f2.order > BRUTE_CAP:
         raise CapExceededError("group order exceeds brute-force cap")
-    by_order: dict[int, list] = {}
+    n1, n2 = f1.level, f2.level
+    by_key: dict[tuple, list] = {}
     for x in f2.elements():
-        by_order.setdefault(f2.element_order(x), []).append(x)
+        by_key.setdefault((f2.element_order(x), f2.q_int(x) * n1), []).append(x)
 
     gens = f1.gens()
     orders = f1.orders
     results = []
+    rows = []  # rows[j] = f2.b_row(chosen[j])
 
     def extend(idx, chosen):
         if idx == len(gens):
             img = _span(f2, chosen)
-            if require_onto and len(img) != f2.order:
+            if len(img) != (f2.order if require_onto else f1.order):
                 return False
-            if not require_onto and len(img) != f1.order:
-                return False
-            results.append(tuple(chosen))
+            results.append(tuple(chosen) if require_onto else img)
             return not find_all
-        d = orders[idx]
-        qv = f1.qvals[idx]
-        for cand in by_order.get(d, ()):
-            if f2.q(cand) != qv:
-                continue
-            ok = True
-            for j in range(idx):
-                if f2.b(chosen[j], cand) != f1.bmat[j][idx]:
-                    ok = False
-                    break
-            if not ok:
+        targets = [f1.bints[j][idx] * n2 for j in range(idx)]
+        for cand in by_key.get((orders[idx], f1.qints[idx] * n2), ()):
+            if any(sum(r * c for r, c in zip(row, cand)) % n2 * n1 != t
+                   for row, t in zip(rows, targets)):
                 continue
             chosen.append(cand)
+            rows.append(f2.b_row(cand))
             if extend(idx + 1, chosen):
                 return True
+            rows.pop()
             chosen.pop()
         return False
 
@@ -557,8 +587,8 @@ def bruteforce_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> b
         return False
     if n1.order > BRUTE_CAP:
         raise CapExceededError("group order exceeds brute-force cap")
-    vals1 = sorted(n1.q(x) for x in n1.elements())
-    vals2 = sorted(n2.q(x) for x in n2.elements())
+    vals1 = sorted(n1.q_int(x) * n2.level for x in n1.elements())
+    vals2 = sorted(n2.q_int(x) * n1.level for x in n2.elements())
     if vals1 != vals2:
         return False
     return bool(_gen_images_search(n1, n2, find_all=False, require_onto=True))
@@ -589,8 +619,7 @@ def embedding_images(small: FiniteQuadraticForm, big: FiniteQuadraticForm):
     Returned as sorted frozensets of elements of `big`.
     """
     norm, _ = small.normalized()
-    maps = _gen_images_search(norm, big, find_all=True, require_onto=False)
-    images = {_span(big, m) for m in maps}
+    images = set(_gen_images_search(norm, big, find_all=True, require_onto=False))
     return sorted(images, key=lambda s: tuple(sorted(s)))
 
 

@@ -451,7 +451,7 @@ def to_symbol(form: FiniteQuadraticForm) -> GenusSymbol:
 
 
 _TOKEN_RE = re.compile(
-    r"^(?P<scale>\d+)(?:_(?P<tag>II|\d))?\^(?P<sign>[+-])(?P<rank>\d+)$")
+    r"^(?P<scale>\d+)(?:_(?P<tag>II|[0-7]))?\^(?P<sign>[+-])(?P<rank>\d+)$")
 
 
 def _prime_power(scale: int):
@@ -493,7 +493,7 @@ def parse_symbol(text: str) -> GenusSymbol:
                 raise SymbolSyntaxError(f"2-adic constituent {token!r} needs a type tag")
             even = tag == "II"
             oddity = 0 if even else int(tag)
-            c = JordanConstituent(2, k, rank, sign, even=even, oddity=oddity % 8)
+            c = JordanConstituent(2, k, rank, sign, even=even, oddity=oddity)
         else:
             if m.group("tag") is not None:
                 raise SymbolSyntaxError(f"odd constituent {token!r} cannot carry a tag")

@@ -170,3 +170,34 @@ def test_glue_generators_pinned(capsys):
         code, data = capture_json(capsys, pin["argv"])
         assert code == 0
         assert data == pin["output"], pin["argv"]
+
+
+@pytest.mark.parametrize("degree", [0, 2, 4, 6])
+def test_k3_check_matches_golden_file(capsys, degree):
+    """`k3 check --degree d --json` byte for byte, as recorded in
+    tests/data/k3_check_golden.json before finite quadratic forms moved
+    to integers modulo the level."""
+    import pathlib
+    path = pathlib.Path(__file__).parent / "data" / "k3_check_golden.json"
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    code, out = capture(capsys, ["k3", "check", "--degree", str(degree), "--json"])
+    assert code == 0
+    assert out == golden[str(degree)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "info", "--gram", "notjson"],
+    ["lattice", "info", "--gram", "[1,2]"],
+    ["rank2", "reduce", "--form", "1,2"],
+    ["rank2", "autorders", "--form", "a,b,c"],
+    ["family-dim", "--order", "0", "--weights", "1,1"],
+    ["family-dim", "--order", "6", "--weights", "1,1"],
+    ["symplectic-check", "--order", "0", "--weights", "0,6,3,1,4,7"],
+])
+def test_malformed_input_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1

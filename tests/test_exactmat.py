@@ -92,6 +92,19 @@ def test_inverses():
     assert unimodular_inverse(u) == [[1, -3], [0, 1]]
 
 
+def test_unimodular_inverse_matches_rational_inverse():
+    rng = random.Random(5)
+    for _ in range(40):
+        mat = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        _, u, v = smith_normal_form(mat)
+        for w in (u, v):
+            assert unimodular_inverse(w) == rational_inverse(w)
+    with pytest.raises(ValueError):
+        unimodular_inverse([[2, 0], [0, 1]])
+    with pytest.raises(DegenerateError):
+        unimodular_inverse([[1, 2], [2, 4]])
+
+
 def test_ldl_reconstructs_quadratic_form():
     g = [[2, 1], [1, 2]]
     d, w = ldl_decomposition(g)

@@ -155,11 +155,15 @@ def _brute_isotropic_subgroups(q):
     return found
 
 
-@pytest.mark.parametrize("text", [
+# small forms (|A| <= 32) for the brute-force oracles below
+SMALL_SYMBOLS = [
     "3^-2", "5^+2", "3^+3", "3^-1 9^+1", "2_II^+2 3^+1", "2_II^+2 7^+1",
     "2_II^+4", "2_0^+4", "4_II^+2", "2_1^+1 4_II^+2", "2_II^+2 8_1^+1",
     "4_7^+1 8_1^+1",
-])
+]
+
+
+@pytest.mark.parametrize("text", SMALL_SYMBOLS)
 def test_isotropic_subgroups_match_brute_force(text):
     from latticelab import form_from_symbol_text
     q = form_from_symbol_text(text)
@@ -169,6 +173,63 @@ def test_isotropic_subgroups_match_brute_force(text):
     assert len(subs) == len({s.elements for s in subs})
     for s in subs:
         assert Subgroup(q, s.gens) == s
+
+
+def _fraction_evaluators(q):
+    """q and b evaluated term by term in Fraction from to_json_dict() data."""
+    data = q.to_json_dict()
+    qv = [Fraction(g["q"]) for g in data["gens"]]
+    bm = [[Fraction(x) for x in row] for row in data["b"]]
+    k = len(qv)
+
+    def q_frac(x):
+        total = sum(x[i] * x[i] * qv[i] for i in range(k))
+        total += sum(2 * x[i] * x[j] * bm[i][j]
+                     for i in range(k) for j in range(i + 1, k))
+        return total % 2
+
+    def b_frac(x, y):
+        return sum(x[i] * y[j] * bm[i][j] for i in range(k) for j in range(k)) % 1
+
+    return q_frac, b_frac
+
+
+@pytest.mark.parametrize("text", SMALL_SYMBOLS)
+def test_q_and_b_match_fraction_evaluation(text):
+    from latticelab import form_from_symbol_text
+    q = form_from_symbol_text(text)
+    q_frac, b_frac = _fraction_evaluators(q)
+    els = list(q.elements())
+    for x in els:
+        assert q.q(x) == q_frac(x)
+        for y in els:
+            assert q.b(x, y) == b_frac(x, y)
+
+
+@pytest.mark.parametrize("text", SMALL_SYMBOLS)
+def test_complement_quotient_matches_perp_scan(text):
+    """H-perp by kernel against H-perp by scanning every element of A."""
+    from latticelab import form_from_symbol_text
+    q = form_from_symbol_text(text)
+    _, b_frac = _fraction_evaluators(q)
+    for sub in isotropic_subgroups(q):
+        quot = complement_quotient(q, sub)
+        perp = [x for x in q.elements() if all(b_frac(x, g) == 0 for g in sub.gens)]
+        ref, _ = q.subquotient(perp, sub.gens)
+        assert quot.order * sub.order ** 2 == q.order
+        assert len(perp) == quot.order * sub.order
+        assert bruteforce_isomorphic(quot, ref)
+
+
+def test_level_is_common_denominator():
+    q = FiniteQuadraticForm([2, 4], [Fraction(5, 2), Fraction(-7, 4)])
+    assert q.level == 4
+    assert (q.q((1, 0)), q.q((0, 1))) == (Fraction(1, 2), Fraction(1, 4))
+    assert q.to_json_dict()["gens"][1]["q"] == "1/4"
+    sub, _ = q.subquotient([(0, 2)])
+    assert sub.level == 1 and sub.q((1,)) == 1
+    assert direct_sum_forms(q, discriminant_form(named_lattice("A2"))).level == 12
+    assert negate_form(q).q((0, 1)) == Fraction(7, 4)
 
 
 def test_brute_force_cap_guards():
@@ -285,3 +346,39 @@ def test_embeddings_of_form_into_itself():
     norm, _ = q.normalized()
     count, _ = form_embeddings_mod_aut(norm, norm, automorphisms(norm))
     assert count == 1
+
+
+def test_embeddings_across_levels():
+    """A level-2 form into a level-24 one: two orbits of images.
+
+    The reference lists the order-2 subgroups {0, h} with q(h) = 1/2 by a
+    Fraction scan and joins those that an automorphism of the big form
+    maps onto each other.
+    """
+    from latticelab import form_embeddings_mod_aut, form_from_symbol_text
+    from latticelab.fqf import apply_gen_map
+    small = form_from_symbol_text("2_1^+1")
+    big, _ = form_from_symbol_text("2_1^+1 8_1^+1 3^+1").normalized()
+    assert small.level != big.level
+    auts = automorphisms(big)
+    count, reps = form_embeddings_mod_aut(small, big, auts)
+    q_frac, _ = _fraction_evaluators(big)
+    zero = big.zero()
+    images = [x for x in big.elements()
+              if big.element_order(x) == 2 and q_frac(x) == Fraction(1, 2)]
+    orbits = {frozenset(apply_gen_map(big, m, x) for m in auts) for x in images}
+    assert count == len(orbits) == 2
+    assert sorted(reps, key=sorted) == sorted(
+        (frozenset({zero, min(orbit)}) for orbit in orbits), key=sorted)
+
+
+def test_embeddings_across_levels_offdiagonal():
+    """2_II^+2 (level 2, b = 1/2 between its generators) into
+    2_II^+2 3^+1 (level 6): the 2-Sylow subgroup is the only image."""
+    from latticelab import form_embeddings_mod_aut, form_from_symbol_text
+    small, _ = form_from_symbol_text("2_II^+2").normalized()
+    big, _ = form_from_symbol_text("2_II^+2 3^+1").normalized()
+    assert (small.level, big.level) == (2, 6)
+    count, reps = form_embeddings_mod_aut(small, big, automorphisms(big))
+    assert count == 1
+    assert reps == [frozenset(x for x in big.elements() if big.element_order(x) <= 2)]

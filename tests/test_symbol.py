@@ -70,6 +70,9 @@ def test_parse_rejects_bad_symbols():
         parse_symbol("3^+1 3^+1")  # duplicate scale
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("4^+1 nonsense")
+    for text in ("2_8^+1", "2_9^+1", "4_9^-1"):
+        with pytest.raises(SymbolSyntaxError):
+            parse_symbol(text)  # oddity tag outside 0..7
     assert parse_symbol("").constituents == ()
     assert parse_symbol("1^+0").constituents == ()
 
