@@ -45,17 +45,46 @@ from .shortvec import short_vectors
 from .symbol import form_from_symbol_text, is_isomorphic, signature_mod8, to_symbol
 
 
-def _json_matrix(text: str) -> list:
-    """argparse type: a JSON list of integer rows."""
+def _json_value(text: str, source: str):
     try:
-        mat = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError:
-        raise argparse.ArgumentTypeError(f"not valid JSON: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not valid JSON: {source!r}") from None
+
+
+def _integer_rows(mat, source: str) -> list:
     if not (isinstance(mat, list) and all(
             isinstance(row, list) and all(isinstance(x, int) for x in row)
             for row in mat)):
-        raise argparse.ArgumentTypeError(f"not a list of integer rows: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a list of integer rows: {source!r}")
     return mat
+
+
+def _json_matrix(text: str) -> list:
+    """argparse type: a JSON list of integer rows."""
+    return _integer_rows(_json_value(text, text), text)
+
+
+def _lattice_file(path: str) -> dict:
+    """argparse type: a JSON file holding a `gram` matrix or a lattice
+    `name` with an optional integer `scale`."""
+    try:
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc.strerror}") from None
+    data = _json_value(text, path)
+    if not isinstance(data, dict) or not ("gram" in data or "name" in data):
+        raise argparse.ArgumentTypeError(
+            f"{path!r} holds no JSON object with a gram or name entry")
+    if "name" in data:
+        if not (isinstance(data["name"], str)
+                and isinstance(data.get("scale", 1), int)):
+            raise argparse.ArgumentTypeError(
+                f"{path!r}: name must be a string and scale an integer")
+    else:
+        _integer_rows(data["gram"], path)
+    return data
 
 
 def _int_tuple(count: int):
@@ -85,8 +114,7 @@ def _positive_int(text: str) -> int:
 
 def _parse_gram(args) -> GramLattice:
     if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = args.file
         if "name" in data:
             return named_lattice(data["name"], data.get("scale", 1))
         return build_lattice(data["gram"])
@@ -102,7 +130,8 @@ def _add_lattice_args(p):
                    help="row-major Gram matrix, e.g. [[2,1],[1,2]]")
     p.add_argument("--name", help="named lattice, e.g. E6, U, II(26,2), Lambda0")
     p.add_argument("--scale", type=int, default=1, help="rescale a named lattice")
-    p.add_argument("--file", help="JSON file with a gram or name entry")
+    p.add_argument("--file", type=_lattice_file,
+                   help="JSON file with a gram or name entry")
 
 
 def _emit(args, data, human: str):
@@ -342,11 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_rank2_enum)
     p = rsub.add_parser("reduce", help="Gauss-reduce a form a,b,c")
-    p.add_argument("--form", type=_int_tuple(3), required=True, help="a,b,c")
+    p.add_argument("--form", type=_int_tuple(3), required=True,
+                   help="a,b,c; a leading minus needs --form=-3,1,-2")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_rank2_reduce)
     p = rsub.add_parser("autorders", help="orders of the isometries of a,b,c")
-    p.add_argument("--form", type=_int_tuple(3), required=True, help="a,b,c")
+    p.add_argument("--form", type=_int_tuple(3), required=True,
+                   help="a,b,c; a leading minus needs --form=-3,1,-2")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_rank2_autorders)
 

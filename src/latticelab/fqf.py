@@ -534,21 +534,29 @@ def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadr
 
 def _gen_images_search(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
                        find_all: bool, require_onto: bool):
-    """Backtracking search for q- and b-preserving maps of f1 into f2.
+    """Backtracking search for injective q- and b-preserving maps of f1 into f2.
 
     f1 must be in invariant factor form.  When require_onto is set, only
     group isomorphisms onto f2 are kept and returned as tuples of generator
-    images; otherwise each map found is returned as its image subgroup, the
-    set already built for the size check.  The two levels may differ, so
-    values are compared by cross-multiplication: v1/N1 == v2/N2 iff
-    v1*N2 == v2*N1.
+    images; otherwise each map found is returned as its image subgroup.
+    The two levels may differ, so values are compared by
+    cross-multiplication: v1/N1 == v2/N2 iff v1*N2 == v2*N1.
+
+    An x in the kernel of a b-preserving map has b(x, y) = b(0, f(y)) = 0
+    for every y, so it lies in the radical of b: the map is injective iff
+    it sends no nonzero radical element to 0.  A discriminant form has a
+    trivial radical, so there every map found is injective.
     """
     if f1.order > BRUTE_CAP or f2.order > BRUTE_CAP:
         raise CapExceededError("group order exceeds brute-force cap")
+    if require_onto and f1.order != f2.order:
+        return []
     n1, n2 = f1.level, f2.level
     by_key: dict[tuple, list] = {}
     for x in f2.elements():
         by_key.setdefault((f2.element_order(x), f2.q_int(x) * n1), []).append(x)
+    zero = f2.zero()
+    rad = [x for x in f1.elements() if any(x) and not any(f1.b_row(x))]
 
     gens = f1.gens()
     orders = f1.orders
@@ -557,10 +565,9 @@ def _gen_images_search(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
 
     def extend(idx, chosen):
         if idx == len(gens):
-            img = _span(f2, chosen)
-            if len(img) != (f2.order if require_onto else f1.order):
+            if any(apply_gen_map(f2, chosen, x) == zero for x in rad):
                 return False
-            results.append(tuple(chosen) if require_onto else img)
+            results.append(tuple(chosen) if require_onto else _span(f2, chosen))
             return not find_all
         targets = [f1.bints[j][idx] * n2 for j in range(idx)]
         for cand in by_key.get((orders[idx], f1.qints[idx] * n2), ()):
@@ -627,14 +634,14 @@ def form_embeddings_mod_aut(small: FiniteQuadraticForm, big: FiniteQuadraticForm
                             aut_maps):
     """Count isometric images of `small` inside `big` up to the given maps.
 
-    aut_maps is a list of generator-image tuples for `big` (for example
-    automorphisms(big), or the subgroup induced by lattice isometries).
-    Returns (count, orbit_representatives).
+    aut_maps is a list of generator-image tuples of isometries of `big`
+    (for example automorphisms(big), or the maps induced by lattice
+    isometries).  The maps need not form a group: the classes are the
+    connected components of the graph that joins each image to its image
+    under each map.  Returns (count, orbit_representatives), each
+    representative the first image of its class in embedding_images order.
     """
     images = embedding_images(small, big)
-    if not images:
-        return 0, []
-    index = {img: i for i, img in enumerate(images)}
     parent = list(range(len(images)))
 
     def find(i):
@@ -643,14 +650,23 @@ def form_embeddings_mod_aut(small: FiniteQuadraticForm, big: FiniteQuadraticForm
             i = parent[i]
         return i
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for img in images:
+    # An isometry sends an image onto an image of the same order, and the
+    # images are distinct subgroups of that order: the target is the one
+    # image that holds the images of a generating set.
+    count = len(images)
+    for i, img in enumerate(images):
+        if count == 1:
+            break
+        gens = _minimal_generators(big, img)
         for mp in aut_maps:
-            target = frozenset(apply_gen_map(big, mp, x) for x in img)
-            union(index[img], index[target])
+            moved = [apply_gen_map(big, mp, g) for g in gens]
+            j = next(j for j, other in enumerate(images)
+                     if all(x in other for x in moved))
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+                count -= 1
+                if count == 1:
+                    break
     reps = sorted({find(i) for i in range(len(images))})
-    return len(reps), [images[i] for i in reps]
+    return count, [images[i] for i in reps]

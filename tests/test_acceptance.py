@@ -77,8 +77,8 @@ EXPECTED_T = {
 }
 
 
-def test_criterion_02_transcendental_lattices():
-    rep = {v.record.row: v for v in full_report("hm15", "E6")}
+def test_criterion_02_transcendental_lattices(hm15_report):
+    rep = {v.record.row: v for v in hm15_report}
     for row, expected in EXPECTED_T.items():
         got = [str(c.form) for c in rep[row].classes]
         assert got == expected, (row, got)
@@ -90,8 +90,8 @@ def test_criterion_02_transcendental_lattices():
 EXPECTED_COUNTS = {1: [1], 4: [1, 1], 5: [1], 10: [2], 11: [1], 13: [1]}
 
 
-def test_criterion_03_embedding_counts():
-    rep = {v.record.row: v for v in full_report("hm15", "E6")}
+def test_criterion_03_embedding_counts(hm15_report):
+    rep = {v.record.row: v for v in hm15_report}
     total = 0
     for row, expected in EXPECTED_COUNTS.items():
         got = [c.embedding_count for c in rep[row].classes]
@@ -167,11 +167,10 @@ def test_criterion_05_rank2_enumeration(det):
 EXPECTED_NBAR = (6, 2, 1, 4, 1, 1, 3, 6)
 
 
-def test_criterion_06_nonsymplectic_orders():
-    rep = full_report("hm15", "E6")
+def test_criterion_06_nonsymplectic_orders(hm15_report):
     nbars = []
     totals = []
-    for v in rep:
+    for v in hm15_report:
         for c in v.classes:
             for _ in range(c.embedding_count or 1):
                 nbars.append(c.nonsymplectic)

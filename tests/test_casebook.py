@@ -63,9 +63,8 @@ def test_polarization_roots():
         root_for_degree(8)
 
 
-def test_cubic_pass_set():
-    report = full_report("hm15", "E6")
-    passes = [v.record.row for v in report if v.passed]
+def test_cubic_pass_set(hm15_report):
+    passes = [v.record.row for v in hm15_report if v.passed]
     assert passes == [1, 4, 5, 10, 11, 13]
 
 
@@ -131,8 +130,8 @@ def test_nonsymplectic_orders():
         nonsymplectic_order(k3rec, Rank2Form(12, 0, 30, negative=True), True)
 
 
-def test_nonsymplectic_is_within_phi_bound():
-    for verdict in full_report("hm15", "E6"):
+def test_nonsymplectic_is_within_phi_bound(hm15_report):
+    for verdict in hm15_report:
         for cls in verdict.classes:
             if cls.nonsymplectic is not None:
                 assert cls.nonsymplectic in phi_order_bound(verdict.record.rank_S)
@@ -182,9 +181,9 @@ def test_degree0_runs_without_rank2_analysis():
     assert not any(v.passed for v in report)
 
 
-def test_every_passing_witness_is_checkable():
+def test_every_passing_witness_is_checkable(hm15_report):
     from latticelab import even_lattice_exists
-    for verdict in full_report("hm15", "E6"):
+    for verdict in hm15_report:
         if not verdict.criterion:
             continue
         for outcome in verdict.criterion.outcomes:
@@ -224,10 +223,10 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
         load_table("hm15")
 
 
-def test_candidate_forms_negate_to_quotient():
+def test_candidate_forms_negate_to_quotient(hm15_report):
     from latticelab import discriminant_form, is_isomorphic, negate_form
     e6 = polarization_root("E6")
-    for verdict in full_report("hm15", "E6"):
+    for verdict in hm15_report:
         if not verdict.passed:
             continue
         for outcome in verdict.criterion.outcomes:

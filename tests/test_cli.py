@@ -42,9 +42,22 @@ def test_rank2_enum_verbatim_output(capsys):
     assert out.splitlines() == ["-(2^1 14)", "-(6^3 6)"]
 
 
+def test_lattice_info_from_file(capsys, tmp_path):
+    gram = tmp_path / "gram.json"
+    gram.write_text('{"gram": [[2, 1], [1, 2]]}', encoding="utf-8")
+    named = tmp_path / "named.json"
+    named.write_text('{"name": "E6", "scale": 2}', encoding="utf-8")
+    code, data = capture_json(capsys, ["lattice", "info", "--file", str(gram)])
+    assert code == 0 and data["det"] == 3
+    code, data = capture_json(capsys, ["lattice", "info", "--file", str(named)])
+    assert code == 0 and data["det"] == 3 * 2 ** 6
+
+
 def test_rank2_reduce_and_orders(capsys):
     code, out = capture(capsys, ["rank2", "reduce", "--form", "14,-1,2"])
     assert code == 0 and out.strip() == "(2^1 14)"
+    code, out = capture(capsys, ["rank2", "reduce", "--form=-3,1,-2"])
+    assert code == 0 and out.strip() == "-(2^1 3)"
     code, data = capture_json(capsys, ["rank2", "autorders", "--form", "6,3,6"])
     assert code == 0 and 3 in data["orders"] and 6 in data["orders"]
 
@@ -193,8 +206,14 @@ def test_k3_check_matches_golden_file(capsys, degree):
     ["family-dim", "--order", "0", "--weights", "1,1"],
     ["family-dim", "--order", "6", "--weights", "1,1"],
     ["symplectic-check", "--order", "0", "--weights", "0,6,3,1,4,7"],
+    ["lattice", "info", "--file", "missing.json"],
+    ["lattice", "info", "--file", "malformed.json"],
+    ["lattice", "info", "--file", "no_entry.json"],
 ])
-def test_malformed_input_is_usage_error(capsys, argv):
+def test_malformed_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "malformed.json").write_text("{bad", encoding="utf-8")
+    (tmp_path / "no_entry.json").write_text('{"scale": 2}', encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2

@@ -124,6 +124,17 @@ def test_isotropic_subgroups_trivial_form():
     assert len(subs) == 1 and subs[0].order == 1
 
 
+def _closure(q, els):
+    """The subgroup generated by els, by plain addition until nothing is new."""
+    out = set(els) | {q.zero()}
+    while True:
+        new = {tuple((a + b) % d for a, b, d in zip(x, y, q.orders))
+               for x in out for y in out} - out
+        if not new:
+            return frozenset(out)
+        out |= new
+
+
 def _brute_isotropic_subgroups(q):
     """Every isotropic subgroup, found without fqf's subgroup closure.
 
@@ -132,24 +143,11 @@ def _brute_isotropic_subgroups(q):
     addition reaches each isotropic subgroup; keep the closures on which
     q vanishes.
     """
-    zero = (0,) * q.ngens
-
-    def add(x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, q.orders))
-
-    def closure(els):
-        out = set(els) | {zero}
-        while True:
-            new = {add(x, y) for x in out for y in out} - out
-            if not new:
-                return frozenset(out)
-            out |= new
-
     iso = [x for x in q.elements() if q.q(x) == 0]
     found = set()
     for k in range(q.ngens + 1):
         for combo in itertools.combinations(iso, k):
-            h = closure(combo)
+            h = _closure(q, combo)
             if all(q.q(x) == 0 for x in h):
                 found.add(h)
     return found
@@ -382,3 +380,115 @@ def test_embeddings_across_levels_offdiagonal():
     count, reps = form_embeddings_mod_aut(small, big, automorphisms(big))
     assert count == 1
     assert reps == [frozenset(x for x in big.elements() if big.element_order(x) <= 2)]
+
+
+# -- generator-image search and embedding orbits against references ------------
+
+# forms whose bilinear form has a nontrivial radical: a q- and b-preserving
+# map of generators can send a nonzero radical element to 0
+DEGENERATE_FORMS = [
+    FiniteQuadraticForm([2, 2], [0, Fraction(1, 2)]),
+    FiniteQuadraticForm([2, 2], [0, 0]),
+    FiniteQuadraticForm([3, 3], [0, Fraction(2, 3)]),
+    FiniteQuadraticForm([2, 4], [0, Fraction(1, 4)]),
+    FiniteQuadraticForm([2, 2, 2], [0, 0, 0],
+                        [[0, Fraction(1, 2), 0], [Fraction(1, 2), 0, 0], [0, 0, 0]]),
+]
+DEGENERATE_IDS = [f"degenerate{i}" for i in range(len(DEGENERATE_FORMS))]
+
+
+def _closure_search(f1, f2, onto):
+    """q- and b-preserving generator-image maps of f1 (invariant factor
+    form) into f2, kept when the closure of the images has |f1| elements
+    (|f2| with onto).  Returns image tuples with onto, image subgroups
+    without."""
+    cands = [[y for y in f2.elements()
+              if f2.element_order(y) == d and f2.q(y) == f1.q(e)]
+             for d, e in zip(f1.orders, f1.gens())]
+    gens = f1.gens()
+    out = []
+    for images in itertools.product(*cands):
+        if any(f2.b(images[i], images[j]) != f1.b(gens[i], gens[j])
+               for i, j in itertools.combinations(range(len(gens)), 2)):
+            continue
+        img = _closure(f2, images)
+        if len(img) == (f2.order if onto else f1.order):
+            out.append(images if onto else img)
+    return out
+
+
+def _search_cases():
+    from latticelab import form_from_symbol_text
+    forms = [form_from_symbol_text(t).normalized()[0] for t in SMALL_SYMBOLS]
+    return forms + DEGENERATE_FORMS
+
+
+@pytest.mark.parametrize("form", _search_cases(), ids=SMALL_SYMBOLS + DEGENERATE_IDS)
+def test_automorphisms_match_closure_search(form):
+    from latticelab.fqf import _gen_images_search
+    assert form.normalized()[0].orders == form.orders
+    assert automorphisms(form) == _closure_search(form, form, onto=True)
+    for other in _search_cases():
+        isometries = _closure_search(form, other, onto=True)
+        assert _gen_images_search(form, other, find_all=True,
+                                  require_onto=True) == isometries
+        assert bruteforce_isomorphic(form, other) == bool(isometries)
+
+
+@pytest.mark.parametrize("small", DEGENERATE_FORMS, ids=DEGENERATE_IDS)
+def test_degenerate_embedding_images_are_injective(small):
+    from latticelab import embedding_images
+    big = direct_sum_forms(small, FiniteQuadraticForm([2], [0]))
+    assert set(embedding_images(small, big)) == \
+        set(_closure_search(small, big, onto=False))
+
+
+def _elementwise_orbits(small, big, maps):
+    """Images of small in big joined under the maps, element by element.
+
+    Maps every element of every image under every map and joins the two
+    images by union-find with min-index roots; returns (count, reps).
+    """
+    from latticelab import embedding_images
+    from latticelab.fqf import apply_gen_map
+    images = embedding_images(small, big)
+    index = {img: i for i, img in enumerate(images)}
+    parent = list(range(len(images)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for img in images:
+        for mp in maps:
+            target = frozenset(apply_gen_map(big, mp, x) for x in img)
+            ri, rj = find(index[img]), find(index[target])
+            parent[max(ri, rj)] = min(ri, rj)
+    reps = sorted({find(i) for i in range(len(images))})
+    return len(reps), [images[i] for i in reps]
+
+
+# SMALL_SYMBOLS entry -> a summand g, so that the entry embeds into entry + g,
+# mostly in several ways
+EMBEDDING_SUMMANDS = {
+    "3^-2": "3^+1", "5^+2": "2_1^+1", "3^+3": "2_1^+1", "3^-1 9^+1": "3^+1",
+    "2_II^+2 3^+1": "3^+1", "2_II^+2 7^+1": "7^+1", "2_II^+4": "2_1^+1",
+    "2_0^+4": "2_1^+1", "4_II^+2": "2_1^+1", "2_1^+1 4_II^+2": "2_3^-1",
+    "2_II^+2 8_1^+1": "2_1^+1", "4_7^+1 8_1^+1": "2_1^+1",
+}
+
+
+@pytest.mark.parametrize("text", SMALL_SYMBOLS)
+def test_embedding_orbits_match_elementwise(text):
+    """Full Aut(big), and lists of one or two non-identity maps, which are
+    no group: the classes are the components the maps draw."""
+    from latticelab import form_embeddings_mod_aut, form_from_symbol_text
+    small = form_from_symbol_text(text)
+    big, _ = direct_sum_forms(
+        small, form_from_symbol_text(EMBEDDING_SUMMANDS[text])).normalized()
+    auts = automorphisms(big)
+    moving = [m for m in auts if m != tuple(big.gens())]
+    for maps in (auts, moving[:1], moving[-2:], []):
+        assert form_embeddings_mod_aut(small, big, maps) == \
+            _elementwise_orbits(small, big, maps)
