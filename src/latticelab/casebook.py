@@ -54,7 +54,7 @@ from .rank2 import (
     rank2_enumerate,
     rank2_isometries,
 )
-from .symbol import form_from_symbol, is_isomorphic, parse_symbol
+from .symbol import form_from_symbol, parse_symbol, to_symbol
 
 BORCHERDS_SIGNATURE = (26, 2)
 LEECH_RANK = 24
@@ -247,17 +247,20 @@ def transcendental_candidates(rec: LeechPairRecord, root: PolarizationRoot,
 
     Only defined in the maximal-rank case (rank-2 complement): enumerate
     reduced even forms of the complement determinant and keep those whose
-    discriminant form matches.
+    discriminant form matches: the same invariant factors, then the same
+    canonical genus symbol, which is computed once for the quotient.
     """
     comp_rank = BORCHERDS_SIGNATURE[0] + BORCHERDS_SIGNATURE[1] \
         - rec.rank_S - root.rank
     if comp_rank != 2:
         raise NotMaximalRankError("complement is not of rank 2")
-    det = witness.quotient.order
+    target, _ = witness.quotient.normalized()
+    target_symbol = to_symbol(target)
     out = []
-    for cand in rank2_enumerate(det, negative=True):
+    for cand in rank2_enumerate(target.order, negative=True):
+        # discriminant_form presents its group in invariant factor form
         q_pos = discriminant_form(cand.positive_lattice())
-        if is_isomorphic(q_pos, witness.quotient):
+        if q_pos.orders == target.orders and to_symbol(q_pos) == target_symbol:
             out.append(cand)
     return out
 
@@ -269,8 +272,7 @@ def _induced_isometry_maps(t_form: Rank2Form):
     return sorted(maps), dg.form
 
 
-def embedding_class_count(rec: LeechPairRecord, root: PolarizationRoot,
-                          witness: SaturationWitness, t_form: Rank2Form) -> int:
+def embedding_class_count(rec: LeechPairRecord, t_form: Rank2Form) -> int:
     """Number of inequivalent primitive embeddings of S with complement T.
 
     Counted at the glue level: isometric images of the smaller of q_S and
@@ -408,19 +410,16 @@ def analyze_record(rec: LeechPairRecord, root: PolarizationRoot) -> CaseVerdict:
     classes: list[TranscendentalClass] = []
     if crit.passed and crit.complement_rank == 2:
         by_form: dict[Rank2Form, bool] = {}
-        first_witness: dict[Rank2Form, SaturationWitness] = {}
         for outcome in crit.outcomes:
             if not outcome.verdict.exists:
                 continue
             for t_form in transcendental_candidates(rec, root, outcome.witness):
                 nontrivial = not outcome.witness.trivial
                 by_form[t_form] = by_form.get(t_form, False) or nontrivial
-                first_witness.setdefault(t_form, outcome.witness)
         for t_form in sorted(by_form):
             cls = TranscendentalClass(t_form, by_form[t_form])
             if rec.aut_qS_surjective:
-                cls.embedding_count = embedding_class_count(
-                    rec, root, first_witness[t_form], t_form)
+                cls.embedding_count = embedding_class_count(rec, t_form)
             if rec.rank_S == 20 and root.name == "E6":
                 n_bar, total = nonsymplectic_order(rec, t_form, by_form[t_form])
                 cls.nonsymplectic = n_bar

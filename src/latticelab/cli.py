@@ -42,7 +42,7 @@ from .normalforms import (
 )
 from .rank2 import Rank2Form, rank2_automorphism_orders, rank2_enumerate, rank2_reduce
 from .shortvec import short_vectors
-from .symbol import form_from_symbol_text, is_isomorphic, signature_mod8, to_symbol
+from .symbol import form_from_symbol_text, is_isomorphic, to_symbol
 
 
 def _json_value(text: str, source: str):
@@ -199,16 +199,17 @@ def _cmd_rank2_autorders(args):
 def _cmd_dform_of(args):
     latt = _parse_gram(args)
     q = discriminant_form(latt)
-    _emit(args, {"symbol": str(to_symbol(q)), "order": q.order,
-                 "form": q.to_json_dict()},
-          f"{to_symbol(q)}  (group order {q.order})")
+    sym = to_symbol(q)
+    _emit(args, {"symbol": str(sym), "order": q.order, "form": q.to_json_dict()},
+          f"{sym}  (group order {q.order})")
 
 
 def _cmd_dform_symbol(args):
     q = form_from_symbol_text(args.form)
-    _emit(args, {"symbol": str(to_symbol(q)), "order": q.order,
-                 "signature_mod8": signature_mod8(q)},
-          f"canonical: {to_symbol(q)}   sig mod 8: {signature_mod8(q)}")
+    sym = to_symbol(q)
+    _emit(args, {"symbol": str(sym), "order": q.order,
+                 "signature_mod8": sym.signature()},
+          f"canonical: {sym}   sig mod 8: {sym.signature()}")
 
 
 def _cmd_dform_iso(args):
@@ -232,7 +233,7 @@ def _cmd_glue_isotropic(args):
 
 
 def _cmd_nikulin_exists(args):
-    n1, n2 = (int(x) for x in args.sig.split(","))
+    n1, n2 = args.sig
     q = form_from_symbol_text(args.form)
     verdict = even_lattice_exists(LatticeInvariant(n1, n2, q))
     _emit(args, verdict.to_json_dict(),
@@ -241,26 +242,25 @@ def _cmd_nikulin_exists(args):
 
 
 def _cmd_nikulin_embed(args):
-    n1, n2 = (int(x) for x in args.sig.split(","))
-    l1, l2 = (int(x) for x in args.target.split(","))
+    n1, n2 = args.sig
     q = form_from_symbol_text(args.form)
     verdict, comp = primitive_embedding_into_even_unimodular_exists(
-        LatticeInvariant(n1, n2, q), (l1, l2))
+        LatticeInvariant(n1, n2, q), args.target)
     data = verdict.to_json_dict()
     data["complement"] = comp.to_json_dict() if comp else None
     human = f"exists: {verdict.exists}"
     if comp:
-        human += f"   complement signature {comp.n_plus},{comp.n_minus} form {to_symbol(comp.form)}"
+        human += f"   complement signature {comp.n_plus},{comp.n_minus} form {data['complement']['form']}"
     _emit(args, data, human)
 
 
 def _cmd_saturate(args):
     q_s = form_from_symbol_text(args.first)
     q_r = form_from_symbol_text(args.second)
-    wits = saturations_keeping_primitive(q_s, q_r)
-    _emit(args, {"witnesses": [w.to_json_dict() for w in wits]},
-          "\n".join(f"index {w.index:3d} glue {[list(g) for g in w.glue_gens]} "
-                    f"-> quotient {to_symbol(w.quotient)}" for w in wits))
+    wits = [w.to_json_dict() for w in saturations_keeping_primitive(q_s, q_r)]
+    _emit(args, {"witnesses": wits},
+          "\n".join(f"index {w['index']:3d} glue {w['glue']} "
+                    f"-> quotient {w['quotient']}" for w in wits))
 
 
 def _verdict_rows(report):
@@ -408,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     nik = sub.add_parser("nikulin", help="even lattice existence / embeddings")
     nsub = nik.add_subparsers(dest="subcommand", required=True)
     p = nsub.add_parser("exists", help="even lattice with given invariants")
-    p.add_argument("--sig", required=True, help="n_plus,n_minus")
+    p.add_argument("--sig", type=_int_tuple(2), required=True, help="n_plus,n_minus")
     p.add_argument("--form", required=True, help="genus symbol text")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_nikulin_exists)
     p = nsub.add_parser("embed", help="primitive embedding into II(l1,l2)")
-    p.add_argument("--sig", required=True, help="n_plus,n_minus")
+    p.add_argument("--sig", type=_int_tuple(2), required=True, help="n_plus,n_minus")
     p.add_argument("--form", required=True, help="genus symbol text")
-    p.add_argument("--target", default="26,2", help="l1,l2 (default 26,2)")
+    p.add_argument("--target", type=_int_tuple(2), default=(26, 2), help="l1,l2 (default 26,2)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_nikulin_embed)
 

@@ -27,9 +27,10 @@ from .errors import (
 from .exactmat import (
     factorize,
     integer_kernel,
+    mat_mul,
     mat_vec,
-    rational_inverse,
     smith_normal_form,
+    transpose,
     unimodular_inverse,
 )
 from .lattice import GramLattice
@@ -323,7 +324,8 @@ class DiscriminantGroup:
     """A_L = L*/L with its quadratic form and the data to transport isometries.
 
     dual_gens[i] is the i-th generator of A_L written in rational coordinates
-    with respect to the lattice basis.
+    with respect to the lattice basis: from u*G*v = diag(d) (Smith normal
+    form), G^-1 u^-1 e_i is the column v e_i / d_i.
     """
 
     def __init__(self, latt: GramLattice):
@@ -331,28 +333,17 @@ class DiscriminantGroup:
             raise OddLatticeError("discriminant quadratic form needs an even lattice")
         gram = latt.gram_rows()
         n = latt.rank
-        d, u, _ = smith_normal_form(gram)
+        d, u, v = smith_normal_form(gram)
         if any(x == 0 for x in d):
             raise DegenerateError("lattice is degenerate")
-        uinv = unimodular_inverse(u)
-        ginv = rational_inverse(gram)
-        orders = []
-        dual = []
-        for i in range(n):
-            if d[i] == 1:
-                continue
-            target = [Fraction(uinv[r][i]) for r in range(n)]
-            coords = mat_vec(ginv, target)
-            orders.append(d[i])
-            dual.append(coords)
-        qvals = []
-        bmat = [[Fraction(0)] * len(dual) for _ in range(len(dual))]
-        for i, w in enumerate(dual):
-            gw = mat_vec(gram, w)
-            qvals.append(sum(a * b for a, b in zip(w, gw)))
-            for j in range(i + 1, len(dual)):
-                val = sum(a * b for a, b in zip(dual[j], gw))
-                bmat[i][j] = bmat[j][i] = val
+        keep = [i for i in range(n) if d[i] != 1]
+        orders = [d[i] for i in keep]
+        cols = [[v[r][i] for i in keep] for r in range(n)]
+        vgv = mat_mul(transpose(cols), mat_mul(gram, cols))
+        dual = [[Fraction(v[r][i], d[i]) for r in range(n)] for i in keep]
+        qvals = [Fraction(vgv[i][i], di * di) for i, di in enumerate(orders)]
+        bmat = [[Fraction(x, di * dj) for x, dj in zip(row, orders)]
+                for row, di in zip(vgv, orders)]
         self.lattice = latt
         self.orders = tuple(orders)
         self.dual_gens = dual
@@ -495,7 +486,11 @@ def isotropic_subgroups(form: FiniteQuadraticForm):
     while queue:
         current = queue.pop()
         rows = seen[current]
+        done = set()  # H + <x> and the test below depend only on the coset x + H
         for x in zero_set - current:
+            if x in done:
+                continue
+            done.update([form.add(x, h) for h in current])
             # for isotropic x and h, q(x + h) = 2 b(x, h); so H + <x> is
             # isotropic iff b(x, g) = 0 for each generator g of H
             if any(sum(r * c for r, c in zip(row, x)) % n for row in rows):

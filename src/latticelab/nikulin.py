@@ -22,6 +22,7 @@ embeddings into even unimodular lattices live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .errors import BadSignatureError
 from .fqf import (
@@ -29,17 +30,9 @@ from .fqf import (
     complement_quotient,
     isotropic_subgroups,
     negate_form,
-    primary_lengths,
     total_length,
 )
-from .symbol import (
-    _p_valuation,
-    eps_total,
-    legendre,
-    scale2_is_odd_type,
-    signature_mod8,
-    to_symbol,
-)
+from .symbol import _p_valuation, legendre, to_symbol
 
 CONDITION_NAMES = {
     1: "signature mod 8",
@@ -80,13 +73,16 @@ class ExistenceVerdict:
 
 
 def even_lattice_exists(inv: LatticeInvariant) -> ExistenceVerdict:
-    """Decide existence of an even lattice with the given invariant."""
+    """Decide existence of an even lattice with the given invariant, reading
+    every condition off one canonical symbol; odd p are checked before p = 2."""
     q = inv.form
     n1, n2 = inv.n_plus, inv.n_minus
-    if (n1 - n2 - signature_mod8(q)) % 8 != 0:
+    sym = to_symbol(q)
+    if (n1 - n2 - sym.signature()) % 8 != 0:
         return ExistenceVerdict(False, 1, CONDITION_NAMES[1])
-    lens = primary_lengths(q)
-    if n1 < 0 or n2 < 0 or n1 + n2 < total_length(q):
+    cons = sym.per_prime()
+    lens = {p: sum(c.n for c in cs) for p, cs in cons.items()}
+    if n1 < 0 or n2 < 0 or n1 + n2 < max(lens.values(), default=0):
         return ExistenceVerdict(False, 2, CONDITION_NAMES[2])
     order = q.order
     for p in sorted(lens):
@@ -96,12 +92,13 @@ def even_lattice_exists(inv: LatticeInvariant) -> ExistenceVerdict:
             continue
         unit = order // p ** _p_valuation(order, p)
         lhs = legendre(((-1) ** n2) * unit, p)
-        if lhs != eps_total(q, p):
+        if lhs != prod(c.eps for c in cons[p]):
             return ExistenceVerdict(False, 3, f"{CONDITION_NAMES[3]} at p={p}")
-    if 2 in lens and n1 + n2 == lens[2] and not scale2_is_odd_type(q):
+    odd_scale2 = any(c.k == 1 and not c.even for c in cons.get(2, ()))
+    if 2 in lens and n1 + n2 == lens[2] and not odd_scale2:
         odd_part = order >> _p_valuation(order, 2)
         want_plus = odd_part % 8 in (1, 7)
-        if want_plus != (eps_total(q, 2) == 1):
+        if want_plus != (prod(c.eps for c in cons[2]) == 1):
             return ExistenceVerdict(False, 4, CONDITION_NAMES[4])
     return ExistenceVerdict(True)
 

@@ -14,9 +14,9 @@ Two complications are handled here:
   canonicalizes by taking the lexicographic minimum over the (small)
   orbit of the symbol under these moves, so isomorphic forms print
   identically.
-* The Milgram signature is assembled from exact rank-1 and rank-2 Gauss
-  sums (classical closed forms); the cyclotomic module re-derives it by
-  direct summation for cross-checking.
+* The Milgram signature is summed from the constituents' Gauss sum
+  arguments (classical closed forms); the cyclotomic module re-derives
+  it by direct summation for cross-checking.
 """
 
 from __future__ import annotations
@@ -79,6 +79,27 @@ def _p_valuation(n: int, p: int) -> int:
     return v
 
 
+def _split_off(form: FiniteQuadraticForm, xs):
+    """The orthogonal complement of <xs>, one or two elements of top order N
+    whose Gram matrix M = N*b(xs, xs) is invertible mod N: the projections
+    g - sum_i c_i xs_i, c = M^-1 (N*b(xs_i, g))_i, of the generators g."""
+    ox = form.element_order(xs[0])
+    m = [[int(form.b(x, y) * ox) for y in xs] for x in xs]
+    if len(xs) == 1:
+        adj, det = [[1]], m[0][0]
+    else:
+        adj = [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    inv = pow(det, -1, ox)
+    rest = []
+    for g in form.gens():
+        r = [int(form.b(x, g) * ox) for x in xs]
+        for x, row in zip(xs, adj):
+            g = form.add(g, form.scale(x, -inv * sum(a * b for a, b in zip(row, r))))
+        rest.append(g)
+    return form.subquotient(rest)[0]
+
+
 def _split_odd(form: FiniteQuadraticForm, p: int):
     """Split a p-group form (p odd) into cyclic pieces."""
     pieces = []
@@ -97,13 +118,7 @@ def _split_odd(form: FiniteQuadraticForm, p: int):
         pieces.append(CyclicPiece(p, _p_valuation(ox, p), form.q(x)))
         if form.ngens == 1:
             break
-        bxx = form.q(x) % 1
-        inv = pow(int(bxx * ox), -1, ox)
-        rest = []
-        for g in gens:
-            c = (int(form.b(x, g) * ox) * inv) % ox
-            rest.append(form.add(g, form.scale(x, -c)))
-        form, _ = form.subquotient(rest)
+        form = _split_off(form, [x])
     return pieces
 
 
@@ -123,13 +138,7 @@ def _split_two(form: FiniteQuadraticForm):
             pieces.append(CyclicPiece(2, _p_valuation(ox, 2), form.q(x)))
             if form.ngens == 1:
                 break
-            a = int(form.q(x) * ox)  # odd
-            inv = pow(a, -1, ox)
-            rest = []
-            for g in gens:
-                c = (int(form.b(x, g) * ox) * inv) % ox
-                rest.append(form.add(g, form.scale(x, -c)))
-            form, _ = form.subquotient(rest)
+            form = _split_off(form, [x])
             continue
         # even type at the top scale: split off a rank-2 block
         ox = max(form.orders)
@@ -144,28 +153,21 @@ def _split_two(form: FiniteQuadraticForm):
         pieces.append(EvenPiece(k, "u" if det % 8 in (1, 7) else "v"))
         if form.ngens == 2:
             break
-        inv = pow(det, -1, ox)
-        rest = []
-        for g in gens:
-            if g == x or g == y:
-                continue
-            r1 = int(form.b(x, g) * ox)
-            r2 = int(form.b(y, g) * ox)
-            c1 = (inv * (2 * beta * r1 - gamma * r2)) % ox
-            c2 = (inv * (-gamma * r1 + 2 * alpha * r2)) % ox
-            g2 = form.add(g, form.scale(x, -c1))
-            g2 = form.add(g2, form.scale(y, -c2))
-            rest.append(g2)
-        form, _ = form.subquotient(rest)
+        form = _split_off(form, [x, y])
     return pieces
 
 
 def jordan_pieces(form: FiniteQuadraticForm) -> dict[int, list]:
-    """Orthogonal standard pieces of the form, keyed by prime."""
+    """Orthogonal standard pieces of the form, keyed by prime.
+
+    This is the one decomposition behind every invariant in this module:
+    to_symbol() is its only caller, and the lengths, determinant classes
+    and signature are all read off the symbol.  Each p-part is split as
+    primary_part() presents it, in invariant factor form.
+    """
     out: dict[int, list] = {}
     for p in form.primes():
         part, _ = form.primary_part(p)
-        part, _ = part.normalized()
         pieces = _split_two(part) if p == 2 else _split_odd(part, p)
         out[p] = sorted(pieces, key=lambda pc: (pc.k, isinstance(pc, EvenPiece), str(pc)))
     return out
@@ -223,11 +225,6 @@ def _constituents_from_pieces(p: int, pieces) -> dict[int, JordanConstituent]:
             out[k] = JordanConstituent(2, k, n, eps, even=not odd_type,
                                        oddity=t % 8 if odd_type else 0)
     return out
-
-
-def form_constituents(form: FiniteQuadraticForm) -> dict[int, dict[int, JordanConstituent]]:
-    return {p: _constituents_from_pieces(p, pieces)
-            for p, pieces in jordan_pieces(form).items()}
 
 
 # -- realizability -----------------------------------------------------------
@@ -423,6 +420,22 @@ class GenusSymbol:
             out.setdefault(c.p, []).append(c)
         return out
 
+    def signature(self) -> int:
+        """Milgram signature mod 8 by the oddity formula (SPLAG ch. 15); sign
+        walking and oddity fusion leave it unchanged."""
+        total = 0
+        for c in self.constituents:
+            if c.p == 2:
+                total += c.oddity
+                if c.eps < 0 and c.k % 2 == 1:
+                    total += 4
+            else:
+                if c.p % 4 == 3 and c.k % 2 == 1:
+                    total += 2 * c.n
+                if (c.eps ** c.k) * (legendre(2, c.p) ** (c.n * c.k)) < 0:
+                    total += 4
+        return total % 8
+
     def __str__(self):
         if not self.constituents:
             return "1^+0"
@@ -439,7 +452,8 @@ class GenusSymbol:
 
 def to_symbol(form: FiniteQuadraticForm) -> GenusSymbol:
     """Canonical genus symbol; isomorphic forms yield identical symbols."""
-    cons = form_constituents(form)
+    cons = {p: _constituents_from_pieces(p, pieces)
+            for p, pieces in jordan_pieces(form).items()}
     out = []
     for p in sorted(cons):
         if p == 2:
@@ -584,45 +598,14 @@ def form_from_symbol_text(text: str) -> FiniteQuadraticForm:
 def signature_mod8(form: FiniteQuadraticForm) -> int:
     """Milgram signature: sig(q_L) = n_plus - n_minus mod 8 for even L.
 
-    Assembled from the exact Gauss sums of the standard pieces (classical
-    closed forms); see cyclotomic.gauss_sum_signature for the direct
-    root-of-unity evaluation used as a cross-check.
+    Read off the canonical symbol, see GenusSymbol.signature;
+    cyclotomic.gauss_sum_signature evaluates the Gauss sum directly and
+    is the independent cross-check.
     """
-    total = 0
-    for p, cons in form_constituents(form).items():
-        for k, c in cons.items():
-            if p == 2:
-                total += c.oddity
-                if c.eps < 0 and k % 2 == 1:
-                    total += 4
-            else:
-                if p % 4 == 3 and k % 2 == 1:
-                    total += 2 * c.n
-                chi = (c.eps ** k) * (legendre(2, p) ** (c.n * k))
-                if chi < 0:
-                    total += 4
-    return total % 8
-
-
-def eps_total(form: FiniteQuadraticForm, p: int) -> int:
-    """Product of constituent signs of the p-part (determinant class)."""
-    cons = form_constituents(form).get(p, {})
-    e = 1
-    for c in cons.values():
-        e *= c.eps
-    return e
-
-
-def scale2_is_odd_type(form: FiniteQuadraticForm) -> bool:
-    """True iff the 2-part splits off some q_a(2) (scale-2 odd constituent)."""
-    cons = form_constituents(form).get(2, {})
-    return 1 in cons and not cons[1].even
+    return to_symbol(form).signature()
 
 
 def is_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     """Isometry of finite quadratic forms via canonical symbol equality."""
-    n1, _ = f1.normalized()
-    n2, _ = f2.normalized()
-    if n1.orders != n2.orders:
-        return False
-    return to_symbol(n1) == to_symbol(n2)
+    return (f1.invariant_factors == f2.invariant_factors
+            and to_symbol(f1) == to_symbol(f2))

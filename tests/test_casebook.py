@@ -108,12 +108,9 @@ def test_transcendental_requires_rank2_complement():
 
 
 def test_embedding_count_requires_flag():
-    e6 = polarization_root("E6")
     rec2 = record("hm15", 2)
-    res = polarized_criterion(rec2, e6)
     with pytest.raises(AssumptionMissingError):
-        embedding_class_count(rec2, e6, res.outcomes[0].witness,
-                              Rank2Form(2, 1, 14, negative=True))
+        embedding_class_count(rec2, Rank2Form(2, 1, 14, negative=True))
 
 
 def test_nonsymplectic_orders():

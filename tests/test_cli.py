@@ -209,6 +209,9 @@ def test_k3_check_matches_golden_file(capsys, degree):
     ["lattice", "info", "--file", "missing.json"],
     ["lattice", "info", "--file", "malformed.json"],
     ["lattice", "info", "--file", "no_entry.json"],
+    ["nikulin", "exists", "--sig", "1", "--form", "3^+1"],
+    ["nikulin", "exists", "--sig", "a,b", "--form", "3^+1"],
+    ["nikulin", "embed", "--sig", "20,0", "--form", "3^+1", "--target", "26"],
 ])
 def test_malformed_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
@@ -220,3 +223,16 @@ def test_malformed_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_dform_symbol_decomposes_its_form_once(capsys, monkeypatch, flags):
+    """Both outputs, signature included, come from one genus symbol."""
+    import latticelab.symbol
+    real = latticelab.symbol.jordan_pieces
+    calls = []
+    monkeypatch.setattr(latticelab.symbol, "jordan_pieces",
+                        lambda form: calls.append(form) or real(form))
+    code, out = capture(capsys, ["dform", "symbol", "--form", "2_1^+1 4_7^+1 3^-2"] + flags)
+    assert code == 0 and "2_1^+1 4_7^+1 3^-2" in out
+    assert len(calls) == 1

@@ -47,6 +47,27 @@ def test_discriminant_group_order_is_det():
         assert q.order == abs(latt.det)
 
 
+REGISTRY_NAMES = ["A1", "A2", "A3", "A6", "D4", "D5", "D7", "E6", "E7", "E8", "U",
+                  "II(10,2)", "II(26,2)", "Borcherds", "Lambda0", "Lambda2", "Lambda6"]
+
+
+def test_dual_generators_match_rational_inverse():
+    """dual_gens, read off the Smith transform v, are G^-1 u^-1 e_i."""
+    from latticelab.exactmat import mat_vec, rational_inverse
+    rng = random.Random(57)
+    lattices = [named_lattice(name) for name in REGISTRY_NAMES]
+    lattices += [rescale(named_lattice("A2"), 3), rescale(named_lattice("D4"), 2)]
+    lattices += [random_even_lattice(rng) for _ in range(40)]
+    for latt in lattices:
+        dg = discriminant_group(latt)
+        ginv = rational_inverse(latt.gram_rows())
+        uinv = rational_inverse(dg.u)
+        expect = [mat_vec(ginv, [row[i] for row in uinv])
+                  for i, d in enumerate(dg.d) if d != 1]
+        assert dg.dual_gens == expect, latt.gram_rows()
+        assert list(dg.orders) == [d for d in dg.d if d != 1]
+
+
 def test_discriminant_form_requires_even():
     with pytest.raises(OddLatticeError):
         discriminant_form(build_lattice([[1]]))

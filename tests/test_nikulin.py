@@ -1,22 +1,29 @@
+import itertools
 import random
 
 import pytest
 
+import latticelab.symbol
 from latticelab import (
     LatticeInvariant,
+    bruteforce_isomorphic,
     discriminant_form,
     even_lattice_exists,
+    form_from_symbol,
     form_from_symbol_text,
     is_isomorphic,
     named_lattice,
     negate_form,
+    parse_symbol,
     primitive_embedding_into_even_unimodular_exists,
+    rank2_enumerate,
     rescale,
     saturations_keeping_primitive,
     trivial_form,
     unique_primitive_embedding,
 )
-from latticelab.errors import BadSignatureError
+from latticelab.errors import BadSignatureError, RealizabilityError
+from latticelab.exactmat import factorize
 
 
 def inv(n1, n2, text):
@@ -83,6 +90,75 @@ def test_existence_sound_on_registry():
             invariant = LatticeInvariant(latt.n_plus, latt.n_minus,
                                          discriminant_form(latt))
             assert even_lattice_exists(invariant).exists, (name, n)
+
+
+def _prime_part_tokens(p, e):
+    """Constituent token lists of every p-part of order p^e and length <= 2."""
+    shapes = [[(e, 1)]] + [[(a, 1), (e - a, 1)] for a in range(1, (e + 1) // 2)]
+    if e % 2 == 0:
+        shapes.append([(e // 2, 2)])
+    tags = [""] if p > 2 else ["_II"] + [f"_{t}" for t in range(8)]
+    out = []
+    for shape in shapes:
+        out += itertools.product(*([f"{p ** k}{tag}^{sign}{n}"
+                                    for tag in tags for sign in "+-"]
+                                   for k, n in shape))
+    return out
+
+
+def _length2_symbols(order):
+    """Every symbol text of order `order` and length <= 2 that parses.
+
+    Texts are generated blindly and filtered by parse_symbol, so one form
+    may appear under several 2-adic texts; each is checked."""
+    parts = [_prime_part_tokens(p, e) for p, e in sorted(factorize(order).items())]
+    for combo in itertools.product(*parts):
+        text = " ".join(token for part in combo for token in part)
+        try:
+            yield text, parse_symbol(text)
+        except RealizabilityError:
+            continue
+
+
+# |A| bound of the oracle below: 1,610 checks, about 1.3 s on a 2-vCPU Xeon
+ORACLE_MAX_ORDER = 64
+
+
+def test_existence_matches_rank2_construction():
+    """even_lattice_exists at rank 2 agrees with an explicit construction.
+
+    An even lattice of signature (2, 0) with form q exists iff some reduced
+    positive definite even binary form T of determinant |A| has q_T
+    isometric to q; (0, 2) with -q asks for -T.  The oracle enumerates the
+    T and tests isometry by brute force, sharing no code with symbol.py or
+    nikulin.py; only the input forms come from symbols.
+    """
+    checked = 0
+    mismatches = []
+    for order in range(1, ORACLE_MAX_ORDER + 1):
+        t_forms = [discriminant_form(t.positive_lattice())
+                   for t in rank2_enumerate(order)]
+        for text, sym in _length2_symbols(order):
+            q = form_from_symbol(sym)
+            truth = any(bruteforce_isomorphic(q_t, q) for q_t in t_forms)
+            for n1, n2, form in ((2, 0, q), (0, 2, negate_form(q))):
+                verdict = even_lattice_exists(LatticeInvariant(n1, n2, form))
+                checked += 1
+                if verdict.exists != truth:
+                    mismatches.append((text, n1, n2, truth))
+    assert checked == 1610
+    assert not mismatches, mismatches[:10]
+
+
+@pytest.mark.parametrize("text", ["3^+1 9^+1", "2_II^-2 3^+2 7^-1",
+                                  "2_3^-1 4_7^+1 3^+2 5^+1", "4_5^-1 8_1^+1"])
+def test_existence_decomposes_its_form_once(monkeypatch, text):
+    real = latticelab.symbol.jordan_pieces
+    calls = []
+    monkeypatch.setattr(latticelab.symbol, "jordan_pieces",
+                        lambda form: calls.append(form) or real(form))
+    even_lattice_exists(inv(0, 2, text))
+    assert len(calls) == 1
 
 
 def test_unique_primitive_embedding():
