@@ -14,6 +14,7 @@ inside some larger group.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -469,6 +470,35 @@ def _minimal_generators(form: FiniteQuadraticForm, elements: frozenset):
     return gens
 
 
+def _subgroups_within(form: FiniteQuadraticForm, pool: frozenset, admits=None) -> dict:
+    """Every subgroup of form contained in the element set pool.
+
+    Returns a dict from each subgroup's element set to a generating tuple,
+    the trivial subgroup first.  H + <x> is closed for one x per coset of H
+    in pool, and only if admits(gens of H, x) holds when admits is given:
+    a test that depends on the coset alone and holds whenever H + <x> lies
+    in pool.
+    """
+    trivial = frozenset({form.zero()})
+    seen = {trivial: ()}
+    queue = [trivial]
+    while queue:
+        current = queue.pop()
+        gens = seen[current]
+        done = set()  # H + <x> depends only on the coset x + H
+        for x in pool - current:
+            if x in done:
+                continue
+            done.update([form.add(x, h) for h in current])
+            if admits is not None and not admits(gens, x):
+                continue
+            fs = _extend(form, current, x)
+            if fs not in seen and fs <= pool:
+                seen[fs] = gens + (x,)
+                queue.append(fs)
+    return seen
+
+
 def isotropic_subgroups(form: FiniteQuadraticForm):
     """All subgroups on which q vanishes identically, deterministic order.
 
@@ -479,27 +509,14 @@ def isotropic_subgroups(form: FiniteQuadraticForm):
         raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
     zero_set = frozenset(x for x in form.elements() if form.q_int(x) == 0)
     n = form.level
-    trivial = frozenset({form.zero()})
-    # each subgroup found maps to the b-rows of a generating set of it
-    seen = {trivial: ()}
-    queue = [trivial]
-    while queue:
-        current = queue.pop()
-        rows = seen[current]
-        done = set()  # H + <x> and the test below depend only on the coset x + H
-        for x in zero_set - current:
-            if x in done:
-                continue
-            done.update([form.add(x, h) for h in current])
-            # for isotropic x and h, q(x + h) = 2 b(x, h); so H + <x> is
-            # isotropic iff b(x, g) = 0 for each generator g of H
-            if any(sum(r * c for r, c in zip(row, x)) % n for row in rows):
-                continue
-            fs = _extend(form, current, x)
-            if fs not in seen:
-                seen[fs] = rows + (form.b_row(x),)
-                queue.append(fs)
-    subs = [Subgroup(form, els) for els in seen]
+    b_row = functools.cache(form.b_row)
+
+    def orthogonal(gens, x):
+        # for isotropic x and h, q(x + h) = 2 b(x, h); so H + <x> is
+        # isotropic iff b(x, g) = 0 for each generator g of H
+        return not any(sum(r * c for r, c in zip(b_row(g), x)) % n for g in gens)
+
+    subs = [Subgroup(form, els) for els in _subgroups_within(form, zero_set, orthogonal)]
     subs.sort(key=Subgroup.sort_key)
     return subs
 
@@ -533,7 +550,8 @@ def _gen_images_search(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
 
     f1 must be in invariant factor form.  When require_onto is set, only
     group isomorphisms onto f2 are kept and returned as tuples of generator
-    images; otherwise each map found is returned as its image subgroup.
+    images; otherwise each image subgroup is returned once, closed from the
+    first map found onto it (the other maps onto it are skipped).
     The two levels may differ, so values are compared by
     cross-multiplication: v1/N1 == v2/N2 iff v1*N2 == v2*N1.
 
@@ -562,7 +580,11 @@ def _gen_images_search(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
         if idx == len(gens):
             if any(apply_gen_map(f2, chosen, x) == zero for x in rad):
                 return False
-            results.append(tuple(chosen) if require_onto else _span(f2, chosen))
+            if require_onto:
+                results.append(tuple(chosen))
+            elif not any(all(y in img for y in chosen) for img in results):
+                # an injective map into an image already found has that image
+                results.append(_span(f2, chosen))
             return not find_all
         targets = [f1.bints[j][idx] * n2 for j in range(idx)]
         for cand in by_key.get((orders[idx], f1.qints[idx] * n2), ()):
@@ -621,7 +643,7 @@ def embedding_images(small: FiniteQuadraticForm, big: FiniteQuadraticForm):
     Returned as sorted frozensets of elements of `big`.
     """
     norm, _ = small.normalized()
-    images = set(_gen_images_search(norm, big, find_all=True, require_onto=False))
+    images = _gen_images_search(norm, big, find_all=True, require_onto=False)
     return sorted(images, key=lambda s: tuple(sorted(s)))
 
 

@@ -14,9 +14,14 @@ condition:
      2-part splits off some q_a(2), in which case both determinant
      classes are realizable and the condition is vacuous.
 
-The glue machinery (saturations of a direct sum keeping the first factor
-primitive) and the sufficient uniqueness criterion for primitive
-embeddings into even unimodular lattices live here too.
+The glue machinery and the sufficient uniqueness criterion for primitive
+embeddings into even unimodular lattices live here too.  An even
+overlattice of S + R in which S stays primitive has glue H <= A_S + A_R
+isotropic with H meet A_S = 0; such an H projects injectively to A_R, so
+it is the graph {(gamma(x), x) : x in H_R} of a homomorphism
+gamma: H_R -> A_S on a subgroup H_R <= A_R with q_S(gamma(x)) = -q_R(x)
+(Nikulin 1979, 1.4-1.5).  saturations_keeping_primitive builds exactly
+these graphs, never the subgroups that meet A_S.
 """
 
 from __future__ import annotations
@@ -24,11 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 
-from .errors import BadSignatureError
+from .errors import BadSignatureError, CapExceededError
 from .fqf import (
+    BRUTE_CAP,
     FiniteQuadraticForm,
+    Subgroup,
+    _subgroups_within,
     complement_quotient,
-    isotropic_subgroups,
     negate_form,
     total_length,
 )
@@ -159,20 +166,67 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
                                   q_r: FiniteQuadraticForm):
     """All isotropic H <= A_S + A_R with H meet A_S = 0, trivial H first.
 
+    Each such H is the graph of a homomorphism gamma: H_R -> A_S with
+    q_S(gamma(x)) = -q_R(x) on a subgroup H_R <= A_R, and distinct
+    (H_R, gamma) give distinct H.  So every x in H_R needs a partner: an
+    s in A_S with q_S(s) = -q_R(x) and ord(s) | ord(x).  The search runs
+    over the subgroups H_R made of elements with a partner; on an
+    invariant-factor basis g_1, ..., g_m of H_R (orders d_1, ..., d_m) it
+    picks gamma(g_i) among the partners of g_i, so d_i * gamma(g_i) = 0,
+    with b(gamma(g_i) + g_i, gamma(g_j) + g_j) = 0 for j < i.  q vanishes
+    on each gamma(g_i) + g_i and b between them, hence on all of H.
+
     Witnesses are deduplicated by the subgroup itself (not by isomorphism
-    of the quotient form) and sorted by (index, subgroup elements).
+    of the quotient form) and sorted by (index, generators).
     """
+    if q_s.order * q_r.order > BRUTE_CAP:
+        raise CapExceededError(
+            f"group order {q_s.order * q_r.order} exceeds cap {BRUTE_CAP}")
     total = q_s.direct_sum(q_r)
-    ns = q_s.ngens
+    n_s, n_r = q_s.level, q_r.level
+    # q_S(s) = -q_R(r) iff n_r*q_int(s) + n_s*q_int(r) = 0 mod 2*n_s*n_r
+    by_q: dict[int, list] = {}
+    for s in q_s.elements():
+        by_q.setdefault(q_s.q_int(s) * n_r, []).append((q_s.element_order(s), s))
+    partners = {}
+    for r in q_r.elements():
+        d = q_r.element_order(r)
+        found = [s for e, s in by_q.get(-q_r.q_int(r) * n_s % (2 * n_s * n_r), ())
+                 if d % e == 0]
+        if found:
+            partners[r] = found
     witnesses = []
-    for sub in isotropic_subgroups(total):
-        meets_s = any(all(c == 0 for c in x[ns:]) and any(x[:ns])
-                      for x in sub.elements)
-        if meets_s:
-            continue
-        quotient = complement_quotient(total, sub)
-        witnesses.append(SaturationWitness(
-            glue_gens=sub.gens, index=sub.order, quotient=quotient,
-            trivial=sub.order == 1))
+    # the subgroups H_R all of whose elements have a partner
+    for gens in _subgroups_within(q_r, frozenset(partners)).values():
+        _, basis = q_r.subquotient(gens)
+        for chosen in _isotropic_graphs(total, basis, partners):
+            sub = Subgroup(total, chosen)
+            witnesses.append(SaturationWitness(
+                glue_gens=sub.gens, index=sub.order,
+                quotient=complement_quotient(total, sub),
+                trivial=sub.order == 1))
     witnesses.sort(key=lambda w: (w.index, w.glue_gens))
     return witnesses
+
+
+def _isotropic_graphs(total: FiniteQuadraticForm, basis, partners):
+    """Generator lists [gamma(g) + g for g in basis] of the isotropic graphs.
+
+    basis is an independent generating set of H_R; elements of the sum
+    total = A_S + A_R are the concatenations s + r.
+    """
+    n = total.level
+    out = []
+
+    def extend(chosen, rows):
+        if len(chosen) == len(basis):
+            out.append(chosen)
+            return
+        g = basis[len(chosen)]
+        for s in partners[g]:
+            x = s + g
+            if not any(sum(a * c for a, c in zip(row, x)) % n for row in rows):
+                extend(chosen + [x], rows + [total.b_row(x)])
+
+    extend([], [])
+    return out

@@ -513,3 +513,21 @@ def test_embedding_orbits_match_elementwise(text):
     for maps in (auts, moving[:1], moving[-2:], []):
         assert form_embeddings_mod_aut(small, big, maps) == \
             _elementwise_orbits(small, big, maps)
+
+
+@pytest.mark.parametrize("text", SMALL_SYMBOLS)
+def test_embedding_images_closed_once(monkeypatch, text):
+    """Every image is closed once, and the images are those of the
+    closure search over all generator-image maps."""
+    import latticelab.fqf
+    from latticelab import embedding_images, form_from_symbol_text
+    small = form_from_symbol_text(text)
+    big, _ = direct_sum_forms(
+        small, form_from_symbol_text(EMBEDDING_SUMMANDS[text])).normalized()
+    real = latticelab.fqf._span
+    spans = []
+    monkeypatch.setattr(latticelab.fqf, "_span",
+                        lambda form, gens: spans.append(gens) or real(form, gens))
+    images = embedding_images(small, big)
+    assert len(spans) == len(images)
+    assert set(images) == set(_closure_search(small.normalized()[0], big, onto=False))

@@ -7,11 +7,13 @@ import latticelab.symbol
 from latticelab import (
     LatticeInvariant,
     bruteforce_isomorphic,
+    complement_quotient,
     discriminant_form,
     even_lattice_exists,
     form_from_symbol,
     form_from_symbol_text,
     is_isomorphic,
+    isotropic_subgroups,
     named_lattice,
     negate_form,
     parse_symbol,
@@ -22,8 +24,10 @@ from latticelab import (
     trivial_form,
     unique_primitive_embedding,
 )
-from latticelab.errors import BadSignatureError, RealizabilityError
+from latticelab.errors import BadSignatureError, CapExceededError, RealizabilityError
 from latticelab.exactmat import factorize
+from latticelab.fqf import BRUTE_CAP, FiniteQuadraticForm
+from test_fqf import DEGENERATE_FORMS, SMALL_SYMBOLS
 
 
 def inv(n1, n2, text):
@@ -222,6 +226,76 @@ def test_saturation_index_law():
     total = q_s.order * q_r.order
     for w in saturations_keeping_primitive(q_s, q_r):
         assert w.quotient.order * w.index ** 2 == total
+
+
+def _witness_data(index, gens, quotient, trivial):
+    return (index, tuple(gens), quotient.level, quotient.orders, quotient.qints,
+            quotient.bints, trivial)
+
+
+def saturation_data(q_s, q_r):
+    """saturations_keeping_primitive(q_s, q_r) as comparable tuples."""
+    return [_witness_data(w.index, w.glue_gens, w.quotient, w.trivial)
+            for w in saturations_keeping_primitive(q_s, q_r)]
+
+
+def filtered_saturation_data(q_s, q_r):
+    """The reference: every isotropic subgroup of A_S + A_R, minus those
+    that meet A_S, each with its quotient on H-perp/H."""
+    total = q_s.direct_sum(q_r)
+    ns = q_s.ngens
+    out = [_witness_data(sub.order, sub.gens, complement_quotient(total, sub),
+                         sub.order == 1)
+           for sub in isotropic_subgroups(total)
+           if not any(any(x[:ns]) and not any(x[ns:]) for x in sub.elements)]
+    return sorted(out, key=lambda w: (w[0], w[1]))
+
+
+def _saturation_cases():
+    """(id, q_S, q_R): small forms and their negations against non-cyclic
+    partners, forms with a degenerate b, and trivial factors.  A negation
+    isometric to the form only re-labels its elements and is left out."""
+    cases = []
+    for text in SMALL_SYMBOLS:
+        q = form_from_symbol_text(text)
+        signs = [("+", q)]
+        if not is_isomorphic(q, negate_form(q)):
+            signs.append(("-", negate_form(q)))
+        for sign, q_s in signs:
+            for partner in ("2_II^+2", "2_0^+4", "3^+2"):
+                cases.append((f"{sign}{text}|{partner}", q_s,
+                              form_from_symbol_text(partner)))
+    for i, form in enumerate(DEGENERATE_FORMS):
+        cases.append((f"-degenerate{i}|degenerate{i}", negate_form(form), form))
+        cases.append((f"2_II^+2|degenerate{i}", form_from_symbol_text("2_II^+2"), form))
+    cases.append(("3^+2 9^+1|trivial", form_from_symbol_text("3^+2 9^+1"), trivial_form()))
+    cases.append(("trivial|2_0^+4", trivial_form(), form_from_symbol_text("2_0^+4")))
+    cases.append(("trivial|trivial", trivial_form(), trivial_form()))
+    return cases
+
+
+SATURATION_CASES = _saturation_cases()
+
+
+@pytest.mark.parametrize("q_s,q_r", [c[1:] for c in SATURATION_CASES],
+                         ids=[c[0] for c in SATURATION_CASES])
+def test_saturations_match_isotropic_filter(q_s, q_r):
+    assert saturation_data(q_s, q_r) == filtered_saturation_data(q_s, q_r)
+
+
+def test_saturations_cap_guard(monkeypatch):
+    """Over BRUTE_CAP on |A_S|*|A_R| raises before any element is listed."""
+    pairs = [(form_from_symbol_text("2_II^+6"), form_from_symbol_text("2_1^+7")),
+             (form_from_symbol_text("2_1^+13"), trivial_form())]
+
+    def refuse(self):
+        raise AssertionError("elements listed before the cap check")
+
+    monkeypatch.setattr(FiniteQuadraticForm, "elements", refuse)
+    for q_s, q_r in pairs:
+        assert q_s.order * q_r.order > BRUTE_CAP
+        with pytest.raises(CapExceededError):
+            saturations_keeping_primitive(q_s, q_r)
 
 
 def test_complement_duality_realized():
