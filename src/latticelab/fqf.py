@@ -4,7 +4,7 @@ The central object is FiniteQuadraticForm: a finite abelian group given
 by cyclic generators with prescribed orders, a Q/2Z-valued quadratic
 form q on the generators and the induced Q/Z-valued bilinear form b.
 Discriminant forms of even lattices, orthogonal sums, negation, primary
-decomposition, subquotients (glue computations), isotropic subgroup
+lengths, subquotients (glue computations), isotropic subgroup
 enumeration and the brute-force isomorphism oracle all live here.
 
 Every presentation in this module is faithful: the group *is*
@@ -252,22 +252,6 @@ class FiniteQuadraticForm:
     def invariant_factors(self) -> tuple[int, ...]:
         form, _ = self.normalized()
         return form.orders
-
-    def primary_part(self, p: int):
-        """The p-primary component, with lifts back into self."""
-        gens = []
-        for i, d in enumerate(self.orders):
-            pk = 1
-            while d % p == 0:
-                d //= p
-                pk *= p
-            if pk > 1:
-                g = [0] * self.ngens
-                g[i] = d  # d = prime-to-p part of the order
-                gens.append(tuple(g))
-        if not gens:
-            return FiniteQuadraticForm((), ()), []
-        return self.subquotient(gens)
 
     def primes(self):
         ps = set()

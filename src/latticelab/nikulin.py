@@ -187,12 +187,18 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
     # q_S(s) = -q_R(r) iff n_r*q_int(s) + n_s*q_int(r) = 0 mod 2*n_s*n_r
     by_q: dict[int, list] = {}
     for s in q_s.elements():
-        by_q.setdefault(q_s.q_int(s) * n_r, []).append((q_s.element_order(s), s))
+        by_q.setdefault(q_s.q_int(s) * n_r, []).append(s)
+    # element orders only for the buckets some r looks up
+    ordered: dict[int, list] = {}
     partners = {}
     for r in q_r.elements():
+        key = -q_r.q_int(r) * n_s % (2 * n_s * n_r)
+        if key not in by_q:
+            continue
+        if key not in ordered:
+            ordered[key] = [(q_s.element_order(s), s) for s in by_q[key]]
         d = q_r.element_order(r)
-        found = [s for e, s in by_q.get(-q_r.q_int(r) * n_s % (2 * n_s * n_r), ())
-                 if d % e == 0]
+        found = [s for e, s in ordered[key] if d % e == 0]
         if found:
             partners[r] = found
     witnesses = []

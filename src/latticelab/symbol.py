@@ -4,7 +4,11 @@ A finite quadratic form splits (per prime) into an orthogonal sum of
 standard pieces: cyclic forms (Z/p^k, 2a/p^k) for odd p, cyclic forms
 (Z/2^k, a/2^k) with a odd, and the two even rank-2 blocks u(2^k), v(2^k).
 From the pieces we read off the Jordan constituents (scale, rank, sign;
-type and oddity at p = 2).
+type and oddity at p = 2).  The splitting is the classical p-adic
+diagonalisation done on the form's integer values (jordan_pieces): it
+reads each p-part off the form's own generators and projects onto
+orthogonal complements by integer row operations, with no Smith normal
+form, and raises DegenerateError on a form with a radical.
 
 Two complications are handled here:
 
@@ -27,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import RealizabilityError, SymbolSyntaxError
+from .errors import DegenerateError, RealizabilityError, SymbolSyntaxError
 from .exactmat import factorize
 from .fqf import FiniteQuadraticForm, direct_sum_forms, trivial_form
 
@@ -79,81 +83,111 @@ def _p_valuation(n: int, p: int) -> int:
     return v
 
 
-def _split_off(form: FiniteQuadraticForm, xs):
-    """The orthogonal complement of <xs>, one or two elements of top order N
-    whose Gram matrix M = N*b(xs, xs) is invertible mod N: the projections
-    g - sum_i c_i xs_i, c = M^-1 (N*b(xs_i, g))_i, of the generators g."""
-    ox = form.element_order(xs[0])
-    m = [[int(form.b(x, y) * ox) for y in xs] for x in xs]
-    if len(xs) == 1:
-        adj, det = [[1]], m[0][0]
-    else:
-        adj = [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    inv = pow(det, -1, ox)
-    rest = []
-    for g in form.gens():
-        r = [int(form.b(x, g) * ox) for x in xs]
-        for x, row in zip(xs, adj):
-            g = form.add(g, form.scale(x, -inv * sum(a * b for a, b in zip(row, r))))
-        rest.append(g)
-    return form.subquotient(rest)[0]
+def _primary_basis(form: FiniteQuadraticForm, p: int):
+    """A basis of the p-part on integer data (level, orders, qs, gs).
+
+    Presentations are faithful, so for each generator e_i of order
+    d_i = c_i * p^v (v > 0, c_i prime to p) the element c_i * e_i spans a
+    Z/p^v summand, and these elements are a basis of the p-part.  Values
+    are taken at the level L = p^e of the p-part's exponent:
+    qs[i] = L*q mod 2L and gs[i][j] = L*b mod L.  The division by the
+    form's level is exact because q(c_i e_i) lies in (1/p^v)Z.
+    """
+    idx, orders, cs = [], [], []
+    for i, d in enumerate(form.orders):
+        v = _p_valuation(d, p)
+        if v:
+            idx.append(i)
+            orders.append(p ** v)
+            cs.append(d // p ** v)
+    level = max(orders)
+    n = form.level
+    qs = [c * c * form.qints[i] * level // n % (2 * level)
+          for c, i in zip(cs, idx)]
+    gs = [[ci * cj * form.bints[i][j] * level // n % level
+           for cj, j in zip(cs, idx)] for ci, i in zip(cs, idx)]
+    return level, orders, qs, gs
 
 
-def _split_odd(form: FiniteQuadraticForm, p: int):
-    """Split a p-group form (p odd) into cyclic pieces."""
+def _pivot(p: int, level: int, orders, qs, gs):
+    """Basis indices of the next orthogonal summand and its standard piece.
+
+    Odd p: a top-order basis element x with q(x) of exact denominator
+    ord(x); failing that some g_i + g_j of top order is one, and it
+    replaces g_i in the basis (qs[i] and the row gs[i] are updated in
+    place: the split step reads only the pivot's row).  p = 2: the
+    highest-order odd-valued basis element (cross terms 2*b can never make
+    an odd value); failing that a top-order x with a y such that b(x, y)
+    has exact denominator ord(x), spanning a u or v block.  No pivot
+    means a radical: DegenerateError.
+    """
+    top = max(orders)
+    s = level // top
+    tops = [i for i, o in enumerate(orders) if o == top]
+    k = _p_valuation(top, p)
+    if p != 2:
+        x = next((i for i in tops if qs[i] // s % p), None)
+        if x is None:
+            i, j = next(((i, j) for i in tops for j in tops
+                         if i < j and gs[i][j] // s % p), (None, None))
+            if i is None:
+                raise DegenerateError(f"form is degenerate at p={p}")
+            qs[i] = (qs[i] + qs[j] + 2 * gs[i][j]) % (2 * level)
+            row = [(a + b) % level for a, b in zip(gs[i], gs[j])]
+            row[i] = qs[i] % level
+            gs[i] = row
+            x = i
+        return [x], CyclicPiece(p, k, Fraction(qs[x] // s, top))
+    odd = [i for i, o in enumerate(orders) if qs[i] // (level // o) % 2]
+    if odd:
+        x = max(odd, key=lambda i: orders[i])
+        o = orders[x]
+        return [x], CyclicPiece(2, _p_valuation(o, 2),
+                                Fraction(qs[x] // (level // o), o))
+    x = tops[0]
+    y = next((j for j in tops if j != x and gs[x][j] // s % 2), None)
+    if y is None:
+        raise DegenerateError("form is degenerate at p=2")
+    alpha, beta, gamma = qs[x] // s // 2, qs[y] // s // 2, gs[x][y] // s
+    det = 4 * alpha * beta - gamma * gamma  # odd unit
+    return [x, y], EvenPiece(k, "u" if det % 8 in (1, 7) else "v")
+
+
+def _split_primary(p: int, level: int, orders, qs, gs):
+    """Split a p-group form, given on a basis, into standard pieces.
+
+    Each step splits off the pivot summand <xs> and replaces every other
+    basis element g by its projection g - sum_a c_a x_a onto xs-perp,
+    c = M^-1 (ord(x)*b(x_a, g))_a mod ord(x) with M = ord(x)*b(xs, xs).
+    c_a x_a has order dividing ord(g), and the orders of the projections
+    multiply to |A|/|<xs>|, so they are again a basis of the complement.
+    """
     pieces = []
-    while not form.is_trivial:
-        gens = form.gens()
-        cands = list(gens)
-        for i in range(len(gens)):
-            for j in range(len(gens)):
-                if i != j:
-                    cands.append(form.add(gens[i], gens[j]))
-        cands.sort(key=lambda x: (-form.element_order(x), x))
-        x = next(c for c in cands
-                 if form.element_order(c) > 1
-                 and form.q(c).denominator == form.element_order(c))
-        ox = form.element_order(x)
-        pieces.append(CyclicPiece(p, _p_valuation(ox, p), form.q(x)))
-        if form.ngens == 1:
-            break
-        form = _split_off(form, [x])
-    return pieces
-
-
-def _split_two(form: FiniteQuadraticForm):
-    """Split a 2-group form into cyclic and u/v pieces."""
-    pieces = []
-    while not form.is_trivial:
-        gens = form.gens()
-        odd_gens = [g for g in gens
-                    if form.q(g).denominator == form.element_order(g)]
-        if odd_gens:
-            # odd-valued generators are found among the generators themselves:
-            # cross terms 2*b(x,y) can never contribute an odd numerator
-            odd_gens.sort(key=lambda x: (-form.element_order(x), x))
-            x = odd_gens[0]
-            ox = form.element_order(x)
-            pieces.append(CyclicPiece(2, _p_valuation(ox, 2), form.q(x)))
-            if form.ngens == 1:
-                break
-            form = _split_off(form, [x])
-            continue
-        # even type at the top scale: split off a rank-2 block
-        ox = max(form.orders)
-        x = next(g for g in gens if form.element_order(g) == ox)
-        y = next(g for g in gens
-                 if g != x and form.b(x, g).denominator == ox)
-        k = _p_valuation(ox, 2)
-        alpha = int(form.q(x) * ox) // 2
-        beta = int(form.q(y) * ox) // 2
-        gamma = int(form.b(x, y) * ox)
-        det = 4 * alpha * beta - gamma * gamma  # odd unit
-        pieces.append(EvenPiece(k, "u" if det % 8 in (1, 7) else "v"))
-        if form.ngens == 2:
-            break
-        form = _split_off(form, [x, y])
+    while orders:
+        xs, piece = _pivot(p, level, orders, qs, gs)
+        pieces.append(piece)
+        o = orders[xs[0]]
+        s = level // o
+        m = [[gs[a][b] // s for b in xs] for a in xs]
+        if len(xs) == 1:
+            adj, det = [[1]], m[0][0]
+        else:
+            adj = [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
+            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        inv = pow(det, -1, o)
+        rest = [g for g in range(len(orders)) if g not in xs]
+        cs = [[inv * sum(u * (gs[a][g] // s) for u, a in zip(row, xs)) % o
+               for row in adj] for g in rest]
+        new_qs = []
+        for g, c in zip(rest, cs):
+            z = sum(ca * ca * qs[a] - 2 * ca * gs[a][g] for ca, a in zip(c, xs))
+            if len(xs) == 2:
+                z += 2 * c[0] * c[1] * gs[xs[0]][xs[1]]
+            new_qs.append((qs[g] + z) % (2 * level))
+        gs = [[(gs[g][h] - sum(ca * gs[a][h] for ca, a in zip(c, xs))) % level
+               for h in rest] for g, c in zip(rest, cs)]
+        orders = [orders[g] for g in rest]
+        qs = new_qs
     return pieces
 
 
@@ -162,13 +196,15 @@ def jordan_pieces(form: FiniteQuadraticForm) -> dict[int, list]:
 
     This is the one decomposition behind every invariant in this module:
     to_symbol() is its only caller, and the lengths, determinant classes
-    and signature are all read off the symbol.  Each p-part is split as
-    primary_part() presents it, in invariant factor form.
+    and signature are all read off the symbol.  Each p-part is read off
+    the form's own generators and split by integer row operations on its
+    values (the classical p-adic diagonalisation, SPLAG ch. 15); no
+    re-presentation or Smith normal form is needed.  Raises
+    DegenerateError when the form is degenerate.
     """
     out: dict[int, list] = {}
     for p in form.primes():
-        part, _ = form.primary_part(p)
-        pieces = _split_two(part) if p == 2 else _split_odd(part, p)
+        pieces = _split_primary(p, *_primary_basis(form, p))
         out[p] = sorted(pieces, key=lambda pc: (pc.k, isinstance(pc, EvenPiece), str(pc)))
     return out
 
@@ -310,14 +346,15 @@ def _canonical_two_adic(cons: dict[int, JordanConstituent]):
     walks = _walk_pairs(scales, cons)
     has_scale2_move = 1 in cons and not cons[1].even
 
-    def realizable(eps_vec, tot_vec):
-        return _render_state(scales, cons, comps, eps_vec, tot_vec) is not None
+    def render(state):
+        return _render_state(scales, cons, comps, *state)
 
     start = (
         tuple(cons[k].eps for k in scales),
         tuple(sum(cons[k].oddity for k in comp) % 8 for comp in comps),
     )
-    seen = {start}
+    # state -> its rendered constituents, None when no oddity split exists
+    rendered = {start: render(start)}
     frontier = [start]
     while frontier:
         new = []
@@ -340,20 +377,14 @@ def _canonical_two_adic(cons: dict[int, JordanConstituent]):
                 tv[ci] = (tv[ci] + 4) % 8
                 moves.append((tuple(ev), tuple(tv)))
             for st in moves:
-                if st not in seen and realizable(*st):
-                    seen.add(st)
-                    new.append(st)
+                if st not in rendered:
+                    rendered[st] = render(st)
+                    if rendered[st] is not None:
+                        new.append(st)
         frontier = new
 
-    best = None
-    best_key = None
-    for eps_vec, tot_vec in sorted(seen):
-        rendered = _render_state(scales, cons, comps, eps_vec, tot_vec)
-        if rendered is None:
-            continue
-        key = _render_key(rendered)
-        if best is None or key < best_key:
-            best, best_key = rendered, key
+    best = min((r for r in rendered.values() if r is not None),
+               key=_render_key, default=None)
     if best is None:
         raise RealizabilityError("no realizable oddity distribution found")
     return {k: c for k, c in zip(scales, best)}

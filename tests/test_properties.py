@@ -11,12 +11,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from latticelab import build_lattice, discriminant_form  # noqa: E402
+from latticelab import (  # noqa: E402
+    build_lattice,
+    bruteforce_isomorphic,
+    direct_sum_forms,
+    discriminant_form,
+    form_from_symbol,
+    is_isomorphic,
+    negate_form,
+    to_symbol,
+)
 from latticelab.errors import DegenerateError  # noqa: E402
 from test_nikulin import filtered_saturation_data, saturation_data  # noqa: E402
 
-# |A_S + A_R| bound of the saturation property
-MAX_GLUE_ORDER = 256
+# group order bound of every property, small enough for the brute-force oracles
+MAX_ORDER = 256
 
 
 @st.composite
@@ -45,8 +54,37 @@ def test_saturations_of_random_lattice_pairs(gram_s, gram_r):
     satisfies |H-perp/H| * |H|^2 = |A_S + A_R|."""
     q_s, q_r = _form(gram_s), _form(gram_r)
     order = q_s.order * q_r.order
-    assume(order <= MAX_GLUE_ORDER)
+    assume(order <= MAX_ORDER)
     data = saturation_data(q_s, q_r)
     assert data == filtered_saturation_data(q_s, q_r)
     for index, _, _, orders, _, _, _ in data:
         assert prod(orders) * index ** 2 == order
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(even_grams())
+def test_symbol_round_trip(gram):
+    """The form built from a symbol has that symbol and is isometric to the
+    form the symbol came from."""
+    q = _form(gram)
+    assume(q.order <= MAX_ORDER)
+    sym = to_symbol(q)
+    rebuilt = form_from_symbol(sym)
+    assert to_symbol(rebuilt) == sym
+    assert bruteforce_isomorphic(rebuilt, q)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(even_grams(), even_grams())
+def test_isomorphism_matches_bruteforce(gram_1, gram_2):
+    """Symbol equality decides isometry on pairs of equal order: q_1 against
+    -q_1, q_1 + q_2 against q_1 + (-q_2), and q_1 against q_2 when their
+    orders agree."""
+    q_1, q_2 = _form(gram_1), _form(gram_2)
+    assume(q_1.order * q_2.order <= MAX_ORDER)
+    pairs = [(q_1, negate_form(q_1)),
+             (direct_sum_forms(q_1, q_2), direct_sum_forms(q_1, negate_form(q_2)))]
+    if q_1.order == q_2.order:
+        pairs.append((q_1, q_2))
+    for f_1, f_2 in pairs:
+        assert is_isomorphic(f_1, f_2) == bruteforce_isomorphic(f_1, f_2)

@@ -1,16 +1,22 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import latticelab.exactmat
+import latticelab.fqf
+import latticelab.symbol
 from latticelab import (
     build_lattice,
     bruteforce_isomorphic,
     direct_sum,
     direct_sum_forms,
     discriminant_form,
+    form_from_symbol,
     form_from_symbol_text,
+    full_report,
     gauss_sum_signature,
     is_isomorphic,
     named_lattice,
@@ -20,9 +26,10 @@ from latticelab import (
     signature_mod8,
     to_symbol,
 )
-from latticelab.errors import RealizabilityError, SymbolSyntaxError
+from latticelab.errors import DegenerateError, RealizabilityError, SymbolSyntaxError
 from latticelab.fqf import FiniteQuadraticForm
 from latticelab.symbol import _uv_form
+from test_fqf import DEGENERATE_FORMS, DEGENERATE_IDS, SMALL_SYMBOLS
 
 
 def cyclic(scale, a):
@@ -167,3 +174,124 @@ def test_three_scale_chains_match_bruteforce():
     for sym, fs in groups.items():
         for f in fs[1:]:
             assert bruteforce_isomorphic(fs[0], f), sym
+
+
+@pytest.mark.parametrize("form", DEGENERATE_FORMS, ids=DEGENERATE_IDS)
+def test_degenerate_forms_have_no_symbol(form):
+    with pytest.raises(DegenerateError) as info:
+        to_symbol(form)
+    assert "degenerate" in str(info.value) and "\n" not in str(info.value)
+
+
+def test_symbols_need_no_smith_normal_form(monkeypatch):
+    """The Jordan splitting works on the form's own integer values: no
+    subquotient, Smith normal form or integer kernel on the small symbols
+    or on any form the five table runs symbolize."""
+    forms = [form_from_symbol_text(t) for t in SMALL_SYMBOLS]
+    real = latticelab.symbol.jordan_pieces
+    monkeypatch.setattr(latticelab.symbol, "jordan_pieces",
+                        lambda form: forms.append(form) or real(form))
+    for table, root in [("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
+                        ("k3max11", "E7"), ("k3max11", "E8")]:
+        for verdict in full_report(table, root):
+            verdict.to_json_dict()
+    monkeypatch.undo()
+    assert len(forms) > 200
+    calls = []
+
+    def counted(owner, name):
+        orig = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, **k: calls.append(name) or orig(*a, **k))
+
+    counted(FiniteQuadraticForm, "subquotient")
+    for module in (latticelab.fqf, latticelab.exactmat):
+        counted(module, "smith_normal_form")
+        counted(module, "integer_kernel")
+    for form in forms:
+        to_symbol(form)
+    assert calls == []
+
+
+def _rebased(form, rng, steps=12):
+    """The same form on another basis: random steps g_i += t*g_j (kept only
+    when ord(t*g_j) divides ord(g_i)) and unit multiples, then a shuffle."""
+    basis = form.gens()
+    orders = list(form.orders)
+    k = len(orders)
+    for _ in range(steps):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i == j:
+            u = rng.randrange(1, orders[i] + 1)
+            if gcd(u, orders[i]) == 1:
+                basis[i] = form.scale(basis[i], u)
+        else:
+            t = rng.randrange(orders[j])
+            if orders[i] % (orders[j] // gcd(t, orders[j])) == 0:
+                basis[i] = form.add(basis[i], form.scale(basis[j], t))
+    perm = list(range(k))
+    rng.shuffle(perm)
+    basis = [basis[p] for p in perm]
+    return FiniteQuadraticForm([orders[p] for p in perm], [form.q(x) for x in basis],
+                               [[form.b(x, y) for y in basis] for x in basis])
+
+
+PRESENTATION_SYMBOLS = SMALL_SYMBOLS + [
+    "2_II^-4", "4_II^-4", "2_II^-2 4_II^+2", "3^-1 9^+2", "5^-2 25^+1",
+    "2_1^+1 4_7^+1 3^-2", "2_3^-1 4_7^+1 3^-1 5^+1", "2_7^+1 8_II^-2 3^-1",
+    "2_II^-2 3^+2 5^+1", "3^+1 9^-2 5^-1", "4_5^-1 8_1^+1 3^+1"]
+
+
+@pytest.mark.parametrize("text", PRESENTATION_SYMBOLS)
+def test_symbol_does_not_depend_on_the_presentation(text):
+    rng = random.Random(text)
+    form = form_from_symbol_text(text)
+    canon = to_symbol(form)
+    tokens = text.split()
+    for _ in range(8):
+        rebased = _rebased(form, rng)
+        assert to_symbol(rebased) == canon
+        # invariant factor form of a redundant generating set: primes mix
+        gens = rebased.gens() + [tuple(rng.randrange(d) for d in rebased.orders)]
+        rng.shuffle(gens)
+        assert to_symbol(rebased.subquotient(gens)[0]) == canon
+        rng.shuffle(tokens)
+        shuffled = direct_sum_forms(*(form_from_symbol_text(t) for t in tokens))
+        assert to_symbol(shuffled) == canon
+
+
+def _zero_diagonal_forms(count=40):
+    """Odd p forms on (Z/p^k)^n whose basis elements all have q(e_i) of
+    lower denominator than p^k, so every split step pivots on a sum
+    e_i + e_j; about a third of them are degenerate."""
+    rng = random.Random(17)
+    forms = []
+    for _ in range(count):
+        p, k = rng.choice([(3, 1), (3, 2), (5, 1)])
+        o = p ** k
+        n = rng.randint(2, 4 if o == 3 else 3)
+        b = [[0] * n for _ in range(n)]
+        for i in range(n):
+            b[i][i] = p * rng.randrange(o // p)
+            for j in range(i + 1, n):
+                b[i][j] = b[j][i] = rng.randrange(o)
+        # q(e_i) = 2*b_ii/(2o) lifted to an even numerator over o
+        forms.append(FiniteQuadraticForm(
+            [o] * n, [Fraction(b[i][i] * (o + 1) % (2 * o), o) for i in range(n)],
+            [[Fraction(x, o) for x in row] for row in b]))
+    return forms
+
+
+def test_pair_pivots_match_bruteforce():
+    degenerate = 0
+    for form in _zero_diagonal_forms():
+        gens = form.gens()
+        radical = any(x != form.zero() and all(form.b(x, g) == 0 for g in gens)
+                      for x in form.elements())
+        if radical:
+            degenerate += 1
+            with pytest.raises(DegenerateError):
+                to_symbol(form)
+        else:
+            assert bruteforce_isomorphic(form, form_from_symbol(to_symbol(form)))
+    assert 0 < degenerate < 30
