@@ -247,18 +247,19 @@ def transcendental_candidates(rec: LeechPairRecord, root: PolarizationRoot,
 
     Only defined in the maximal-rank case (rank-2 complement): enumerate
     reduced even forms of the complement determinant and keep those whose
-    discriminant form matches: the same invariant factors, then the same
-    canonical genus symbol, which is computed once for the quotient.
+    discriminant form matches: the same orders, then the same canonical
+    genus symbol, which is computed once for the quotient.  Equal orders
+    mean isomorphic groups here: the quotient (from subquotient) and q_T
+    (from discriminant_form) both come in invariant factor form.
     """
     comp_rank = BORCHERDS_SIGNATURE[0] + BORCHERDS_SIGNATURE[1] \
         - rec.rank_S - root.rank
     if comp_rank != 2:
         raise NotMaximalRankError("complement is not of rank 2")
-    target, _ = witness.quotient.normalized()
+    target = witness.quotient
     target_symbol = to_symbol(target)
     out = []
     for cand in rank2_enumerate(target.order, negative=True):
-        # discriminant_form presents its group in invariant factor form
         q_pos = discriminant_form(cand.positive_lattice())
         if q_pos.orders == target.orders and to_symbol(q_pos) == target_symbol:
             out.append(cand)
@@ -287,8 +288,7 @@ def embedding_class_count(rec: LeechPairRecord, t_form: Rank2Form) -> int:
     if rec.q_S.order <= qt_neg.order:
         count, _ = form_embeddings_mod_aut(rec.q_S, qt_neg, aut_maps)
     else:
-        q_s, _ = rec.q_S.normalized()
-        count, _ = form_embeddings_mod_aut(qt_neg, q_s, automorphisms(q_s))
+        count, _ = form_embeddings_mod_aut(qt_neg, rec.q_S, automorphisms(rec.q_S))
     return count
 
 

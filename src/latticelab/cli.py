@@ -40,7 +40,12 @@ from .normalforms import (
     invariant_monomials,
     symplectic_weight_check,
 )
-from .rank2 import Rank2Form, rank2_automorphism_orders, rank2_enumerate, rank2_reduce
+from .rank2 import (
+    rank2_automorphism_orders,
+    rank2_enumerate,
+    rank2_form_from_gram,
+    rank2_reduce,
+)
 from .shortvec import short_vectors
 from .symbol import form_from_symbol_text, is_isomorphic, to_symbol
 
@@ -179,20 +184,19 @@ def _cmd_rank2_enum(args):
           "\n".join(str(f) for f in forms) or "(none)")
 
 
-def _cmd_rank2_reduce(args):
+def _rank2_form(args):
     a, b, c = args.form
-    latt_sign = a < 0
-    f = Rank2Form(abs(a), -b if latt_sign else b, abs(c), negative=latt_sign)
-    red = rank2_reduce(f)
+    return rank2_form_from_gram([[a, b], [b, c]])
+
+
+def _cmd_rank2_reduce(args):
+    red = rank2_reduce(_rank2_form(args))
     _emit(args, {"reduced": [red.a, red.b, red.c], "negative": red.negative},
           str(red))
 
 
 def _cmd_rank2_autorders(args):
-    a, b, c = args.form
-    neg = a < 0
-    f = Rank2Form(abs(a), -b if neg else b, abs(c), negative=neg)
-    orders = sorted(rank2_automorphism_orders(f))
+    orders = sorted(rank2_automorphism_orders(_rank2_form(args)))
     _emit(args, {"orders": orders}, " ".join(map(str, orders)))
 
 

@@ -204,7 +204,10 @@ class FiniteQuadraticForm:
         mathematically meaningful if every element of <mods> is isotropic
         and <mods> is orthogonal to <gens> (the callers guarantee it).
         Returns (form, lifts) where lifts[i] is an element of self mapping
-        onto the i-th generator of the new presentation.
+        onto the i-th generator of the new presentation.  The orders come
+        from a Smith normal form of the relation lattice, so the new form
+        is in invariant factor form (d_1 | d_2 | ...): two results present
+        isomorphic groups iff their orders are equal.
         """
         gens = [self.reduce(g) for g in gens]
         mods = [self.reduce(h) for h in mods]
@@ -243,15 +246,6 @@ class FiniteQuadraticForm:
         bints = [[self.b_int(x, y) for y in lifts] for x in lifts]
         return FiniteQuadraticForm._from_ints(new_orders, self.level, qints,
                                               bints), lifts
-
-    def normalized(self):
-        """Re-present in invariant factor form (orders d_1 | d_2 | ...)."""
-        return self.subquotient(self.gens())
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        form, _ = self.normalized()
-        return form.orders
 
     def primes(self):
         ps = set()
@@ -344,12 +338,10 @@ class DiscriminantGroup:
             raise ValueError("vector is not in the dual lattice")
         z = mat_vec(self.u, [int(x) for x in gv])
         out = []
-        j = 0
         for i, di in enumerate(self.d):
             if di == 1:
                 continue
             out.append(z[i] % di)
-            j += 1
         return tuple(out)
 
     def induced_automorphism(self, matrix) -> tuple[tuple[int, ...], ...]:
@@ -375,11 +367,10 @@ def discriminant_form(latt: GramLattice) -> FiniteQuadraticForm:
 
 
 def primary_lengths(form: FiniteQuadraticForm) -> dict[int, int]:
-    """Minimal generator count of each p-primary part of the group."""
-    factors = form.invariant_factors
+    """Minimal generator count of each p-primary part: the orders divisible by p."""
     out: dict[int, int] = {}
     for p in form.primes():
-        out[p] = sum(1 for d in factors if d % p == 0)
+        out[p] = sum(1 for d in form.orders if d % p == 0)
     return out
 
 
@@ -532,7 +523,9 @@ def _gen_images_search(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
                        find_all: bool, require_onto: bool):
     """Backtracking search for injective q- and b-preserving maps of f1 into f2.
 
-    f1 must be in invariant factor form.  When require_onto is set, only
+    Works on any presentation of f1: the group is Z/d_1 x ... x Z/d_k, so
+    a homomorphism is fixed by generator images y_i with d_i * y_i = 0,
+    and an injective one has ord(y_i) = d_i.  When require_onto is set, only
     group isomorphisms onto f2 are kept and returned as tuples of generator
     images; otherwise each image subgroup is returned once, closed from the
     first map found onto it (the other maps onto it are skipped).
@@ -589,28 +582,24 @@ def _gen_images_search(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
 
 def bruteforce_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     """Ground-truth isometry test by explicit generator-image search."""
-    n1, _ = f1.normalized()
-    n2, _ = f2.normalized()
-    if n1.orders != n2.orders:
+    if f1.order != f2.order:
         return False
-    if n1.order > BRUTE_CAP:
+    if f1.order > BRUTE_CAP:
         raise CapExceededError("group order exceeds brute-force cap")
-    vals1 = sorted(n1.q_int(x) * n2.level for x in n1.elements())
-    vals2 = sorted(n2.q_int(x) * n1.level for x in n2.elements())
+    # the counts of element orders fix a finite abelian group
+    vals1 = sorted((f1.element_order(x), f1.q_int(x) * f2.level) for x in f1.elements())
+    vals2 = sorted((f2.element_order(x), f2.q_int(x) * f1.level) for x in f2.elements())
     if vals1 != vals2:
         return False
-    return bool(_gen_images_search(n1, n2, find_all=False, require_onto=True))
+    return bool(_gen_images_search(f1, f2, find_all=False, require_onto=True))
 
 
 def automorphisms(form: FiniteQuadraticForm):
     """All isometries of the form onto itself, as generator-image tuples.
 
-    The form is first re-presented in invariant factor form; the returned
-    maps act on that presentation.  Use with forms already normalized.
+    The maps act on the form's own presentation: the i-th image is the
+    image of the i-th generator.
     """
-    norm, _ = form.normalized()
-    if norm.orders != form.orders:
-        raise ValueError("automorphisms() expects an invariant-factor presentation")
     return _gen_images_search(form, form, find_all=True, require_onto=True)
 
 
@@ -626,8 +615,7 @@ def embedding_images(small: FiniteQuadraticForm, big: FiniteQuadraticForm):
 
     Returned as sorted frozensets of elements of `big`.
     """
-    norm, _ = small.normalized()
-    images = _gen_images_search(norm, big, find_all=True, require_onto=False)
+    images = _gen_images_search(small, big, find_all=True, require_onto=False)
     return sorted(images, key=lambda s: tuple(sorted(s)))
 
 

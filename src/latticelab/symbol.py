@@ -58,7 +58,7 @@ def _det_class_2(a: int) -> int:
 class CyclicPiece:
     p: int
     k: int
-    value: Fraction  # q on the generator, normalized mod 2
+    value: Fraction  # q on the generator, reduced mod 2
 
     @property
     def scale(self) -> int:
@@ -637,6 +637,5 @@ def signature_mod8(form: FiniteQuadraticForm) -> int:
 
 
 def is_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
-    """Isometry of finite quadratic forms via canonical symbol equality."""
-    return (f1.invariant_factors == f2.invariant_factors
-            and to_symbol(f1) == to_symbol(f2))
+    """Isometry via canonical symbol equality; equal symbols also fix the group."""
+    return to_symbol(f1) == to_symbol(f2)

@@ -300,36 +300,18 @@ def test_criterion_11_glue_sanity():
         assert complement_quotient(q, s).is_trivial
     # exactly one subgroup class: the two glue subgroups are exchanged by
     # an isometry of the form
-    norm, lift_map = q.normalized()
-    auts = automorphisms(norm)
-    imgs = []
-    for s in nontrivial:
-        lifted = frozenset(
-            _coords_in_normalized(q, norm, lift_map, x) for x in s.elements)
-        imgs.append(lifted)
+    auts = automorphisms(q)
     classes = set()
     reps = []
-    for img in imgs:
+    for img in (s.elements for s in nontrivial):
         orbit = frozenset(
-            frozenset(apply_gen_map(norm, mp, x) for x in img) for mp in auts)
+            frozenset(apply_gen_map(q, mp, x) for x in img) for mp in auts)
         if orbit not in classes:
             classes.add(orbit)
             reps.append(img)
     assert len(nontrivial) == 2
     assert len(reps) == 1
     report("11 glue sanity", "one subgroup class of order 3, trivial quotient")
-
-
-def _coords_in_normalized(q, norm, lifts, element):
-    """Express an element of q in the normalized presentation."""
-    # brute force: the groups here are tiny (order 9)
-    for cand in norm.elements():
-        acc = q.zero()
-        for c, lift in zip(cand, lifts):
-            acc = q.add(acc, q.scale(lift, c))
-        if acc == element:
-            return cand
-    raise AssertionError("element not reachable in normalized presentation")
 
 
 # -- criterion 12: condition filter sanity ------------------------------------------------

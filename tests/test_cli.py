@@ -151,6 +151,18 @@ def test_domain_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank2", "reduce", "--form=2,0,-2"],
+    ["rank2", "autorders", "--form=-2,1,4"],
+    ["rank2", "reduce", "--form=0,0,0"],
+])
+def test_rank2_rejects_forms_that_are_not_definite(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["rank2", "enum"])  # missing --det

@@ -114,10 +114,22 @@ def test_primary_lengths_examples():
     assert primary_lengths(trivial_form()) == {}
 
 
-def test_invariant_factors():
-    latt = build_lattice([[12, 0], [0, 30]])
-    q = discriminant_form(latt)
-    assert q.invariant_factors == (6, 60)
+def test_primary_lengths_match_symbol_ranks():
+    """The p-length counts the orders divisible by p in any presentation,
+    and equals the sum of the constituent ranks at p of the genus symbol."""
+    from latticelab import form_from_symbol_text, to_symbol
+    q = discriminant_form(build_lattice([[12, 0], [0, 30]]))
+    assert q.orders == (6, 60)
+    assert primary_lengths(q) == {2: 2, 3: 2, 5: 1}
+    rng = random.Random(36)
+    forms = [discriminant_form(random_even_lattice(rng)) for _ in range(30)]
+    # presentations that are not in invariant factor form: (2, 2, 3) for
+    # 2_II^+2 3^+1, and sums such as (6, 60) + (2, 4)
+    forms += [direct_sum_forms(forms[i], forms[i + 1]) for i in range(0, 30, 2)]
+    forms += [form_from_symbol_text(t) for t in SMALL_SYMBOLS]
+    for q in forms:
+        ranks = {p: sum(c.n for c in cs) for p, cs in to_symbol(q).per_prime().items()}
+        assert primary_lengths(q) == ranks, q
 
 
 def test_subquotient_group_structure():
@@ -295,14 +307,13 @@ def test_bruteforce_isomorphic_basics():
 
 def test_automorphisms_form_a_group():
     q = discriminant_form(build_lattice([[12, 0], [0, 30]]))
-    norm, _ = q.normalized()
-    auts = automorphisms(norm)
-    assert tuple(norm.gens()) in auts  # identity
+    auts = automorphisms(q)
+    assert tuple(q.gens()) in auts  # identity
     # closure under composition
     from latticelab.fqf import apply_gen_map
     for m1 in auts[:6]:
         for m2 in auts[:6]:
-            composed = tuple(apply_gen_map(norm, m1, img) for img in m2)
+            composed = tuple(apply_gen_map(q, m1, img) for img in m2)
             assert composed in auts
 
 
@@ -362,8 +373,7 @@ def test_is_isomorphic_with_trivial_summand():
 def test_embeddings_of_form_into_itself():
     from latticelab import form_embeddings_mod_aut, form_from_symbol_text
     q = form_from_symbol_text("3^-1 9^-1")
-    norm, _ = q.normalized()
-    count, _ = form_embeddings_mod_aut(norm, norm, automorphisms(norm))
+    count, _ = form_embeddings_mod_aut(q, q, automorphisms(q))
     assert count == 1
 
 
@@ -377,7 +387,7 @@ def test_embeddings_across_levels():
     from latticelab import form_embeddings_mod_aut, form_from_symbol_text
     from latticelab.fqf import apply_gen_map
     small = form_from_symbol_text("2_1^+1")
-    big, _ = form_from_symbol_text("2_1^+1 8_1^+1 3^+1").normalized()
+    big = form_from_symbol_text("2_1^+1 8_1^+1 3^+1")
     assert small.level != big.level
     auts = automorphisms(big)
     count, reps = form_embeddings_mod_aut(small, big, auts)
@@ -395,8 +405,8 @@ def test_embeddings_across_levels_offdiagonal():
     """2_II^+2 (level 2, b = 1/2 between its generators) into
     2_II^+2 3^+1 (level 6): the 2-Sylow subgroup is the only image."""
     from latticelab import form_embeddings_mod_aut, form_from_symbol_text
-    small, _ = form_from_symbol_text("2_II^+2").normalized()
-    big, _ = form_from_symbol_text("2_II^+2 3^+1").normalized()
+    small = form_from_symbol_text("2_II^+2")
+    big = form_from_symbol_text("2_II^+2 3^+1")
     assert (small.level, big.level) == (2, 6)
     count, reps = form_embeddings_mod_aut(small, big, automorphisms(big))
     assert count == 1
@@ -419,10 +429,10 @@ DEGENERATE_IDS = [f"degenerate{i}" for i in range(len(DEGENERATE_FORMS))]
 
 
 def _closure_search(f1, f2, onto):
-    """q- and b-preserving generator-image maps of f1 (invariant factor
-    form) into f2, kept when the closure of the images has |f1| elements
-    (|f2| with onto).  Returns image tuples with onto, image subgroups
-    without."""
+    """q- and b-preserving generator-image maps of f1 into f2, in any
+    presentation of f1, kept when the closure of the images has |f1|
+    elements (|f2| with onto).  Returns image tuples with onto, image
+    subgroups without."""
     cands = [[y for y in f2.elements()
               if f2.element_order(y) == d and f2.q(y) == f1.q(e)]
              for d, e in zip(f1.orders, f1.gens())]
@@ -439,15 +449,20 @@ def _closure_search(f1, f2, onto):
 
 
 def _search_cases():
+    """The small symbols in invariant factor form from subquotient, e.g.
+    (2, 6) for 2_II^+2 3^+1, then as form_from_symbol_text presents them,
+    e.g. (2, 2, 3), then the degenerate forms."""
     from latticelab import form_from_symbol_text
-    forms = [form_from_symbol_text(t).normalized()[0] for t in SMALL_SYMBOLS]
-    return forms + DEGENERATE_FORMS
+    given = [form_from_symbol_text(t) for t in SMALL_SYMBOLS]
+    return [f.subquotient(f.gens())[0] for f in given] + given + DEGENERATE_FORMS
 
 
-@pytest.mark.parametrize("form", _search_cases(), ids=SMALL_SYMBOLS + DEGENERATE_IDS)
+SEARCH_IDS = SMALL_SYMBOLS + [f"{t} as given" for t in SMALL_SYMBOLS] + DEGENERATE_IDS
+
+
+@pytest.mark.parametrize("form", _search_cases(), ids=SEARCH_IDS)
 def test_automorphisms_match_closure_search(form):
     from latticelab.fqf import _gen_images_search
-    assert form.normalized()[0].orders == form.orders
     assert automorphisms(form) == _closure_search(form, form, onto=True)
     for other in _search_cases():
         isometries = _closure_search(form, other, onto=True)
@@ -506,8 +521,7 @@ def test_embedding_orbits_match_elementwise(text):
     no group: the classes are the components the maps draw."""
     from latticelab import form_embeddings_mod_aut, form_from_symbol_text
     small = form_from_symbol_text(text)
-    big, _ = direct_sum_forms(
-        small, form_from_symbol_text(EMBEDDING_SUMMANDS[text])).normalized()
+    big = direct_sum_forms(small, form_from_symbol_text(EMBEDDING_SUMMANDS[text]))
     auts = automorphisms(big)
     moving = [m for m in auts if m != tuple(big.gens())]
     for maps in (auts, moving[:1], moving[-2:], []):
@@ -522,12 +536,11 @@ def test_embedding_images_closed_once(monkeypatch, text):
     import latticelab.fqf
     from latticelab import embedding_images, form_from_symbol_text
     small = form_from_symbol_text(text)
-    big, _ = direct_sum_forms(
-        small, form_from_symbol_text(EMBEDDING_SUMMANDS[text])).normalized()
+    big = direct_sum_forms(small, form_from_symbol_text(EMBEDDING_SUMMANDS[text]))
     real = latticelab.fqf._span
     spans = []
     monkeypatch.setattr(latticelab.fqf, "_span",
                         lambda form, gens: spans.append(gens) or real(form, gens))
     images = embedding_images(small, big)
     assert len(spans) == len(images)
-    assert set(images) == set(_closure_search(small.normalized()[0], big, onto=False))
+    assert set(images) == set(_closure_search(small, big, onto=False))
