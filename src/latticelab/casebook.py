@@ -44,7 +44,7 @@ from .nikulin import (
     ExistenceVerdict,
     LatticeInvariant,
     SaturationWitness,
-    primitive_embedding_into_even_unimodular_exists,
+    even_lattice_exists,
     saturations_keeping_primitive,
     unique_primitive_embedding,
 )
@@ -230,13 +230,10 @@ def polarized_criterion(rec: LeechPairRecord, root: PolarizationRoot) -> Criteri
         return CriterionResult(False, [], comp_plus + comp_minus)
     outcomes = []
     for witness in saturations_keeping_primitive(rec.q_S, root.q_R):
-        inv = LatticeInvariant(rec.rank_S + root.rank, 0, witness.quotient)
-        verdict, complement = primitive_embedding_into_even_unimodular_exists(
-            inv, BORCHERDS_SIGNATURE)
-        if complement is None:
-            complement = LatticeInvariant(comp_plus, comp_minus,
-                                          negate_form(witness.quotient))
-        outcomes.append(WitnessOutcome(witness, complement, verdict))
+        complement = LatticeInvariant(comp_plus, comp_minus,
+                                      negate_form(witness.quotient))
+        outcomes.append(WitnessOutcome(witness, complement,
+                                       even_lattice_exists(complement)))
     return CriterionResult(any(o.verdict.exists for o in outcomes), outcomes,
                            comp_plus + comp_minus)
 

@@ -14,7 +14,6 @@ inside some larger group.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -50,7 +49,7 @@ class FiniteQuadraticForm:
 
     __slots__ = ("orders", "level", "qints", "bints", "_order")
 
-    def __init__(self, orders, qvals, bmat=None, check=True):
+    def __init__(self, orders, qvals, bmat=None):
         orders = tuple(int(d) for d in orders)
         if any(d < 1 for d in orders):
             raise ValueError("generator orders must be positive")
@@ -65,8 +64,7 @@ class FiniteQuadraticForm:
                   x.numerator * (level // x.denominator) % level
                   for j, x in enumerate(row)] for i, row in enumerate(off)]
         self._store(orders, level, qints, bints)
-        if check:
-            self._validate()
+        self._validate()
 
     @classmethod
     def _from_ints(cls, orders, level, qints, bints) -> "FiniteQuadraticForm":
@@ -302,55 +300,50 @@ def negate_form(form: FiniteQuadraticForm) -> FiniteQuadraticForm:
 class DiscriminantGroup:
     """A_L = L*/L with its quadratic form and the data to transport isometries.
 
-    dual_gens[i] is the i-th generator of A_L written in rational coordinates
-    with respect to the lattice basis: from u*G*v = diag(d) (Smith normal
-    form), G^-1 u^-1 e_i is the column v e_i / d_i.
+    From u*G*v = diag(d) (Smith normal form), the i-th generator of A_L is
+    the dual vector w_i = G^-1 u^-1 e_i = v e_i / d_i; cols[i] holds its
+    integer numerators v e_i.  The form is read off the integer matrix
+    v^T G v: q(w_i) = (v^T G v)_ii / d_i^2 and b(w_i, w_j) =
+    (v^T G v)_ij / (d_i d_j), both over the level max(d)^2.
     """
 
     def __init__(self, latt: GramLattice):
         if not latt.even:
             raise OddLatticeError("discriminant quadratic form needs an even lattice")
         gram = latt.gram_rows()
-        n = latt.rank
         d, u, v = smith_normal_form(gram)
         if any(x == 0 for x in d):
             raise DegenerateError("lattice is degenerate")
-        keep = [i for i in range(n) if d[i] != 1]
+        keep = [i for i, di in enumerate(d) if di != 1]
         orders = [d[i] for i in keep]
-        cols = [[v[r][i] for i in keep] for r in range(n)]
-        vgv = mat_mul(transpose(cols), mat_mul(gram, cols))
-        dual = [[Fraction(v[r][i], d[i]) for r in range(n)] for i in keep]
-        qvals = [Fraction(vgv[i][i], di * di) for i, di in enumerate(orders)]
-        bmat = [[Fraction(x, di * dj) for x, dj in zip(row, orders)]
-                for row, di in zip(vgv, orders)]
-        self.lattice = latt
+        cols = [[row[i] for row in v] for i in keep]
+        vgv = mat_mul(cols, mat_mul(gram, transpose(cols)))
+        n = max(d) ** 2
+        qints = [vgv[i][i] * (n // (di * di)) % (2 * n) for i, di in enumerate(orders)]
+        bints = [[x * (n // (di * dj)) % n for x, dj in zip(row, orders)]
+                 for row, di in zip(vgv, orders)]
         self.orders = tuple(orders)
-        self.dual_gens = dual
+        self.cols = cols
         self.u = u
         self.d = d
-        self.form = FiniteQuadraticForm(orders, qvals, bmat, check=False)
+        self.form = FiniteQuadraticForm._from_ints(orders, n, qints, bints)
         self._gram = gram
 
-    def coords_of(self, rational_vector) -> tuple[int, ...]:
-        """Class of a dual vector (rational coords) as a form element."""
-        gv = mat_vec(self._gram, rational_vector)
-        if any(x.denominator != 1 for x in map(Fraction, gv)):
-            raise ValueError("vector is not in the dual lattice")
-        z = mat_vec(self.u, [int(x) for x in gv])
-        out = []
-        for i, di in enumerate(self.d):
-            if di == 1:
-                continue
-            out.append(z[i] % di)
-        return tuple(out)
-
     def induced_automorphism(self, matrix) -> tuple[tuple[int, ...], ...]:
-        """Images of the form generators under a lattice isometry matrix."""
+        """Images of the form generators under a lattice isometry matrix.
+
+        M w_i = M v e_i / d_i lies in L* iff G*M*v e_i is divisible by d_i,
+        and then its class has coordinates u*G*M*v e_i / d_i modulo the
+        orders.
+        """
+        keep = [(row, dj) for row, dj in zip(self.u, self.d) if dj != 1]
         images = []
-        for w in self.dual_gens:
-            img = [sum(Fraction(matrix[r][c]) * w[c] for c in range(len(w)))
-                   for r in range(len(w))]
-            images.append(self.coords_of(img))
+        for col, di in zip(self.cols, self.orders):
+            gmc = mat_vec(self._gram, mat_vec(matrix, col))
+            if any(x % di for x in gmc):
+                raise ValueError("matrix does not map the dual lattice into itself")
+            images.append(tuple(sum(a * x for a, x in zip(row, gmc)) // di % dj
+                                for row, dj in keep))
         return tuple(images)
 
 
@@ -445,14 +438,14 @@ def _minimal_generators(form: FiniteQuadraticForm, elements: frozenset):
     return gens
 
 
-def _subgroups_within(form: FiniteQuadraticForm, pool: frozenset, admits=None) -> dict:
+def _subgroups_within(form: FiniteQuadraticForm, pool: frozenset) -> dict:
     """Every subgroup of form contained in the element set pool.
 
     Returns a dict from each subgroup's element set to a generating tuple,
-    the trivial subgroup first.  H + <x> is closed for one x per coset of H
-    in pool, and only if admits(gens of H, x) holds when admits is given:
-    a test that depends on the coset alone and holds whenever H + <x> lies
-    in pool.
+    the trivial subgroup first.  H + <x> depends only on the coset x + H,
+    and it lies in pool only if the coset does: so the coset is tested
+    first, up to its first element outside pool, and H + <x> is closed
+    once per coset that passes.
     """
     trivial = frozenset({form.zero()})
     seen = {trivial: ()}
@@ -460,17 +453,22 @@ def _subgroups_within(form: FiniteQuadraticForm, pool: frozenset, admits=None) -
     while queue:
         current = queue.pop()
         gens = seen[current]
-        done = set()  # H + <x> depends only on the coset x + H
+        done = set()
         for x in pool - current:
             if x in done:
                 continue
-            done.update([form.add(x, h) for h in current])
-            if admits is not None and not admits(gens, x):
-                continue
-            fs = _extend(form, current, x)
-            if fs not in seen and fs <= pool:
-                seen[fs] = gens + (x,)
-                queue.append(fs)
+            coset = []
+            for h in current:
+                y = form.add(x, h)
+                if y not in pool:
+                    break
+                coset.append(y)
+            else:
+                done.update(coset)
+                fs = _extend(form, current, x)
+                if fs not in seen and fs <= pool:
+                    seen[fs] = gens + (x,)
+                    queue.append(fs)
     return seen
 
 
@@ -479,19 +477,13 @@ def isotropic_subgroups(form: FiniteQuadraticForm):
 
     q = 0 on a subgroup forces b = 0 on it as well, so these are exactly
     the glue groups of even overlattices.  The trivial subgroup comes first.
+    For isotropic x and h, q(x + h) = 2 b(x, h): the coset test of
+    _subgroups_within on the zero set is the test b(x, H) = 0.
     """
     if form.order > BRUTE_CAP:
         raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
     zero_set = frozenset(x for x in form.elements() if form.q_int(x) == 0)
-    n = form.level
-    b_row = functools.cache(form.b_row)
-
-    def orthogonal(gens, x):
-        # for isotropic x and h, q(x + h) = 2 b(x, h); so H + <x> is
-        # isotropic iff b(x, g) = 0 for each generator g of H
-        return not any(sum(r * c for r, c in zip(b_row(g), x)) % n for g in gens)
-
-    subs = [Subgroup(form, els) for els in _subgroups_within(form, zero_set, orthogonal)]
+    subs = [Subgroup(form, els) for els in _subgroups_within(form, zero_set)]
     subs.sort(key=Subgroup.sort_key)
     return subs
 

@@ -130,12 +130,22 @@ def _gram_E(n):
 
 _U_GRAM = [[0, 1], [1, 0]]
 
-_NAME_RE = re.compile(r"^(A|D|E)(\d+)$")
-_SIG_RE = re.compile(r"^(I|II)\((\d+),(\d+)\)$")
+# A registry name expands into an n x n Gram matrix; this caps n before any
+# matrix is built.  The largest name the tables use is II(26,2), rank 28.
+NAMED_RANK_CAP = 64
+
+_NAME_RE = re.compile(r"^(A|D|E)(\d{1,9})$")
+_SIG_RE = re.compile(r"^(I|II)\((\d{1,9}),(\d{1,9})\)$")
 
 
 def _blocks(*grams):
     return direct_sum(*(build_lattice(g) for g in grams))
+
+
+def _check_rank(name: str, rank: int) -> None:
+    if rank > NAMED_RANK_CAP:
+        raise UnknownLatticeError(
+            f"{name!r} has rank {rank}, above the registry cap {NAMED_RANK_CAP}")
 
 
 def named_lattice(name: str, scale: int = 1) -> GramLattice:
@@ -143,12 +153,14 @@ def named_lattice(name: str, scale: int = 1) -> GramLattice:
 
     Recognized names: An, Dn, E6, E7, E8, U, I(p,q), II(p,q),
     Borcherds (= E8^3 + U^2), Lambda0 (= A2 + E8^2 + U^2), Lambda2, Lambda6.
+    An, Dn, I(p,q) and II(p,q) of rank above NAMED_RANK_CAP are refused.
     """
     key = name.strip()
     base = None
     m = _NAME_RE.match(key)
     if m:
         kind, n = m.group(1), int(m.group(2))
+        _check_rank(name, n)
         if kind == "A":
             base = build_lattice(_gram_A(n))
         elif kind == "D":
@@ -161,6 +173,7 @@ def named_lattice(name: str, scale: int = 1) -> GramLattice:
         m = _SIG_RE.match(key.replace(" ", ""))
         if m:
             parity, p, q = m.group(1), int(m.group(2)), int(m.group(3))
+            _check_rank(name, p + q)
             if parity == "I":
                 g = [[0] * (p + q) for _ in range(p + q)]
                 for i in range(p):

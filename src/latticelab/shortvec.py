@@ -1,13 +1,12 @@
 """Short vector enumeration in definite lattices.
 
 Fincke-Pohst style search driven by an exact rational LDL^T
-decomposition; the coordinate bounds are computed with integer square
-roots of scaled rationals, so the enumeration is provably complete.
+decomposition; each coordinate bound is an exact integer square root
+of a scaled rational, so the enumeration is provably complete.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from math import isqrt
 
@@ -19,26 +18,18 @@ RANK_CAP = 8
 NORM_CAP = 100
 
 
-def _floor_sqrt(f: Fraction) -> Fraction:
-    """Largest rational isqrt helper: floor of sqrt(f) as used for bounds."""
-    if f < 0:
-        raise ValueError("negative radicand")
-    return Fraction(isqrt(f.numerator * f.denominator), f.denominator)
-
-
 def _int_range(center: Fraction, radius2: Fraction):
-    """All integers x with (x - center)^2 <= radius2."""
+    """All integers x with (x - center)^2 <= radius2.
+
+    With center = p/q and radius2 = a/b these are exactly the x with
+    (q*x - p)^2 <= a*q^2/b, an integer inequality: |q*x - p| <= r for
+    r = isqrt(a*q^2 // b).
+    """
     if radius2 < 0:
         return range(0)
-    r = _floor_sqrt(radius2)
-    lo_i = math.ceil(center - r)
-    hi_i = math.floor(center + r)
-    # the rational isqrt undershoots; fix both ends exactly
-    while (Fraction(lo_i - 1) - center) ** 2 <= radius2:
-        lo_i -= 1
-    while (Fraction(hi_i + 1) - center) ** 2 <= radius2:
-        hi_i += 1
-    return range(lo_i, hi_i + 1)
+    p, q = center.numerator, center.denominator
+    r = isqrt(radius2.numerator * q * q // radius2.denominator)
+    return range(-((r - p) // q), (p + r) // q + 1)
 
 
 def short_vectors(latt: GramLattice, norm: int,

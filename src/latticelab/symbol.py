@@ -1,14 +1,16 @@
 """Conway-Sloane genus symbols for finite quadratic forms.
 
 A finite quadratic form splits (per prime) into an orthogonal sum of
-standard pieces: cyclic forms (Z/p^k, 2a/p^k) for odd p, cyclic forms
-(Z/2^k, a/2^k) with a odd, and the two even rank-2 blocks u(2^k), v(2^k).
-From the pieces we read off the Jordan constituents (scale, rank, sign;
-type and oddity at p = 2).  The splitting is the classical p-adic
-diagonalisation done on the form's integer values (jordan_pieces): it
-reads each p-part off the form's own generators and projects onto
-orthogonal complements by integer row operations, with no Smith normal
-form, and raises DegenerateError on a form with a radical.
+cyclic forms (Z/p^k, 2a/p^k) for odd p, cyclic forms (Z/2^k, a/2^k) with
+a odd, and the two even rank-2 blocks u(2^k), v(2^k).  The summands of
+one scale add up to a Jordan constituent (scale, rank, sign; type and
+oddity at p = 2).  The splitting is the classical p-adic diagonalisation
+done on the form's integer values (jordan_constituents): it reads each
+p-part off the form's own generators, projects onto orthogonal
+complements by integer row operations, with no Smith normal form, and
+sums each summand's rank, determinant class and unit into the
+constituent of its scale.  It raises DegenerateError on a form with a
+radical.
 
 Two complications are handled here:
 
@@ -51,28 +53,26 @@ def _det_class_2(a: int) -> int:
     return 1 if a % 8 in (1, 7) else -1
 
 
-# -- orthogonal splitting into standard pieces ------------------------------
+# -- constituents ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclicPiece:
+@dataclass(frozen=True, order=True)
+class JordanConstituent:
+    """One Jordan constituent: scale p^k, rank n, sign eps; type/oddity at p=2."""
+
     p: int
     k: int
-    value: Fraction  # q on the generator, reduced mod 2
+    n: int
+    eps: int            # +1 or -1
+    even: bool = True   # always True for odd p (field unused there)
+    oddity: int = 0     # trace mod 8, only meaningful for p = 2 odd type
 
     @property
     def scale(self) -> int:
         return self.p ** self.k
 
 
-@dataclass(frozen=True)
-class EvenPiece:
-    k: int
-    kind: str  # 'u' or 'v'
-
-    @property
-    def scale(self) -> int:
-        return 2 ** self.k
+# -- orthogonal splitting into Jordan constituents ---------------------------
 
 
 def _p_valuation(n: int, p: int) -> int:
@@ -110,21 +110,23 @@ def _primary_basis(form: FiniteQuadraticForm, p: int):
 
 
 def _pivot(p: int, level: int, orders, qs, gs):
-    """Basis indices of the next orthogonal summand and its standard piece.
+    """The next orthogonal summand: basis indices, scale exponent, det class, unit.
 
     Odd p: a top-order basis element x with q(x) of exact denominator
     ord(x); failing that some g_i + g_j of top order is one, and it
     replaces g_i in the basis (qs[i] and the row gs[i] are updated in
-    place: the split step reads only the pivot's row).  p = 2: the
-    highest-order odd-valued basis element (cross terms 2*b can never make
-    an odd value); failing that a top-order x with a y such that b(x, y)
-    has exact denominator ord(x), spanning a u or v block.  No pivot
-    means a radical: DegenerateError.
+    place: the split step reads only the pivot's row).  Its determinant
+    class is the Legendre symbol of 2a, q(x) = 2a/p^k.  p = 2: the
+    highest-order odd-valued basis element x, q(x) = a/2^k (cross terms
+    2*b can never make an odd value), with the odd unit a; failing that
+    a top-order x with a y such that b(x, y) has exact denominator ord(x),
+    spanning an even block u or v of determinant class +1 or -1.  The unit
+    is None for every summand but the odd 2-adic ones.  No pivot means a
+    radical: DegenerateError.
     """
     top = max(orders)
     s = level // top
     tops = [i for i, o in enumerate(orders) if o == top]
-    k = _p_valuation(top, p)
     if p != 2:
         x = next((i for i in tops if qs[i] // s % p), None)
         if x is None:
@@ -137,35 +139,40 @@ def _pivot(p: int, level: int, orders, qs, gs):
             row[i] = qs[i] % level
             gs[i] = row
             x = i
-        return [x], CyclicPiece(p, k, Fraction(qs[x] // s, top))
+        return [x], _p_valuation(top, p), legendre(qs[x] // s, p), None
     odd = [i for i, o in enumerate(orders) if qs[i] // (level // o) % 2]
     if odd:
         x = max(odd, key=lambda i: orders[i])
         o = orders[x]
-        return [x], CyclicPiece(2, _p_valuation(o, 2),
-                                Fraction(qs[x] // (level // o), o))
+        a = qs[x] // (level // o)
+        return [x], _p_valuation(o, 2), _det_class_2(a), a
     x = tops[0]
     y = next((j for j in tops if j != x and gs[x][j] // s % 2), None)
     if y is None:
         raise DegenerateError("form is degenerate at p=2")
     alpha, beta, gamma = qs[x] // s // 2, qs[y] // s // 2, gs[x][y] // s
     det = 4 * alpha * beta - gamma * gamma  # odd unit
-    return [x, y], EvenPiece(k, "u" if det % 8 in (1, 7) else "v")
+    return [x, y], _p_valuation(top, 2), _det_class_2(det), None
 
 
 def _split_primary(p: int, level: int, orders, qs, gs):
-    """Split a p-group form, given on a basis, into standard pieces.
+    """Split a p-group form, given on a basis, into its Jordan constituents.
 
     Each step splits off the pivot summand <xs> and replaces every other
     basis element g by its projection g - sum_a c_a x_a onto xs-perp,
     c = M^-1 (ord(x)*b(x_a, g))_a mod ord(x) with M = ord(x)*b(xs, xs).
     c_a x_a has order dividing ord(g), and the orders of the projections
     multiply to |A|/|<xs>|, so they are again a basis of the complement.
+    The summands of one scale add up to its constituent: ranks add,
+    determinant classes multiply and the odd 2-adic units sum to the
+    oddity, none of which depends on the order of the summands.
     """
-    pieces = []
+    acc: dict[int, tuple] = {}  # k -> (rank, det class, unit sum or None)
     while orders:
-        xs, piece = _pivot(p, level, orders, qs, gs)
-        pieces.append(piece)
+        xs, k, eps, unit = _pivot(p, level, orders, qs, gs)
+        n0, eps0, t0 = acc.get(k, (0, 1, None))
+        acc[k] = (n0 + len(xs), eps0 * eps,
+                  t0 if unit is None else (t0 or 0) + unit)
         o = orders[xs[0]]
         s = level // o
         m = [[gs[a][b] // s for b in xs] for a in xs]
@@ -188,79 +195,25 @@ def _split_primary(p: int, level: int, orders, qs, gs):
                for h in rest] for g, c in zip(rest, cs)]
         orders = [orders[g] for g in rest]
         qs = new_qs
-    return pieces
+    return {k: JordanConstituent(p, k, n, eps, even=t is None,
+                                 oddity=0 if t is None else t % 8)
+            for k, (n, eps, t) in sorted(acc.items())}
 
 
-def jordan_pieces(form: FiniteQuadraticForm) -> dict[int, list]:
-    """Orthogonal standard pieces of the form, keyed by prime.
+def jordan_constituents(
+        form: FiniteQuadraticForm) -> dict[int, dict[int, JordanConstituent]]:
+    """The Jordan constituents of the form, {p: {k: JordanConstituent}}.
 
     This is the one decomposition behind every invariant in this module:
     to_symbol() is its only caller, and the lengths, determinant classes
     and signature are all read off the symbol.  Each p-part is read off
     the form's own generators and split by integer row operations on its
     values (the classical p-adic diagonalisation, SPLAG ch. 15); no
-    re-presentation or Smith normal form is needed.  Raises
+    re-presentation or Smith normal form is needed.  At p = 2 the
+    constituents are not yet canonical (see _canonical_two_adic).  Raises
     DegenerateError when the form is degenerate.
     """
-    out: dict[int, list] = {}
-    for p in form.primes():
-        pieces = _split_primary(p, *_primary_basis(form, p))
-        out[p] = sorted(pieces, key=lambda pc: (pc.k, isinstance(pc, EvenPiece), str(pc)))
-    return out
-
-
-# -- constituents ------------------------------------------------------------
-
-
-@dataclass(frozen=True, order=True)
-class JordanConstituent:
-    """One Jordan constituent: scale p^k, rank n, sign eps; type/oddity at p=2."""
-
-    p: int
-    k: int
-    n: int
-    eps: int            # +1 or -1
-    even: bool = True   # always True for odd p (field unused there)
-    oddity: int = 0     # trace mod 8, only meaningful for p = 2 odd type
-
-    @property
-    def scale(self) -> int:
-        return self.p ** self.k
-
-
-def _constituents_from_pieces(p: int, pieces) -> dict[int, JordanConstituent]:
-    by_scale: dict[int, list] = {}
-    for pc in pieces:
-        by_scale.setdefault(pc.k, []).append(pc)
-    out = {}
-    for k, pcs in sorted(by_scale.items()):
-        if p != 2:
-            n = len(pcs)
-            eps = 1
-            for pc in pcs:
-                c = int(pc.value * pc.scale)  # = 2a with gcd(a, p) = 1
-                eps *= legendre(c, p)
-            out[k] = JordanConstituent(p, k, n, eps)
-        else:
-            n = 0
-            eps = 1
-            t = 0
-            odd_type = False
-            for pc in pcs:
-                if isinstance(pc, EvenPiece):
-                    n += 2
-                    eps *= 1 if pc.kind == "u" else -1
-                else:
-                    odd_type = True
-                    n += 1
-                    a = int(pc.value * pc.scale)  # odd; defined mod 2^{k+1}
-                    if k == 1:
-                        a %= 4  # scale-2 values only carry a mod 4
-                    t += a
-                    eps *= _det_class_2(a if k > 1 else (a % 4))
-            out[k] = JordanConstituent(2, k, n, eps, even=not odd_type,
-                                       oddity=t % 8 if odd_type else 0)
-    return out
+    return {p: _split_primary(p, *_primary_basis(form, p)) for p in form.primes()}
 
 
 # -- realizability -----------------------------------------------------------
@@ -483,15 +436,11 @@ class GenusSymbol:
 
 def to_symbol(form: FiniteQuadraticForm) -> GenusSymbol:
     """Canonical genus symbol; isomorphic forms yield identical symbols."""
-    cons = {p: _constituents_from_pieces(p, pieces)
-            for p, pieces in jordan_pieces(form).items()}
+    cons = jordan_constituents(form)
     out = []
     for p in sorted(cons):
-        if p == 2:
-            canon = _canonical_two_adic(cons[p])
-            out.extend(canon[k] for k in sorted(canon))
-        else:
-            out.extend(cons[p][k] for k in sorted(cons[p]))
+        by_scale = _canonical_two_adic(cons[p]) if p == 2 else cons[p]
+        out.extend(by_scale[k] for k in sorted(by_scale))
     return GenusSymbol(tuple(out))
 
 

@@ -144,6 +144,13 @@ def test_family_dim_and_symplectic_check(capsys):
     assert code == 0 and data["symplectic"] is True
 
 
+def test_lattice_info_refuses_a_name_above_the_rank_cap(capsys):
+    code = run(["lattice", "info", "--name", "A65"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+
 def test_domain_error_exit_code(capsys):
     code = run(["dform", "symbol", "--form", "2_3^+1"])
     assert code == 1
@@ -241,9 +248,9 @@ def test_malformed_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
 def test_dform_symbol_decomposes_its_form_once(capsys, monkeypatch, flags):
     """Both outputs, signature included, come from one genus symbol."""
     import latticelab.symbol
-    real = latticelab.symbol.jordan_pieces
+    real = latticelab.symbol.jordan_constituents
     calls = []
-    monkeypatch.setattr(latticelab.symbol, "jordan_pieces",
+    monkeypatch.setattr(latticelab.symbol, "jordan_constituents",
                         lambda form: calls.append(form) or real(form))
     code, out = capture(capsys, ["dform", "symbol", "--form", "2_1^+1 4_7^+1 3^-2"] + flags)
     assert code == 0 and "2_1^+1 4_7^+1 3^-2" in out

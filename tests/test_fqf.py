@@ -52,7 +52,8 @@ REGISTRY_NAMES = ["A1", "A2", "A3", "A6", "D4", "D5", "D7", "E6", "E7", "E8", "U
 
 
 def test_dual_generators_match_rational_inverse():
-    """dual_gens, read off the Smith transform v, are G^-1 u^-1 e_i."""
+    """The integer numerators cols[i] = v e_i over d_i are G^-1 u^-1 e_i, and
+    the form's q and b values are w_i^T G w_j of these dual vectors."""
     from latticelab.exactmat import mat_vec, rational_inverse
     rng = random.Random(57)
     lattices = [named_lattice(name) for name in REGISTRY_NAMES]
@@ -60,12 +61,21 @@ def test_dual_generators_match_rational_inverse():
     lattices += [random_even_lattice(rng) for _ in range(40)]
     for latt in lattices:
         dg = discriminant_group(latt)
-        ginv = rational_inverse(latt.gram_rows())
+        gram = latt.gram_rows()
+        ginv = rational_inverse(gram)
         uinv = rational_inverse(dg.u)
         expect = [mat_vec(ginv, [row[i] for row in uinv])
                   for i, d in enumerate(dg.d) if d != 1]
-        assert dg.dual_gens == expect, latt.gram_rows()
         assert list(dg.orders) == [d for d in dg.d if d != 1]
+        dual = [[Fraction(c, d) for c in col] for col, d in zip(dg.cols, dg.orders)]
+        assert dual == expect, gram
+        q = dg.form
+        gens = q.gens()
+        for i, wi in enumerate(dual):
+            gw = mat_vec(gram, wi)
+            assert q.q(gens[i]) == sum(a * b for a, b in zip(gw, wi)) % 2, gram
+            for j, wj in enumerate(dual):
+                assert q.b(gens[i], gens[j]) == sum(a * b for a, b in zip(gw, wj)) % 1
 
 
 def test_discriminant_form_requires_even():
@@ -206,6 +216,28 @@ def test_isotropic_subgroups_match_brute_force(text):
         assert Subgroup(q, s.gens) == s
 
 
+@pytest.mark.parametrize("text", ["3^-2", "3^-1 9^+1", "2_II^+2 3^+1", "2_II^+4",
+                                  "4_II^+2", "4_7^+1 8_1^+1"])
+def test_subgroups_within_match_brute_force(text):
+    """On arbitrary pools, not only subgroup-closed ones, the coset test
+    keeps exactly the subgroups that lie inside the pool."""
+    from latticelab import form_from_symbol_text
+    from latticelab.fqf import _subgroups_within
+    q = form_from_symbol_text(text)
+    elements = list(q.elements())
+    every = {_closure(q, combo) for k in range(q.ngens + 1)
+             for combo in itertools.combinations(elements, k)}
+    rng = random.Random(text)
+    pools = [frozenset(elements)]
+    pools += [frozenset([q.zero()] + rng.sample(elements, rng.randint(1, len(elements))))
+              for _ in range(30)]
+    for pool in pools:
+        found = _subgroups_within(q, pool)
+        assert set(found) == {h for h in every if h <= pool}
+        for els, gens in found.items():
+            assert _closure(q, gens) == els
+
+
 def _fraction_evaluators(q):
     """q and b evaluated term by term in Fraction from to_json_dict() data."""
     data = q.to_json_dict()
@@ -326,6 +358,16 @@ def test_induced_automorphism_transport():
     q = dg.form
     for gen, img in zip(q.gens(), swap):
         assert q.q(gen) == q.q(img)
+
+
+def test_induced_automorphism_needs_the_dual_lattice():
+    """A matrix that does not map L* into L* induces no map on A_L."""
+    dg = discriminant_group(build_lattice([[6, 3], [3, 6]]))
+    with pytest.raises(ValueError, match="dual lattice"):
+        dg.induced_automorphism([[1, 1], [0, 1]])
+    dg = discriminant_group(named_lattice("A2"))
+    with pytest.raises(ValueError, match="dual lattice"):
+        dg.induced_automorphism([[2, 0], [0, 1]])
 
 
 def test_form_json_round_trip():

@@ -60,6 +60,14 @@ def test_big_named_lattices():
         named_lattice("F4")
 
 
+@pytest.mark.parametrize("name", ["A65", "II(72,0)", "I(40,40)", "D" + "9" * 5000])
+def test_registry_names_have_bounded_rank(name):
+    """A name above the rank cap (64) is refused before any matrix is built;
+    II(26,2), rank 28, is the largest the tables use."""
+    with pytest.raises(UnknownLatticeError):
+        named_lattice(name)
+
+
 def test_direct_sum_and_rescale():
     e6 = named_lattice("E6")
     a2 = named_lattice("A2")

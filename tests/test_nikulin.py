@@ -157,9 +157,9 @@ def test_existence_matches_rank2_construction():
 @pytest.mark.parametrize("text", ["3^+1 9^+1", "2_II^-2 3^+2 7^-1",
                                   "2_3^-1 4_7^+1 3^+2 5^+1", "4_5^-1 8_1^+1"])
 def test_existence_decomposes_its_form_once(monkeypatch, text):
-    real = latticelab.symbol.jordan_pieces
+    real = latticelab.symbol.jordan_constituents
     calls = []
-    monkeypatch.setattr(latticelab.symbol, "jordan_pieces",
+    monkeypatch.setattr(latticelab.symbol, "jordan_constituents",
                         lambda form: calls.append(form) or real(form))
     even_lattice_exists(inv(0, 2, text))
     assert len(calls) == 1

@@ -99,3 +99,30 @@ def test_caps_and_errors():
         val = sum(g[i][j] * v[i] * v[j] for i in range(2) for j in range(2))
         assert val == 14
     assert len(short_vectors(a2, 14)) == 6
+
+
+def test_int_range_matches_scan():
+    """The exact bound agrees with a scan over random rational centers and
+    radii, including negative centers and radii hit exactly at an integer."""
+    from fractions import Fraction
+
+    from latticelab.shortvec import _int_range
+
+    rng = random.Random(97)
+    cases = [(Fraction(0), Fraction(0)), (Fraction(-3, 2), Fraction(1, 4)),
+             (Fraction(7, 3), Fraction(-1, 5)), (Fraction(-5), Fraction(9))]
+    for _ in range(400):
+        center = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+        cases.append((center, Fraction(rng.randint(0, 90), rng.randint(1, 12))))
+        # a radius reaching an integer exactly on either side
+        x = rng.randint(-10, 10)
+        cases.append((center, (x - center) ** 2))
+    for center, radius2 in cases:
+        width = int(max(radius2, 0)) + 2  # |x - center| <= sqrt(r) <= r + 1
+        lo = int(center) - width
+        expect = [x for x in range(lo, lo + 2 * width + 1)
+                  if (x - center) ** 2 <= radius2]
+        assert list(_int_range(center, radius2)) == expect, (center, radius2)
+    hits = sum(1 for center, radius2 in cases
+               if any((x - center) ** 2 == radius2 for x in _int_range(center, radius2)))
+    assert hits >= 400

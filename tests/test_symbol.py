@@ -14,7 +14,9 @@ from latticelab import (
     direct_sum,
     direct_sum_forms,
     discriminant_form,
+    discriminant_group,
     embedding_images,
+    even_lattice_exists,
     form_from_symbol,
     form_from_symbol_text,
     full_report,
@@ -24,14 +26,23 @@ from latticelab import (
     negate_form,
     parse_symbol,
     primary_lengths,
+    rank2_isometries,
     rescale,
     signature_mod8,
     to_symbol,
 )
 from latticelab.errors import DegenerateError, RealizabilityError, SymbolSyntaxError
 from latticelab.fqf import FiniteQuadraticForm, automorphisms
+from latticelab.nikulin import LatticeInvariant
+from latticelab.rank2 import Rank2Form
 from latticelab.symbol import _uv_form
-from test_fqf import DEGENERATE_FORMS, DEGENERATE_IDS, SMALL_SYMBOLS
+from test_fqf import (
+    DEGENERATE_FORMS,
+    DEGENERATE_IDS,
+    REGISTRY_NAMES,
+    SMALL_SYMBOLS,
+    random_even_lattice,
+)
 
 
 def cyclic(scale, a):
@@ -192,8 +203,8 @@ def test_symbols_need_no_smith_normal_form(monkeypatch):
     nor primary_lengths re-presents a form, and automorphisms and
     embedding_images search on the small symbols as presented."""
     forms = [form_from_symbol_text(t) for t in SMALL_SYMBOLS]
-    real = latticelab.symbol.jordan_pieces
-    monkeypatch.setattr(latticelab.symbol, "jordan_pieces",
+    real = latticelab.symbol.jordan_constituents
+    monkeypatch.setattr(latticelab.symbol, "jordan_constituents",
                         lambda form: forms.append(form) or real(form))
     for table, root in [("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
                         ("k3max11", "E7"), ("k3max11", "E8")]:
@@ -220,6 +231,42 @@ def test_symbols_need_no_smith_normal_form(monkeypatch):
         automorphisms(form)
         embedding_images(form, form)
     assert calls == []
+
+
+def test_gram_to_symbol_makes_no_fraction(monkeypatch):
+    """From a prebuilt Gram lattice to its discriminant form, symbol and
+    existence verdict, and from its isometries to their induced maps,
+    every value is an integer: no Fraction is created on the way."""
+    rng = random.Random(67)
+    lattices = [named_lattice(name) for name in REGISTRY_NAMES]
+    lattices += [random_even_lattice(rng) for _ in range(40)]
+    identity = [[[int(i == j) for j in range(latt.rank)] for i in range(latt.rank)]
+                for latt in lattices]
+    cases = [(latt, [m, [[-x for x in row] for row in m]])
+             for latt, m in zip(lattices, identity)]
+    while len(cases) < len(lattices) + 30:
+        a, c = 2 * rng.randint(1, 12), 2 * rng.randint(1, 12)
+        b = rng.randint(-12, 12)
+        if a * c > b * b:
+            form = Rank2Form(a, b, c)
+            cases.append((form.positive_lattice(), rank2_isometries(form)))
+    made = []
+    real_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    for latt, isometries in cases:
+        q = discriminant_form(latt)
+        to_symbol(q)
+        even_lattice_exists(LatticeInvariant(latt.n_plus, latt.n_minus, q))
+        dg = discriminant_group(latt)
+        for m in isometries:
+            dg.induced_automorphism(m)
+    monkeypatch.undo()
+    assert made == []
 
 
 def _rebased(form, rng, steps=12):
