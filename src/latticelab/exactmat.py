@@ -1,15 +1,13 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here computes with Python ints and fractions.Fraction.
-Determinants use Bareiss elimination, signatures come from symmetric
-Gauss diagonalization over Q, and the Smith normal form keeps full
+Everything here computes with Python ints.  Determinants use Bareiss
+elimination, signatures and the short-vector bounds come from its
+fraction-free symmetric form, and the Smith normal form keeps full
 unimodular transformation matrices so callers can present finite
-quotient groups exactly.  No floating point anywhere.
+quotient groups exactly.  No floating point and no fractions anywhere.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import DegenerateError
 
@@ -88,25 +86,29 @@ def bareiss_det(mat) -> int:
     return sign * m[-1][-1]
 
 
-def signature_pair(mat) -> tuple[int, int]:
-    """(n_plus, n_minus) of a symmetric matrix via exact diagonalization.
+def symmetric_bareiss(mat):
+    """Fraction-free symmetric Gauss elimination (Bareiss 1968).
 
+    Yields (prev, row) once per eliminated index: row is the pivot row of the
+    current matrix, pivot first, then the entries of the remaining indices
+    in order; prev is the pivot before it (1 at the start).  The current
+    matrix is prev times a Schur complement of an integer matrix congruent
+    to mat, so its entries are minors of that matrix and every division is
+    exact; the rational pivot is row[0] / prev.  The pivot is the first
+    nonzero diagonal entry.  When all leading minors are nonzero (mat
+    definite, say) that is always the first remaining index: row i is then
+    (U_ii, ..., U_i,n-1) of the fraction-free triangular factor, and U_ii
+    the leading minor of size i + 1.
     Raises DegenerateError if the form has a radical.
     """
-    a = [[Fraction(x) for x in row] for row in mat]
-    pos = neg = 0
+    a = [list(row) for row in mat]
+    prev = 1
     while a:
         n = len(a)
         k = next((i for i in range(n) if a[i][i] != 0), None)
         if k is None:
-            hit = None
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        hit = (i, j)
-                        break
-                if hit:
-                    break
+            hit = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                        if a[i][j] != 0), None)
             if hit is None:
                 raise DegenerateError("form is degenerate")
             i, j = hit
@@ -116,33 +118,28 @@ def signature_pair(mat) -> tuple[int, int]:
             for r in range(n):
                 a[r][i] += a[r][j]
             continue
-        p = a[k][k]
-        if p > 0:
+        pivot_row = a[k]
+        p = pivot_row[k]
+        rest = [r for r in range(n) if r != k]
+        yield prev, [p] + [pivot_row[j] for j in rest]
+        a = [[(a[i][j] * p - a[i][k] * pivot_row[j]) // prev for j in rest]
+             for i in rest]
+        prev = p
+
+
+def signature_pair(mat) -> tuple[int, int]:
+    """(n_plus, n_minus) of a symmetric integer matrix via exact diagonalization.
+
+    A pivot counts as positive when it has the sign of the pivot before it.
+    Raises DegenerateError if the form has a radical.
+    """
+    pos = neg = 0
+    for prev, row in symmetric_bareiss(mat):
+        if (row[0] > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        rest = [r for r in range(n) if r != k]
-        a = [[a[i][j] - a[i][k] * a[k][j] / p for j in rest] for i in rest]
     return pos, neg
-
-
-def rational_inverse(mat) -> list[list[Fraction]]:
-    """Inverse of a nonsingular matrix over Q (Gauss-Jordan)."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise DegenerateError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 def unimodular_inverse(mat) -> list[list[int]]:
@@ -264,23 +261,3 @@ def integer_kernel(mat) -> list[list[int]]:
     d, _, v = smith_normal_form(mat)
     rank = sum(1 for x in d if x != 0)
     return [[v[r][j] for r in range(n)] for j in range(rank, n)]
-
-
-def ldl_decomposition(gram):
-    """Exact LDL^T data for a positive definite symmetric matrix.
-
-    Returns (d, w) with q(x) = sum_i d[i] * (x_i + sum_{j>i} w[i][j] x_j)^2.
-    Raises NotDefiniteError via ValueError pivot check upstream.
-    """
-    n = len(gram)
-    g = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    w = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        val = g[i][i] - sum(d[k] * w[k][i] * w[k][i] for k in range(i))
-        if val <= 0:
-            raise ValueError("matrix is not positive definite")
-        d[i] = val
-        for j in range(i + 1, n):
-            w[i][j] = (g[i][j] - sum(d[k] * w[k][i] * w[k][j] for k in range(i))) / d[i]
-    return d, w

@@ -445,7 +445,8 @@ def _subgroups_within(form: FiniteQuadraticForm, pool: frozenset) -> dict:
     the trivial subgroup first.  H + <x> depends only on the coset x + H,
     and it lies in pool only if the coset does: so the coset is tested
     first, up to its first element outside pool, and H + <x> is closed
-    once per coset that passes.
+    once per coset that passes.  The elements a refused test walked lie in
+    the same coset, so they are not tested again.
     """
     trivial = frozenset({form.zero()})
     seen = {trivial: ()}
@@ -461,6 +462,7 @@ def _subgroups_within(form: FiniteQuadraticForm, pool: frozenset) -> dict:
             for h in current:
                 y = form.add(x, h)
                 if y not in pool:
+                    done.update(coset)
                     break
                 coset.append(y)
             else:

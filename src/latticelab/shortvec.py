@@ -1,35 +1,24 @@
 """Short vector enumeration in definite lattices.
 
-Fincke-Pohst style search driven by an exact rational LDL^T
-decomposition; each coordinate bound is an exact integer square root
-of a scaled rational, so the enumeration is provably complete.
+Fincke-Pohst search on integers only.  The fraction-free (Bareiss) rows U
+of the Gram matrix, with leading minors D_0 = 1 and D_{i+1} = U_ii, give
+q(x) = sum_i t_i^2 / (D_i * D_{i+1}) with t_i = sum_{j >= i} U_ij * x_j.
+Scaled by M = lcm_i(D_i * D_{i+1}), the norm left for the coordinates
+x_0, ..., x_i is an integer R, and level i needs K_i * t_i^2 <= R with
+K_i = M / (D_i * D_{i+1}): the exact integer bound |t_i| <= isqrt(R // K_i),
+so the enumeration is provably complete.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import IndefiniteLatticeError, NormCapExceededError, RankTooLargeError
-from .exactmat import ldl_decomposition
+from .exactmat import symmetric_bareiss
 from .lattice import GramLattice
 
 RANK_CAP = 8
 NORM_CAP = 100
-
-
-def _int_range(center: Fraction, radius2: Fraction):
-    """All integers x with (x - center)^2 <= radius2.
-
-    With center = p/q and radius2 = a/b these are exactly the x with
-    (q*x - p)^2 <= a*q^2/b, an integer inequality: |q*x - p| <= r for
-    r = isqrt(a*q^2 // b).
-    """
-    if radius2 < 0:
-        return range(0)
-    p, q = center.numerator, center.denominator
-    r = isqrt(radius2.numerator * q * q // radius2.denominator)
-    return range(-((r - p) // q), (p + r) // q + 1)
 
 
 def short_vectors(latt: GramLattice, norm: int,
@@ -54,33 +43,43 @@ def short_vectors(latt: GramLattice, norm: int,
     if flip:
         gram = [[-x for x in row] for row in gram]
         target = -norm
-    if target < 0:
+    if target <= 0:
         return []
-    if target == 0:
-        return []
-    d, w = ldl_decomposition(gram)
-    tgt = Fraction(target)
+    # definite: the pivots are the leading minors, in order, so
+    # rows[i] = (U_ii, U_i,i+1, ..., U_i,n-1)
+    rows = [row for _, row in symmetric_bareiss(gram)]
+    minors = [1] + [row[0] for row in rows]
+    scale = [minors[i] * minors[i + 1] for i in range(n)]
+    m = lcm(*scale)
+    k = [m // s for s in scale]
     found: list[tuple[int, ...]] = []
     x = [0] * n
 
-    def descend(i: int, remaining: Fraction):
-        if i < 0:
-            if remaining == 0:
-                v = tuple(x)
-                for c in v:
-                    if c > 0:
+    def descend(i: int, rem: int):
+        row = rows[i]
+        u = row[0]
+        p = sum(c * xj for c, xj in zip(row[1:], x[i + 1:]))
+        if i == 0:
+            # the last coordinate must use up the norm: K_0 * t_0^2 == R
+            s2, off = divmod(rem, k[0])
+            s = isqrt(s2)
+            if off or s * s != s2:
+                return
+            for t in (s, -s) if s else (0,):
+                x0, off = divmod(t - p, u)
+                if off == 0:
+                    v = (x0, *x[1:])
+                    if next(c for c in v if c) > 0:
                         found.append(v)
-                        break
-                    if c < 0:
-                        break
             return
-        center = -sum(w[i][j] * x[j] for j in range(i + 1, n))
-        for xi in _int_range(center, remaining / d[i]):
+        r = isqrt(rem // k[i])
+        for xi in range(-((r + p) // u), (r - p) // u + 1):
+            t = u * xi + p
             x[i] = xi
-            descend(i - 1, remaining - d[i] * (Fraction(xi) - center) ** 2)
+            descend(i - 1, rem - k[i] * t * t)
         x[i] = 0
 
-    descend(n - 1, tgt)
+    descend(n - 1, m * target)
     return sorted(found)
 
 

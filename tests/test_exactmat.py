@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,13 +9,61 @@ from latticelab.exactmat import (
     bareiss_det,
     identity_matrix,
     integer_kernel,
-    ldl_decomposition,
     mat_mul,
-    rational_inverse,
     signature_pair,
     smith_normal_form,
+    symmetric_bareiss,
+    transpose,
     unimodular_inverse,
 )
+
+
+def rational_inverse(mat):
+    """Reference: inverse of a nonsingular matrix over Q (Gauss-Jordan)."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise DegenerateError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def rational_signature_pair(mat):
+    """Reference: (n_plus, n_minus) by symmetric Gauss diagonalization over Q,
+    with the same pivot and pair-mixing choices as signature_pair."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    pos = neg = 0
+    while a:
+        n = len(a)
+        k = next((i for i in range(n) if a[i][i] != 0), None)
+        if k is None:
+            hit = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                        if a[i][j] != 0), None)
+            if hit is None:
+                raise DegenerateError("form is degenerate")
+            i, j = hit
+            for c in range(n):
+                a[i][c] += a[j][c]
+            for r in range(n):
+                a[r][i] += a[r][j]
+            continue
+        p = a[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        rest = [r for r in range(n) if r != k]
+        a = [[a[i][j] - a[i][k] * a[k][j] / p for j in rest] for i in rest]
+    return pos, neg
 
 
 def naive_det(m):
@@ -105,14 +155,59 @@ def test_unimodular_inverse_matches_rational_inverse():
         unimodular_inverse([[1, 2], [2, 4]])
 
 
-def test_ldl_reconstructs_quadratic_form():
-    g = [[2, 1], [1, 2]]
-    d, w = ldl_decomposition(g)
-    for x in range(-3, 4):
-        for y in range(-3, 4):
-            v = (x, y)
-            q = sum(g[i][j] * v[i] * v[j] for i in range(2) for j in range(2))
-            forms = d[0] * (v[0] + w[0][1] * v[1]) ** 2 + d[1] * v[1] ** 2
-            assert forms == q
-    with pytest.raises(ValueError):
-        ldl_decomposition([[0, 1], [1, 0]])
+def test_signature_pair_matches_rational_elimination():
+    """Fraction-free elimination gives the signature of the elimination over
+    Q, or the same DegenerateError, on random symmetric matrices of rank 1-7
+    with many zero diagonals, degenerate ones included."""
+    rng = random.Random(41)
+    degenerate = 0
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        bound = rng.choice((1, 2, 3, 6))
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = rng.choice((0, 0, rng.randint(-bound, bound)))
+            for j in range(i + 1, n):
+                if rng.random() < 0.7:
+                    m[i][j] = m[j][i] = rng.randint(-bound, bound)
+        try:
+            expect = rational_signature_pair(m)
+        except DegenerateError as err:
+            degenerate += 1
+            with pytest.raises(DegenerateError, match=str(err)):
+                signature_pair(m)
+            continue
+        assert signature_pair(m) == expect, m
+        assert bareiss_det(m) != 0
+    assert 200 <= degenerate <= 1300
+
+
+def random_definite_gram(rng, n, bound=3):
+    """B B^T for a random nonsingular integer matrix B."""
+    while True:
+        b = random_matrix(rng, n, n, bound)
+        if bareiss_det(b) != 0:
+            return mat_mul(b, transpose(b))
+
+
+def test_bareiss_rows_rebuild_quadratic_form():
+    """With U the fraction-free rows of a definite Gram matrix, D_0 = 1 and
+    D_{i+1} = U_ii, M = lcm(D_i D_{i+1}) and K_i = M / (D_i D_{i+1}), the
+    integer identity M q(x) = sum_i K_i t_i^2 holds for t_i = U_i . x."""
+    rng = random.Random(43)
+    grams = [[[2, 1], [1, 2]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]]
+    grams += [random_definite_gram(rng, rng.randint(1, 6)) for _ in range(30)]
+    for g in grams:
+        n = len(g)
+        rows = [row for _, row in symmetric_bareiss(g)]
+        minors = [1] + [row[0] for row in rows]
+        for i in range(n):
+            lead = [r[:i + 1] for r in g[:i + 1]]
+            assert minors[i + 1] == bareiss_det(lead) > 0
+        scale = [minors[i] * minors[i + 1] for i in range(n)]
+        m = lcm(*scale)
+        for _ in range(20):
+            x = [rng.randint(-4, 4) for _ in range(n)]
+            q = sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+            t = [sum(c * xj for c, xj in zip(rows[i], x[i:])) for i in range(n)]
+            assert m * q == sum(m // s * ti * ti for s, ti in zip(scale, t)), (g, x)

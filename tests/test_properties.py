@@ -19,10 +19,13 @@ from latticelab import (  # noqa: E402
     form_from_symbol,
     is_isomorphic,
     negate_form,
+    short_vectors,
     to_symbol,
 )
 from latticelab.errors import DegenerateError  # noqa: E402
+from latticelab.exactmat import bareiss_det, mat_mul, transpose  # noqa: E402
 from test_nikulin import filtered_saturation_data, saturation_data  # noqa: E402
+from test_shortvec import box_radii, naive_box_vectors  # noqa: E402
 
 # group order bound of every property, small enough for the brute-force oracles
 MAX_ORDER = 256
@@ -37,6 +40,18 @@ def even_grams(draw):
         gram[i][i] = 2 * draw(st.integers(-4, 4))
         for j in range(i + 1, n):
             gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    return gram
+
+
+@st.composite
+def definite_grams(draw):
+    """B B^T or -B B^T for a nonsingular integer B of rank 1 to 4."""
+    n = draw(st.integers(1, 4))
+    b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    assume(bareiss_det(b) != 0)
+    gram = mat_mul(b, transpose(b))
+    if draw(st.booleans()):
+        gram = [[-x for x in row] for row in gram]
     return gram
 
 
@@ -88,3 +103,12 @@ def test_isomorphism_matches_bruteforce(gram_1, gram_2):
         pairs.append((q_1, q_2))
     for f_1, f_2 in pairs:
         assert is_isomorphic(f_1, f_2) == bruteforce_isomorphic(f_1, f_2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(definite_grams(), st.integers(1, 12))
+def test_short_vectors_match_box_scan(gram, size):
+    """The integer descent lists exactly the vectors of the box scan."""
+    norm = size if gram[0][0] > 0 else -size
+    assume(prod(2 * r + 1 for r in box_radii(gram, norm)) <= 5000)
+    assert short_vectors(build_lattice(gram), norm) == naive_box_vectors(gram, norm)

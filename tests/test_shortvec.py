@@ -1,14 +1,23 @@
 import itertools
 import random
+from math import isqrt, prod
 
 import pytest
 
 from latticelab import build_lattice, named_lattice, short_vectors
 from latticelab.errors import (
+    DegenerateError,
     IndefiniteLatticeError,
     NormCapExceededError,
     RankTooLargeError,
 )
+from latticelab.exactmat import identity_matrix, mat_mul, transpose
+from test_exactmat import rational_inverse
+
+
+def box_radii(gram, norm):
+    inv = rational_inverse(gram)
+    return [isqrt(int(norm * inv[i][i])) + 1 for i in range(len(gram))]
 
 
 def naive_box_vectors(gram, norm):
@@ -17,16 +26,8 @@ def naive_box_vectors(gram, norm):
     For v with v G v^T = m one has v_i^2 <= m * (G^{-1})_{ii}, so the box
     with radius floor(sqrt(m * (G^{-1})_{ii})) per coordinate is complete.
     """
-    from math import isqrt
-
-    from latticelab.exactmat import rational_inverse
-
     n = len(gram)
-    inv = rational_inverse(gram)
-    radii = []
-    for i in range(n):
-        bound = norm * inv[i][i]
-        radii.append(isqrt(int(bound)) + 1)
+    radii = box_radii(gram, norm)
     out = []
     for v in itertools.product(*(range(-r, r + 1) for r in radii)):
         val = sum(gram[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
@@ -101,28 +102,71 @@ def test_caps_and_errors():
     assert len(short_vectors(a2, 14)) == 6
 
 
-def test_int_range_matches_scan():
-    """The exact bound agrees with a scan over random rational centers and
-    radii, including negative centers and radii hit exactly at an integer."""
-    from fractions import Fraction
+def random_unimodular(rng, n, steps):
+    """A product of steps random row operations e_i += t e_j, 0 < |t| <= 2."""
+    u = identity_matrix(n)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + t * b for a, b in zip(u[i], u[j])]
+    return u
 
-    from latticelab.shortvec import _int_range
 
-    rng = random.Random(97)
-    cases = [(Fraction(0), Fraction(0)), (Fraction(-3, 2), Fraction(1, 4)),
-             (Fraction(7, 3), Fraction(-1, 5)), (Fraction(-5), Fraction(9))]
-    for _ in range(400):
-        center = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
-        cases.append((center, Fraction(rng.randint(0, 90), rng.randint(1, 12))))
-        # a radius reaching an integer exactly on either side
-        x = rng.randint(-10, 10)
-        cases.append((center, (x - center) ** 2))
-    for center, radius2 in cases:
-        width = int(max(radius2, 0)) + 2  # |x - center| <= sqrt(r) <= r + 1
-        lo = int(center) - width
-        expect = [x for x in range(lo, lo + 2 * width + 1)
-                  if (x - center) ** 2 <= radius2]
-        assert list(_int_range(center, radius2)) == expect, (center, radius2)
-    hits = sum(1 for center, radius2 in cases
-               if any((x - center) ** 2 == radius2 for x in _int_range(center, radius2)))
-    assert hits >= 400
+def skewed_definite_corpus(seed, count, max_rank=6, max_norm=12, max_box=20_000):
+    """(gram, norm) pairs: random definite Gram matrices of rank 1 to
+    max_rank, moved to another basis by a random unimodular U (U G U^T) so
+    the leading minors grow, negated for every other case, with norms 2 to
+    max_norm of the lattice's sign; cases whose oracle box has more than
+    max_box points are redrawn."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, max_rank)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = rng.randint(2, 6)
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.randint(-1, 1)
+        try:
+            if build_lattice(g).signature != (n, 0):
+                continue
+        except DegenerateError:
+            continue
+        u = random_unimodular(rng, n, rng.randint(1, 2 * n))
+        g = mat_mul(mat_mul(u, g), transpose(u))
+        norm = rng.randint(2, max_norm)
+        if prod(2 * r + 1 for r in box_radii(g, norm)) > max_box:
+            continue
+        if len(out) % 2:
+            g, norm = [[-x for x in row] for row in g], -norm
+        out.append((g, norm))
+    return out
+
+
+def test_skewed_grams_match_box_enumeration():
+    """Definite and negative definite lattices of rank 1-6 on skewed bases
+    (leading minors into the thousands), norms 2-12: the same vectors as
+    the box scan."""
+    corpus = skewed_definite_corpus(83, 150)
+    assert {len(g) for g, _ in corpus} == set(range(1, 7))
+    grown = 0
+    found = 0
+    for g, norm in corpus:
+        latt = build_lattice(g)
+        got = short_vectors(latt, norm)
+        assert got == naive_box_vectors(g, norm), (g, norm)
+        found += len(got)
+        grown += max(abs(g[i][i]) for i in range(len(g))) > 12
+    assert found > 150 and grown > 30
+
+
+def sigma3(m):
+    return sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+
+
+def test_e8_theta_series():
+    """E8 has 240 sigma_3(m) vectors of norm 2m (its theta series is the
+    weight-4 Eisenstein series), so short_vectors lists half of them."""
+    e8 = named_lattice("E8")
+    for m in range(1, 7):
+        assert len(short_vectors(e8, 2 * m)) == 240 * sigma3(m) // 2

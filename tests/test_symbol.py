@@ -28,6 +28,7 @@ from latticelab import (
     primary_lengths,
     rank2_isometries,
     rescale,
+    short_vectors,
     signature_mod8,
     to_symbol,
 )
@@ -43,6 +44,7 @@ from test_fqf import (
     SMALL_SYMBOLS,
     random_even_lattice,
 )
+from test_shortvec import skewed_definite_corpus
 
 
 def cyclic(scale, a):
@@ -267,6 +269,38 @@ def test_gram_to_symbol_makes_no_fraction(monkeypatch):
             dg.induced_automorphism(m)
     monkeypatch.undo()
     assert made == []
+
+
+def test_lattices_and_short_vectors_make_no_fraction(monkeypatch):
+    """Building a lattice (its signature), listing short vectors and the
+    isometries of rank-2 forms run on integers only: no Fraction is created
+    for the registry lattices, a seeded corpus of definite lattices on
+    skewed bases, and 30 random rank-2 forms of either sign."""
+    rng = random.Random(71)
+    grams = [named_lattice(name).gram_rows() for name in REGISTRY_NAMES]
+    corpus = skewed_definite_corpus(73, 60, max_rank=8, max_box=10 ** 9)
+    forms = []
+    while len(forms) < 30:
+        a, c = 2 * rng.randint(1, 12), 2 * rng.randint(1, 12)
+        b = rng.randint(-12, 12)
+        if a * c > b * b:
+            forms.append(Rank2Form(a, b, c, negative=len(forms) % 2 == 1))
+    made = []
+    real_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    for gram in grams:
+        build_lattice(gram)
+    vectors = sum(len(short_vectors(build_lattice(g), norm)) for g, norm in corpus)
+    for form in forms:
+        rank2_isometries(form)
+    monkeypatch.undo()
+    assert made == []
+    assert vectors > 0
 
 
 def _rebased(form, rng, steps=12):
