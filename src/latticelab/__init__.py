@@ -14,7 +14,7 @@ from .lattice import (
     named_lattice,
     rescale,
 )
-from .shortvec import has_vector_of_norm, short_vectors
+from .shortvec import short_vectors
 from .rank2 import (
     Rank2Form,
     rank2_automorphism_orders,

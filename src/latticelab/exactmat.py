@@ -1,10 +1,11 @@
 """Exact linear algebra over the integers.
 
-Everything here computes with Python ints.  Determinants use Bareiss
-elimination, signatures and the short-vector bounds come from its
-fraction-free symmetric form, and the Smith normal form keeps full
-unimodular transformation matrices so callers can present finite
-quotient groups exactly.  No floating point and no fractions anywhere.
+Everything here computes with Python ints.  One fraction-free symmetric
+(Bareiss) elimination gives the signature and the determinant together,
+and the short-vector bounds; the Smith normal form keeps both unimodular
+transforms, so callers present finite quotient groups exactly and read
+their generators off the column transform.  No floating point and no
+fractions anywhere.
 """
 
 from __future__ import annotations
@@ -61,31 +62,6 @@ def is_symmetric(mat) -> bool:
     )
 
 
-def bareiss_det(mat) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return sign * m[-1][-1]
-
-
 def symmetric_bareiss(mat):
     """Fraction-free symmetric Gauss elimination (Bareiss 1968).
 
@@ -127,49 +103,23 @@ def symmetric_bareiss(mat):
         prev = p
 
 
-def signature_pair(mat) -> tuple[int, int]:
-    """(n_plus, n_minus) of a symmetric integer matrix via exact diagonalization.
+def signature_and_det(mat) -> tuple[int, int, int]:
+    """(n_plus, n_minus, det) of a symmetric integer matrix, in one elimination.
 
     A pivot counts as positive when it has the sign of the pivot before it.
+    The last pivot is the determinant: the pair mixing and the pivot choice
+    are unimodular congruences, which keep it.
     Raises DegenerateError if the form has a radical.
     """
     pos = neg = 0
+    det = 1
     for prev, row in symmetric_bareiss(mat):
-        if (row[0] > 0) == (prev > 0):
+        det = row[0]
+        if (det > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-    return pos, neg
-
-
-def unimodular_inverse(mat) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix, by integer row reduction of [mat | I]."""
-    n = len(mat)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        while True:
-            live = [r for r in range(col, n) if a[r][col]]
-            if not live:
-                raise DegenerateError("matrix is singular")
-            piv = min(live, key=lambda r: abs(a[r][col]))
-            a[col], a[piv] = a[piv], a[col]
-            pv = a[col][col]
-            for r in range(col + 1, n):
-                f = a[r][col] // pv
-                if f:
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            if all(a[r][col] == 0 for r in range(col + 1, n)):
-                break
-        if abs(a[col][col]) != 1:
-            raise ValueError("matrix is not unimodular")
-        if a[col][col] < 0:
-            a[col] = [-x for x in a[col]]
-    for col in range(n - 1, 0, -1):
-        for r in range(col):
-            f = a[r][col]
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    return pos, neg, det
 
 
 def smith_normal_form(mat):

@@ -31,7 +31,6 @@ from .exactmat import (
     mat_vec,
     smith_normal_form,
     transpose,
-    unimodular_inverse,
 )
 from .lattice import GramLattice
 
@@ -225,16 +224,18 @@ class FiniteQuadraticForm:
         if not rel:
             raise ValueError("relation lattice is empty; presentation not finite")
         bmatrix = [[rel[j][i] for j in range(len(rel))] for i in range(m)]
-        d, u, _ = smith_normal_form(bmatrix)
+        d, _, v = smith_normal_form(bmatrix)
         if len(d) < m or any(x == 0 for x in d):
             raise ValueError("quotient is not finite")
-        uinv = unimodular_inverse(u)
+        # u*B*v = diag(d) gives u^-1 e_i = B v e_i / d_i, an exact division
         new_orders = []
         lifts = []
         for i in range(m):
             if d[i] == 1:
                 continue
-            coeffs = [uinv[j][i] for j in range(m)]
+            vcol = [row[i] for row in v]
+            coeffs = [sum(b * c for b, c in zip(brow, vcol)) // d[i]
+                      for brow in bmatrix]
             el = self.zero()
             for c, g in zip(coeffs, gens):
                 el = self.add(el, self.scale(g, c))

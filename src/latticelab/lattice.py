@@ -18,7 +18,7 @@ from .errors import (
     UnknownLatticeError,
     ZeroScaleError,
 )
-from .exactmat import bareiss_det, is_symmetric, signature_pair
+from .exactmat import is_symmetric, signature_and_det
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,12 @@ def build_lattice(gram) -> GramLattice:
         raise DegenerateError("empty Gram matrix")
     if not is_symmetric(rows):
         raise NonSymmetricError("Gram matrix must be symmetric")
-    det = bareiss_det(rows)
-    if det == 0:
-        raise DegenerateError("Gram matrix is degenerate")
-    sig = signature_pair(rows)
+    try:
+        n_plus, n_minus, det = signature_and_det(rows)
+    except DegenerateError:
+        raise DegenerateError("Gram matrix is degenerate") from None
     even = all(rows[i][i] % 2 == 0 for i in range(len(rows)))
-    return GramLattice(tuple(tuple(r) for r in rows), sig, det, even)
+    return GramLattice(tuple(tuple(r) for r in rows), (n_plus, n_minus), det, even)
 
 
 def lattice_from_json_dict(data) -> GramLattice:

@@ -6,7 +6,10 @@ q(x) = sum_i t_i^2 / (D_i * D_{i+1}) with t_i = sum_{j >= i} U_ij * x_j.
 Scaled by M = lcm_i(D_i * D_{i+1}), the norm left for the coordinates
 x_0, ..., x_i is an integer R, and level i needs K_i * t_i^2 <= R with
 K_i = M / (D_i * D_{i+1}): the exact integer bound |t_i| <= isqrt(R // K_i),
-so the enumeration is provably complete.
+so the enumeration is provably complete.  Since v and -v have the same
+norm, the search descends only with the last nonzero coordinate positive,
+half the tree, and turns each vector found to its first nonzero
+coordinate positive.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ def short_vectors(latt: GramLattice, norm: int,
     found: list[tuple[int, ...]] = []
     x = [0] * n
 
-    def descend(i: int, rem: int):
+    # v and -v give the same norm, so descend only with the last nonzero
+    # coordinate positive: x_i >= 0 while every x_j, j > i, is zero
+    def descend(i: int, rem: int, top: bool):
         row = rows[i]
         u = row[0]
         p = sum(c * xj for c, xj in zip(row[1:], x[i + 1:]))
@@ -65,23 +70,22 @@ def short_vectors(latt: GramLattice, norm: int,
             s = isqrt(s2)
             if off or s * s != s2:
                 return
-            for t in (s, -s) if s else (0,):
+            # under top, p == 0 and t = -s would give x_0 <= 0
+            for t in (s,) if top or not s else (s, -s):
                 x0, off = divmod(t - p, u)
                 if off == 0:
                     v = (x0, *x[1:])
-                    if next(c for c in v if c) > 0:
-                        found.append(v)
+                    if next(c for c in v if c) < 0:
+                        v = tuple(-c for c in v)
+                    found.append(v)
             return
         r = isqrt(rem // k[i])
-        for xi in range(-((r + p) // u), (r - p) // u + 1):
+        lo = 0 if top else -((r + p) // u)
+        for xi in range(lo, (r - p) // u + 1):
             t = u * xi + p
             x[i] = xi
-            descend(i - 1, rem - k[i] * t * t)
+            descend(i - 1, rem - k[i] * t * t, top and xi == 0)
         x[i] = 0
 
-    descend(n - 1, m * target)
+    descend(n - 1, m * target, True)
     return sorted(found)
-
-
-def has_vector_of_norm(latt: GramLattice, norm: int, **kw) -> bool:
-    return bool(short_vectors(latt, norm, **kw))

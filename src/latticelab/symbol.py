@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -531,15 +530,16 @@ def form_from_symbol(sym: GenusSymbol) -> FiniteQuadraticForm:
     for c in sym.constituents:
         scale = c.scale
         if c.p != 2:
-            # n-1 square units and one unit fixing the total sign
+            # n-1 square units and one unit fixing the total sign;
+            # (Z/p^k, 2a/p^k) stores q as the integer 2a over level p^k
             need_last = c.eps
-            vals = []
+            qints = []
             for i in range(c.n):
                 want = 1 if i < c.n - 1 else need_last
                 a = next(a for a in range(1, scale)
                          if gcd(a, c.p) == 1 and legendre(2 * a % c.p, c.p) == want)
-                vals.append(Fraction(2 * a, scale))
-            parts.append(FiniteQuadraticForm([scale] * c.n, vals))
+                qints.append(2 * a)
+            parts.append(_diagonal_form(scale, qints))
         elif c.even:
             blocks = c.n // 2
             kinds = ["u"] * blocks
@@ -551,21 +551,25 @@ def form_from_symbol(sym: GenusSymbol) -> FiniteQuadraticForm:
             units = _odd_unit_multiset(c.n, c.eps, c.oddity)
             if units is None:
                 raise RealizabilityError(f"constituent {c} is not realizable")
-            parts.append(FiniteQuadraticForm(
-                [scale] * c.n, [Fraction(a, scale) for a in units]))
+            parts.append(_diagonal_form(scale, units))
     return direct_sum_forms(*parts) if parts else trivial_form()
 
 
+def _diagonal_form(scale: int, qints) -> FiniteQuadraticForm:
+    """Orthogonal sum of the cyclic forms (Z/scale, v/scale), v in qints."""
+    n = len(qints)
+    qints = [v % (2 * scale) for v in qints]
+    bints = [[qints[i] % scale if i == j else 0 for j in range(n)]
+             for i in range(n)]
+    return FiniteQuadraticForm._from_ints([scale] * n, scale, qints, bints)
+
+
 def _uv_form(k: int, kind: str) -> FiniteQuadraticForm:
+    """u(2^k) (q = 0, 0) or v(2^k) (q = 2/2^k, 2/2^k), with b(e_1, e_2) = 1/2^k."""
     scale = 2 ** k
-    if kind == "u":
-        q = [Fraction(0), Fraction(0)]
-        b = [[Fraction(0), Fraction(1, scale)], [Fraction(1, scale), Fraction(0)]]
-    else:
-        q = [Fraction(2, scale), Fraction(2, scale)]
-        b = [[Fraction(2, scale), Fraction(1, scale)],
-             [Fraction(1, scale), Fraction(2, scale)]]
-    return FiniteQuadraticForm([scale, scale], q, b)
+    q = 0 if kind == "u" else 2
+    return FiniteQuadraticForm._from_ints(
+        [scale, scale], scale, [q, q], [[q % scale, 1], [1, q % scale]])
 
 
 def form_from_symbol_text(text: str) -> FiniteQuadraticForm:

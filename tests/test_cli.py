@@ -30,6 +30,13 @@ def test_lattice_info_inline_gram(capsys):
     assert code == 0 and data["det"] == 3
 
 
+def test_lattice_info_degenerate_gram(capsys):
+    code = run(["lattice", "info", "--gram", "[[1,1],[1,1]]"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: Gram matrix is degenerate\n"
+
+
 def test_lattice_shortvec(capsys):
     code, data = capture_json(
         capsys, ["lattice", "shortvec", "--name", "A2", "--norm", "2"])

@@ -6,15 +6,13 @@ import pytest
 
 from latticelab.errors import DegenerateError
 from latticelab.exactmat import (
-    bareiss_det,
     identity_matrix,
     integer_kernel,
     mat_mul,
-    signature_pair,
+    signature_and_det,
     smith_normal_form,
     symmetric_bareiss,
     transpose,
-    unimodular_inverse,
 )
 
 
@@ -37,11 +35,13 @@ def rational_inverse(mat):
     return [row[n:] for row in a]
 
 
-def rational_signature_pair(mat):
-    """Reference: (n_plus, n_minus) by symmetric Gauss diagonalization over Q,
-    with the same pivot and pair-mixing choices as signature_pair."""
+def rational_signature_and_det(mat):
+    """Reference: (n_plus, n_minus, det) by symmetric Gauss diagonalization
+    over Q, with the same pivot and pair-mixing choices as signature_and_det;
+    det is the product of the rational pivots."""
     a = [[Fraction(x) for x in row] for row in mat]
     pos = neg = 0
+    det = Fraction(1)
     while a:
         n = len(a)
         k = next((i for i in range(n) if a[i][i] != 0), None)
@@ -57,13 +57,14 @@ def rational_signature_pair(mat):
                 a[r][i] += a[r][j]
             continue
         p = a[k][k]
+        det *= p
         if p > 0:
             pos += 1
         else:
             neg += 1
         rest = [r for r in range(n) if r != k]
         a = [[a[i][j] - a[i][k] * a[k][j] / p for j in rest] for i in rest]
-    return pos, neg
+    return pos, neg, det
 
 
 def naive_det(m):
@@ -81,12 +82,27 @@ def random_matrix(rng, rows, cols, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
+def random_symmetric(rng, n, bound=6):
+    m = random_matrix(rng, n, n, bound)
+    return [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
 def test_bareiss_matches_cofactor_expansion():
+    """The last pivot of the symmetric elimination is the determinant, and
+    the elimination raises exactly on the degenerate matrices."""
     rng = random.Random(1)
-    for _ in range(40):
+    degenerate = 0
+    for _ in range(400):
         n = rng.randint(1, 5)
-        m = random_matrix(rng, n, n)
-        assert bareiss_det(m) == naive_det(m)
+        m = random_symmetric(rng, n, rng.choice((1, 2, 6)))
+        det = naive_det(m)
+        if det == 0:
+            degenerate += 1
+            with pytest.raises(DegenerateError):
+                signature_and_det(m)
+        else:
+            assert signature_and_det(m)[2] == det, m
+    assert degenerate >= 20
 
 
 def test_smith_normal_form_properties():
@@ -120,12 +136,12 @@ def test_integer_kernel():
                        for i in range(rows))
 
 
-def test_signature_pair_diagonal():
-    assert signature_pair([[2, 0], [0, -3]]) == (1, 1)
-    assert signature_pair([[0, 1], [1, 0]]) == (1, 1)
-    assert signature_pair([[2, 1], [1, 2]]) == (2, 0)
+def test_signature_and_det_diagonal():
+    assert signature_and_det([[2, 0], [0, -3]]) == (1, 1, -6)
+    assert signature_and_det([[0, 1], [1, 0]]) == (1, 1, -1)
+    assert signature_and_det([[2, 1], [1, 2]]) == (2, 0, 3)
     with pytest.raises(DegenerateError):
-        signature_pair([[1, 1], [1, 1]])
+        signature_and_det([[1, 1], [1, 1]])
 
 
 def test_inverses():
@@ -133,32 +149,36 @@ def test_inverses():
     for _ in range(20):
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, n)
-        if bareiss_det(m) == 0:
+        if naive_det(m) == 0:
             continue
         inv = rational_inverse(m)
         prod = mat_mul(m, inv)
         assert prod == identity_matrix(n)
-    u = [[1, 3], [0, 1]]
-    assert unimodular_inverse(u) == [[1, -3], [0, 1]]
 
 
-def test_unimodular_inverse_matches_rational_inverse():
+def test_smith_columns_invert_row_transform():
+    """u*B*v = diag(d) with every d_i nonzero (a finite cokernel) gives
+    u^-1 e_i = B v e_i / d_i: column i of B*v is d_i times column i of u^-1."""
     rng = random.Random(5)
-    for _ in range(40):
-        mat = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        _, u, v = smith_normal_form(mat)
-        for w in (u, v):
-            assert unimodular_inverse(w) == rational_inverse(w)
-    with pytest.raises(ValueError):
-        unimodular_inverse([[2, 0], [0, 1]])
-    with pytest.raises(DegenerateError):
-        unimodular_inverse([[1, 2], [2, 4]])
+    checked = 0
+    for _ in range(200):
+        rows = rng.randint(1, 4)
+        mat = random_matrix(rng, rows, rng.randint(rows, 6), rng.choice((2, 6)))
+        d, u, v = smith_normal_form(mat)
+        if any(x == 0 for x in d):
+            continue
+        bv = mat_mul(mat, v)
+        uinv = rational_inverse(u)
+        for i, di in enumerate(d):
+            assert [row[i] for row in bv] == [di * row[i] for row in uinv], mat
+        checked += 1
+    assert checked >= 100
 
 
-def test_signature_pair_matches_rational_elimination():
-    """Fraction-free elimination gives the signature of the elimination over
-    Q, or the same DegenerateError, on random symmetric matrices of rank 1-7
-    with many zero diagonals, degenerate ones included."""
+def test_signature_and_det_matches_rational_elimination():
+    """Fraction-free elimination gives the signature and determinant of the
+    elimination over Q, or the same DegenerateError, on random symmetric
+    matrices of rank 1-7 with many zero diagonals, degenerate ones included."""
     rng = random.Random(41)
     degenerate = 0
     for _ in range(1500):
@@ -171,14 +191,14 @@ def test_signature_pair_matches_rational_elimination():
                 if rng.random() < 0.7:
                     m[i][j] = m[j][i] = rng.randint(-bound, bound)
         try:
-            expect = rational_signature_pair(m)
+            expect = rational_signature_and_det(m)
         except DegenerateError as err:
             degenerate += 1
             with pytest.raises(DegenerateError, match=str(err)):
-                signature_pair(m)
+                signature_and_det(m)
             continue
-        assert signature_pair(m) == expect, m
-        assert bareiss_det(m) != 0
+        assert signature_and_det(m) == expect, m
+        assert expect[2] != 0
     assert 200 <= degenerate <= 1300
 
 
@@ -186,7 +206,7 @@ def random_definite_gram(rng, n, bound=3):
     """B B^T for a random nonsingular integer matrix B."""
     while True:
         b = random_matrix(rng, n, n, bound)
-        if bareiss_det(b) != 0:
+        if naive_det(b) != 0:
             return mat_mul(b, transpose(b))
 
 
@@ -203,7 +223,7 @@ def test_bareiss_rows_rebuild_quadratic_form():
         minors = [1] + [row[0] for row in rows]
         for i in range(n):
             lead = [r[:i + 1] for r in g[:i + 1]]
-            assert minors[i + 1] == bareiss_det(lead) > 0
+            assert minors[i + 1] == naive_det(lead) > 0
         scale = [minors[i] * minors[i + 1] for i in range(n)]
         m = lcm(*scale)
         for _ in range(20):

@@ -20,7 +20,13 @@ from latticelab import (
     trivial_form,
 )
 from latticelab.errors import CapExceededError, NotIsotropicError, OddLatticeError
-from latticelab.fqf import BRUTE_CAP, FiniteQuadraticForm, Subgroup, automorphisms
+from latticelab.fqf import (
+    BRUTE_CAP,
+    FiniteQuadraticForm,
+    Subgroup,
+    _span,
+    automorphisms,
+)
 
 
 def random_even_lattice(rng, max_rank=5, bound=3, max_det=400):
@@ -306,6 +312,51 @@ def test_complement_quotient_matches_perp_scan(text):
         assert quot.order * sub.order ** 2 == q.order
         assert len(perp) == quot.order * sub.order
         assert bruteforce_isomorphic(quot, ref)
+
+
+def _assert_lifts_present_quotient(form, gens, mods):
+    """The subquotient lifts generate <gens> modulo <mods>, each with the
+    stated order there, and the orders are invariant factors whose product
+    is the index of <mods> in <gens, mods>."""
+    quot, lifts = form.subquotient(gens, mods)
+    gens = [form.reduce(g) for g in gens]
+    mods = [form.reduce(h) for h in mods]
+    base = _span(form, mods)
+    assert _span(form, [*lifts, *mods]) == _span(form, [*gens, *mods])
+    assert len(_span(form, [*gens, *mods])) == quot.order * len(base)
+    assert len(lifts) == quot.ngens
+    for i, (lift, d) in enumerate(zip(lifts, quot.orders)):
+        assert next(k for k in range(1, d + 1) if form.scale(lift, k) in base) == d
+        assert quot.q(quot.gens()[i]) == form.q(lift)
+    assert all(b % a == 0 for a, b in zip(quot.orders, quot.orders[1:]))
+
+
+def test_subquotient_lifts_match_span(monkeypatch):
+    """Brute-force check of the lifts read off the Smith column transform:
+    random generators on the small symbols, and every (H-perp, H) pair that
+    complement_quotient passes on them."""
+    from latticelab import form_from_symbol_text
+    rng = random.Random(79)
+    calls = []
+    real = FiniteQuadraticForm.subquotient
+
+    def recorded(form, gens, mods=()):
+        calls.append((form, list(gens), list(mods)))
+        return real(form, gens, mods)
+
+    for text in SMALL_SYMBOLS:
+        q = form_from_symbol_text(text)
+        for _ in range(8):
+            gens = [tuple(rng.randrange(d) for d in q.orders)
+                    for _ in range(rng.randint(1, 3))]
+            _assert_lifts_present_quotient(q, gens, ())
+        monkeypatch.setattr(FiniteQuadraticForm, "subquotient", recorded)
+        for sub in isotropic_subgroups(q):
+            complement_quotient(q, sub)
+        monkeypatch.undo()
+    assert len(calls) > 50
+    for form, gens, mods in calls:
+        _assert_lifts_present_quotient(form, gens, mods)
 
 
 def test_level_is_common_denominator():

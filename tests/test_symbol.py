@@ -22,6 +22,7 @@ from latticelab import (
     full_report,
     gauss_sum_signature,
     is_isomorphic,
+    load_table,
     named_lattice,
     negate_form,
     parse_symbol,
@@ -267,6 +268,31 @@ def test_gram_to_symbol_makes_no_fraction(monkeypatch):
         dg = discriminant_group(latt)
         for m in isometries:
             dg.induced_automorphism(m)
+    monkeypatch.undo()
+    assert made == []
+
+
+def test_symbol_forms_make_no_fraction(monkeypatch):
+    """Forms realizing genus symbols are built from integers: no Fraction
+    is created by form_from_symbol on the small symbols, by loading both
+    tables, or by the five table runs serialized with to_json_dict()."""
+    symbols = [parse_symbol(t) for t in SMALL_SYMBOLS]
+    made = []
+    real_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    for sym in symbols:
+        form_from_symbol(sym)
+    for table in ("hm15", "k3max11"):
+        load_table(table)
+    for table, root in [("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
+                        ("k3max11", "E7"), ("k3max11", "E8")]:
+        for verdict in full_report(table, root):
+            verdict.to_json_dict()
     monkeypatch.undo()
     assert made == []
 
