@@ -164,8 +164,7 @@ def _cmd_lattice_info(args):
 
 def _cmd_lattice_shortvec(args):
     latt = _parse_gram(args)
-    vecs = short_vectors(latt, args.norm, rank_cap=args.rank_cap,
-                         norm_cap=args.norm_cap)
+    vecs = short_vectors(latt, args.norm)
     _emit(args, {"norm": args.norm, "count": len(vecs),
                  "vectors": [list(v) for v in vecs]},
           "\n".join(" ".join(map(str, v)) for v in vecs) or "(none)")
@@ -346,6 +345,14 @@ def _cmd_symplectic_check(args):
     _emit(args, {"symplectic": ok}, "symplectic" if ok else "not symplectic")
 
 
+def _leaf(subparsers, name, func, **kwargs):
+    """A subcommand that runs func; every one of them takes --json."""
+    p = subparsers.add_parser(name, **kwargs)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="latticelab",
                                   description=__doc__.splitlines()[0])
@@ -354,124 +361,100 @@ def build_parser() -> argparse.ArgumentParser:
 
     lattice = sub.add_parser("lattice", help="Gram lattice utilities")
     lsub = lattice.add_subparsers(dest="subcommand", required=True)
-    p = lsub.add_parser("info", help="rank, signature, determinant, parity")
+    p = _leaf(lsub, "info", _cmd_lattice_info,
+              help="rank, signature, determinant, parity")
     _add_lattice_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_lattice_info)
-    p = lsub.add_parser("shortvec", help="vectors of a given norm, up to sign")
+    p = _leaf(lsub, "shortvec", _cmd_lattice_shortvec,
+              help="vectors of a given norm, up to sign")
     _add_lattice_args(p)
     p.add_argument("--norm", type=int, required=True)
-    p.add_argument("--rank-cap", type=int, default=8)
-    p.add_argument("--norm-cap", type=int, default=100)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_lattice_shortvec)
 
     rank2 = sub.add_parser("rank2", help="definite rank-2 forms")
     rsub = rank2.add_subparsers(dest="subcommand", required=True)
-    p = rsub.add_parser("enum", help="all reduced even forms of a determinant")
+    p = _leaf(rsub, "enum", _cmd_rank2_enum,
+              help="all reduced even forms of a determinant")
     p.add_argument("--det", type=int, required=True)
     p.add_argument("--neg", action="store_true", help="negative definite")
     p.add_argument("--even", action="store_true", help="even forms (always on)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_rank2_enum)
-    p = rsub.add_parser("reduce", help="Gauss-reduce a form a,b,c")
+    p = _leaf(rsub, "reduce", _cmd_rank2_reduce, help="Gauss-reduce a form a,b,c")
     p.add_argument("--form", type=_int_tuple(3), required=True,
                    help="a,b,c; a leading minus needs --form=-3,1,-2")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_rank2_reduce)
-    p = rsub.add_parser("autorders", help="orders of the isometries of a,b,c")
+    p = _leaf(rsub, "autorders", _cmd_rank2_autorders,
+              help="orders of the isometries of a,b,c")
     p.add_argument("--form", type=_int_tuple(3), required=True,
                    help="a,b,c; a leading minus needs --form=-3,1,-2")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_rank2_autorders)
 
     dform = sub.add_parser("dform", help="finite quadratic forms")
     dsub = dform.add_subparsers(dest="subcommand", required=True)
-    p = dsub.add_parser("of", help="discriminant form of an even lattice")
+    p = _leaf(dsub, "of", _cmd_dform_of, help="discriminant form of an even lattice")
     _add_lattice_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_dform_of)
-    p = dsub.add_parser("symbol", help="canonicalize a genus symbol")
+    p = _leaf(dsub, "symbol", _cmd_dform_symbol, help="canonicalize a genus symbol")
     p.add_argument("--form", required=True, help="genus symbol text")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_dform_symbol)
-    p = dsub.add_parser("iso", help="isometry test for two symbols")
+    p = _leaf(dsub, "iso", _cmd_dform_iso, help="isometry test for two symbols")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_dform_iso)
 
     glue = sub.add_parser("glue", help="isotropic subgroup machinery")
     gsub = glue.add_subparsers(dest="subcommand", required=True)
-    p = gsub.add_parser("isotropic", help="isotropic subgroups with quotients")
+    p = _leaf(gsub, "isotropic", _cmd_glue_isotropic,
+              help="isotropic subgroups with quotients")
     p.add_argument("--form", help="genus symbol text")
     _add_lattice_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_glue_isotropic)
 
     nik = sub.add_parser("nikulin", help="even lattice existence / embeddings")
     nsub = nik.add_subparsers(dest="subcommand", required=True)
-    p = nsub.add_parser("exists", help="even lattice with given invariants")
+    p = _leaf(nsub, "exists", _cmd_nikulin_exists,
+              help="even lattice with given invariants")
     p.add_argument("--sig", type=_int_tuple(2), required=True, help="n_plus,n_minus")
     p.add_argument("--form", required=True, help="genus symbol text")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_nikulin_exists)
-    p = nsub.add_parser("embed", help="primitive embedding into II(l1,l2)")
+    p = _leaf(nsub, "embed", _cmd_nikulin_embed,
+              help="primitive embedding into II(l1,l2)")
     p.add_argument("--sig", type=_int_tuple(2), required=True, help="n_plus,n_minus")
     p.add_argument("--form", required=True, help="genus symbol text")
     p.add_argument("--target", type=_int_tuple(2), default=(26, 2), help="l1,l2 (default 26,2)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_nikulin_embed)
 
-    p = sub.add_parser("saturate", help="overlattices keeping the first factor primitive")
+    p = _leaf(sub, "saturate", _cmd_saturate,
+              help="overlattices keeping the first factor primitive")
     p.add_argument("first", help="genus symbol of q_S")
     p.add_argument("second", help="genus symbol of q_R")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_saturate)
 
     cubic = sub.add_parser("cubic", help="cubic fourfold classification")
     csub = cubic.add_subparsers(dest="subcommand", required=True)
-    p = csub.add_parser("check", help="run the criterion over the rank-4 table")
+    p = _leaf(csub, "check", _cmd_cubic_check,
+              help="run the criterion over the rank-4 table")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--row", type=int)
     group.add_argument("--all", action="store_true", default=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_cubic_check)
 
     k3 = sub.add_parser("k3", help="low degree K3 classification")
     ksub = k3.add_subparsers(dest="subcommand", required=True)
-    p = ksub.add_parser("check", help="run the criterion over the rank-5 table")
+    p = _leaf(ksub, "check", _cmd_k3_check,
+              help="run the criterion over the rank-5 table")
     p.add_argument("--degree", type=int, required=True, choices=(0, 2, 4, 6))
     p.add_argument("--row", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_k3_check)
 
-    p = sub.add_parser("uniqueness", help="sufficient uniqueness of S in II(26,2)")
+    p = _leaf(sub, "uniqueness", _cmd_uniqueness,
+              help="sufficient uniqueness of S in II(26,2)")
     p.add_argument("--row", type=int, required=True)
     p.add_argument("--table", default="hm15")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_uniqueness)
 
-    p = sub.add_parser("nonsymplectic", help="non-symplectic order per class")
+    p = _leaf(sub, "nonsymplectic", _cmd_nonsymplectic,
+              help="non-symplectic order per class")
     p.add_argument("--row", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_nonsymplectic)
 
-    p = sub.add_parser("family-dim", help="moduli dimension of a diagonal family")
+    p = _leaf(sub, "family-dim", _cmd_family_dim,
+              help="moduli dimension of a diagonal family")
     p.add_argument("--order", type=_positive_int, required=True)
     p.add_argument("--weights", type=_int_tuple(6), required=True,
                    help="six residues a,b,c,d,e,f")
     p.add_argument("--w0", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_family_dim)
 
-    p = sub.add_parser("symplectic-check", help="weight condition for a diagonal action")
+    p = _leaf(sub, "symplectic-check", _cmd_symplectic_check,
+              help="weight condition for a diagonal action")
     p.add_argument("--order", type=_positive_int, required=True)
     p.add_argument("--weights", type=_int_tuple(6), required=True,
                    help="six residues a,b,c,d,e,f")
     p.add_argument("--w0", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_symplectic_check)
 
     return top
 

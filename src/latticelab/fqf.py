@@ -4,12 +4,15 @@ The central object is FiniteQuadraticForm: a finite abelian group given
 by cyclic generators with prescribed orders, a Q/2Z-valued quadratic
 form q on the generators and the induced Q/Z-valued bilinear form b.
 Discriminant forms of even lattices, orthogonal sums, negation, primary
-lengths, subquotients (glue computations), isotropic subgroup
+lengths, subgroups and the glue quotients H-perp/H, isotropic subgroup
 enumeration and the brute-force isomorphism oracle all live here.
 
 Every presentation in this module is faithful: the group *is*
 Z/d_1 x ... x Z/d_k for the stored orders, never a generating set
-inside some larger group.
+inside some larger group.  Forms presented anew (a subgroup by
+`subquotient`, H-perp/H by `complement_quotient`) are read off one Smith
+normal form each: the group is the torsion of an integer cokernel, in
+invariant factor form, with generators lifted from the column transform.
 """
 
 from __future__ import annotations
@@ -125,9 +128,6 @@ class FiniteQuadraticForm:
     def add(self, x, y):
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
 
-    def neg(self, x):
-        return tuple((-a) % d for a, d in zip(x, self.orders))
-
     def scale(self, x, n):
         return tuple((n * a) % d for a, d in zip(x, self.orders))
 
@@ -194,56 +194,47 @@ class FiniteQuadraticForm:
             self.orders, n, [-v % (2 * n) for v in self.qints],
             [[-x % n for x in row] for row in self.bints])
 
-    def subquotient(self, gens, mods=()):
-        """Present the group <gens>/<mods> with the induced form.
+    def subquotient(self, gens):
+        """Present the subgroup <gens> with the induced form.
 
-        gens and mods are element tuples of self; the quotient form is only
-        mathematically meaningful if every element of <mods> is isotropic
-        and <mods> is orthogonal to <gens> (the callers guarantee it).
         Returns (form, lifts) where lifts[i] is an element of self mapping
         onto the i-th generator of the new presentation.  The orders come
-        from a Smith normal form of the relation lattice, so the new form
-        is in invariant factor form (d_1 | d_2 | ...): two results present
-        isomorphic groups iff their orders are equal.
+        from a Smith normal form of the relation lattice {z in Z^m :
+        sum z_j gens[j] = 0}, so the new form is in invariant factor form
+        (d_1 | d_2 | ...): two results present isomorphic groups iff their
+        orders are equal.
         """
         gens = [self.reduce(g) for g in gens]
-        mods = [self.reduce(h) for h in mods]
-        n = self.ngens
         m = len(gens)
-        if m == 0:
-            return FiniteQuadraticForm((), ()), []
-        # relation lattice R = {z in Z^m : sum z_j gens[j] in <mods> inside self}
-        cols: list[list[int]] = [list(g) for g in gens]
-        cols += [list(h) for h in mods]
-        for i in range(n):
-            col = [0] * n
-            col[i] = self.orders[i]
-            cols.append(col)
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-        rel = [k[:m] for k in integer_kernel(mat)]
-        if not rel:
-            raise ValueError("relation lattice is empty; presentation not finite")
-        bmatrix = [[rel[j][i] for j in range(len(rel))] for i in range(m)]
-        d, _, v = smith_normal_form(bmatrix)
-        if len(d) < m or any(x == 0 for x in d):
-            raise ValueError("quotient is not finite")
-        # u*B*v = diag(d) gives u^-1 e_i = B v e_i / d_i, an exact division
-        new_orders = []
-        lifts = []
-        for i in range(m):
-            if d[i] == 1:
-                continue
-            vcol = [row[i] for row in v]
-            coeffs = [sum(b * c for b, c in zip(brow, vcol)) // d[i]
-                      for brow in bmatrix]
-            el = self.zero()
-            for c, g in zip(coeffs, gens):
-                el = self.add(el, self.scale(g, c))
-            new_orders.append(d[i])
-            lifts.append(el)
-        qints = [self.q_int(el) for el in lifts]
+        # the kernel of (gens | diag(orders)) has rank m, and its first m
+        # coordinates determine the rest
+        mat = [[g[i] for g in gens] + [d if j == i else 0 for j in range(self.ngens)]
+               for i, d in enumerate(self.orders)]
+        rel = [z[:m] for z in integer_kernel(mat)]
+        return self._torsion_form(transpose(rel), gens)
+
+    def _torsion_form(self, mat, images):
+        """The torsion of Z^r / mat Z^c with the form induced through images.
+
+        Coordinate j of Z^r maps to the element images[j] of self; the map
+        must vanish on the columns of mat.  From u*mat*v = diag(d), the
+        torsion is generated by u^-1 e_i = mat v e_i / d_i (an exact
+        division) of order d_i, over the d_i > 1.  Returns (form, lifts)
+        with lifts[i] the image of the i-th generator.
+        """
+        d, _, v = smith_normal_form(mat)
+        coords = list(zip(*images))
+        orders, lifts = [], []
+        for i, di in enumerate(d):
+            if di > 1:
+                vcol = [row[i] for row in v]
+                w = [sum(a * c for a, c in zip(row, vcol)) // di for row in mat]
+                lifts.append(self.reduce(
+                    [sum(a * c for a, c in zip(w, coord)) for coord in coords]))
+                orders.append(di)
+        qints = [self.q_int(x) for x in lifts]
         bints = [[self.b_int(x, y) for y in lifts] for x in lifts]
-        return FiniteQuadraticForm._from_ints(new_orders, self.level, qints,
+        return FiniteQuadraticForm._from_ints(orders, self.level, qints,
                                               bints), lifts
 
     def primes(self):
@@ -494,20 +485,33 @@ def isotropic_subgroups(form: FiniteQuadraticForm):
 def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadraticForm:
     """The induced form on H-perp / H for an isotropic subgroup H.
 
-    H-perp comes from the integer kernel of (x, t) -> (b_row(g).x + N*t_g)_g
-    over the generators g of H, N the level: the x-parts of the kernel are
-    exactly the x in Z^k with b(x, g) = 0 in Q/Z for every g.
+    With R the rows b_row(g) over the m generators g of H and N the level,
+    H-perp lifts to {x in Z^k : R x = 0 mod N}, and x -> (x, -R x / N) maps
+    it onto K = ker (R | N*I), saturated of rank k in Z^(k+m).  The graphs
+    of the generators of H and of the order relations d_j e_j span a
+    sublattice M of K of rank k, so H-perp / H = K / M: the torsion of
+    Z^(k+m) / M, read off one Smith normal form.  A graph is integral for
+    the generators of H exactly when b vanishes on them.
     """
     for g in sub.gens:
         if form.q_int(g) != 0:
             raise NotIsotropicError("subgroup is not isotropic")
     if form.order > BRUTE_CAP:
         raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
-    k, m = form.ngens, len(sub.gens)
-    rows = [form.b_row(g) + [form.level if t == s else 0 for t in range(m)]
-            for s, g in enumerate(sub.gens)]
-    perp = [z[:k] for z in integer_kernel(rows)] if rows else form.gens()
-    quotient, _ = form.subquotient(perp, sub.gens)
+    rows = [form.b_row(g) for g in sub.gens]
+    relations = [tuple(d if i == j else 0 for i in range(form.ngens))
+                 for j, d in enumerate(form.orders)]
+    cols = []
+    for x in [*sub.gens, *relations]:
+        col = list(x)
+        for row in rows:
+            t, r = divmod(sum(a * c for a, c in zip(row, x)), form.level)
+            if r:
+                raise NotIsotropicError("subgroup is not isotropic")
+            col.append(-t)
+        cols.append(col)
+    images = form.gens() + [form.zero()] * len(rows)
+    quotient, _ = form._torsion_form(transpose(cols), images)
     return quotient
 
 

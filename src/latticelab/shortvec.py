@@ -24,8 +24,7 @@ RANK_CAP = 8
 NORM_CAP = 100
 
 
-def short_vectors(latt: GramLattice, norm: int,
-                  rank_cap: int = RANK_CAP, norm_cap: int = NORM_CAP):
+def short_vectors(latt: GramLattice, norm: int, norm_cap: int = NORM_CAP):
     """All v with v G v^T = norm, one representative of each {v, -v}.
 
     The lattice must be definite.  For a negative definite lattice the
@@ -33,8 +32,8 @@ def short_vectors(latt: GramLattice, norm: int,
     nonzero coordinate positive, sorted lexicographically.
     """
     n = latt.rank
-    if n > rank_cap:
-        raise RankTooLargeError(f"rank {n} exceeds cap {rank_cap}")
+    if n > RANK_CAP:
+        raise RankTooLargeError(f"rank {n} exceeds cap {RANK_CAP}")
     if abs(norm) > norm_cap:
         raise NormCapExceededError(f"|norm| {abs(norm)} exceeds cap {norm_cap}")
     pos, neg = latt.signature

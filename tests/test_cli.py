@@ -183,6 +183,29 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_every_leaf_takes_json():
+    """Every leaf subcommand of the parser accepts --json and names the
+    handler it runs."""
+    import argparse
+
+    from latticelab.cli import build_parser
+
+    def leaves(parser):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield parser
+        for action in subs:
+            for child in action.choices.values():
+                yield from leaves(child)
+
+    found = list(leaves(build_parser()))
+    assert len(found) == 18
+    for p in found:
+        switch = p._option_string_actions.get("--json")
+        assert switch is not None and (switch.dest, switch.const) == ("json", True), p.prog
+        assert callable(p.get_default("func")), p.prog
+
+
 def test_cubic_check_byte_identical(capsys):
     _, out1 = capture(capsys, ["cubic", "check", "--all"])
     _, out2 = capture(capsys, ["cubic", "check", "--all"])
@@ -238,6 +261,7 @@ def test_k3_check_matches_golden_file(capsys, degree):
     ["nikulin", "exists", "--sig", "1", "--form", "3^+1"],
     ["nikulin", "exists", "--sig", "a,b", "--form", "3^+1"],
     ["nikulin", "embed", "--sig", "20,0", "--form", "3^+1", "--target", "26"],
+    ["lattice", "shortvec", "--name", "A2", "--norm", "2", "--rank-cap", "9"],
 ])
 def test_malformed_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)

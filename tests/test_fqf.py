@@ -20,6 +20,7 @@ from latticelab import (
     trivial_form,
 )
 from latticelab.errors import CapExceededError, NotIsotropicError, OddLatticeError
+from latticelab.exactmat import integer_kernel, smith_normal_form, transpose
 from latticelab.fqf import (
     BRUTE_CAP,
     FiniteQuadraticForm,
@@ -299,64 +300,163 @@ def test_q_and_b_match_fraction_evaluation(text):
             assert q.b(x, y) == b_frac(x, y)
 
 
+def _quotient_by_kernels(form, gens, mods):
+    """Reference for the glue quotients: <gens>/<mods> from the integer
+    kernel of (gens | mods | diag(orders)), the relation lattice of gens
+    modulo <mods>, and a Smith normal form of that lattice.  Returns
+    (form, lifts) like subquotient."""
+    gens = [form.reduce(g) for g in gens]
+    m = len(gens)
+    if m == 0:
+        return trivial_form(), []
+    cols = [list(g) for g in gens] + [list(form.reduce(h)) for h in mods]
+    cols += [[d if i == j else 0 for i in range(form.ngens)]
+             for j, d in enumerate(form.orders)]
+    rel = [z[:m] for z in integer_kernel(transpose(cols))]
+    bmatrix = transpose(rel)
+    d, _, v = smith_normal_form(bmatrix)
+    orders, lifts = [], []
+    for i, di in enumerate(d):
+        if di > 1:
+            vcol = [row[i] for row in v]
+            coeffs = [sum(b * c for b, c in zip(brow, vcol)) // di for brow in bmatrix]
+            el = form.zero()
+            for c, g in zip(coeffs, gens):
+                el = form.add(el, form.scale(g, c))
+            orders.append(di)
+            lifts.append(el)
+    qints = [form.q_int(x) for x in lifts]
+    bints = [[form.b_int(x, y) for y in lifts] for x in lifts]
+    return FiniteQuadraticForm._from_ints(orders, form.level, qints, bints), lifts
+
+
+def _perp_by_kernel(form, gens):
+    """Generators of H-perp, H = <gens>: the x-parts of the integer kernel of
+    (x, t) -> (b_row(g).x + N*t_g)_g, N the level."""
+    rows = [form.b_row(g) + [form.level if t == s else 0 for t in range(len(gens))]
+            for s, g in enumerate(gens)]
+    return [z[:form.ngens] for z in integer_kernel(rows)] if rows else form.gens()
+
+
+def _form_data(form):
+    return form.orders, form.level, form.qints, form.bints
+
+
 @pytest.mark.parametrize("text", SMALL_SYMBOLS)
 def test_complement_quotient_matches_perp_scan(text):
-    """H-perp by kernel against H-perp by scanning every element of A."""
+    """H-perp / H from one Smith normal form against H-perp by scanning
+    every element of A, presented by the two-kernel reference."""
     from latticelab import form_from_symbol_text
     q = form_from_symbol_text(text)
     _, b_frac = _fraction_evaluators(q)
     for sub in isotropic_subgroups(q):
         quot = complement_quotient(q, sub)
         perp = [x for x in q.elements() if all(b_frac(x, g) == 0 for g in sub.gens)]
-        ref, _ = q.subquotient(perp, sub.gens)
+        ref, _ = _quotient_by_kernels(q, perp, sub.gens)
         assert quot.order * sub.order ** 2 == q.order
         assert len(perp) == quot.order * sub.order
+        assert quot.orders == ref.orders
         assert bruteforce_isomorphic(quot, ref)
 
 
-def _assert_lifts_present_quotient(form, gens, mods):
-    """The subquotient lifts generate <gens> modulo <mods>, each with the
-    stated order there, and the orders are invariant factors whose product
-    is the index of <mods> in <gens, mods>."""
-    quot, lifts = form.subquotient(gens, mods)
+def _glue_corpus(rng):
+    """Random even lattices, direct sums not in invariant factor form and
+    degenerate forms, each small enough to enumerate."""
+    from latticelab import form_from_symbol_text
+    forms = [discriminant_form(random_even_lattice(rng, max_rank=4, max_det=256))
+             for _ in range(40)]
+    for _ in range(20):
+        latt = random_even_lattice(rng, max_rank=3, max_det=16)
+        text = rng.choice(SMALL_SYMBOLS)
+        forms.append(direct_sum_forms(discriminant_form(latt), form_from_symbol_text(text)))
+    forms += [direct_sum_forms(f, g) for f in DEGENERATE_FORMS
+              for g in (f, FiniteQuadraticForm([4], [Fraction(1, 4)]))]
+    return [f for f in forms if f.order <= 512]
+
+
+def test_complement_quotient_matches_two_kernel_route():
+    """On a seeded corpus, every isotropic H gives the orders of the
+    two-kernel route, an isometric form where |H-perp / H| <= 64, and
+    |H-perp / H| * |H|^2 = |A| where b is nondegenerate."""
+    rng = random.Random(1905)
+    checked = 0
+    for q in _glue_corpus(rng):
+        degenerate = any(any(x) and not any(q.b_row(x)) for x in q.elements())
+        for sub in isotropic_subgroups(q):
+            quot = complement_quotient(q, sub)
+            ref, _ = _quotient_by_kernels(q, _perp_by_kernel(q, sub.gens), sub.gens)
+            assert quot.orders == ref.orders
+            if quot.order <= 64:
+                assert bruteforce_isomorphic(quot, ref)
+            if not degenerate:
+                assert quot.order * sub.order ** 2 == q.order
+            checked += 1
+    assert checked > 600
+
+
+def test_complement_quotient_takes_one_smith_form(monkeypatch):
+    """One Smith normal form and no integer kernel or subquotient per
+    complement_quotient: on every isotropic subgroup of the small symbols
+    and on every (form, H) that the five table runs glue over."""
+    import latticelab.fqf
+    import latticelab.nikulin
+    from latticelab import form_from_symbol_text, full_report
+    pairs = [(q, sub) for q in map(form_from_symbol_text, SMALL_SYMBOLS)
+             for sub in isotropic_subgroups(q)]
+    real = latticelab.nikulin.complement_quotient
+    monkeypatch.setattr(latticelab.nikulin, "complement_quotient",
+                        lambda form, sub: pairs.append((form, sub)) or real(form, sub))
+    for table, root in [("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
+                        ("k3max11", "E7"), ("k3max11", "E8")]:
+        full_report(table, root)
+    monkeypatch.undo()
+    assert len(pairs) > 200
+    calls = []
+
+    def counted(owner, name):
+        orig = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, **k: calls.append(name) or orig(*a, **k))
+
+    counted(latticelab.fqf, "smith_normal_form")
+    counted(latticelab.fqf, "integer_kernel")
+    counted(FiniteQuadraticForm, "subquotient")
+    for form, sub in pairs:
+        calls.clear()
+        complement_quotient(form, sub)
+        assert calls == ["smith_normal_form"]
+
+
+def _assert_lifts_present_quotient(form, gens):
+    """The subquotient lifts generate <gens>, each with the stated order,
+    and the orders are invariant factors whose product is |<gens>|."""
+    quot, lifts = form.subquotient(gens)
     gens = [form.reduce(g) for g in gens]
-    mods = [form.reduce(h) for h in mods]
-    base = _span(form, mods)
-    assert _span(form, [*lifts, *mods]) == _span(form, [*gens, *mods])
-    assert len(_span(form, [*gens, *mods])) == quot.order * len(base)
+    span = _span(form, gens)
+    assert _span(form, lifts) == span
+    assert len(span) == quot.order
     assert len(lifts) == quot.ngens
     for i, (lift, d) in enumerate(zip(lifts, quot.orders)):
-        assert next(k for k in range(1, d + 1) if form.scale(lift, k) in base) == d
+        assert form.element_order(lift) == d
         assert quot.q(quot.gens()[i]) == form.q(lift)
     assert all(b % a == 0 for a, b in zip(quot.orders, quot.orders[1:]))
 
 
-def test_subquotient_lifts_match_span(monkeypatch):
-    """Brute-force check of the lifts read off the Smith column transform:
-    random generators on the small symbols, and every (H-perp, H) pair that
-    complement_quotient passes on them."""
+def test_subquotient_lifts_match_span():
+    """Brute-force check of the lifts read off the Smith column transform,
+    with random generators on the small symbols; the forms and lifts are
+    those of the two-kernel reference with nothing to divide out."""
     from latticelab import form_from_symbol_text
     rng = random.Random(79)
-    calls = []
-    real = FiniteQuadraticForm.subquotient
-
-    def recorded(form, gens, mods=()):
-        calls.append((form, list(gens), list(mods)))
-        return real(form, gens, mods)
-
     for text in SMALL_SYMBOLS:
         q = form_from_symbol_text(text)
         for _ in range(8):
             gens = [tuple(rng.randrange(d) for d in q.orders)
                     for _ in range(rng.randint(1, 3))]
-            _assert_lifts_present_quotient(q, gens, ())
-        monkeypatch.setattr(FiniteQuadraticForm, "subquotient", recorded)
-        for sub in isotropic_subgroups(q):
-            complement_quotient(q, sub)
-        monkeypatch.undo()
-    assert len(calls) > 50
-    for form, gens, mods in calls:
-        _assert_lifts_present_quotient(form, gens, mods)
+            _assert_lifts_present_quotient(q, gens)
+            quot, lifts = q.subquotient(gens)
+            ref, ref_lifts = _quotient_by_kernels(q, gens, ())
+            assert (_form_data(quot), lifts) == (_form_data(ref), ref_lifts)
 
 
 def test_level_is_common_denominator():
@@ -395,10 +495,19 @@ def test_complement_quotient_order_law():
 
 
 def test_complement_quotient_rejects_non_isotropic():
+    from latticelab import form_from_symbol_text
     q = discriminant_form(named_lattice("A1"))
     bad = Subgroup(q, [(1,)])
     with pytest.raises(NotIsotropicError):
         complement_quotient(q, bad)
+    # u(2): both generators are isotropic, but b(e_1, e_2) = 1/2
+    for text, gens in [("2_II^+2", [(1, 0), (0, 1)]),
+                       ("2_II^+4", [(1, 0, 0, 0), (0, 1, 0, 0)])]:
+        q = form_from_symbol_text(text)
+        bad = Subgroup(q, gens)
+        assert all(q.q(g) == 0 for g in bad.gens)
+        with pytest.raises(NotIsotropicError):
+            complement_quotient(q, bad)
 
 
 def test_bruteforce_isomorphic_basics():
