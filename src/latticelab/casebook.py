@@ -23,6 +23,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from importlib import resources
+from math import gcd
 from pathlib import Path
 
 from .errors import (
@@ -44,7 +45,7 @@ from .nikulin import (
     ExistenceVerdict,
     LatticeInvariant,
     SaturationWitness,
-    even_lattice_exists,
+    genus_exists,
     saturations_keeping_primitive,
     unique_primitive_embedding,
 )
@@ -54,7 +55,7 @@ from .rank2 import (
     rank2_enumerate,
     rank2_isometries,
 )
-from .symbol import form_from_symbol, parse_symbol, to_symbol
+from .symbol import GenusSymbol, form_from_symbol, parse_symbol, to_symbol
 
 BORCHERDS_SIGNATURE = (26, 2)
 LEECH_RANK = 24
@@ -189,9 +190,14 @@ def condition_check(rec: LeechPairRecord) -> ConditionVerdict:
 
 @dataclass(frozen=True)
 class WitnessOutcome:
+    """One overlattice, its complement and the verdict; symbol is the
+    canonical symbol of the complement form -q, which decides the verdict
+    and the transcendental candidates."""
+
     witness: SaturationWitness
     complement: LatticeInvariant
     verdict: ExistenceVerdict
+    symbol: GenusSymbol
 
     def to_json_dict(self):
         return {"witness": self.witness.to_json_dict(),
@@ -221,7 +227,8 @@ def polarized_criterion(rec: LeechPairRecord, root: PolarizationRoot) -> Criteri
 
     Enumerates the overlattices of S + R keeping S primitive; the record
     passes iff for at least one of them the complementary even lattice of
-    signature (26 - rank_S - rank_R, 2) exists.
+    signature (26 - rank_S - rank_R, 2) exists.  The verdict depends only on
+    the complement's genus symbol, so it is decided once per symbol.
     """
     comp_plus = BORCHERDS_SIGNATURE[0] - rec.rank_S - root.rank
     comp_minus = BORCHERDS_SIGNATURE[1]
@@ -229,13 +236,25 @@ def polarized_criterion(rec: LeechPairRecord, root: PolarizationRoot) -> Criteri
         # S + R does not even fit by rank
         return CriterionResult(False, [], comp_plus + comp_minus)
     outcomes = []
+    verdicts: dict[GenusSymbol, ExistenceVerdict] = {}
     for witness in saturations_keeping_primitive(rec.q_S, root.q_R):
-        complement = LatticeInvariant(comp_plus, comp_minus,
-                                      negate_form(witness.quotient))
-        outcomes.append(WitnessOutcome(witness, complement,
-                                       even_lattice_exists(complement)))
+        form = negate_form(witness.quotient)
+        symbol = to_symbol(form)
+        if symbol not in verdicts:
+            verdicts[symbol] = genus_exists(comp_plus, comp_minus, symbol)
+        outcomes.append(WitnessOutcome(
+            witness, LatticeInvariant(comp_plus, comp_minus, form),
+            verdicts[symbol], symbol))
     return CriterionResult(any(o.verdict.exists for o in outcomes), outcomes,
                            comp_plus + comp_minus)
+
+
+def _discriminant_orders(form: Rank2Form) -> tuple[int, ...]:
+    """The orders of discriminant_form(form.positive_lattice()), read off the
+    entries: the Smith invariant factors of ((a,b),(b,c)) are gcd(a,b,c) and
+    det / gcd(a,b,c), and the 1s are dropped."""
+    g = gcd(form.a, form.b, form.c)
+    return tuple(d for d in (g, form.det // g) if d > 1)
 
 
 def transcendental_candidates(rec: LeechPairRecord, root: PolarizationRoot,
@@ -244,10 +263,14 @@ def transcendental_candidates(rec: LeechPairRecord, root: PolarizationRoot,
 
     Only defined in the maximal-rank case (rank-2 complement): enumerate
     reduced even forms of the complement determinant and keep those whose
-    discriminant form matches: the same orders, then the same canonical
-    genus symbol, which is computed once for the quotient.  Equal orders
-    mean isomorphic groups here: the quotient (from subquotient) and q_T
-    (from discriminant_form) both come in invariant factor form.
+    discriminant form matches.  Orders are compared first, off each form's
+    entries; only a form whose orders match gets a lattice, a discriminant
+    form and a canonical genus symbol, compared with the quotient's symbol,
+    which is computed once.  Equal orders mean isomorphic groups here: the
+    quotient (from complement_quotient, through the torsion reader shared
+    with subquotient) and q_T both carry the invariant factors of a Smith
+    normal form, each dividing the next with the 1s dropped, and a finite
+    abelian group is determined by that list.
     """
     comp_rank = BORCHERDS_SIGNATURE[0] + BORCHERDS_SIGNATURE[1] \
         - rec.rank_S - root.rank
@@ -255,12 +278,10 @@ def transcendental_candidates(rec: LeechPairRecord, root: PolarizationRoot,
         raise NotMaximalRankError("complement is not of rank 2")
     target = witness.quotient
     target_symbol = to_symbol(target)
-    out = []
-    for cand in rank2_enumerate(target.order, negative=True):
-        q_pos = discriminant_form(cand.positive_lattice())
-        if q_pos.orders == target.orders and to_symbol(q_pos) == target_symbol:
-            out.append(cand)
-    return out
+    return [cand for cand in rank2_enumerate(target.order, negative=True)
+            if _discriminant_orders(cand) == target.orders
+            and to_symbol(discriminant_form(cand.positive_lattice()))
+            == target_symbol]
 
 
 def _induced_isometry_maps(t_form: Rank2Form):
@@ -406,12 +427,15 @@ def analyze_record(rec: LeechPairRecord, root: PolarizationRoot) -> CaseVerdict:
     crit = polarized_criterion(rec, root)
     classes: list[TranscendentalClass] = []
     if crit.passed and crit.complement_rank == 2:
-        by_form: dict[Rank2Form, bool] = {}
+        # the candidates depend only on the quotient's symbol: one scan each
+        groups: dict[GenusSymbol, list[WitnessOutcome]] = {}
         for outcome in crit.outcomes:
-            if not outcome.verdict.exists:
-                continue
-            for t_form in transcendental_candidates(rec, root, outcome.witness):
-                nontrivial = not outcome.witness.trivial
+            if outcome.verdict.exists:
+                groups.setdefault(outcome.symbol, []).append(outcome)
+        by_form: dict[Rank2Form, bool] = {}
+        for group in groups.values():
+            nontrivial = any(not o.witness.trivial for o in group)
+            for t_form in transcendental_candidates(rec, root, group[0].witness):
                 by_form[t_form] = by_form.get(t_form, False) or nontrivial
         for t_form in sorted(by_form):
             cls = TranscendentalClass(t_form, by_form[t_form])

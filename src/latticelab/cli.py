@@ -289,19 +289,22 @@ def _render_report(report):
     return "\n".join(lines)
 
 
+def _table_report(table, root_name, row):
+    """full_report over the table, or analyze_record on the one row asked for."""
+    if row is None:
+        return full_report(table, root_name)
+    return [analyze_record(_record(table, row), polarization_root(root_name))]
+
+
 def _cmd_cubic_check(args):
-    report = full_report("hm15", "E6")
-    if args.row is not None:
-        report = [v for v in report if v.record.row == args.row]
+    report = _table_report("hm15", "E6", args.row)
     _emit(args, {"table": "hm15", "root": "E6", "rows": _verdict_rows(report)},
           _render_report(report))
 
 
 def _cmd_k3_check(args):
     root = root_for_degree(args.degree)
-    report = full_report("k3max11", root.name)
-    if args.row is not None:
-        report = [v for v in report if v.record.row == args.row]
+    report = _table_report("k3max11", root.name, args.row)
     _emit(args, {"table": "k3max11", "degree": args.degree, "root": root.name,
                  "rows": _verdict_rows(report)},
           _render_report(report))
@@ -424,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
               help="run the criterion over the rank-4 table")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--row", type=int)
-    group.add_argument("--all", action="store_true", default=True)
+    group.add_argument("--all", action="store_true",
+                       help="every row (the default without --row)")
 
     k3 = sub.add_parser("k3", help="low degree K3 classification")
     ksub = k3.add_subparsers(dest="subcommand", required=True)

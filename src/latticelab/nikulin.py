@@ -2,7 +2,7 @@
 
 even_lattice_exists decides whether an even lattice with prescribed
 signature and discriminant form exists, reporting the first failed
-condition:
+condition; genus_exists is the same test on the form's canonical symbol:
 
   1. signature: sig(q) = n_plus - n_minus  (mod 8);
   2. ranks: n_plus, n_minus >= 0 and n_plus + n_minus >= l(A);
@@ -39,7 +39,7 @@ from .fqf import (
     negate_form,
     total_length,
 )
-from .symbol import _p_valuation, legendre, to_symbol
+from .symbol import GenusSymbol, _p_valuation, legendre, to_symbol
 
 CONDITION_NAMES = {
     1: "signature mod 8",
@@ -80,18 +80,20 @@ class ExistenceVerdict:
 
 
 def even_lattice_exists(inv: LatticeInvariant) -> ExistenceVerdict:
-    """Decide existence of an even lattice with the given invariant, reading
-    every condition off one canonical symbol; odd p are checked before p = 2."""
-    q = inv.form
-    n1, n2 = inv.n_plus, inv.n_minus
-    sym = to_symbol(q)
+    """Decide existence of an even lattice with the given invariant."""
+    return genus_exists(inv.n_plus, inv.n_minus, to_symbol(inv.form))
+
+
+def genus_exists(n1: int, n2: int, sym: GenusSymbol) -> ExistenceVerdict:
+    """Existence for signature (n1, n2) and the form of canonical symbol sym,
+    reading every condition off sym; odd p are checked before p = 2."""
     if (n1 - n2 - sym.signature()) % 8 != 0:
         return ExistenceVerdict(False, 1, CONDITION_NAMES[1])
     cons = sym.per_prime()
     lens = {p: sum(c.n for c in cs) for p, cs in cons.items()}
     if n1 < 0 or n2 < 0 or n1 + n2 < max(lens.values(), default=0):
         return ExistenceVerdict(False, 2, CONDITION_NAMES[2])
-    order = q.order
+    order = prod(c.scale ** c.n for c in sym.constituents)
     for p in sorted(lens):
         if p == 2:
             continue

@@ -178,14 +178,19 @@ def test_degree0_runs_without_rank2_analysis():
     assert not any(v.passed for v in report)
 
 
-def test_every_passing_witness_is_checkable(hm15_report):
+def test_every_passing_witness_is_checkable(table_reports):
+    """The verdict kept once per complement symbol is the public verdict of
+    every witness's own complement, on all five table runs."""
     from latticelab import even_lattice_exists
-    for verdict in hm15_report:
-        if not verdict.criterion:
-            continue
-        for outcome in verdict.criterion.outcomes:
-            if outcome.verdict.exists:
-                assert even_lattice_exists(outcome.complement).exists
+    seen = 0
+    for report in table_reports.values():
+        for verdict in report:
+            if not verdict.criterion:
+                continue
+            for outcome in verdict.criterion.outcomes:
+                assert outcome.verdict == even_lattice_exists(outcome.complement)
+                seen += 1
+    assert seen == 163
 
 
 def test_report_determinism():
@@ -233,3 +238,94 @@ def test_candidate_forms_negate_to_quotient(hm15_report):
                                                outcome.witness):
                 q_t = discriminant_form(t.signed_lattice())
                 assert is_isomorphic(negate_form(q_t), outcome.witness.quotient)
+
+
+def _full_scan_candidates(witness):
+    """transcendental_candidates without the orders prefilter: every reduced
+    form of the determinant gets its discriminant form."""
+    from latticelab import discriminant_form, is_isomorphic, rank2_enumerate
+    target = witness.quotient
+    return [f for f in rank2_enumerate(target.order, negative=True)
+            if is_isomorphic(discriminant_form(f.positive_lattice()), target)]
+
+
+def test_rank2_orders_read_off_entries(table_reports):
+    """gcd(a,b,c) and det/gcd(a,b,c), 1s dropped, are the discriminant
+    form's orders, for det <= 600 and every quotient order of the tables."""
+    from latticelab import discriminant_form, rank2_enumerate
+    from latticelab.casebook import _discriminant_orders
+    dets = set(range(1, 601))
+    for report in table_reports.values():
+        for verdict in report:
+            if verdict.criterion:
+                dets.update(o.witness.quotient.order for o in verdict.criterion.outcomes)
+    forms = [f for det in sorted(dets) for f in rank2_enumerate(det)]
+    assert len(forms) > 2442  # the forms of det <= 600 alone
+    for f in forms:
+        assert _discriminant_orders(f) == \
+            discriminant_form(f.positive_lattice()).orders, f
+
+
+def test_transcendental_candidates_match_full_scan(table_reports):
+    checked = 0
+    for (_, root_name), report in table_reports.items():
+        root = polarization_root(root_name)
+        for verdict in report:
+            crit = verdict.criterion
+            if not crit or crit.complement_rank != 2:
+                continue
+            for outcome in crit.outcomes:
+                assert transcendental_candidates(verdict.record, root, outcome.witness) \
+                    == _full_scan_candidates(outcome.witness)
+                checked += 1
+    assert checked == 163
+
+
+def test_table_runs_scan_each_symbol_once(table_reports, monkeypatch):
+    """One rank-2 scan per (record, complement symbol) of the existing
+    outcomes, a discriminant form only for candidates of matching orders,
+    and at most one symbol per witness, per scan and per such candidate."""
+    from latticelab import casebook, discriminant_form, nikulin, rank2_enumerate
+    expected = {table: {"scans": 0, "matched": 0, "witnesses": 0}
+                for table in ("hm15", "k3max11")}
+    for (table, _), report in table_reports.items():
+        want = expected[table]
+        for verdict in report:
+            crit = verdict.criterion
+            if not crit:
+                continue
+            want["witnesses"] += len(crit.outcomes)
+            if not crit.passed or crit.complement_rank != 2:
+                continue
+            groups = {o.symbol: o.witness.quotient
+                      for o in crit.outcomes if o.verdict.exists}
+            want["scans"] += len(groups)
+            for target in groups.values():
+                want["matched"] += sum(
+                    discriminant_form(f.positive_lattice()).orders == target.orders
+                    for f in rank2_enumerate(target.order, negative=True))
+
+    calls = {}
+
+    def counting(module, name, counts=lambda *args: True):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if counts(*args):
+                calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(casebook, "rank2_enumerate")
+    counting(casebook, "discriminant_form", lambda latt: latt.rank == 2)
+    counting(casebook, "to_symbol")
+    counting(nikulin, "to_symbol")
+    for table, bounds in (("hm15", (7, 11)), ("k3max11", (16, 32))):
+        calls.clear()
+        for run in table_reports:
+            if run[0] == table:
+                full_report(*run)
+        want = expected[table]
+        assert calls["rank2_enumerate"] == want["scans"] == bounds[0]
+        assert calls["discriminant_form"] == want["matched"] <= bounds[1]
+        assert calls["to_symbol"] <= sum(want.values())

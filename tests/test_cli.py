@@ -124,6 +124,25 @@ def test_cubic_check_single_row(capsys):
     assert "condition 4" in row["reason"]
 
 
+def test_cubic_check_row_matches_all(capsys):
+    _, everything = capture_json(capsys, ["cubic", "check", "--all"])
+    for want in everything["rows"]:
+        code, data = capture_json(capsys, ["cubic", "check", "--row", str(want["row"])])
+        assert code == 0
+        assert data == {"table": "hm15", "root": "E6", "rows": [want]}
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["cubic", "check", "--row", "99"], "hm15"),
+    (["k3", "check", "--degree", "2", "--row", "99"], "k3max11"),
+])
+def test_check_missing_row(capsys, argv, table):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: no row 99 in table {table}\n"
+
+
 def test_k3_check(capsys):
     code, data = capture_json(capsys, ["k3", "check", "--degree", "2"])
     assert code == 0
