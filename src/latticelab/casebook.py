@@ -200,7 +200,10 @@ class WitnessOutcome:
     symbol: GenusSymbol
 
     def to_json_dict(self):
-        return {"witness": self.witness.to_json_dict(),
+        return self._json_dict(str(to_symbol(self.witness.quotient)))
+
+    def _json_dict(self, quotient: str):
+        return {"witness": self.witness._json_dict(quotient),
                 "complement_signature": [self.complement.n_plus,
                                          self.complement.n_minus],
                 **self.verdict.to_json_dict()}
@@ -415,7 +418,11 @@ class CaseVerdict:
             "reason": self.reason,
         }
         if self.criterion is not None:
-            out["witnesses"] = [o.to_json_dict() for o in self.criterion.outcomes]
+            outcomes = self.criterion.outcomes
+            # one complement symbol (of -q) fixes the quotient symbol (of q)
+            quotients = {o.symbol: o.witness.quotient for o in outcomes}
+            texts = {sym: str(to_symbol(q)) for sym, q in quotients.items()}
+            out["witnesses"] = [o._json_dict(texts[o.symbol]) for o in outcomes]
         out["classes"] = [c.to_json_dict() for c in self.classes]
         return out
 

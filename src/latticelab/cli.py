@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
               help="all reduced even forms of a determinant")
     p.add_argument("--det", type=int, required=True)
     p.add_argument("--neg", action="store_true", help="negative definite")
-    p.add_argument("--even", action="store_true", help="even forms (always on)")
     p = _leaf(rsub, "reduce", _cmd_rank2_reduce, help="Gauss-reduce a form a,b,c")
     p.add_argument("--form", type=_int_tuple(3), required=True,
                    help="a,b,c; a leading minus needs --form=-3,1,-2")

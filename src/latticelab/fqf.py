@@ -13,6 +13,10 @@ inside some larger group.  Forms presented anew (a subgroup by
 `subquotient`, H-perp/H by `complement_quotient`) are read off one Smith
 normal form each: the group is the torsion of an integer cokernel, in
 invariant factor form, with generators lifted from the column transform.
+
+Loops over a whole group read one `scan()`, which builds each element's q
+value and order from its prefix in O(1); the Gauss-sum oracle in
+`cyclotomic.py` evaluates q pointwise and shares no code with the walk.
 """
 
 from __future__ import annotations
@@ -176,6 +180,25 @@ class FiniteQuadraticForm:
     def b(self, x, y) -> Fraction:
         return Fraction(self.b_int(x, y), self.level)
 
+    def scan(self) -> list[tuple]:
+        """(x, q_int(x), element_order(x)) for x in elements(), each in O(1).
+
+        Built one coordinate at a time: q(x + c e_i) = q(x) + c^2 q(e_i) +
+        2c b(x, e_i) and ord(x + c e_i) = lcm(ord(x), d_i / gcd(c, d_i)),
+        with level * b(x, e_j) carried only for the coordinates j to come.
+        """
+        n, n2, k = self.level, 2 * self.level, len(self.orders)
+        out, carries = [((), 0, 1)], [(0,) * k]
+        for i, d in enumerate(self.orders):
+            qi, brow = self.qints[i], self.bints[i][i + 1:]
+            steps = [(c, c * c * qi, 2 * c, d // gcd(c, d)) for c in range(d)]
+            out = [(x + (c,), (q + cq + c2 * bx[0]) % n2, lcm(o, oc))
+                   for (x, q, o), bx in zip(out, carries) for c, cq, c2, oc in steps]
+            if i < k - 1:
+                carries = [tuple((a + c * b) % n for a, b in zip(bx[1:], brow))
+                           for bx in carries for c in range(d)]
+        return out
+
     # -- constructions ---------------------------------------------------------
 
     def direct_sum(self, other: "FiniteQuadraticForm") -> "FiniteQuadraticForm":
@@ -233,7 +256,8 @@ class FiniteQuadraticForm:
                     [sum(a * c for a, c in zip(w, coord)) for coord in coords]))
                 orders.append(di)
         qints = [self.q_int(x) for x in lifts]
-        bints = [[self.b_int(x, y) for y in lifts] for x in lifts]
+        bints = [[sum(r * c for r, c in zip(row, y)) % self.level for y in lifts]
+                 for row in map(self.b_row, lifts)]
         return FiniteQuadraticForm._from_ints(orders, self.level, qints,
                                               bints), lifts
 
@@ -476,7 +500,7 @@ def isotropic_subgroups(form: FiniteQuadraticForm):
     """
     if form.order > BRUTE_CAP:
         raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
-    zero_set = frozenset(x for x in form.elements() if form.q_int(x) == 0)
+    zero_set = frozenset(x for x, q, _ in form.scan() if q == 0)
     subs = [Subgroup(form, els) for els in _subgroups_within(form, zero_set)]
     subs.sort(key=Subgroup.sort_key)
     return subs
@@ -542,8 +566,8 @@ def _gen_images_search(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
         return []
     n1, n2 = f1.level, f2.level
     by_key: dict[tuple, list] = {}
-    for x in f2.elements():
-        by_key.setdefault((f2.element_order(x), f2.q_int(x) * n1), []).append(x)
+    for x, q, o in f2.scan():
+        by_key.setdefault((o, q * n1), []).append(x)
     zero = f2.zero()
     rad = [x for x in f1.elements() if any(x) and not any(f1.b_row(x))]
 
@@ -586,8 +610,8 @@ def bruteforce_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> b
     if f1.order > BRUTE_CAP:
         raise CapExceededError("group order exceeds brute-force cap")
     # the counts of element orders fix a finite abelian group
-    vals1 = sorted((f1.element_order(x), f1.q_int(x) * f2.level) for x in f1.elements())
-    vals2 = sorted((f2.element_order(x), f2.q_int(x) * f1.level) for x in f2.elements())
+    vals1 = sorted((o, q * f2.level) for _, q, o in f1.scan())
+    vals2 = sorted((o, q * f1.level) for _, q, o in f2.scan())
     if vals1 != vals2:
         return False
     return bool(_gen_images_search(f1, f2, find_all=False, require_onto=True))

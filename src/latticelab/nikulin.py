@@ -159,9 +159,12 @@ class SaturationWitness:
     trivial: bool = field(compare=False, default=False)
 
     def to_json_dict(self):
+        return self._json_dict(str(to_symbol(self.quotient)))
+
+    def _json_dict(self, quotient: str):
         return {"index": self.index,
                 "glue": [list(g) for g in self.glue_gens],
-                "quotient": str(to_symbol(self.quotient))}
+                "quotient": quotient}
 
 
 def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
@@ -188,19 +191,11 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
     n_s, n_r = q_s.level, q_r.level
     # q_S(s) = -q_R(r) iff n_r*q_int(s) + n_s*q_int(r) = 0 mod 2*n_s*n_r
     by_q: dict[int, list] = {}
-    for s in q_s.elements():
-        by_q.setdefault(q_s.q_int(s) * n_r, []).append(s)
-    # element orders only for the buckets some r looks up
-    ordered: dict[int, list] = {}
+    for s, q, e in q_s.scan():
+        by_q.setdefault(q * n_r, []).append((e, s))
     partners = {}
-    for r in q_r.elements():
-        key = -q_r.q_int(r) * n_s % (2 * n_s * n_r)
-        if key not in by_q:
-            continue
-        if key not in ordered:
-            ordered[key] = [(q_s.element_order(s), s) for s in by_q[key]]
-        d = q_r.element_order(r)
-        found = [s for e, s in ordered[key] if d % e == 0]
+    for r, q, d in q_r.scan():
+        found = [s for e, s in by_q.get(-q * n_s % (2 * n_s * n_r), ()) if d % e == 0]
         if found:
             partners[r] = found
     witnesses = []

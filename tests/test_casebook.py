@@ -329,3 +329,68 @@ def test_table_runs_scan_each_symbol_once(table_reports, monkeypatch):
         assert calls["rank2_enumerate"] == want["scans"] == bounds[0]
         assert calls["discriminant_form"] == want["matched"] <= bounds[1]
         assert calls["to_symbol"] <= sum(want.values())
+
+
+def test_json_renders_each_quotient_symbol_once(table_reports, monkeypatch):
+    """CaseVerdict.to_json_dict canonicalizes one quotient per (record,
+    complement symbol): witnesses whose -q share a symbol share the symbol
+    of q.  The witnesses render as they do one by one."""
+    from latticelab import casebook, nikulin
+    verdicts = [v for (table, _), report in table_reports.items()
+                if table == "k3max11" for v in report]
+    calls = []
+    for module in (casebook, nikulin):
+        real = module.to_symbol
+        monkeypatch.setattr(module, "to_symbol",
+                            lambda form, real=real: calls.append(form) or real(form))
+    data = [v.to_json_dict() for v in verdicts]
+    distinct = sum(len({o.symbol for o in v.criterion.outcomes})
+                   for v in verdicts if v.criterion)
+    assert len(calls) == distinct == 58
+    assert [w for d in data for w in d.get("witnesses", [])] == [
+        o.to_json_dict() for v in verdicts if v.criterion for o in v.criterion.outcomes]
+
+
+def test_glue_searches_read_one_scan(monkeypatch):
+    """saturations_keeping_primitive, isotropic_subgroups and
+    embedding_images read q values and element orders off scan(): over the
+    five table runs (isotropic_subgroups on each A_S + A_R of their
+    records) none of them asks q_int or element_order of every element of
+    a nontrivial group."""
+    from conftest import TABLE_RUNS
+    from latticelab import casebook, fqf, load_table
+    from latticelab.fqf import FiniteQuadraticForm
+    asked = {}
+    for name in ("q_int", "element_order"):
+        real = getattr(FiniteQuadraticForm, name)
+
+        def pointwise(form, x, real=real, name=name):
+            asked.setdefault((name, id(form)), (form, set()))[1].add(tuple(x))
+            return real(form, x)
+        monkeypatch.setattr(FiniteQuadraticForm, name, pointwise)
+
+    calls = {}
+
+    def guarded(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*forms):
+            asked.clear()
+            out = real(*forms)
+            full = [(kind, form) for (kind, _), (form, xs) in asked.items()
+                    if form.order > 1 and len(xs) == form.order]
+            assert not full, f"{name} evaluates {full[0][0]} on all of {full[0][1]}"
+            calls[name] = calls.get(name, 0) + 1
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+
+    guarded(casebook, "saturations_keeping_primitive")
+    guarded(fqf, "embedding_images")
+    guarded(fqf, "isotropic_subgroups")
+    for table, root in TABLE_RUNS:
+        full_report(table, root)
+        q_r = polarization_root(root).q_R
+        for rec in load_table(table):
+            fqf.isotropic_subgroups(rec.q_S.direct_sum(q_r))
+    assert calls == {"saturations_keeping_primitive": 48, "embedding_images": 7,
+                     "isotropic_subgroups": 59}

@@ -44,7 +44,7 @@ def test_lattice_shortvec(capsys):
 
 
 def test_rank2_enum_verbatim_output(capsys):
-    code, out = capture(capsys, ["rank2", "enum", "--det", "27", "--neg", "--even"])
+    code, out = capture(capsys, ["rank2", "enum", "--det", "27", "--neg"])
     assert code == 0
     assert out.splitlines() == ["-(2^1 14)", "-(6^3 6)"]
 
@@ -281,6 +281,7 @@ def test_k3_check_matches_golden_file(capsys, degree):
     ["nikulin", "exists", "--sig", "a,b", "--form", "3^+1"],
     ["nikulin", "embed", "--sig", "20,0", "--form", "3^+1", "--target", "26"],
     ["lattice", "shortvec", "--name", "A2", "--norm", "2", "--rank-cap", "9"],
+    ["rank2", "enum", "--det", "27", "--neg", "--even"],
 ])
 def test_malformed_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)

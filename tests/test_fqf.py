@@ -288,6 +288,25 @@ def _fraction_evaluators(q):
     return q_frac, b_frac
 
 
+def test_scan_matches_pointwise():
+    """scan() is the pointwise (x, q_int, element_order) list in elements()
+    order: on the small symbols as given and in invariant factor form, on
+    discriminant forms of random even lattices, on direct sums out of
+    invariant factor form and on degenerate forms."""
+    from latticelab import form_from_symbol_text
+    rng = random.Random(1511)
+    given = [form_from_symbol_text(t) for t in SMALL_SYMBOLS]
+    forms = given + [f.subquotient(f.gens())[0] for f in given]
+    lattice_forms = [discriminant_form(random_even_lattice(rng)) for _ in range(20)]
+    forms += lattice_forms
+    forms += [direct_sum_forms(rng.choice(lattice_forms), rng.choice(given))
+              for _ in range(10)]
+    forms += DEGENERATE_FORMS
+    assert trivial_form().scan() == [((), 0, 1)]
+    for q in forms:
+        assert q.scan() == [(x, q.q_int(x), q.element_order(x)) for x in q.elements()]
+
+
 @pytest.mark.parametrize("text", SMALL_SYMBOLS)
 def test_q_and_b_match_fraction_evaluation(text):
     from latticelab import form_from_symbol_text
