@@ -501,7 +501,7 @@ def isotropic_subgroups(form: FiniteQuadraticForm):
     if form.order > BRUTE_CAP:
         raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
     zero_set = frozenset(x for x, q, _ in form.scan() if q == 0)
-    subs = [Subgroup(form, els) for els in _subgroups_within(form, zero_set)]
+    subs = [Subgroup(form, gens) for gens in _subgroups_within(form, zero_set).values()]
     subs.sort(key=Subgroup.sort_key)
     return subs
 
@@ -542,50 +542,40 @@ def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadr
 # -- brute-force isomorphism oracle and automorphisms ---------------------------
 
 
-def _gen_images_search(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
-                       find_all: bool, require_onto: bool):
-    """Backtracking search for injective q- and b-preserving maps of f1 into f2.
+def _isometries(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm):
+    """Every injective q- and b-preserving map of f1 into f2, one at a time.
 
+    Each map is yielded as its tuple of generator images, in backtracking
+    order: generator by generator, candidates in f2.elements() order.
     Works on any presentation of f1: the group is Z/d_1 x ... x Z/d_k, so
     a homomorphism is fixed by generator images y_i with d_i * y_i = 0,
-    and an injective one has ord(y_i) = d_i.  When require_onto is set, only
-    group isomorphisms onto f2 are kept and returned as tuples of generator
-    images; otherwise each image subgroup is returned once, closed from the
-    first map found onto it (the other maps onto it are skipped).
-    The two levels may differ, so values are compared by
-    cross-multiplication: v1/N1 == v2/N2 iff v1*N2 == v2*N1.
+    and an injective one has ord(y_i) = d_i; when |f1| = |f2| the maps
+    are the isometries onto f2.  The two levels may differ, so values are
+    compared by cross-multiplication: v1/N1 == v2/N2 iff v1*N2 == v2*N1.
 
     An x in the kernel of a b-preserving map has b(x, y) = b(0, f(y)) = 0
     for every y, so it lies in the radical of b: the map is injective iff
-    it sends no nonzero radical element to 0.  A discriminant form has a
-    trivial radical, so there every map found is injective.
+    it sends no nonzero radical element to 0.  A radical x has q(x) =
+    b(x, x) = 0 mod 1, so only those elements are tested with b_row; a
+    discriminant form has a trivial radical.
     """
     if f1.order > BRUTE_CAP or f2.order > BRUTE_CAP:
         raise CapExceededError("group order exceeds brute-force cap")
-    if require_onto and f1.order != f2.order:
-        return []
     n1, n2 = f1.level, f2.level
     by_key: dict[tuple, list] = {}
     for x, q, o in f2.scan():
         by_key.setdefault((o, q * n1), []).append(x)
     zero = f2.zero()
-    rad = [x for x in f1.elements() if any(x) and not any(f1.b_row(x))]
-
-    gens = f1.gens()
+    rad = [x for x, q, _ in f1.scan()
+           if q % n1 == 0 and any(x) and not any(f1.b_row(x))]
     orders = f1.orders
-    results = []
-    rows = []  # rows[j] = f2.b_row(chosen[j])
+    chosen, rows = [], []  # rows[j] = f2.b_row(chosen[j])
 
-    def extend(idx, chosen):
-        if idx == len(gens):
-            if any(apply_gen_map(f2, chosen, x) == zero for x in rad):
-                return False
-            if require_onto:
-                results.append(tuple(chosen))
-            elif not any(all(y in img for y in chosen) for img in results):
-                # an injective map into an image already found has that image
-                results.append(_span(f2, chosen))
-            return not find_all
+    def extend(idx):
+        if idx == len(orders):
+            if not any(apply_gen_map(f2, chosen, x) == zero for x in rad):
+                yield tuple(chosen)
+            return
         targets = [f1.bints[j][idx] * n2 for j in range(idx)]
         for cand in by_key.get((orders[idx], f1.qints[idx] * n2), ()):
             if any(sum(r * c for r, c in zip(row, cand)) % n2 * n1 != t
@@ -593,14 +583,11 @@ def _gen_images_search(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm,
                 continue
             chosen.append(cand)
             rows.append(f2.b_row(cand))
-            if extend(idx + 1, chosen):
-                return True
+            yield from extend(idx + 1)
             rows.pop()
             chosen.pop()
-        return False
 
-    extend(0, [])
-    return results
+    return extend(0)
 
 
 def bruteforce_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
@@ -614,7 +601,7 @@ def bruteforce_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> b
     vals2 = sorted((o, q * f1.level) for _, q, o in f2.scan())
     if vals1 != vals2:
         return False
-    return bool(_gen_images_search(f1, f2, find_all=False, require_onto=True))
+    return next(_isometries(f1, f2), None) is not None
 
 
 def automorphisms(form: FiniteQuadraticForm):
@@ -623,7 +610,7 @@ def automorphisms(form: FiniteQuadraticForm):
     The maps act on the form's own presentation: the i-th image is the
     image of the i-th generator.
     """
-    return _gen_images_search(form, form, find_all=True, require_onto=True)
+    return list(_isometries(form, form))
 
 
 def apply_gen_map(form: FiniteQuadraticForm, images, x):
@@ -636,9 +623,13 @@ def apply_gen_map(form: FiniteQuadraticForm, images, x):
 def embedding_images(small: FiniteQuadraticForm, big: FiniteQuadraticForm):
     """All subgroups of `big` that are isometric images of `small`.
 
-    Returned as sorted frozensets of elements of `big`.
+    Returned as sorted frozensets of elements of `big`, each spanned once:
+    an injective map into an image already found has that image.
     """
-    images = _gen_images_search(small, big, find_all=True, require_onto=False)
+    images = []
+    for mp in _isometries(small, big):
+        if not any(all(y in img for y in mp) for img in images):
+            images.append(_span(big, mp))
     return sorted(images, key=lambda s: tuple(sorted(s)))
 
 
@@ -650,35 +641,32 @@ def form_embeddings_mod_aut(small: FiniteQuadraticForm, big: FiniteQuadraticForm
     (for example automorphisms(big), or the maps induced by lattice
     isometries).  The maps need not form a group: the classes are the
     connected components of the graph that joins each image to its image
-    under each map.  Returns (count, orbit_representatives), each
-    representative the first image of its class in embedding_images order.
+    under each map.  Each map permutes the images, so a component is what
+    the maps reach forward from its first image in embedding_images order.
+    Returns (count, orbit_representatives), one first image per component,
+    and stops moving generators once every image is reached.
+
+    An isometry sends an image onto an image of the same order, and the
+    images are distinct subgroups of that order: the target is the one
+    image that holds the images of a generating set.
     """
     images = embedding_images(small, big)
-    parent = list(range(len(images)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # An isometry sends an image onto an image of the same order, and the
-    # images are distinct subgroups of that order: the target is the one
-    # image that holds the images of a generating set.
-    count = len(images)
+    reps, seen = [], set()
     for i, img in enumerate(images):
-        if count == 1:
-            break
-        gens = _minimal_generators(big, img)
-        for mp in aut_maps:
-            moved = [apply_gen_map(big, mp, g) for g in gens]
-            j = next(j for j, other in enumerate(images)
-                     if all(x in other for x in moved))
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-                count -= 1
-                if count == 1:
+        if i in seen:
+            continue
+        reps.append(img)
+        seen.add(i)
+        stack = [i]
+        while stack and len(seen) < len(images):
+            gens = _minimal_generators(big, images[stack.pop()])
+            for mp in aut_maps:
+                if len(seen) == len(images):
                     break
-    reps = sorted({find(i) for i in range(len(images))})
-    return count, [images[i] for i in reps]
+                moved = [apply_gen_map(big, mp, g) for g in gens]
+                j = next(j for j, other in enumerate(images)
+                         if all(x in other for x in moved))
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return len(reps), reps

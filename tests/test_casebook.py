@@ -351,13 +351,12 @@ def test_json_renders_each_quotient_symbol_once(table_reports, monkeypatch):
         o.to_json_dict() for v in verdicts if v.criterion for o in v.criterion.outcomes]
 
 
-def test_glue_searches_read_one_scan(monkeypatch):
+def test_glue_searches_read_one_scan(monkeypatch, table_reports):
     """saturations_keeping_primitive, isotropic_subgroups and
     embedding_images read q values and element orders off scan(): over the
     five table runs (isotropic_subgroups on each A_S + A_R of their
     records) none of them asks q_int or element_order of every element of
     a nontrivial group."""
-    from conftest import TABLE_RUNS
     from latticelab import casebook, fqf, load_table
     from latticelab.fqf import FiniteQuadraticForm
     asked = {}
@@ -387,7 +386,7 @@ def test_glue_searches_read_one_scan(monkeypatch):
     guarded(casebook, "saturations_keeping_primitive")
     guarded(fqf, "embedding_images")
     guarded(fqf, "isotropic_subgroups")
-    for table, root in TABLE_RUNS:
+    for table, root in table_reports:
         full_report(table, root)
         q_r = polarization_root(root).q_R
         for rec in load_table(table):

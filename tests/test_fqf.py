@@ -224,6 +224,25 @@ def test_isotropic_subgroups_match_brute_force(text):
         assert Subgroup(q, s.gens) == s
 
 
+@pytest.mark.parametrize("text", SMALL_SYMBOLS + ["2_II^+6"])
+def test_isotropic_subgroups_span_generating_tuples(monkeypatch, text):
+    """Each subgroup is spanned once, from the generating tuple that
+    _subgroups_within found rather than from all of its elements."""
+    import latticelab.fqf
+    from latticelab import form_from_symbol_text
+    q = form_from_symbol_text(text)
+    sizes = []
+
+    def counted(form, gens):
+        gens = list(gens)
+        sizes.append(len(gens))
+        return _span(form, gens)
+    monkeypatch.setattr(latticelab.fqf, "_span", counted)
+    subs = isotropic_subgroups(q)
+    assert len(sizes) == len(subs)
+    assert max(sizes) <= q.ngens
+
+
 @pytest.mark.parametrize("text", ["3^-2", "3^-1 9^+1", "2_II^+2 3^+1", "2_II^+4",
                                   "4_II^+2", "4_7^+1 8_1^+1"])
 def test_subgroups_within_match_brute_force(text):
@@ -673,11 +692,10 @@ DEGENERATE_FORMS = [
 DEGENERATE_IDS = [f"degenerate{i}" for i in range(len(DEGENERATE_FORMS))]
 
 
-def _closure_search(f1, f2, onto):
+def _closure_search(f1, f2):
     """q- and b-preserving generator-image maps of f1 into f2, in any
-    presentation of f1, kept when the closure of the images has |f1|
-    elements (|f2| with onto).  Returns image tuples with onto, image
-    subgroups without."""
+    presentation of f1, kept as image tuples when the closure of the
+    images has |f1| elements."""
     cands = [[y for y in f2.elements()
               if f2.element_order(y) == d and f2.q(y) == f1.q(e)]
              for d, e in zip(f1.orders, f1.gens())]
@@ -687,9 +705,8 @@ def _closure_search(f1, f2, onto):
         if any(f2.b(images[i], images[j]) != f1.b(gens[i], gens[j])
                for i, j in itertools.combinations(range(len(gens)), 2)):
             continue
-        img = _closure(f2, images)
-        if len(img) == (f2.order if onto else f1.order):
-            out.append(images if onto else img)
+        if len(_closure(f2, images)) == f1.order:
+            out.append(images)
     return out
 
 
@@ -707,13 +724,31 @@ SEARCH_IDS = SMALL_SYMBOLS + [f"{t} as given" for t in SMALL_SYMBOLS] + DEGENERA
 
 @pytest.mark.parametrize("form", _search_cases(), ids=SEARCH_IDS)
 def test_automorphisms_match_closure_search(form):
-    from latticelab.fqf import _gen_images_search
-    assert automorphisms(form) == _closure_search(form, form, onto=True)
+    """The search yields the closure search's maps in its order, into
+    forms of every order: onto maps when the orders are equal, injective
+    maps into larger forms, none into smaller ones."""
+    from latticelab.fqf import _isometries
+    assert automorphisms(form) == _closure_search(form, form)
     for other in _search_cases():
-        isometries = _closure_search(form, other, onto=True)
-        assert _gen_images_search(form, other, find_all=True,
-                                  require_onto=True) == isometries
-        assert bruteforce_isomorphic(form, other) == bool(isometries)
+        maps = _closure_search(form, other)
+        assert list(_isometries(form, other)) == maps
+        assert bruteforce_isomorphic(form, other) == \
+            (form.order == other.order and bool(maps))
+
+
+def test_search_tests_radical_only_where_q_is_integral(monkeypatch):
+    """A radical x has q(x) = b(x, x) = 0 mod 1, so the isometry search
+    calls b_row only on those elements of its source form: at most 1,000
+    calls over an hm15/E6 pass with JSON, where testing every element
+    would take 1,933."""
+    from latticelab import full_report
+    calls = []
+    real = FiniteQuadraticForm.b_row
+    monkeypatch.setattr(FiniteQuadraticForm, "b_row",
+                        lambda form, x: calls.append(x) or real(form, x))
+    for verdict in full_report("hm15", "E6"):
+        verdict.to_json_dict()
+    assert len(calls) <= 1000
 
 
 @pytest.mark.parametrize("small", DEGENERATE_FORMS, ids=DEGENERATE_IDS)
@@ -721,7 +756,7 @@ def test_degenerate_embedding_images_are_injective(small):
     from latticelab import embedding_images
     big = direct_sum_forms(small, FiniteQuadraticForm([2], [0]))
     assert set(embedding_images(small, big)) == \
-        set(_closure_search(small, big, onto=False))
+        {_closure(big, mp) for mp in _closure_search(small, big)}
 
 
 def _elementwise_orbits(small, big, maps):
@@ -788,4 +823,4 @@ def test_embedding_images_closed_once(monkeypatch, text):
                         lambda form, gens: spans.append(gens) or real(form, gens))
     images = embedding_images(small, big)
     assert len(spans) == len(images)
-    assert set(images) == set(_closure_search(small, big, onto=False))
+    assert set(images) == {_closure(big, mp) for mp in _closure_search(small, big)}
