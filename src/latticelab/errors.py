@@ -42,7 +42,7 @@ class OddLatticeError(LatticeLabError):
 
 
 class CapExceededError(LatticeLabError):
-    """Brute-force search cap on the group order exceeded."""
+    """Brute-force search cap (group order, rank-2 determinant) exceeded."""
 
 
 class NotIsotropicError(LatticeLabError):

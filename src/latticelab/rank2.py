@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import NotDefiniteError
+from .errors import CapExceededError, NotDefiniteError
 from .lattice import GramLattice, build_lattice
 from .shortvec import short_vectors
+
+DET_CAP = 10**7  # rank2_enumerate walks O(det) steps: about 0.1 s at the cap
 
 
 @dataclass(frozen=True, order=True)
@@ -85,28 +87,25 @@ def rank2_reduce(form: Rank2Form) -> Rank2Form:
 def rank2_enumerate(det: int, negative: bool = False) -> list[Rank2Form]:
     """All reduced even rank-2 forms with the given determinant and sign.
 
-    Complete and duplicate free; lexicographic in (a, b, c).
+    Complete, duplicate free, lexicographic in (a, b, c).  Walks the reduced
+    window (Cohen, GTM 138, Alg. 5.3.5): a = 2x, c = 2z, xz = m = (det + b^2)/4
+    for b of det's parity (none if det = 1, 2 mod 4), max(1, b, 1 - b) <= x
+    <= isqrt(m), x^2 = m only if b >= 0.  CapExceededError above DET_CAP.
     """
     if det < 1:
         raise NotDefiniteError("determinant must be positive")
-    found = []
+    if det > DET_CAP:
+        raise CapExceededError(f"determinant {det} exceeds cap {DET_CAP}")
+    if det % 4 in (1, 2):
+        return []
     bmax = isqrt(det // 3)
-    for b in range(-bmax - 1, bmax + 2):
-        if 3 * b * b > det:
-            continue
-        ac = det + b * b
-        for a in range(2, isqrt(ac) + 1, 2):
-            if ac % a:
-                continue
-            c = ac // a
-            if c % 2 or a > c:
-                continue
-            if not (-a < 2 * b <= a):
-                continue
-            if a == c and b < 0:
-                continue
-            found.append(Rank2Form(a, b, c, negative=negative))
-    return sorted(found, key=lambda f: (f.a, f.b, f.c))
+    found = []
+    for b in range(-bmax + (bmax + det) % 2, bmax + 1, 2):
+        m = (det + b * b) // 4
+        for x in range(max(1, b, 1 - b), isqrt(m) + 1):
+            if m % x == 0 and (b >= 0 or x * x != m):
+                found.append((2 * x, b, 2 * (m // x)))
+    return [Rank2Form(a, b, c, negative) for a, b, c in sorted(found)]
 
 
 def rank2_isometries(form: Rank2Form) -> list[tuple[tuple[int, int], tuple[int, int]]]:

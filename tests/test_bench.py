@@ -1,0 +1,60 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _check_summary(entry, runs):
+    assert len(entry["runs"]) == runs
+    assert min(entry["runs"]) <= entry["median"] <= max(entry["runs"])
+    assert 0 <= entry["iqr"] <= max(entry["runs"]) - min(entry["runs"])
+
+
+def check_schema(data, runs):
+    assert set(data) == {"pr", "git_sha", "git_dirty", "python", "nproc",
+                         "PYTHONDONTWRITEBYTECODE", "src_lines", "runs",
+                         "full_report_s", "rank2_enumerate_ms"}
+    assert (data["git_sha"] is None) == (data["git_dirty"] is None)
+    assert data["git_sha"] is None or len(data["git_sha"]) == 40
+    assert data["nproc"] >= 1 and data["src_lines"] > 1000
+    assert data["runs"] == runs
+    assert list(data["full_report_s"]) == ["hm15/E6", "k3max11/E6+A1", "k3max11/D7",
+                                           "k3max11/E7", "k3max11/E8"]
+    for entry in data["full_report_s"].values():
+        _check_summary(entry, runs)
+    assert list(data["rank2_enumerate_ms"]) == ["3-3000", "3001-30000", "30001-100000"]
+    for entry in data["rank2_enumerate_ms"].values():
+        assert entry["dets"] >= 2
+        _check_summary(entry, runs)
+
+
+def test_quick_mode_prints_the_schema(bench, capsys):
+    bench.main(["--pr", "0", "--quick"])
+    data = json.loads(capsys.readouterr().out)
+    assert data["pr"] == 0
+    check_schema(data, 2)
+
+
+def test_rank2_inputs_are_the_queries_strata(bench):
+    inputs = bench.rank2_inputs(3)
+    for (lo, hi), dets in inputs.items():
+        assert len(dets) == len(set(dets)) == 3
+        assert all(lo <= det <= hi and det % 4 in (0, 3) for det, _ in dets)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in ROOT.glob("BENCH_*.json")))
+def test_committed_bench_files_keep_the_schema(name):
+    data = json.loads((ROOT / name).read_text())
+    assert name == f"BENCH_{data['pr']}.json"
+    check_schema(data, data["runs"])

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from latticelab import (
@@ -17,6 +19,7 @@ from latticelab import (
     uniqueness_for_record,
 )
 from latticelab.errors import AssumptionMissingError, NotMaximalRankError
+from test_rank2 import reference_enumerate
 
 
 def record(table, row):
@@ -242,10 +245,11 @@ def test_candidate_forms_negate_to_quotient(hm15_report):
 
 def _full_scan_candidates(witness):
     """transcendental_candidates without the orders prefilter: every reduced
-    form of the determinant gets its discriminant form."""
-    from latticelab import discriminant_form, is_isomorphic, rank2_enumerate
+    form of the determinant, found by the tests' full-window scan, gets its
+    discriminant form."""
+    from latticelab import discriminant_form, is_isomorphic
     target = witness.quotient
-    return [f for f in rank2_enumerate(target.order, negative=True)
+    return [f for f in reference_enumerate(target.order, negative=True)
             if is_isomorphic(discriminant_form(f.positive_lattice()), target)]
 
 
@@ -267,7 +271,9 @@ def test_rank2_orders_read_off_entries(table_reports):
 
 
 def test_transcendental_candidates_match_full_scan(table_reports):
-    checked = 0
+    """Each rank-2 witness's candidates are the full scan's, and its Nikulin
+    verdict says whether that scan builds an explicit lattice T."""
+    built = Counter()
     for (_, root_name), report in table_reports.items():
         root = polarization_root(root_name)
         for verdict in report:
@@ -275,10 +281,12 @@ def test_transcendental_candidates_match_full_scan(table_reports):
             if not crit or crit.complement_rank != 2:
                 continue
             for outcome in crit.outcomes:
+                scan = _full_scan_candidates(outcome.witness)
                 assert transcendental_candidates(verdict.record, root, outcome.witness) \
-                    == _full_scan_candidates(outcome.witness)
-                checked += 1
-    assert checked == 163
+                    == scan
+                assert outcome.verdict.exists == bool(scan), outcome.witness
+                built[bool(scan)] += 1
+    assert built == {True: 85, False: 78}
 
 
 def test_table_runs_scan_each_symbol_once(table_reports, monkeypatch):

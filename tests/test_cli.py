@@ -177,6 +177,13 @@ def test_lattice_info_refuses_a_name_above_the_rank_cap(capsys):
     assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
 
 
+def test_rank2_enum_refuses_a_determinant_above_the_cap(capsys):
+    code = run(["rank2", "enum", "--det", str(10**12)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: determinant 1000000000000 exceeds cap 10000000\n"
+
+
 def test_domain_error_exit_code(capsys):
     code = run(["dform", "symbol", "--form", "2_3^+1"])
     assert code == 1

@@ -12,8 +12,8 @@ from latticelab import (
     rank2_isometries,
     rank2_reduce,
 )
-from latticelab.errors import NotDefiniteError
-from latticelab.rank2 import matrix_order, rank2_form_from_gram
+from latticelab.errors import CapExceededError, NotDefiniteError
+from latticelab.rank2 import DET_CAP, matrix_order, rank2_form_from_gram
 
 
 def brute_isometric(f1: Rank2Form, f2: Rank2Form, bound=10) -> bool:
@@ -76,6 +76,49 @@ def brute_enumerate(det):
             red = rank2_reduce(Rank2Form(a, b, c))
             seen.add((red.a, red.b, red.c))
     return sorted(seen)
+
+
+def reference_enumerate(det, negative=False):
+    """Oracle: the full-window scan, every b with 3b^2 <= det and every even
+    a up to sqrt(det + b^2), keeping the reduced even (a, b, c)."""
+    found = []
+    bmax = math.isqrt(det // 3)
+    for b in range(-bmax - 1, bmax + 2):
+        if 3 * b * b > det:
+            continue
+        ac = det + b * b
+        for a in range(2, math.isqrt(ac) + 1, 2):
+            if ac % a:
+                continue
+            c = ac // a
+            if c % 2 or a > c:
+                continue
+            if not (-a < 2 * b <= a):
+                continue
+            if a == c and b < 0:
+                continue
+            found.append(Rank2Form(a, b, c, negative=negative))
+    return sorted(found, key=lambda f: (f.a, f.b, f.c))
+
+
+def test_enumerate_matches_full_window_scan():
+    rng = random.Random(17)
+    dets = list(range(1, 3001)) + [rng.randint(3001, 100000) for _ in range(20)]
+    for det in dets:
+        want = [(f.a, f.b, f.c) for f in reference_enumerate(det)]
+        # det = 1, 2 mod 4 has no even form; otherwise (2, det % 2, .) is one
+        assert (want == []) == (det % 4 in (1, 2)), det
+        for negative in (False, True):
+            got = rank2_enumerate(det, negative)
+            assert [(f.a, f.b, f.c) for f in got] == want, det
+            assert all(f.negative == negative for f in got)
+
+
+def test_enumerate_refuses_determinants_above_the_cap():
+    with pytest.raises(CapExceededError):
+        rank2_enumerate(DET_CAP + 1)
+    with pytest.raises(NotDefiniteError):
+        rank2_enumerate(0)
 
 
 @pytest.mark.parametrize("det", [3, 27, 35, 36, 48, 75, 100, 315, 360])
@@ -176,6 +219,10 @@ def test_enumerate_count_matches_class_number_sum():
     assert class_number(-315) + class_number(-35) == 4 + 2 == class_number_sum(315)
     assert class_number(-360) + class_number(-40) == 8 + 2 == class_number_sum(360)
     for det in range(1, 1001):
+        assert len(rank2_enumerate(det)) == class_number_sum(det), det
+    # large determinants whose fundamental discriminants are small enough
+    # for Dirichlet's sum, up to the cap
+    for det in (99999, 100000, 10**6, 4 * 3**12, DET_CAP):
         assert len(rank2_enumerate(det)) == class_number_sum(det), det
 
 

@@ -1,0 +1,134 @@
+"""Write BENCH_<pr>.json: the table runs and the rank-2 enumeration, timed.
+
+    python3 tools/bench.py --pr N [--quick]
+
+Run from anywhere; the checkout is the directory above this file, the
+library is imported from its `src/` and the file is written at its root.
+Standard library only.  The rank-2 determinants are the `queries`
+workload's own, drawn from `perfbench/gen.py` (imported, not changed), so
+each stratum here is one of that workload's.  Compare two BENCH files only
+when they come from the same host.
+
+Recorded:
+  git_sha, git_dirty   HEAD of the checkout, and whether tracked files differ
+                       from it (null outside a git checkout)
+  python, nproc, PYTHONDONTWRITEBYTECODE
+  src_lines            lines in src/**/*.py
+  full_report_s        per (table, root): median and IQR over RUNS (21) runs of
+                       full_report with to_json_dict() on every verdict,
+                       after one untimed warm-up run of all five
+  rank2_enumerate_ms   per queries stratum of determinants: median and IQR
+                       over RUNS (21) runs of the mean time per call
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import gen  # noqa: E402
+from latticelab import full_report, rank2_enumerate  # noqa: E402
+
+TABLE_RUNS = (("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
+              ("k3max11", "E7"), ("k3max11", "E8"))
+SEED = 1  # seed of the queries stream the determinants come from
+RUNS = 21  # runs per measurement in a full (not --quick) run
+
+
+def summary(values: list[float]) -> dict:
+    """Median and interquartile range of the runs, with the runs."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
+
+
+def git(*args: str) -> str | None:
+    """The command's output, or None outside a git checkout."""
+    try:
+        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout.strip()
+
+
+def rank2_inputs(per_stratum: int) -> dict[tuple[int, int], list[tuple[int, bool]]]:
+    """The first `per_stratum` rank2 queries of each stratum in the stream."""
+    strata = {tuple(s): [] for s in gen.QUERY_KINDS["rank2"][1]}
+    stream = gen.QueryStream(SEED)
+    while any(len(v) < per_stratum for v in strata.values()):
+        for kind, item in stream.next_batch():
+            if kind == "rank2":
+                dets = strata[tuple(item["stratum"])]
+                if len(dets) < per_stratum:
+                    dets.append((item["det"], item["negative"]))
+    return strata
+
+
+def time_tables(runs: int) -> dict:
+    def one(table, root):
+        start = time.perf_counter()
+        for verdict in full_report(table, root):
+            verdict.to_json_dict()
+        return time.perf_counter() - start
+
+    for run in TABLE_RUNS:
+        one(*run)
+    return {f"{table}/{root}": summary([one(table, root) for _ in range(runs)])
+            for table, root in TABLE_RUNS}
+
+
+def time_rank2(runs: int, per_stratum: int) -> dict:
+    out = {}
+    for (lo, hi), inputs in rank2_inputs(per_stratum).items():
+        means = []
+        for _ in range(runs):
+            start = time.perf_counter()
+            for det, negative in inputs:
+                rank2_enumerate(det, negative)
+            means.append((time.perf_counter() - start) * 1e3 / len(inputs))
+        out[f"{lo}-{hi}"] = {"dets": len(inputs), **summary(means)}
+    return out
+
+
+def bench(pr: int, runs: int, per_stratum: int) -> dict:
+    dirty = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "pr": pr,
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": dirty if dirty is None else bool(dirty),
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "src_lines": sum(len(p.read_text().splitlines())
+                         for p in (ROOT / "src").rglob("*.py")),
+        "runs": runs,
+        "full_report_s": time_tables(runs),
+        "rank2_enumerate_ms": time_rank2(runs, per_stratum),
+    }
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--quick", action="store_true",
+                        help="2 runs, 2 determinants per stratum; print, write no file")
+    args = parser.parse_args(argv)
+    if args.quick:
+        print(json.dumps(bench(args.pr, 2, 2), indent=1))
+        return
+    data = bench(args.pr, RUNS, 20)
+    (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(data, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
