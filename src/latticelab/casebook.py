@@ -191,8 +191,8 @@ def condition_check(rec: LeechPairRecord) -> ConditionVerdict:
 @dataclass(frozen=True)
 class WitnessOutcome:
     """One overlattice, its complement and the verdict; symbol is the
-    canonical symbol of the complement form -q, which decides the verdict
-    and the transcendental candidates."""
+    canonical symbol of the quotient form q, which decides the verdict (on
+    the swapped signature) and fixes the transcendental candidates."""
 
     witness: SaturationWitness
     complement: LatticeInvariant
@@ -200,10 +200,7 @@ class WitnessOutcome:
     symbol: GenusSymbol
 
     def to_json_dict(self):
-        return self._json_dict(str(to_symbol(self.witness.quotient)))
-
-    def _json_dict(self, quotient: str):
-        return {"witness": self.witness._json_dict(quotient),
+        return {"witness": self.witness._json_dict(str(self.symbol)),
                 "complement_signature": [self.complement.n_plus,
                                          self.complement.n_minus],
                 **self.verdict.to_json_dict()}
@@ -230,8 +227,10 @@ def polarized_criterion(rec: LeechPairRecord, root: PolarizationRoot) -> Criteri
 
     Enumerates the overlattices of S + R keeping S primitive; the record
     passes iff for at least one of them the complementary even lattice of
-    signature (26 - rank_S - rank_R, 2) exists.  The verdict depends only on
-    the complement's genus symbol, so it is decided once per symbol.
+    signature (26 - rank_S - rank_R, 2) and form -q exists.  That holds
+    exactly when its rescaling by -1, of the swapped signature and form q,
+    exists; so the verdict is read off the quotient's own genus symbol,
+    decided once per symbol.
     """
     comp_plus = BORCHERDS_SIGNATURE[0] - rec.rank_S - root.rank
     comp_minus = BORCHERDS_SIGNATURE[1]
@@ -241,12 +240,12 @@ def polarized_criterion(rec: LeechPairRecord, root: PolarizationRoot) -> Criteri
     outcomes = []
     verdicts: dict[GenusSymbol, ExistenceVerdict] = {}
     for witness in saturations_keeping_primitive(rec.q_S, root.q_R):
-        form = negate_form(witness.quotient)
-        symbol = to_symbol(form)
+        symbol = to_symbol(witness.quotient)
         if symbol not in verdicts:
-            verdicts[symbol] = genus_exists(comp_plus, comp_minus, symbol)
+            verdicts[symbol] = genus_exists(comp_minus, comp_plus, symbol)
         outcomes.append(WitnessOutcome(
-            witness, LatticeInvariant(comp_plus, comp_minus, form),
+            witness, LatticeInvariant(comp_plus, comp_minus,
+                                      negate_form(witness.quotient)),
             verdicts[symbol], symbol))
     return CriterionResult(any(o.verdict.exists for o in outcomes), outcomes,
                            comp_plus + comp_minus)
@@ -336,7 +335,7 @@ def nonsymplectic_order(rec: LeechPairRecord, t_form: Rank2Form,
                         nontrivial_glue: bool) -> tuple[int, int]:
     """(n_bar, total order) for one maximal-rank class.
 
-    n_bar is the largest n = 2^a 3^b with phi(n) | 2 such that 3 | n only
+    n_bar is the largest n in phi_order_bound(rank_S) such that 3 | n only
     if T has an order-3 isometry, 4 | n only if T has an order-4 isometry,
     and 2 | n only if the class comes from a nontrivial overlattice (an
     anti-symplectic involution forces S + R to be non-primitive).
@@ -345,7 +344,7 @@ def nonsymplectic_order(rec: LeechPairRecord, t_form: Rank2Form,
         raise NotMaximalRankError("non-symplectic analysis needs rank_S = 20")
     orders = rank2_automorphism_orders(t_form)
     best = 1
-    for n in (1, 2, 3, 4, 6):
+    for n in phi_order_bound(rec.rank_S):
         if n % 3 == 0 and 3 not in orders:
             continue
         if n % 4 == 0 and 4 not in orders:
@@ -418,11 +417,7 @@ class CaseVerdict:
             "reason": self.reason,
         }
         if self.criterion is not None:
-            outcomes = self.criterion.outcomes
-            # one complement symbol (of -q) fixes the quotient symbol (of q)
-            quotients = {o.symbol: o.witness.quotient for o in outcomes}
-            texts = {sym: str(to_symbol(q)) for sym, q in quotients.items()}
-            out["witnesses"] = [o._json_dict(texts[o.symbol]) for o in outcomes]
+            out["witnesses"] = [o.to_json_dict() for o in self.criterion.outcomes]
         out["classes"] = [c.to_json_dict() for c in self.classes]
         return out
 

@@ -134,25 +134,15 @@ def rank2_isometries(form: Rank2Form) -> list[tuple[tuple[int, int], tuple[int, 
     return sorted(result)
 
 
-def _mat2_mul(m1, m2):
-    return ((m1[0][0] * m2[0][0] + m1[0][1] * m2[1][0],
-             m1[0][0] * m2[0][1] + m1[0][1] * m2[1][1]),
-            (m1[1][0] * m2[0][0] + m1[1][1] * m2[1][0],
-             m1[1][0] * m2[0][1] + m1[1][1] * m2[1][1]))
-
-
-_ID2 = ((1, 0), (0, 1))
-
-
-def matrix_order(m, cap: int = 24) -> int:
-    acc = m
-    for k in range(1, cap + 1):
-        if acc == _ID2:
-            return k
-        acc = _mat2_mul(acc, m)
-    raise ValueError("matrix order exceeds cap; not a finite isometry?")
+# the order of a finite-order isometry with det 1, by its trace
+_ORDER_BY_TRACE = {2: 1, -2: 2, 0: 4, 1: 6, -1: 3}
 
 
 def rank2_automorphism_orders(form: Rank2Form) -> set[int]:
-    """Orders of elements of the isometry group of the (definite) form."""
-    return {matrix_order(m) for m in rank2_isometries(form)}
+    """Orders of elements of the isometry group of the (definite) form.
+
+    A finite-order 2x2 integer matrix of det -1 is a reflection (order 2);
+    one of det 1 has its order fixed by its trace, 2 cos(2 pi / order).
+    """
+    return {2 if p * s - q * r == -1 else _ORDER_BY_TRACE[p + s]
+            for (p, q), (r, s) in rank2_isometries(form)}

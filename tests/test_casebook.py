@@ -116,6 +116,75 @@ def test_embedding_count_requires_flag():
         embedding_class_count(rec2, Rank2Form(2, 1, 14, negative=True))
 
 
+def _burnside_embedding_count(small, big, maps):
+    """Oracle for form_embeddings_mod_aut without _isometries or
+    embedding_images: the images are the subgroups of big of order |small|,
+    made of elements whose (order, q) occurs in small, whose induced form
+    has small's genus symbol; the classes are the orbits of the group G
+    the maps generate, counted as sum |Fix(g)| / |G|."""
+    from latticelab import to_symbol
+    from latticelab.errors import DegenerateError
+    from latticelab.fqf import _subgroups_within
+    keys = {(o, q * big.level) for _, q, o in small.scan()}
+    pool = frozenset(x for x, q, o in big.scan() if (o, q * small.level) in keys)
+    target = to_symbol(small)
+    images = []
+    for els, gens in _subgroups_within(big, pool).items():
+        if len(els) != small.order:
+            continue
+        try:
+            if to_symbol(big.subquotient(gens)[0]) == target:
+                images.append(els)
+        except DegenerateError:
+            continue
+
+    def apply(mp, x):
+        return big.reduce([sum(c * y[k] for c, y in zip(x, mp))
+                           for k in range(big.ngens)])
+
+    # G grows one generator at a time: each map not yet in G joins the
+    # generators, and G is closed again under left multiplication by them
+    group, gens = {tuple(big.gens())}, []
+    for m in maps:
+        if m in group:
+            continue
+        gens.append(m)
+        frontier = list(group)
+        while frontier:
+            g = frontier.pop()
+            for s in gens:
+                h = tuple(apply(s, y) for y in g)
+                if h not in group:
+                    group.add(h)
+                    frontier.append(h)
+    fixed = sum(all(apply(g, x) in img for x in img)
+                for g in group for img in images)
+    assert fixed % len(group) == 0
+    return images, fixed // len(group)
+
+
+def test_embedding_counts_match_burnside(monkeypatch):
+    """Every form_embeddings_mod_aut call of the hm15/E6 run finds the
+    oracle's images and counts its orbits."""
+    from latticelab import casebook, embedding_images
+    real = casebook.form_embeddings_mod_aut
+    calls = []
+
+    def spy(small, big, maps):
+        out = real(small, big, maps)
+        calls.append((small, big, maps, out[0]))
+        return out
+    monkeypatch.setattr(casebook, "form_embeddings_mod_aut", spy)
+    full_report("hm15", "E6")
+    found = []
+    for small, big, maps, count in calls:
+        images, classes = _burnside_embedding_count(small, big, maps)
+        assert set(images) == set(embedding_images(small, big))
+        assert classes == count
+        found.append((len(images), classes))
+    assert found == [(6, 1), (1, 1), (1, 1), (3, 1), (2, 2), (1, 1), (1, 1)]
+
+
 def test_nonsymplectic_orders():
     rec1 = record("hm15", 1)
     assert nonsymplectic_order(rec1, Rank2Form(6, 3, 6, negative=True), True) \
@@ -340,23 +409,42 @@ def test_table_runs_scan_each_symbol_once(table_reports, monkeypatch):
 
 
 def test_json_renders_each_quotient_symbol_once(table_reports, monkeypatch):
-    """CaseVerdict.to_json_dict canonicalizes one quotient per (record,
-    complement symbol): witnesses whose -q share a symbol share the symbol
-    of q.  The witnesses render as they do one by one."""
+    """CaseVerdict.to_json_dict canonicalizes no form over the five table
+    runs: each witness prints the quotient symbol polarized_criterion kept,
+    58 distinct ones over the k3max11 runs, and renders as it does alone."""
     from latticelab import casebook, nikulin
-    verdicts = [v for (table, _), report in table_reports.items()
-                if table == "k3max11" for v in report]
+    verdicts = [v for report in table_reports.values() for v in report]
     calls = []
     for module in (casebook, nikulin):
         real = module.to_symbol
         monkeypatch.setattr(module, "to_symbol",
                             lambda form, real=real: calls.append(form) or real(form))
     data = [v.to_json_dict() for v in verdicts]
+    assert calls == []
     distinct = sum(len({o.symbol for o in v.criterion.outcomes})
-                   for v in verdicts if v.criterion)
-    assert len(calls) == distinct == 58
-    assert [w for d in data for w in d.get("witnesses", [])] == [
-        o.to_json_dict() for v in verdicts if v.criterion for o in v.criterion.outcomes]
+                   for v in verdicts if v.criterion and v.record.table == "K3MAX11")
+    assert distinct == 58
+    outcomes = [o for v in verdicts if v.criterion for o in v.criterion.outcomes]
+    assert [w["witness"] for d in data for w in d.get("witnesses", [])] == [
+        o.witness.to_json_dict() for o in outcomes]
+
+
+def test_criterion_canonicalizes_each_quotient_once(table_reports, monkeypatch):
+    """polarized_criterion calls to_symbol once per witness, on the
+    witness's own quotient, never on its negation."""
+    from latticelab import casebook
+    real = casebook.to_symbol
+    calls = []
+    monkeypatch.setattr(casebook, "to_symbol",
+                        lambda form: calls.append(form) or real(form))
+    for table, root_name in table_reports:
+        root = polarization_root(root_name)
+        for rec in load_table(table):
+            calls.clear()
+            crit = polarized_criterion(rec, root)
+            assert len(calls) == len(crit.outcomes)
+            assert all(form is o.witness.quotient
+                       for form, o in zip(calls, crit.outcomes))
 
 
 def test_glue_searches_read_one_scan(monkeypatch, table_reports):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,12 +22,14 @@ from latticelab import (
     rank2_enumerate,
     rescale,
     saturations_keeping_primitive,
+    to_symbol,
     trivial_form,
     unique_primitive_embedding,
 )
 from latticelab.errors import BadSignatureError, CapExceededError, RealizabilityError
 from latticelab.exactmat import factorize
 from latticelab.fqf import BRUTE_CAP, FiniteQuadraticForm
+from latticelab.nikulin import genus_exists
 from test_fqf import DEGENERATE_FORMS, SMALL_SYMBOLS
 
 
@@ -84,6 +87,25 @@ def test_existence_swap_symmetry():
             a = even_lattice_exists(LatticeInvariant(n1, n2, q))
             b = even_lattice_exists(LatticeInvariant(n2, n1, negate_form(q)))
             assert a.exists == b.exists
+
+
+def test_genus_exists_swaps_signature_with_sign():
+    """A lattice of signature (n1, n2) and form -q exists iff its rescaling
+    by -1, of signature (n2, n1) and form q, does: the same verdict,
+    failed condition and detail, for SMALL_SYMBOLS and the sums of two of
+    them, on every signature with n1 + n2 <= 12."""
+    forms = [form_from_symbol_text(t) for t in SMALL_SYMBOLS]
+    forms += [a.direct_sum(b) for a, b in
+              itertools.combinations_with_replacement(forms, 2)]
+    seen = Counter()
+    for q in forms:
+        sym, neg = to_symbol(q), to_symbol(negate_form(q))
+        for n1 in range(13):
+            for n2 in range(13 - n1):
+                verdict = genus_exists(n2, n1, sym)
+                assert genus_exists(n1, n2, neg) == verdict, (str(sym), n1, n2)
+                seen[verdict.failed_condition] += 1
+    assert set(seen) == {None, 1, 2, 3, 4}, seen
 
 
 def test_existence_sound_on_registry():

@@ -13,7 +13,7 @@ from latticelab import (
     rank2_reduce,
 )
 from latticelab.errors import CapExceededError, NotDefiniteError
-from latticelab.rank2 import DET_CAP, matrix_order, rank2_form_from_gram
+from latticelab.rank2 import DET_CAP, rank2_form_from_gram
 
 
 def brute_isometric(f1: Rank2Form, f2: Rank2Form, bound=10) -> bool:
@@ -237,6 +237,29 @@ def test_isometry_group_is_a_group():
         assert len(mats) % 2 == 0
         for m in mats:
             assert matrix_order(m) >= 1
+
+
+def matrix_order(m):
+    """Oracle: the order of a 2x2 integer matrix by repeated multiplication."""
+    acc = m
+    for k in range(1, 25):
+        if acc == ((1, 0), (0, 1)):
+            return k
+        acc = tuple(tuple(sum(acc[i][t] * m[t][j] for t in range(2))
+                          for j in range(2)) for i in range(2))
+    raise ValueError("matrix order exceeds cap; not a finite isometry?")
+
+
+def test_automorphism_orders_match_powering():
+    """Orders read off (det, trace) equal the powered orders, on every
+    isometry of every form of det <= 400."""
+    seen = set()
+    for det in range(1, 401):
+        for f in rank2_enumerate(det):
+            want = {matrix_order(m) for m in rank2_isometries(f)}
+            assert rank2_automorphism_orders(f) == want, f
+            seen |= want
+    assert seen == {1, 2, 3, 4, 6}
 
 
 def test_automorphism_orders_examples():
