@@ -260,30 +260,29 @@ def _discriminant_orders(form: Rank2Form) -> tuple[int, ...]:
 
 
 def transcendental_candidates(rec: LeechPairRecord, root: PolarizationRoot,
-                              witness: SaturationWitness) -> list[Rank2Form]:
+                              outcome: WitnessOutcome) -> list[Rank2Form]:
     """Negative definite rank-2 lattices T with q_T = -q of the overlattice.
 
     Only defined in the maximal-rank case (rank-2 complement): enumerate
     reduced even forms of the complement determinant and keep those whose
     discriminant form matches.  Orders are compared first, off each form's
     entries; only a form whose orders match gets a lattice, a discriminant
-    form and a canonical genus symbol, compared with the quotient's symbol,
-    which is computed once.  Equal orders mean isomorphic groups here: the
-    quotient (from complement_quotient, through the torsion reader shared
-    with subquotient) and q_T both carry the invariant factors of a Smith
-    normal form, each dividing the next with the 1s dropped, and a finite
-    abelian group is determined by that list.
+    form and a canonical genus symbol, compared with outcome.symbol, the
+    quotient's symbol that polarized_criterion kept.  Equal orders mean
+    isomorphic groups here: the quotient (from complement_quotient, through
+    the torsion reader shared with subquotient) and q_T both carry the
+    invariant factors of a Smith normal form, each dividing the next with
+    the 1s dropped, and a finite abelian group is determined by that list.
     """
     comp_rank = BORCHERDS_SIGNATURE[0] + BORCHERDS_SIGNATURE[1] \
         - rec.rank_S - root.rank
     if comp_rank != 2:
         raise NotMaximalRankError("complement is not of rank 2")
-    target = witness.quotient
-    target_symbol = to_symbol(target)
+    target = outcome.witness.quotient
     return [cand for cand in rank2_enumerate(target.order, negative=True)
             if _discriminant_orders(cand) == target.orders
             and to_symbol(discriminant_form(cand.positive_lattice()))
-            == target_symbol]
+            == outcome.symbol]
 
 
 def _induced_isometry_maps(t_form: Rank2Form):
@@ -437,7 +436,7 @@ def analyze_record(rec: LeechPairRecord, root: PolarizationRoot) -> CaseVerdict:
         by_form: dict[Rank2Form, bool] = {}
         for group in groups.values():
             nontrivial = any(not o.witness.trivial for o in group)
-            for t_form in transcendental_candidates(rec, root, group[0].witness):
+            for t_form in transcendental_candidates(rec, root, group[0]):
                 by_form[t_form] = by_form.get(t_form, False) or nontrivial
         for t_form in sorted(by_form):
             cls = TranscendentalClass(t_form, by_form[t_form])

@@ -27,7 +27,7 @@ from .fqf import (
     discriminant_form,
     isotropic_subgroups,
 )
-from .lattice import GramLattice, build_lattice, named_lattice
+from .lattice import GramLattice, build_lattice, lattice_from_json_dict, named_lattice
 from .nikulin import (
     LatticeInvariant,
     even_lattice_exists,
@@ -119,10 +119,7 @@ def _positive_int(text: str) -> int:
 
 def _parse_gram(args) -> GramLattice:
     if args.file:
-        data = args.file
-        if "name" in data:
-            return named_lattice(data["name"], data.get("scale", 1))
-        return build_lattice(data["gram"])
+        return lattice_from_json_dict(args.file)
     if args.name:
         return named_lattice(args.name, args.scale)
     if args.gram:

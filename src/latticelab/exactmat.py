@@ -126,39 +126,16 @@ def smith_normal_form(mat):
     """Smith normal form with transforms: returns (d, u, v), u*mat*v = diag(d).
 
     d is the list of diagonal entries (d[0] | d[1] | ...), all >= 0; u and v
-    are unimodular.  Works for any rectangular integer matrix.
+    are unimodular.  Works for any rectangular integer matrix.  Every
+    operation runs once on the block matrix [[mat, I_m], [I_n, 0]] (Cohen,
+    GTM 138, 2.4.4): row operations on whole rows < m, column operations on
+    whole columns < n, so the top-right block collects u and the
+    bottom-left block v, and neither touches the other corner.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
-    a = [row[:] for row in mat]
-    u = identity_matrix(m)
-    v = identity_matrix(n)
-
-    def row_sub(i, j, c):
-        if c:
-            a[i] = [x - c * y for x, y in zip(a[i], a[j])]
-            u[i] = [x - c * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(j, i, c):
-        if c:
-            for r in range(m):
-                a[r][j] -= c * a[r][i]
-            for r in range(n):
-                v[r][j] -= c * v[r][i]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+    a = [list(row) + e for row, e in zip(mat, identity_matrix(m))]
+    a += [e + [0] * m for e in identity_matrix(n)]
 
     t = 0
     while t < min(m, n):
@@ -170,20 +147,23 @@ def smith_normal_form(mat):
                     best = (i, j)
         if best is None:
             break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
+        i, j = best
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
         if a[t][t] < 0:
-            row_neg(t)
+            a[t] = [-x for x in a[t]]
         dirty = False
         for i in range(t + 1, m):
             if a[i][t] != 0:
-                row_sub(i, t, a[i][t] // a[t][t])
+                c = a[i][t] // a[t][t]
+                a[i] = [x - c * y for x, y in zip(a[i], a[t])]
                 dirty = dirty or a[i][t] != 0
         for j in range(t + 1, n):
             if a[t][j] != 0:
-                col_sub(j, t, a[t][j] // a[t][t])
+                c = a[t][j] // a[t][t]
+                for row in a:
+                    row[j] -= c * row[t]
                 dirty = dirty or a[t][j] != 0
         if dirty:
             continue
@@ -195,11 +175,10 @@ def smith_normal_form(mat):
                 break
         if witness is not None:
             a[t] = [x + y for x, y in zip(a[t], a[witness])]
-            u[t] = [x + y for x, y in zip(u[t], u[witness])]
             continue
         t += 1
     d = [a[i][i] for i in range(min(m, n))]
-    return d, u, v
+    return d, [row[n:] for row in a[:m]], [row[:n] for row in a[m:]]
 
 
 def integer_kernel(mat) -> list[list[int]]:

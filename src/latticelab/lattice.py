@@ -69,10 +69,12 @@ def build_lattice(gram) -> GramLattice:
 
 
 def lattice_from_json_dict(data) -> GramLattice:
-    if "gram" in data:
-        return build_lattice(data["gram"])
+    """A lattice from a `name` entry (with an optional `scale`) or, failing
+    that, a `gram` entry; the name wins when both are present."""
     if "name" in data:
         return named_lattice(data["name"], data.get("scale", 1))
+    if "gram" in data:
+        return build_lattice(data["gram"])
     raise UnknownLatticeError("expected a 'gram' or 'name' key")
 
 

@@ -229,10 +229,7 @@ def realizable_pairs(n: int) -> frozenset[tuple[int, int]]:
 
 
 def constituent_is_realizable(c: JordanConstituent) -> bool:
-    if c.p != 2:
-        return c.n >= 1 and c.eps in (1, -1)
-    if c.n == 0:
-        return c.eps == 1 and c.even
+    """Whether a 2-adic constituent of rank n >= 1 is realizable."""
     if c.even:
         return c.n % 2 == 0 and c.oddity == 0
     return (c.eps, c.oddity % 8) in realizable_pairs(c.n)
@@ -291,12 +288,18 @@ def _canonical_two_adic(cons: dict[int, JordanConstituent]):
     valid oddity distribution are vacuous labels and are skipped.
     """
     scales = sorted(cons)
-    if not scales:
-        return {}
     comps = _compartments(scales, cons)
     comp_index = {k: i for i, comp in enumerate(comps) for k in comp}
-    walks = _walk_pairs(scales, cons)
-    has_scale2_move = 1 in cons and not cons[1].even
+
+    def move(ks):
+        """(sign multipliers, oddity increments) of flipping the scales ks."""
+        touched = {comp_index[k] for k in ks if k in comp_index}
+        return (tuple(-1 if k in ks else 1 for k in scales),
+                tuple(4 if i in touched else 0 for i in range(len(comps))))
+
+    moves = [move(pair) for pair in _walk_pairs(scales, cons)]
+    if 1 in comp_index:
+        moves.append(move((1,)))
 
     def render(state):
         return _render_state(scales, cons, comps, *state)
@@ -311,24 +314,9 @@ def _canonical_two_adic(cons: dict[int, JordanConstituent]):
     while frontier:
         new = []
         for eps_vec, tot_vec in frontier:
-            moves = []
-            for a, b in walks:
-                ev = list(eps_vec)
-                tv = list(tot_vec)
-                ev[scales.index(a)] *= -1
-                ev[scales.index(b)] *= -1
-                touched = {comp_index[k] for k in (a, b) if k in comp_index}
-                for ci in touched:
-                    tv[ci] = (tv[ci] + 4) % 8
-                moves.append((tuple(ev), tuple(tv)))
-            if has_scale2_move:
-                ev = list(eps_vec)
-                tv = list(tot_vec)
-                ev[scales.index(1)] *= -1
-                ci = comp_index[1]
-                tv[ci] = (tv[ci] + 4) % 8
-                moves.append((tuple(ev), tuple(tv)))
-            for st in moves:
+            for flips, bumps in moves:
+                st = (tuple(e * f for e, f in zip(eps_vec, flips)),
+                      tuple((t + b) % 8 for t, b in zip(tot_vec, bumps)))
                 if st not in rendered:
                     rendered[st] = render(st)
                     if rendered[st] is not None:
@@ -359,17 +347,8 @@ def _render_state(scales, cons, comps, eps_vec, tot_vec):
             return None
         for k, t in zip(comp, dist):
             oddity_of[k] = t
-    out = []
-    for k in scales:
-        c = cons[k]
-        if c.even:
-            if eps_of[k] != c.eps and c.n == 0:
-                return None
-            out.append(JordanConstituent(2, k, c.n, eps_of[k], even=True, oddity=0))
-        else:
-            out.append(JordanConstituent(2, k, c.n, eps_of[k], even=False,
-                                         oddity=oddity_of[k]))
-    return tuple(out)
+    return tuple(JordanConstituent(2, k, cons[k].n, eps_of[k], even=cons[k].even,
+                                   oddity=oddity_of.get(k, 0)) for k in scales)
 
 
 def _distribute(comp, ranks, epss, total):
@@ -496,7 +475,7 @@ def parse_symbol(text: str) -> GenusSymbol:
         if (p, k) in seen:
             raise SymbolSyntaxError(f"duplicate scale {scale}")
         seen.add((p, k))
-        if not constituent_is_realizable(c):
+        if p == 2 and not constituent_is_realizable(c):
             raise RealizabilityError(f"constituent {token!r} violates the "
                                      "2-adic sign/oddity constraints")
         cons.append(c)
@@ -508,20 +487,20 @@ def parse_symbol(text: str) -> GenusSymbol:
 
 
 def _odd_unit_multiset(n: int, eps: int, t: int):
-    """n odd residues mod 8 with given total sign and trace, smallest first."""
-
-    def rec(count, e, s, start):
-        if count == 0:
-            return [] if (e == eps and s % 8 == t % 8) else None
-        for a in (1, 3, 5, 7):
-            if a < start:
-                continue
-            rest = rec(count - 1, e * _det_class_2(a), (s + a) % 8, a)
-            if rest is not None:
-                return [a] + rest
+    """The smallest list of n odd residues mod 8 with total sign eps and
+    trace t, or None.  Greedy: each unit is the smallest whose remainder is
+    realizable by the units left.  A smallest list is sorted (sorting any
+    list makes it no larger), so this is the smallest sorted one."""
+    if (eps, t % 8) not in realizable_pairs(n):
         return None
-
-    return rec(n, 1, 0, 1)
+    units = []
+    for left in range(n - 1, -1, -1):
+        a = next(a for a in (1, 3, 5, 7)
+                 if (eps * _det_class_2(a), (t - a) % 8) in realizable_pairs(left))
+        units.append(a)
+        eps *= _det_class_2(a)
+        t -= a
+    return units
 
 
 def form_from_symbol(sym: GenusSymbol) -> FiniteQuadraticForm:

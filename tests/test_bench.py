@@ -1,6 +1,8 @@
 import importlib.util
+import itertools
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -44,6 +46,26 @@ def test_quick_mode_prints_the_schema(bench, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["pr"] == 0
     check_schema(data, 2)
+
+
+def test_times_are_scaled_by_the_calibration_kernel(bench, monkeypatch):
+    """Each timed run is bracketed by the kernel and recorded at its
+    reference speed: with the kernel at twice K_REF_S on both sides, a run
+    of 0.5 s on the fake clock is recorded as 0.25 s, and a rank-2 stratum
+    run of 20 calls as 0.25 s / 20 per call, in ms."""
+    kernel = 2 * bench.calib.K_REF_S
+    monkeypatch.setattr(bench.calib, "kernel_s", lambda: kernel)
+    clock = itertools.count(0, 0.5)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    monkeypatch.setattr(bench, "full_report", lambda table, root: [])
+    monkeypatch.setattr(bench, "rank2_enumerate", lambda det, negative: [])
+    for entry in bench.time_tables(3).values():
+        assert entry["runs"] == [0.25] * 3
+    for entry in bench.time_rank2(3, 20).values():
+        assert entry["runs"] == [0.25 * 1e3 / 20] * 3
+    before_after = iter([bench.calib.K_REF_S, 3 * bench.calib.K_REF_S])
+    monkeypatch.setattr(bench.calib, "kernel_s", lambda: next(before_after))
+    assert bench.timed(lambda: None) == 0.25  # the mean of both kernel runs
 
 
 def test_rank2_inputs_are_the_queries_strata(bench):

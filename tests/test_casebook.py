@@ -94,9 +94,9 @@ def test_transcendental_candidates_rows():
     e6 = polarization_root("E6")
     rec1 = record("hm15", 1)
     res = polarized_criterion(rec1, e6)
-    wit = next(o.witness for o in res.outcomes
-               if o.verdict.exists and not o.witness.trivial)
-    cands = transcendental_candidates(rec1, e6, wit)
+    outcome = next(o for o in res.outcomes
+                   if o.verdict.exists and not o.witness.trivial)
+    cands = transcendental_candidates(rec1, e6, outcome)
     assert [(f.a, f.b, f.c) for f in cands] == [(6, 3, 6)]
     assert all(f.negative for f in cands)
 
@@ -105,9 +105,8 @@ def test_transcendental_requires_rank2_complement():
     e7 = polarization_root("E7")
     rec = record("hm15", 1)  # rank_S = 20, root rank 7: complement rank 1
     res = polarized_criterion(rec, polarization_root("E6"))
-    wit = res.outcomes[0].witness
     with pytest.raises(NotMaximalRankError):
-        transcendental_candidates(rec, e7, wit)
+        transcendental_candidates(rec, e7, res.outcomes[0])
 
 
 def test_embedding_count_requires_flag():
@@ -306,8 +305,7 @@ def test_candidate_forms_negate_to_quotient(hm15_report):
         for outcome in verdict.criterion.outcomes:
             if not outcome.verdict.exists:
                 continue
-            for t in transcendental_candidates(verdict.record, e6,
-                                               outcome.witness):
+            for t in transcendental_candidates(verdict.record, e6, outcome):
                 q_t = discriminant_form(t.signed_lattice())
                 assert is_isomorphic(negate_form(q_t), outcome.witness.quotient)
 
@@ -351,8 +349,7 @@ def test_transcendental_candidates_match_full_scan(table_reports):
                 continue
             for outcome in crit.outcomes:
                 scan = _full_scan_candidates(outcome.witness)
-                assert transcendental_candidates(verdict.record, root, outcome.witness) \
-                    == scan
+                assert transcendental_candidates(verdict.record, root, outcome) == scan
                 assert outcome.verdict.exists == bool(scan), outcome.witness
                 built[bool(scan)] += 1
     assert built == {True: 85, False: 78}
@@ -361,7 +358,8 @@ def test_transcendental_candidates_match_full_scan(table_reports):
 def test_table_runs_scan_each_symbol_once(table_reports, monkeypatch):
     """One rank-2 scan per (record, complement symbol) of the existing
     outcomes, a discriminant form only for candidates of matching orders,
-    and at most one symbol per witness, per scan and per such candidate."""
+    and exactly one symbol per witness and per such candidate: the scan
+    reuses the symbol polarized_criterion kept for its witness."""
     from latticelab import casebook, discriminant_form, nikulin, rank2_enumerate
     expected = {table: {"scans": 0, "matched": 0, "witnesses": 0}
                 for table in ("hm15", "k3max11")}
@@ -405,7 +403,7 @@ def test_table_runs_scan_each_symbol_once(table_reports, monkeypatch):
         want = expected[table]
         assert calls["rank2_enumerate"] == want["scans"] == bounds[0]
         assert calls["discriminant_form"] == want["matched"] <= bounds[1]
-        assert calls["to_symbol"] <= sum(want.values())
+        assert calls["to_symbol"] == want["witnesses"] + want["matched"]
 
 
 def test_json_renders_each_quotient_symbol_once(table_reports, monkeypatch):

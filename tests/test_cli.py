@@ -60,6 +60,22 @@ def test_lattice_info_from_file(capsys, tmp_path):
     assert code == 0 and data["det"] == 3 * 2 ** 6
 
 
+def test_lattice_file_with_name_and_gram_reads_the_name(capsys, tmp_path):
+    """The CLI and lattice_from_json_dict are one reader: an object with
+    both entries is the named lattice (the only entry --file validates)."""
+    from latticelab import named_lattice
+    from latticelab.lattice import lattice_from_json_dict
+    entries = {"name": "E6", "scale": 2, "gram": [[2, 1], [1, 2]]}
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps(entries), encoding="utf-8")
+    named = tmp_path / "named.json"
+    named.write_text('{"name": "E6", "scale": 2}', encoding="utf-8")
+    code, data = capture_json(capsys, ["lattice", "info", "--file", str(both)])
+    assert code == 0 and data["det"] == 3 * 2 ** 6
+    assert (code, data) == capture_json(capsys, ["lattice", "info", "--file", str(named)])
+    assert lattice_from_json_dict(entries) == named_lattice("E6", 2)
+
+
 def test_rank2_reduce_and_orders(capsys):
     code, out = capture(capsys, ["rank2", "reduce", "--form", "14,-1,2"])
     assert code == 0 and out.strip() == "(2^1 14)"

@@ -69,8 +69,8 @@ def rational_signature_and_det(mat):
 
 def naive_det(m):
     n = len(m)
-    if n == 1:
-        return m[0][0]
+    if n == 0:
+        return 1
     total = 0
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
@@ -106,12 +106,15 @@ def test_bareiss_matches_cofactor_expansion():
 
 
 def test_smith_normal_form_properties():
+    """u*m*v = diag(d) with u, v unimodular and d a divisor chain, on every
+    shape up to 6x6, also those with 0 rows or 0 columns (a 0-row matrix
+    has no column count, so its v is empty)."""
     rng = random.Random(2)
-    for _ in range(60):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = random_matrix(rng, rows, cols)
+    shapes = [(rows, cols) for rows in range(7) for cols in range(7)]
+    for rows, cols in shapes + [rng.choice(shapes) for _ in range(60)]:
+        m = random_matrix(rng, rows, cols, rng.choice((1, 6)))
         d, u, v = smith_normal_form(m)
+        assert len(u) == rows and len(v) == (cols if rows else 0)
         assert abs(naive_det(u)) == 1
         assert abs(naive_det(v)) == 1
         prod = mat_mul(mat_mul(u, m), v)

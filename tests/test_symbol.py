@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -98,6 +98,32 @@ def test_parse_rejects_bad_symbols():
             parse_symbol(text)  # oddity tag outside 0..7
     assert parse_symbol("").constituents == ()
     assert parse_symbol("1^+0").constituents == ()
+
+
+@pytest.mark.parametrize("text", ["3^+0", "2_II^+0", "4_1^+0", "2_1^+1 8_II^+0"])
+def test_parse_rejects_rank_zero_constituents(text):
+    """Every parsed constituent has rank >= 1, as jordan_constituents'
+    do, so no symbol code needs a rank-0 case."""
+    with pytest.raises(RealizabilityError):
+        parse_symbol(text)
+
+
+def test_odd_unit_multiset_is_the_smallest_realizing_list():
+    """The greedy pick equals the smallest list of n odd units with sign
+    eps and trace t found by brute force over sorted lists, and None when
+    there is none."""
+    from latticelab.symbol import _det_class_2, _odd_unit_multiset
+    smallest = {}
+    for n in range(7):
+        for units in itertools.combinations_with_replacement((1, 3, 5, 7), n):
+            key = (n, prod(map(_det_class_2, units)), sum(units) % 8)
+            smallest[key] = min(smallest.get(key, list(units)), list(units))
+    for n in range(7):
+        for eps in (1, -1):
+            for t in range(8):
+                assert _odd_unit_multiset(n, eps, t) == smallest.get((n, eps, t)), \
+                    (n, eps, t)
+    assert sum(n == 6 for n, _, _ in smallest) == 8
 
 
 def test_negation_on_symbols():

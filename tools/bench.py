@@ -9,6 +9,12 @@ workload's own, drawn from `perfbench/gen.py` (imported, not changed), so
 each stratum here is one of that workload's.  Compare two BENCH files only
 when they come from the same host.
 
+Every timed run is bracketed by the calibration kernel of
+`perfbench/calib.py` (imported, not changed) and recorded at its reference
+speed, as perfbench records its operations, so a shared host's drift in
+core speed cancels.  BENCH_16 to BENCH_18 predate this and hold raw wall
+times.
+
 Recorded:
   git_sha, git_dirty   HEAD of the checkout, and whether tracked files differ
                        from it (null outside a git checkout)
@@ -16,9 +22,11 @@ Recorded:
   src_lines            lines in src/**/*.py
   full_report_s        per (table, root): median and IQR over RUNS (21) runs of
                        full_report with to_json_dict() on every verdict,
-                       after one untimed warm-up run of all five
+                       after one untimed warm-up run of all five, in seconds
+                       at the reference speed
   rank2_enumerate_ms   per queries stratum of determinants: median and IQR
-                       over RUNS (21) runs of the mean time per call
+                       over RUNS (21) runs of the mean time per call, in ms
+                       at the reference speed
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import calib  # noqa: E402
 import gen  # noqa: E402
 from latticelab import full_report, rank2_enumerate  # noqa: E402
 
@@ -74,28 +83,36 @@ def rank2_inputs(per_stratum: int) -> dict[tuple[int, int], list[tuple[int, bool
     return strata
 
 
+def timed(call) -> float:
+    """Seconds that call() takes, scaled to the calibration kernel's
+    reference speed by the kernel runs just before and just after it."""
+    before = calib.kernel_s()
+    start = time.perf_counter()
+    call()
+    elapsed = time.perf_counter() - start
+    return calib.scaled(elapsed, before, calib.kernel_s())
+
+
 def time_tables(runs: int) -> dict:
     def one(table, root):
-        start = time.perf_counter()
         for verdict in full_report(table, root):
             verdict.to_json_dict()
-        return time.perf_counter() - start
 
     for run in TABLE_RUNS:
         one(*run)
-    return {f"{table}/{root}": summary([one(table, root) for _ in range(runs)])
+    return {f"{table}/{root}": summary([timed(lambda: one(table, root))
+                                        for _ in range(runs)])
             for table, root in TABLE_RUNS}
 
 
 def time_rank2(runs: int, per_stratum: int) -> dict:
     out = {}
     for (lo, hi), inputs in rank2_inputs(per_stratum).items():
-        means = []
-        for _ in range(runs):
-            start = time.perf_counter()
+        def one():
             for det, negative in inputs:
                 rank2_enumerate(det, negative)
-            means.append((time.perf_counter() - start) * 1e3 / len(inputs))
+
+        means = [timed(one) * 1e3 / len(inputs) for _ in range(runs)]
         out[f"{lo}-{hi}"] = {"dets": len(inputs), **summary(means)}
     return out
 
