@@ -285,13 +285,6 @@ def transcendental_candidates(rec: LeechPairRecord, root: PolarizationRoot,
             == outcome.symbol]
 
 
-def _induced_isometry_maps(t_form: Rank2Form):
-    """Automorphisms of -q_T induced by the isometry group of T."""
-    dg = discriminant_group(t_form.positive_lattice())
-    maps = {dg.induced_automorphism(m) for m in rank2_isometries(t_form)}
-    return sorted(maps), dg.form
-
-
 def embedding_class_count(rec: LeechPairRecord, t_form: Rank2Form) -> int:
     """Number of inequivalent primitive embeddings of S with complement T.
 
@@ -303,11 +296,13 @@ def embedding_class_count(rec: LeechPairRecord, t_form: Rank2Form) -> int:
     if not rec.aut_qS_surjective:
         raise AssumptionMissingError(
             f"row {rec.row} lacks the Aut(q_S) surjectivity flag")
-    aut_maps, qt_neg = _induced_isometry_maps(t_form)
-    if rec.q_S.order <= qt_neg.order:
-        count, _ = form_embeddings_mod_aut(rec.q_S, qt_neg, aut_maps)
+    dg = discriminant_group(t_form.positive_lattice())
+    if rec.q_S.order <= dg.form.order:
+        # automorphisms of -q_T induced by the isometry group of T
+        aut_maps = sorted({dg.induced_automorphism(m) for m in rank2_isometries(t_form)})
+        count, _ = form_embeddings_mod_aut(rec.q_S, dg.form, aut_maps)
     else:
-        count, _ = form_embeddings_mod_aut(qt_neg, rec.q_S, automorphisms(rec.q_S))
+        count, _ = form_embeddings_mod_aut(dg.form, rec.q_S, automorphisms(rec.q_S))
     return count
 
 

@@ -161,19 +161,17 @@ def _sqrt_as_cyclotomic(m: int, n: int) -> CyclotomicInt:
     return total * base
 
 
-def gauss_sum_signature(form: FiniteQuadraticForm,
-                        order_cap: int = GAUSS_ORDER_CAP,
-                        ring_cap: int = GAUSS_RING_CAP) -> int:
+def gauss_sum_signature(form: FiniteQuadraticForm) -> int:
     """Signature mod 8 read off the exact Gauss sum over all group elements.
 
     Raises ValueError when the group or the cyclotomic ring would be too
     large for the direct evaluation; callers fall back to the closed-form
     constituent computation in symbol.signature_mod8.
     """
-    if form.order > order_cap:
+    if form.order > GAUSS_ORDER_CAP:
         raise ValueError("group too large for direct Gauss sum")
     n = lcm(8, 2 * form.exponent)
-    if n > ring_cap:
+    if n > GAUSS_RING_CAP:
         raise ValueError("cyclotomic ring too large for direct Gauss sum")
     s = CyclotomicInt(n)
     half = n // 2

@@ -42,7 +42,7 @@ class OddLatticeError(LatticeLabError):
 
 
 class CapExceededError(LatticeLabError):
-    """Brute-force search cap (group order, rank-2 determinant) exceeded."""
+    """A work cap exceeded: group order, determinant, trial divisor or symbol rank."""
 
 
 class NotIsotropicError(LatticeLabError):

@@ -10,14 +10,20 @@ fractions anywhere.
 
 from __future__ import annotations
 
-from .errors import DegenerateError
+from .errors import CapExceededError, DegenerateError
+
+# The largest trial divisor: every n below (FACTOR_CAP + 1)**2 factors.
+FACTOR_CAP = 10**6
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} of n >= 1, by trial division."""
+    """Prime factorization {p: exponent} of n >= 1, by trial division; one
+    that needs a divisor above FACTOR_CAP raises CapExceededError."""
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
+        if d > FACTOR_CAP:
+            raise CapExceededError(f"cofactor {n} has no prime factor up to cap {FACTOR_CAP}")
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d

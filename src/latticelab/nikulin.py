@@ -17,11 +17,11 @@ condition; genus_exists is the same test on the form's canonical symbol:
 The glue machinery and the sufficient uniqueness criterion for primitive
 embeddings into even unimodular lattices live here too.  An even
 overlattice of S + R in which S stays primitive has glue H <= A_S + A_R
-isotropic with H meet A_S = 0; such an H projects injectively to A_R, so
-it is the graph {(gamma(x), x) : x in H_R} of a homomorphism
-gamma: H_R -> A_S on a subgroup H_R <= A_R with q_S(gamma(x)) = -q_R(x)
-(Nikulin 1979, 1.4-1.5).  saturations_keeping_primitive builds exactly
-these graphs, never the subgroups that meet A_S.
+isotropic with H meet A_S = 0: the graph {(gamma(x), x) : x in H_R} of a
+homomorphism gamma: H_R -> A_S with q_S(gamma(x)) = -q_R(x) (Nikulin
+1979, 1.4-1.5).  saturations_keeping_primitive finds these as the
+subgroups of A_S + A_R inside one element pool, with the subgroup search
+that isotropic_subgroups uses.
 """
 
 from __future__ import annotations
@@ -171,15 +171,12 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
                                   q_r: FiniteQuadraticForm):
     """All isotropic H <= A_S + A_R with H meet A_S = 0, trivial H first.
 
-    Each such H is the graph of a homomorphism gamma: H_R -> A_S with
-    q_S(gamma(x)) = -q_R(x) on a subgroup H_R <= A_R, and distinct
-    (H_R, gamma) give distinct H.  So every x in H_R needs a partner: an
-    s in A_S with q_S(s) = -q_R(x) and ord(s) | ord(x).  The search runs
-    over the subgroups H_R made of elements with a partner; on an
-    invariant-factor basis g_1, ..., g_m of H_R (orders d_1, ..., d_m) it
-    picks gamma(g_i) among the partners of g_i, so d_i * gamma(g_i) = 0,
-    with b(gamma(g_i) + g_i, gamma(g_j) + g_j) = 0 for j < i.  q vanishes
-    on each gamma(g_i) + g_i and b between them, hence on all of H.
+    Every element (s, r) of such an H has q_S(s) = -q_R(r) and
+    ord(s) | ord(r), since s = gamma(r) for a homomorphism gamma.
+    Conversely, q vanishes on a subgroup made only of such elements, so it
+    is isotropic, and it meets A_S trivially, since (s, 0) is one only for
+    s = 0.  So the witnesses are exactly the subgroups inside the pool of
+    these elements; each pool element generates a cyclic witness.
 
     Witnesses are deduplicated by the subgroup itself (not by isomorphism
     of the quotient form) and sorted by (index, generators).
@@ -193,43 +190,14 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
     by_q: dict[int, list] = {}
     for s, q, e in q_s.scan():
         by_q.setdefault(q * n_r, []).append((e, s))
-    partners = {}
-    for r, q, d in q_r.scan():
-        found = [s for e, s in by_q.get(-q * n_s % (2 * n_s * n_r), ()) if d % e == 0]
-        if found:
-            partners[r] = found
+    pool = frozenset(s + r for r, q, d in q_r.scan()
+                     for e, s in by_q.get(-q * n_s % (2 * n_s * n_r), ()) if d % e == 0)
     witnesses = []
-    # the subgroups H_R all of whose elements have a partner
-    for gens in _subgroups_within(q_r, frozenset(partners)).values():
-        _, basis = q_r.subquotient(gens)
-        for chosen in _isotropic_graphs(total, basis, partners):
-            sub = Subgroup(total, chosen)
-            witnesses.append(SaturationWitness(
-                glue_gens=sub.gens, index=sub.order,
-                quotient=complement_quotient(total, sub),
-                trivial=sub.order == 1))
+    for gens in _subgroups_within(total, pool).values():
+        sub = Subgroup(total, gens)
+        witnesses.append(SaturationWitness(
+            glue_gens=sub.gens, index=sub.order,
+            quotient=complement_quotient(total, sub),
+            trivial=sub.order == 1))
     witnesses.sort(key=lambda w: (w.index, w.glue_gens))
     return witnesses
-
-
-def _isotropic_graphs(total: FiniteQuadraticForm, basis, partners):
-    """Generator lists [gamma(g) + g for g in basis] of the isotropic graphs.
-
-    basis is an independent generating set of H_R; elements of the sum
-    total = A_S + A_R are the concatenations s + r.
-    """
-    n = total.level
-    out = []
-
-    def extend(chosen, rows):
-        if len(chosen) == len(basis):
-            out.append(chosen)
-            return
-        g = basis[len(chosen)]
-        for s in partners[g]:
-            x = s + g
-            if not any(sum(a * c for a, c in zip(row, x)) % n for row in rows):
-                extend(chosen + [x], rows + [total.b_row(x)])
-
-    extend([], [])
-    return out

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import DegenerateError, RealizabilityError, SymbolSyntaxError
+from .errors import CapExceededError, DegenerateError, RealizabilityError, SymbolSyntaxError
 from .exactmat import factorize
 from .fqf import FiniteQuadraticForm, direct_sum_forms, trivial_form
 
@@ -422,6 +422,9 @@ def to_symbol(form: FiniteQuadraticForm) -> GenusSymbol:
     return GenusSymbol(tuple(out))
 
 
+# parse_symbol refuses a total rank above this before building anything; tests use up to 13.
+SYMBOL_RANK_CAP = 64
+
 _TOKEN_RE = re.compile(
     r"^(?P<scale>\d+)(?:_(?P<tag>II|[0-7]))?\^(?P<sign>[+-])(?P<rank>\d+)$")
 
@@ -444,6 +447,7 @@ def parse_symbol(text: str) -> GenusSymbol:
     if text in ("", "1^+0"):
         return GenusSymbol(())
     seen = set()
+    total_rank = 0
     for token in text.split():
         m = _TOKEN_RE.match(token)
         if not m:
@@ -451,6 +455,9 @@ def parse_symbol(text: str) -> GenusSymbol:
         scale = int(m.group("scale"))
         sign = 1 if m.group("sign") == "+" else -1
         rank = int(m.group("rank"))
+        total_rank += rank
+        if total_rank > SYMBOL_RANK_CAP:
+            raise CapExceededError(f"symbol rank {total_rank} exceeds cap {SYMBOL_RANK_CAP}")
         if scale == 1:
             if rank != 0 or sign != 1:
                 raise SymbolSyntaxError("scale 1 must be the trivial '1^+0'")

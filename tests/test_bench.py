@@ -68,6 +68,25 @@ def test_times_are_scaled_by_the_calibration_kernel(bench, monkeypatch):
     assert bench.timed(lambda: None) == 0.25  # the mean of both kernel runs
 
 
+def test_one_kernel_pair_per_unit(bench, monkeypatch):
+    """A unit is as many back-to-back runs as fill unit_s on the warm-up
+    run's time, between one pair of kernel runs, recorded as the mean per
+    run: with each run 0.5 s on the fake clock and a 2 s unit, a unit is 4
+    runs, and 3 units of each of the 5 tables make 30 kernel runs and 1 + 12
+    runs per table."""
+    kernels = []
+    monkeypatch.setattr(bench.calib, "kernel_s",
+                        lambda: kernels.append(1) or 2 * bench.calib.K_REF_S)
+    clock = itertools.count(0, 0.5)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    tables = []
+    monkeypatch.setattr(bench, "full_report", lambda *run: tables.append(run) or [])
+    for entry in bench.time_tables(3, 2.0).values():
+        assert entry["runs"] == [0.25] * 3
+    assert len(kernels) == 2 * 3 * 5
+    assert len(tables) == 13 * 5 and len(set(tables)) == 5
+
+
 def test_rank2_inputs_are_the_queries_strata(bench):
     inputs = bench.rank2_inputs(3)
     for (lo, hi), dets in inputs.items():

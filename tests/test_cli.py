@@ -200,6 +200,23 @@ def test_rank2_enum_refuses_a_determinant_above_the_cap(capsys):
     assert captured.err == "error: determinant 1000000000000 exceeds cap 10000000\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["dform", "symbol", "--form", "3^+400"], "symbol rank 400 exceeds cap 64"),
+    (["dform", "symbol", "--form", "1000000000000000000000000000007^+1"],
+     "cofactor 10238844796821566353 has no prime factor up to cap 1000000"),
+    (["dform", "of", "--gram", "[[2000000000000000000000000000014]]"],
+     "cofactor 10238844796821566353 has no prime factor up to cap 1000000"),
+])
+def test_inputs_past_a_work_cap_exit_with_one_line(capsys, argv, message):
+    """A symbol of rank above the cap is refused before anything is built,
+    and a scale or determinant whose factoring would need a trial divisor
+    above 10**6 is refused at that divisor."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_domain_error_exit_code(capsys):
     code = run(["dform", "symbol", "--form", "2_3^+1"])
     assert code == 1

@@ -4,8 +4,10 @@ from math import lcm
 
 import pytest
 
-from latticelab.errors import DegenerateError
+import latticelab.exactmat
+from latticelab.errors import CapExceededError, DegenerateError
 from latticelab.exactmat import (
+    factorize,
     identity_matrix,
     integer_kernel,
     mat_mul,
@@ -234,3 +236,29 @@ def test_bareiss_rows_rebuild_quadratic_form():
             q = sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
             t = [sum(c * xj for c, xj in zip(rows[i], x[i:])) for i in range(n)]
             assert m * q == sum(m // s * ti * ti for s, ti in zip(scale, t)), (g, x)
+
+
+class CountedInt(int):
+    """An int that counts the remainders taken of it."""
+
+    taken = 0
+
+    def __mod__(self, d):
+        CountedInt.taken += 1
+        return int(self) % d
+
+
+def test_factorize_tries_no_divisor_above_the_cap(monkeypatch):
+    """Every n below (FACTOR_CAP + 1)**2 factors; a cofactor at or above it
+    with no prime factor up to the cap raises after trying exactly the
+    divisors 2..FACTOR_CAP."""
+    assert factorize(999983 * 999979) == {999979: 1, 999983: 1}
+    assert factorize(2 ** 90 * 1000000000039) == {2: 90, 1000000000039: 1}
+    with pytest.raises(CapExceededError, match="cap 1000000$"):
+        factorize(1000002000007)  # the first prime above 1000001**2
+    monkeypatch.setattr(latticelab.exactmat, "FACTOR_CAP", 1000)
+    assert factorize(CountedInt(1000003)) == {1000003: 1}  # below 1001**2
+    CountedInt.taken = 0
+    with pytest.raises(CapExceededError, match="cofactor 1002017 .* cap 1000$"):
+        factorize(CountedInt(1002017))  # the first prime above 1001**2
+    assert CountedInt.taken == 999

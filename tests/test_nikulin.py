@@ -7,6 +7,7 @@ import pytest
 import latticelab.symbol
 from latticelab import (
     LatticeInvariant,
+    build_lattice,
     bruteforce_isomorphic,
     complement_quotient,
     discriminant_form,
@@ -15,9 +16,11 @@ from latticelab import (
     form_from_symbol_text,
     is_isomorphic,
     isotropic_subgroups,
+    load_table,
     named_lattice,
     negate_form,
     parse_symbol,
+    polarization_root,
     primitive_embedding_into_even_unimodular_exists,
     rank2_enumerate,
     rescale,
@@ -26,7 +29,12 @@ from latticelab import (
     trivial_form,
     unique_primitive_embedding,
 )
-from latticelab.errors import BadSignatureError, CapExceededError, RealizabilityError
+from latticelab.errors import (
+    BadSignatureError,
+    CapExceededError,
+    DegenerateError,
+    RealizabilityError,
+)
 from latticelab.exactmat import factorize
 from latticelab.fqf import BRUTE_CAP, FiniteQuadraticForm
 from latticelab.nikulin import genus_exists
@@ -296,13 +304,56 @@ def _saturation_cases():
     return cases
 
 
-SATURATION_CASES = _saturation_cases()
+def _random_even_gram(rng, rank):
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = rng.choice((-4, -2, 2, 4))
+        for j in range(i + 1, rank):
+            gram[i][j] = gram[j][i] = rng.randint(-1, 1)
+    return gram
+
+
+def _random_saturation_cases(count=24):
+    """(id, q_S, q_R): discriminant forms of random even Gram matrices of
+    rank 2-3 with |A_S|*|A_R| in 4-32 or 33-96, alternately: the strata of
+    the benchmark's saturate queries."""
+    rng = random.Random(20)
+    cases = []
+    while len(cases) < count:
+        lo, hi = ((4, 32), (33, 96))[len(cases) % 2]
+        try:
+            q_s, q_r = (discriminant_form(build_lattice(_random_even_gram(rng, rng.randint(2, 3))))
+                        for _ in range(2))
+        except DegenerateError:
+            continue
+        if lo <= q_s.order * q_r.order <= hi:
+            cases.append((f"random{len(cases)}", q_s, q_r))
+    return cases
+
+
+SATURATION_CASES = _saturation_cases() + _random_saturation_cases()
 
 
 @pytest.mark.parametrize("q_s,q_r", [c[1:] for c in SATURATION_CASES],
                          ids=[c[0] for c in SATURATION_CASES])
 def test_saturations_match_isotropic_filter(q_s, q_r):
     assert saturation_data(q_s, q_r) == filtered_saturation_data(q_s, q_r)
+
+
+def test_saturations_take_no_subgroup_basis(monkeypatch, table_reports):
+    """The witnesses come from one subgroup search in A_S + A_R, with no
+    Smith-form basis of a subgroup of A_R: on every record of the five
+    table runs against its root, and on SATURATION_CASES."""
+    pairs = [(rec.q_S, polarization_root(root).q_R)
+             for table, root in table_reports for rec in load_table(table)]
+    pairs += [c[1:] for c in SATURATION_CASES]
+
+    def refuse(self, gens):
+        raise AssertionError("subquotient called")
+
+    monkeypatch.setattr(FiniteQuadraticForm, "subquotient", refuse)
+    for q_s, q_r in pairs:
+        assert saturations_keeping_primitive(q_s, q_r)[0].trivial
 
 
 def test_saturations_cap_guard(monkeypatch):

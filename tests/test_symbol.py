@@ -33,7 +33,12 @@ from latticelab import (
     signature_mod8,
     to_symbol,
 )
-from latticelab.errors import DegenerateError, RealizabilityError, SymbolSyntaxError
+from latticelab.errors import (
+    CapExceededError,
+    DegenerateError,
+    RealizabilityError,
+    SymbolSyntaxError,
+)
 from latticelab.fqf import FiniteQuadraticForm, automorphisms
 from latticelab.nikulin import LatticeInvariant
 from latticelab.rank2 import Rank2Form
@@ -98,6 +103,23 @@ def test_parse_rejects_bad_symbols():
             parse_symbol(text)  # oddity tag outside 0..7
     assert parse_symbol("").constituents == ()
     assert parse_symbol("1^+0").constituents == ()
+
+
+def test_parse_symbol_refuses_a_rank_above_the_cap(monkeypatch):
+    """Ranks summing to SYMBOL_RANK_CAP parse; a symbol whose ranks sum
+    higher is refused at the token that passes the cap, before that
+    constituent is built or checked for realizability."""
+    assert latticelab.symbol.SYMBOL_RANK_CAP == 64
+    assert sum(c.n for c in parse_symbol("3^+60 9^+4").constituents) == 64
+    assert sum(c.n for c in parse_symbol("2_1^+63 3^+1").constituents) == 64
+    checked = []
+    monkeypatch.setattr(latticelab.symbol, "realizable_pairs",
+                        lambda n: checked.append(n) or frozenset())
+    for text, rank in (("3^+65", 65), ("3^+60 9^+5", 65), ("3^+400", 400),
+                       ("2_1^+200001", 200001), ("3^+1 2_1^+64", 65)):
+        with pytest.raises(CapExceededError, match=f"^symbol rank {rank} exceeds cap 64$"):
+            parse_symbol(text)
+    assert checked == []
 
 
 @pytest.mark.parametrize("text", ["3^+0", "2_II^+0", "4_1^+0", "2_1^+1 8_II^+0"])

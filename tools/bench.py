@@ -9,23 +9,25 @@ workload's own, drawn from `perfbench/gen.py` (imported, not changed), so
 each stratum here is one of that workload's.  Compare two BENCH files only
 when they come from the same host.
 
-Every timed run is bracketed by the calibration kernel of
-`perfbench/calib.py` (imported, not changed) and recorded at its reference
-speed, as perfbench records its operations, so a shared host's drift in
-core speed cancels.  BENCH_16 to BENCH_18 predate this and hold raw wall
-times.
+A timed unit is a number of back-to-back runs of one measurement, as
+many as fill about UNIT_S (0.1 s, a hundred times the 1 ms calibration
+kernel of `perfbench/calib.py`, imported, not changed), counted from one
+untimed warm-up run.  One kernel run just before and one just after the
+unit scale it to the kernel's reference speed, as perfbench records its
+operations, so a shared host's drift in core speed cancels; the unit is
+recorded as its mean time per run.  BENCH_16 to BENCH_18 hold raw wall
+times of single runs, BENCH_19 scaled single runs.
 
 Recorded:
   git_sha, git_dirty   HEAD of the checkout, and whether tracked files differ
                        from it (null outside a git checkout)
   python, nproc, PYTHONDONTWRITEBYTECODE
   src_lines            lines in src/**/*.py
-  full_report_s        per (table, root): median and IQR over RUNS (21) runs of
-                       full_report with to_json_dict() on every verdict,
-                       after one untimed warm-up run of all five, in seconds
-                       at the reference speed
+  full_report_s        per (table, root): median and IQR over RUNS (21) units
+                       of full_report with to_json_dict() on every verdict,
+                       in seconds per run at the reference speed
   rank2_enumerate_ms   per queries stratum of determinants: median and IQR
-                       over RUNS (21) runs of the mean time per call, in ms
+                       over RUNS (21) units of the mean time per call, in ms
                        at the reference speed
 """
 
@@ -51,7 +53,8 @@ from latticelab import full_report, rank2_enumerate  # noqa: E402
 TABLE_RUNS = (("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
               ("k3max11", "E7"), ("k3max11", "E8"))
 SEED = 1  # seed of the queries stream the determinants come from
-RUNS = 21  # runs per measurement in a full (not --quick) run
+RUNS = 21  # units per measurement in a full (not --quick) run
+UNIT_S = 0.1  # the length a unit's back-to-back runs fill
 
 
 def summary(values: list[float]) -> dict:
@@ -83,41 +86,52 @@ def rank2_inputs(per_stratum: int) -> dict[tuple[int, int], list[tuple[int, bool
     return strata
 
 
-def timed(call) -> float:
-    """Seconds that call() takes, scaled to the calibration kernel's
-    reference speed by the kernel runs just before and just after it."""
-    before = calib.kernel_s()
+def reps_for(call, unit_s: float) -> int:
+    """How many back-to-back runs of call() fill about unit_s, counted
+    from one untimed warm-up run."""
     start = time.perf_counter()
     call()
-    elapsed = time.perf_counter() - start
-    return calib.scaled(elapsed, before, calib.kernel_s())
+    return max(1, round(unit_s / (time.perf_counter() - start)))
 
 
-def time_tables(runs: int) -> dict:
+def timed(call, reps: int = 1) -> float:
+    """Mean seconds per call() over reps back-to-back runs, scaled to the
+    calibration kernel's reference speed by one kernel run just before and
+    one just after all of them."""
+    before = calib.kernel_s()
+    elapsed = 0.0
+    for _ in range(reps):
+        start = time.perf_counter()
+        call()
+        elapsed += time.perf_counter() - start
+    return calib.scaled(elapsed / reps, before, calib.kernel_s())
+
+
+def time_tables(runs: int, unit_s: float = UNIT_S) -> dict:
     def one(table, root):
         for verdict in full_report(table, root):
             verdict.to_json_dict()
 
-    for run in TABLE_RUNS:
-        one(*run)
-    return {f"{table}/{root}": summary([timed(lambda: one(table, root))
+    reps = {run: reps_for(lambda: one(*run), unit_s) for run in TABLE_RUNS}
+    return {f"{table}/{root}": summary([timed(lambda: one(table, root), reps[table, root])
                                         for _ in range(runs)])
             for table, root in TABLE_RUNS}
 
 
-def time_rank2(runs: int, per_stratum: int) -> dict:
+def time_rank2(runs: int, per_stratum: int, unit_s: float = UNIT_S) -> dict:
     out = {}
     for (lo, hi), inputs in rank2_inputs(per_stratum).items():
         def one():
             for det, negative in inputs:
                 rank2_enumerate(det, negative)
 
-        means = [timed(one) * 1e3 / len(inputs) for _ in range(runs)]
+        reps = reps_for(one, unit_s)
+        means = [timed(one, reps) * 1e3 / len(inputs) for _ in range(runs)]
         out[f"{lo}-{hi}"] = {"dets": len(inputs), **summary(means)}
     return out
 
 
-def bench(pr: int, runs: int, per_stratum: int) -> dict:
+def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
     dirty = git("status", "--porcelain", "--untracked-files=no")
     return {
         "pr": pr,
@@ -129,8 +143,8 @@ def bench(pr: int, runs: int, per_stratum: int) -> dict:
         "src_lines": sum(len(p.read_text().splitlines())
                          for p in (ROOT / "src").rglob("*.py")),
         "runs": runs,
-        "full_report_s": time_tables(runs),
-        "rank2_enumerate_ms": time_rank2(runs, per_stratum),
+        "full_report_s": time_tables(runs, unit_s),
+        "rank2_enumerate_ms": time_rank2(runs, per_stratum, unit_s),
     }
 
 
@@ -138,12 +152,13 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--quick", action="store_true",
-                        help="2 runs, 2 determinants per stratum; print, write no file")
+                        help="2 single-run units, 2 determinants per stratum; "
+                             "print, write no file")
     args = parser.parse_args(argv)
     if args.quick:
-        print(json.dumps(bench(args.pr, 2, 2), indent=1))
+        print(json.dumps(bench(args.pr, 2, 2, 0), indent=1))
         return
-    data = bench(args.pr, RUNS, 20)
+    data = bench(args.pr, RUNS, 20, UNIT_S)
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(data, indent=1) + "\n")
 
 
