@@ -14,7 +14,6 @@ from math import isqrt
 
 from .errors import CapExceededError, NotDefiniteError
 from .lattice import GramLattice, build_lattice
-from .shortvec import short_vectors
 
 DET_CAP = 10**7  # rank2_enumerate walks O(det) steps: about 0.1 s at the cap
 
@@ -63,25 +62,29 @@ def rank2_form_from_gram(gram) -> Rank2Form:
     raise NotDefiniteError("rank-2 form must be definite")
 
 
-def rank2_reduce(form: Rank2Form) -> Rank2Form:
-    """Gauss reduction to the unique reduced representative of the proper class."""
+def _reduce(form: Rank2Form):
+    """Gauss reduction carrying its basis: (reduced form, P), P = ((p, q), (r, s))
+    proper unimodular with P^T G P the reduced Gram matrix."""
     a, b, c = form.a, form.b, form.c
+    p, q, r, s = 1, 0, 0, 1
     while True:
-        # translate b into (-a/2, a/2]
+        # translate b into (-a/2, a/2]: P <- P ((1, -k), (0, 1))
         k = (2 * b + a - 1) // (2 * a)
         if k:
             c = c + k * k * a - 2 * k * b
             b = b - k * a
-        if a > c:
+            q, s = q - k * p, s - k * r
+        if a > c or (a == c and b < 0):
+            # (a, b, c) -> (c, -b, a): P <- P ((0, -1), (1, 0))
             a, b, c = c, -b, a
+            p, q, r, s = q, -p, s, -r
             continue
-        if 2 * b == -a:
-            b = -b  # boundary: translate by one step, proper move
-            continue
-        if a == c and b < 0:
-            b = -b  # boundary rotation, proper move
-        break
-    return Rank2Form(a, b, c, negative=form.negative)
+        return Rank2Form(a, b, c, negative=form.negative), ((p, q), (r, s))
+
+
+def rank2_reduce(form: Rank2Form) -> Rank2Form:
+    """Gauss reduction to the unique reduced representative of the proper class."""
+    return _reduce(form)[0]
 
 
 def rank2_enumerate(det: int, negative: bool = False) -> list[Rank2Form]:
@@ -108,29 +111,29 @@ def rank2_enumerate(det: int, negative: bool = False) -> list[Rank2Form]:
     return [Rank2Form(a, b, c, negative) for a, b, c in sorted(found)]
 
 
+# a primitive vector of norm at most c in a reduced form: +-e1, +-e2, +-(e1 +- e2)
+_SHORT = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
 def rank2_isometries(form: Rank2Form) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """The (finite) isometry group of a definite rank-2 form, as 2x2 matrices.
 
     Matrices are returned as rows ((p, q), (r, s)) acting on column vectors.
+    In the reduced form (|2b| <= a <= c) a x^2 + 2bxy + c y^2 >= a x^2 - a|xy| + c y^2
+    > c at primitive (x, y) unless |x|, |y| <= 1: the columns, of norm a and c, are in _SHORT.
     """
-    latt = form.positive_lattice()
-    g = [[form.a, form.b], [form.b, form.c]]
-    cap = max(form.a, form.c)
-    cols_a = short_vectors(latt, form.a, norm_cap=max(cap, 100))
-    cols_c = short_vectors(latt, form.c, norm_cap=max(cap, 100))
-    result = set()
-    for u in [v for w in cols_a for v in (w, (-w[0], -w[1]))]:
-        for w in [v for z in cols_c for v in (z, (-z[0], -z[1]))]:
-            # columns u, w; demand P^T G P = G
-            gu = [g[0][0] * u[0] + g[0][1] * u[1], g[1][0] * u[0] + g[1][1] * u[1]]
-            if u[0] * gu[0] + u[1] * gu[1] != form.a:
-                continue
-            if w[0] * gu[0] + w[1] * gu[1] != form.b:
-                continue
-            gw = [g[0][0] * w[0] + g[0][1] * w[1], g[1][0] * w[0] + g[1][1] * w[1]]
-            if w[0] * gw[0] + w[1] * gw[1] != form.c:
-                continue
-            result.add(((u[0], w[0]), (u[1], w[1])))
+    red, ((p, q), (r, s)) = _reduce(form)
+    a, b, c = red.a, red.b, red.c
+    result = []
+    for x, y in _SHORT:
+        if a * x * x + 2 * b * x * y + c * y * y != a:
+            continue
+        for z, w in _SHORT:
+            if (a * x * z + b * (x * w + y * z) + c * y * w == b
+                    and a * z * z + 2 * b * z * w + c * w * w == c):
+                # M = P M' P^-1, with P M' = ((e, f), (g, h)) and P^-1 = ((s, -q), (-r, p))
+                e, f, g, h = p * x + q * y, p * z + q * w, r * x + s * y, r * z + s * w
+                result.append(((e * s - f * r, f * p - e * q), (g * s - h * r, h * p - g * q)))
     return sorted(result)
 
 

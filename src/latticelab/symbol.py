@@ -426,7 +426,7 @@ def to_symbol(form: FiniteQuadraticForm) -> GenusSymbol:
 SYMBOL_RANK_CAP = 64
 
 _TOKEN_RE = re.compile(
-    r"^(?P<scale>\d+)(?:_(?P<tag>II|[0-7]))?\^(?P<sign>[+-])(?P<rank>\d+)$")
+    r"^(?P<scale>\d{1,100})(?:_(?P<tag>II|[0-7]))?\^(?P<sign>[+-])(?P<rank>\d{1,100})$")
 
 
 def _prime_power(scale: int):

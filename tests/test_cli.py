@@ -217,6 +217,34 @@ def test_inputs_past_a_work_cap_exit_with_one_line(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+def test_rank2_autorders_of_a_form_with_large_entries(capsys, monkeypatch):
+    """A 30-digit unreduced form: its isometries are read off the reduced
+    form, never searched for among short vectors."""
+    import latticelab.shortvec
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("short-vector search called")
+
+    monkeypatch.setattr(latticelab.shortvec, "short_vectors", refuse)
+    # every search, whichever name it was imported by, starts here
+    monkeypatch.setattr(latticelab.shortvec, "symmetric_bareiss", refuse)
+    code, out = capture(capsys, ["rank2", "autorders",
+                                 "--form=444444444444444444444444444444,7,12"])
+    assert (code, out) == (0, "1 2\n")
+
+
+@pytest.mark.parametrize("text", ["3^+" + "1" * 5000, "1" * 5000 + "^+1"],
+                         ids=["long-rank", "long-scale"])
+def test_symbol_with_an_overlong_digit_run_exits_with_one_line(capsys, text):
+    """A scale or rank longer than the grammar's digit bound is a syntax
+    error, not a failed integer conversion."""
+    code = run(["dform", "symbol", "--form", text])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: bad constituent")
+
+
 def test_domain_error_exit_code(capsys):
     code = run(["dform", "symbol", "--form", "2_3^+1"])
     assert code == 1
