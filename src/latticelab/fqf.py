@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm, prod
+from operator import add, and_, mod, mul
 
 from .errors import (
     CapExceededError,
@@ -130,7 +132,7 @@ class FiniteQuadraticForm:
         return tuple(c % d for c, d in zip(x, self.orders))
 
     def add(self, x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
+        return tuple(map(mod, map(add, x, y), self.orders))
 
     def scale(self, x, n):
         return tuple((n * a) % d for a, d in zip(x, self.orders))
@@ -167,12 +169,11 @@ class FiniteQuadraticForm:
     def b_row(self, x) -> list[int]:
         """The integers level * b(x, e_j) mod level, one per generator e_j."""
         n = self.level
-        return [sum(c * row[j] for c, row in zip(x, self.bints)) % n
-                for j in range(len(self.orders))]
+        return [sum(map(mul, x, col)) % n for col in self.bints]
 
     def b_int(self, x, y) -> int:
         """level * b(x, y), an integer mod level."""
-        return sum(r * c for r, c in zip(self.b_row(x), y)) % self.level
+        return sum(map(mul, self.b_row(x), y)) % self.level
 
     def q(self, x) -> Fraction:
         return Fraction(self.q_int(x), self.level)
@@ -251,12 +252,11 @@ class FiniteQuadraticForm:
         for i, di in enumerate(d):
             if di > 1:
                 vcol = [row[i] for row in v]
-                w = [sum(a * c for a, c in zip(row, vcol)) // di for row in mat]
-                lifts.append(self.reduce(
-                    [sum(a * c for a, c in zip(w, coord)) for coord in coords]))
+                w = [sum(map(mul, row, vcol)) // di for row in mat]
+                lifts.append(self.reduce([sum(map(mul, w, c)) for c in coords]))
                 orders.append(di)
         qints = [self.q_int(x) for x in lifts]
-        bints = [[sum(r * c for r, c in zip(row, y)) % self.level for y in lifts]
+        bints = [[sum(map(mul, row, y)) % self.level for y in lifts]
                  for row in map(self.b_row, lifts)]
         return FiniteQuadraticForm._from_ints(orders, self.level, qints,
                                               bints), lifts
@@ -529,7 +529,7 @@ def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadr
     for x in [*sub.gens, *relations]:
         col = list(x)
         for row in rows:
-            t, r = divmod(sum(a * c for a, c in zip(row, x)), form.level)
+            t, r = divmod(sum(map(mul, row, x)), form.level)
             if r:
                 raise NotIsotropicError("subgroup is not isotropic")
             col.append(-t)
@@ -552,6 +552,10 @@ def _isometries(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm):
     and an injective one has ord(y_i) = d_i; when |f1| = |f2| the maps
     are the isometries onto f2.  The two levels may differ, so values are
     compared by cross-multiplication: v1/N1 == v2/N2 iff v1*N2 == v2*N1.
+    Forward checking: each generator keeps the candidates of its order and
+    q value, and choosing y_i (i < k) computes b_row(y_i) once to cut each
+    later list to the c with b(y_i, c) = b(e_i, e_l), in order; a y_i that
+    empties a list is dropped, so each b value is tested once per choice.
 
     An x in the kernel of a b-preserving map has b(x, y) = b(0, f(y)) = 0
     for every y, so it lies in the radical of b: the map is injective iff
@@ -568,26 +572,26 @@ def _isometries(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm):
     zero = f2.zero()
     rad = [x for x, q, _ in f1.scan()
            if q % n1 == 0 and any(x) and not any(f1.b_row(x))]
-    orders = f1.orders
-    chosen, rows = [], []  # rows[j] = f2.b_row(chosen[j])
+    chosen = []
 
-    def extend(idx):
-        if idx == len(orders):
+    def extend(idx, cands):
+        if not cands:
             if not any(apply_gen_map(f2, chosen, x) == zero for x in rad):
                 yield tuple(chosen)
             return
-        targets = [f1.bints[j][idx] * n2 for j in range(idx)]
-        for cand in by_key.get((orders[idx], f1.qints[idx] * n2), ()):
-            if any(sum(r * c for r, c in zip(row, cand)) % n2 * n1 != t
-                   for row, t in zip(rows, targets)):
-                continue
-            chosen.append(cand)
-            rows.append(f2.b_row(cand))
-            yield from extend(idx + 1)
-            rows.pop()
-            chosen.pop()
+        targets = [t * n2 for t in f1.bints[idx][idx + 1:]]
+        for y in cands[0]:
+            row, rest = f2.b_row(y) if targets else None, []
+            for later, t in zip(cands[1:], targets):
+                rest.append([c for c in later if sum(map(mul, row, c)) % n2 * n1 == t])
+                if not rest[-1]:
+                    break
+            else:
+                chosen.append(y)
+                yield from extend(idx + 1, rest)
+                chosen.pop()
 
-    return extend(0)
+    return extend(0, [by_key.get((d, v * n2), []) for d, v in zip(f1.orders, f1.qints)])
 
 
 def bruteforce_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
@@ -614,10 +618,10 @@ def automorphisms(form: FiniteQuadraticForm):
 
 
 def apply_gen_map(form: FiniteQuadraticForm, images, x):
-    out = form.zero()
-    for c, img in zip(x, images):
-        out = form.add(out, form.scale(img, c))
-    return out
+    """x under the map sending generator i to images[i] (one image per
+    generator, at least one): a dot product per output coordinate."""
+    return tuple([sum(map(mul, x, col)) % d
+                  for col, d in zip(zip(*images), form.orders)])
 
 
 def embedding_images(small: FiniteQuadraticForm, big: FiniteQuadraticForm):
@@ -648,9 +652,14 @@ def form_embeddings_mod_aut(small: FiniteQuadraticForm, big: FiniteQuadraticForm
 
     An isometry sends an image onto an image of the same order, and the
     images are distinct subgroups of that order: the target is the one
-    image that holds the images of a generating set.
+    image that holds the images of a generating set, the one bit left in
+    the AND of their masks in holders (element -> mask of images holding it).
     """
     images = embedding_images(small, big)
+    holders: dict[tuple, int] = {}
+    for i, img in enumerate(images):
+        for x in img:
+            holders[x] = holders.get(x, 0) | 1 << i
     reps, seen = [], set()
     for i, img in enumerate(images):
         if i in seen:
@@ -663,9 +672,8 @@ def form_embeddings_mod_aut(small: FiniteQuadraticForm, big: FiniteQuadraticForm
             for mp in aut_maps:
                 if len(seen) == len(images):
                     break
-                moved = [apply_gen_map(big, mp, g) for g in gens]
-                j = next(j for j, other in enumerate(images)
-                         if all(x in other for x in moved))
+                j = reduce(and_, [holders[apply_gen_map(big, mp, g)]
+                                  for g in gens]).bit_length() - 1
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)

@@ -450,8 +450,10 @@ def parse_symbol(text: str) -> GenusSymbol:
     total_rank = 0
     for token in text.split():
         m = _TOKEN_RE.match(token)
+        shown = repr(token) if len(token) <= 40 else \
+            f"{token[:24]!r}... ({len(token)} characters)"
         if not m:
-            raise SymbolSyntaxError(f"bad constituent {token!r}")
+            raise SymbolSyntaxError(f"bad constituent {shown}")
         scale = int(m.group("scale"))
         sign = 1 if m.group("sign") == "+" else -1
         rank = int(m.group("rank"))
@@ -469,13 +471,13 @@ def parse_symbol(text: str) -> GenusSymbol:
         if p == 2:
             tag = m.group("tag")
             if tag is None:
-                raise SymbolSyntaxError(f"2-adic constituent {token!r} needs a type tag")
+                raise SymbolSyntaxError(f"2-adic constituent {shown} needs a type tag")
             even = tag == "II"
             oddity = 0 if even else int(tag)
             c = JordanConstituent(2, k, rank, sign, even=even, oddity=oddity)
         else:
             if m.group("tag") is not None:
-                raise SymbolSyntaxError(f"odd constituent {token!r} cannot carry a tag")
+                raise SymbolSyntaxError(f"odd constituent {shown} cannot carry a tag")
             c = JordanConstituent(p, k, rank, sign)
         if rank == 0:
             raise RealizabilityError("rank 0 constituents must be omitted")
@@ -483,7 +485,7 @@ def parse_symbol(text: str) -> GenusSymbol:
             raise SymbolSyntaxError(f"duplicate scale {scale}")
         seen.add((p, k))
         if p == 2 and not constituent_is_realizable(c):
-            raise RealizabilityError(f"constituent {token!r} violates the "
+            raise RealizabilityError(f"constituent {shown} violates the "
                                      "2-adic sign/oddity constraints")
         cons.append(c)
     cons.sort(key=lambda c: (c.p, c.k))

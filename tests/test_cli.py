@@ -245,6 +245,17 @@ def test_symbol_with_an_overlong_digit_run_exits_with_one_line(capsys, text):
     assert captured.err.startswith("error: bad constituent")
 
 
+@pytest.mark.parametrize("text", ["3^+" + "1" * 5000, "1" * 5000 + "^+1"],
+                         ids=["long-rank", "long-scale"])
+def test_symbol_error_shortens_an_overlong_token(capsys, text):
+    """The error line names an over-long token by its head and length,
+    not by echoing all 5,003 characters."""
+    assert run(["dform", "symbol", "--form", text]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.rstrip("\n")) <= 120
+    assert "5003 characters" in err
+
+
 def test_domain_error_exit_code(capsys):
     code = run(["dform", "symbol", "--form", "2_3^+1"])
     assert code == 1

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -807,6 +808,63 @@ def test_embedding_orbits_match_elementwise(text):
     for maps in (auts, moving[:1], moving[-2:], []):
         assert form_embeddings_mod_aut(small, big, maps) == \
             _elementwise_orbits(small, big, maps)
+
+
+@pytest.mark.parametrize("text", SMALL_SYMBOLS)
+def test_orbit_walk_reads_the_image_list_a_fixed_number_of_times(monkeypatch, text):
+    """The walk finds each target through the element masks, so it
+    iterates the image list as often for no map as for all of Aut(big)."""
+    import latticelab.fqf
+    from latticelab import form_embeddings_mod_aut, form_from_symbol_text
+
+    class CountedList(list):
+        iterations = 0
+
+        def __iter__(self):
+            CountedList.iterations += 1
+            return super().__iter__()
+
+    small = form_from_symbol_text(text)
+    big = direct_sum_forms(small, form_from_symbol_text(EMBEDDING_SUMMANDS[text]))
+    real = latticelab.fqf.embedding_images
+    monkeypatch.setattr(latticelab.fqf, "embedding_images",
+                        lambda f1, f2: CountedList(real(f1, f2)))
+    auts = automorphisms(big)
+    counts = []
+    for maps in (auts, auts[-1:], []):
+        CountedList.iterations = 0
+        form_embeddings_mod_aut(small, big, maps)
+        counts.append(CountedList.iterations)
+    assert counts == [2, 2, 2]
+
+
+def _classical_order(rank, p, sign):
+    """|O^eps(2n, p)| or |O(2n + 1, p)| from the textbook formulas (Wilson,
+    The Finite Simple Groups, 3.7-3.8).  A plane is hyperbolic when -det is
+    a square mod p, so the type is sign * (-1|p)^n, with the Legendre
+    symbol (-1|p) = (-1)^((p - 1)/2) taken here; at p = 2 it is the sign."""
+    n = rank // 2
+    if rank % 2:
+        return 2 * p ** (n * n) * prod(p ** (2 * i) - 1 for i in range(1, n + 1))
+    eps = sign * (-1) ** (n * (p - 1) // 2) if p > 2 else sign
+    return 2 * p ** (n * (n - 1)) * (p ** n - eps) * \
+        prod(p ** (2 * i) - 1 for i in range(1, n))
+
+
+CLASSICAL_FORMS = [("2_II", 4)] + [(str(p), r) for p, rs in ((3, (2, 3, 4)), (5, (2, 3)),
+                                                              (7, (2, 3))) for r in rs]
+
+
+@pytest.mark.parametrize("head,rank", CLASSICAL_FORMS,
+                         ids=[f"{h}^{r}" for h, r in CLASSICAL_FORMS])
+def test_automorphism_counts_match_classical_orders(head, rank):
+    """An elementary p-group p^(+-r) (or 2_II^(+-r)) with its form is the
+    orthogonal space F_p^r, so its isometries number |O(r, p)|."""
+    from latticelab import form_from_symbol_text
+    p = 2 if head == "2_II" else int(head)
+    for sign in (1, -1):
+        form = form_from_symbol_text(f"{head}^{'+' if sign > 0 else '-'}{rank}")
+        assert len(automorphisms(form)) == _classical_order(rank, p, sign)
 
 
 @pytest.mark.parametrize("text", SMALL_SYMBOLS)
