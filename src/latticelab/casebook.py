@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 from math import gcd
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     AssumptionMissingError,
@@ -55,6 +55,7 @@ from .rank2 import (
     rank2_enumerate,
     rank2_isometries,
 )
+from .records import FrozenRecord, Record
 from .symbol import GenusSymbol, form_from_symbol, parse_symbol, to_symbol
 
 BORCHERDS_SIGNATURE = (26, 2)
@@ -81,19 +82,19 @@ def _load_json(name: str) -> dict:
         return json.load(fh)
 
 
-@dataclass(frozen=True)
-class LeechPairRecord:
-    """One classified fixed-lattice class."""
+class LeechPairRecord(FrozenRecord):
+    """One classified fixed-lattice class; its forms q_K and q_S = -q_K are
+    left out of equality, hash and repr."""
 
-    table: str
-    row: int
-    group: str
-    order: int
-    rank_K: int
-    qK_symbol: str
-    aut_qS_surjective: bool
-    q_K: FiniteQuadraticForm = field(compare=False, repr=False)
-    q_S: FiniteQuadraticForm = field(compare=False, repr=False)
+    __slots__ = ("table", "row", "group", "order", "rank_K", "qK_symbol",
+                 "aut_qS_surjective", "q_K", "q_S")
+    _compared = __slots__[:7]
+
+    def __init__(self, table: str, row: int, group: str, order: int, rank_K: int,
+                 qK_symbol: str, aut_qS_surjective: bool, q_K: FiniteQuadraticForm,
+                 q_S: FiniteQuadraticForm):
+        self._init(table, row, group, order, rank_K, qK_symbol, aut_qS_surjective,
+                   q_K, q_S)
 
     @property
     def rank_S(self) -> int:
@@ -137,11 +138,15 @@ def load_involution_controls() -> list[LeechPairRecord]:
 # -- polarization roots ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolarizationRoot:
-    name: str
-    rank: int
-    q_R: FiniteQuadraticForm = field(compare=False, repr=False)
+class PolarizationRoot(FrozenRecord):
+    """A polarization root lattice R by name, with its rank and discriminant
+    form q_R; q_R is left out of equality, hash and repr."""
+
+    __slots__ = ("name", "rank", "q_R")
+    _compared = ("name", "rank")
+
+    def __init__(self, name: str, rank: int, q_R: FiniteQuadraticForm):
+        self._init(name, rank, q_R)
 
 
 def polarization_root(name: str) -> PolarizationRoot:
@@ -162,8 +167,7 @@ def root_for_degree(degree: int) -> PolarizationRoot:
 # -- the slack condition ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     passed: bool
     alpha: dict[int, int]
     detail: str = ""
@@ -188,8 +192,7 @@ def condition_check(rec: LeechPairRecord) -> ConditionVerdict:
 # -- criterion ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessOutcome:
+class WitnessOutcome(NamedTuple):
     """One overlattice, its complement and the verdict; symbol is the
     canonical symbol of the quotient form q, which decides the verdict (on
     the swapped signature) and fixes the transcendental candidates."""
@@ -206,11 +209,11 @@ class WitnessOutcome:
                 **self.verdict.to_json_dict()}
 
 
-@dataclass
-class CriterionResult:
-    passed: bool
-    outcomes: list[WitnessOutcome]
-    complement_rank: int
+class CriterionResult(Record):
+    __slots__ = _compared = ("passed", "outcomes", "complement_rank")
+
+    def __init__(self, passed: bool, outcomes: list[WitnessOutcome], complement_rank: int):
+        self._init(passed, outcomes, complement_rank)
 
     @property
     def failed_conditions(self) -> tuple[int, ...]:
@@ -352,15 +355,16 @@ def nonsymplectic_order(rec: LeechPairRecord, t_form: Rank2Form,
 # -- the full report ---------------------------------------------------------------
 
 
-@dataclass
-class TranscendentalClass:
+class TranscendentalClass(Record):
     """One isolated class: a transcendental lattice plus its statistics."""
 
-    form: Rank2Form
-    nontrivial_glue: bool
-    embedding_count: int | None = None
-    nonsymplectic: int | None = None
-    total_order: int | None = None
+    __slots__ = _compared = ("form", "nontrivial_glue", "embedding_count",
+                             "nonsymplectic", "total_order")
+
+    def __init__(self, form: Rank2Form, nontrivial_glue: bool,
+                 embedding_count: int | None = None, nonsymplectic: int | None = None,
+                 total_order: int | None = None):
+        self._init(form, nontrivial_glue, embedding_count, nonsymplectic, total_order)
 
     def to_json_dict(self):
         return {"T": str(self.form),
@@ -370,13 +374,13 @@ class TranscendentalClass:
                 "total_order": self.total_order}
 
 
-@dataclass
-class CaseVerdict:
-    record: LeechPairRecord
-    alpha: dict[int, int]
-    condition_passed: bool
-    criterion: CriterionResult | None
-    classes: list[TranscendentalClass]
+class CaseVerdict(Record):
+    __slots__ = _compared = ("record", "alpha", "condition_passed", "criterion", "classes")
+
+    def __init__(self, record: LeechPairRecord, alpha: dict[int, int],
+                 condition_passed: bool, criterion: CriterionResult | None,
+                 classes: list[TranscendentalClass]):
+        self._init(record, alpha, condition_passed, criterion, classes)
 
     @property
     def passed(self) -> bool:

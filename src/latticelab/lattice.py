@@ -10,7 +10,6 @@ the classification pipelines.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import (
     DegenerateError,
@@ -19,16 +18,21 @@ from .errors import (
     ZeroScaleError,
 )
 from .exactmat import is_symmetric, signature_and_det
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class GramLattice:
-    """An integral lattice given by a symmetric nondegenerate Gram matrix."""
+class GramLattice(FrozenRecord):
+    """An integral lattice given by a symmetric nondegenerate Gram matrix.
 
-    gram: tuple[tuple[int, ...], ...]
-    signature: tuple[int, int] = field(compare=False)
-    det: int = field(compare=False)
-    even: bool = field(compare=False)
+    Equality and hash read the Gram matrix alone; signature, det and even
+    are derived from it."""
+
+    __slots__ = ("gram", "signature", "det", "even")
+    _compared = ("gram",)
+
+    def __init__(self, gram: tuple[tuple[int, ...], ...], signature: tuple[int, int],
+                 det: int, even: bool):
+        self._init(gram, signature, det, even)
 
     @property
     def rank(self) -> int:

@@ -26,8 +26,8 @@ that isotropic_subgroups uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
+from typing import NamedTuple
 
 from .errors import BadSignatureError, CapExceededError
 from .fqf import (
@@ -49,8 +49,7 @@ CONDITION_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class LatticeInvariant:
+class LatticeInvariant(NamedTuple):
     n_plus: int
     n_minus: int
     form: FiniteQuadraticForm
@@ -64,8 +63,7 @@ class LatticeInvariant:
                 "form": str(to_symbol(self.form))}
 
 
-@dataclass(frozen=True)
-class ExistenceVerdict:
+class ExistenceVerdict(NamedTuple):
     exists: bool
     failed_condition: int | None = None
     detail: str = ""
@@ -144,8 +142,7 @@ def primitive_embedding_into_even_unimodular_exists(
     return verdict, (comp if verdict.exists else None)
 
 
-@dataclass(frozen=True)
-class SaturationWitness:
+class SaturationWitness(NamedTuple):
     """One even overlattice of S + R with S still primitive.
 
     glue is the isotropic subgroup H of A_S + A_R with H meet A_S = 0;
@@ -156,7 +153,11 @@ class SaturationWitness:
     glue_gens: tuple
     index: int
     quotient: FiniteQuadraticForm
-    trivial: bool = field(compare=False, default=False)
+
+    @property
+    def trivial(self) -> bool:
+        """H = 0: the overlattice is S + R itself."""
+        return self.index == 1
 
     def to_json_dict(self):
         return self._json_dict(str(to_symbol(self.quotient)))
@@ -197,7 +198,6 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
         sub = Subgroup(total, gens)
         witnesses.append(SaturationWitness(
             glue_gens=sub.gens, index=sub.order,
-            quotient=complement_quotient(total, sub),
-            trivial=sub.order == 1))
+            quotient=complement_quotient(total, sub)))
     witnesses.sort(key=lambda w: (w.index, w.glue_gens))
     return witnesses

@@ -12,21 +12,30 @@ multiplicities of the joint coordinate characters.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MixedWeightClassesError
 
 
-@dataclass(frozen=True)
-class DiagonalAction:
+class _DiagonalFields(NamedTuple):
     order: int
     weights: tuple[int, int, int, int, int, int]
     w0: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights",
-                           tuple(w % self.order if self.order else w
-                                 for w in self.weights))
+
+class DiagonalAction(_DiagonalFields):
+    """1/order (weights) on x1..x6 with cubics in weight class w0; the
+    weights are stored reduced mod order."""
+
+    __slots__ = ()
+
+    def __new__(cls, order: int, weights, w0: int = 0):
+        if order < 1:
+            raise ValueError(f"order must be positive, got {order}")
+        weights = tuple(w % order for w in weights)
+        if len(weights) != 6:
+            raise ValueError(f"expected 6 weights, got {len(weights)}")
+        return tuple.__new__(cls, (order, weights, w0))
 
     def weight_of(self, monomial) -> int:
         return sum(w * a for w, a in zip(self.weights, monomial)) % self.order
@@ -58,7 +67,7 @@ def symplectic_weight_check(action: DiagonalAction, monomials) -> bool:
     if len(classes) > 1:
         raise MixedWeightClassesError(
             f"monomials span several weight classes mod {n}: {sorted(classes)}")
-    w0 = classes.pop() if classes else action.w0 % n if n else 0
+    w0 = classes.pop() if classes else action.w0 % n
     return (sum(action.weights) - 2 * w0) % n == 0
 
 

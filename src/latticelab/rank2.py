@@ -9,8 +9,8 @@ that convention (bound 3b^2 <= det).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import CapExceededError, NotDefiniteError
 from .lattice import GramLattice, build_lattice
@@ -18,16 +18,21 @@ from .lattice import GramLattice, build_lattice
 DET_CAP = 10**7  # rank2_enumerate walks O(det) steps: about 0.1 s at the cap
 
 
-@dataclass(frozen=True, order=True)
-class Rank2Form:
+class _Rank2Fields(NamedTuple):
     a: int
     b: int
     c: int
     negative: bool = False
 
-    def __post_init__(self):
-        if self.a <= 0 or self.a * self.c - self.b * self.b <= 0:
+
+class Rank2Form(_Rank2Fields):
+    # a NamedTuple class may not define __new__, so the check sits on a subclass
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, negative: bool = False):
+        if a <= 0 or a * c - b * b <= 0:
             raise NotDefiniteError("rank-2 form must be definite")
+        return tuple.__new__(cls, (a, b, c, negative))
 
     @property
     def det(self) -> int:

@@ -28,9 +28,9 @@ Two complications are handled here:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .errors import CapExceededError, DegenerateError, RealizabilityError, SymbolSyntaxError
 from .exactmat import factorize
@@ -55,8 +55,7 @@ def _det_class_2(a: int) -> int:
 # -- constituents ------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class JordanConstituent:
+class JordanConstituent(NamedTuple):
     """One Jordan constituent: scale p^k, rank n, sign eps; type/oddity at p=2."""
 
     p: int
@@ -370,8 +369,7 @@ def _distribute(comp, ranks, epss, total):
 # -- the genus symbol ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenusSymbol:
+class GenusSymbol(NamedTuple):
     """Canonical Conway-Sloane symbol: tuple of constituents grouped by prime."""
 
     constituents: tuple[JordanConstituent, ...]

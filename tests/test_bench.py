@@ -24,9 +24,11 @@ def _check_summary(entry, runs):
 
 
 def check_schema(data, runs):
-    assert set(data) == {"pr", "git_sha", "git_dirty", "python", "nproc",
-                         "PYTHONDONTWRITEBYTECODE", "src_lines", "runs",
-                         "full_report_s", "rank2_enumerate_ms"}
+    keys = {"pr", "git_sha", "git_dirty", "python", "nproc", "PYTHONDONTWRITEBYTECODE",
+            "src_lines", "runs", "full_report_s", "rank2_enumerate_ms", "cold_start_ms"}
+    if data["pr"] in range(16, 23):  # BENCH_16 to BENCH_22 predate cold_start_ms
+        keys.remove("cold_start_ms")
+    assert set(data) == keys
     assert (data["git_sha"] is None) == (data["git_dirty"] is None)
     assert data["git_sha"] is None or len(data["git_sha"]) == 40
     assert data["nproc"] >= 1 and data["src_lines"] > 1000
@@ -39,6 +41,10 @@ def check_schema(data, runs):
     for entry in data["rank2_enumerate_ms"].values():
         assert entry["dets"] >= 2
         _check_summary(entry, runs)
+    if "cold_start_ms" in keys:
+        assert list(data["cold_start_ms"]) == ["cli", "bare"]
+        for entry in data["cold_start_ms"].values():
+            _check_summary(entry, runs)
 
 
 def test_quick_mode_prints_the_schema(bench, capsys):

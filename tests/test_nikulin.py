@@ -7,6 +7,7 @@ import pytest
 import latticelab.symbol
 from latticelab import (
     LatticeInvariant,
+    SaturationWitness,
     build_lattice,
     bruteforce_isomorphic,
     complement_quotient,
@@ -235,6 +236,12 @@ def test_saturations_glue_example():
     assert all(w.index == 3 for w in nontrivial)
     target = form_from_symbol_text("3^-1 9^-1")
     assert all(is_isomorphic(w.quotient, target) for w in nontrivial)
+
+
+def test_saturation_witness_is_trivial_exactly_at_index_one():
+    q = discriminant_form(named_lattice("A2"))
+    assert SaturationWitness((), 1, q).trivial
+    assert not SaturationWitness(((1,),), 3, q).trivial
 
 
 def test_saturations_none_when_blocked():

@@ -72,3 +72,13 @@ def test_mixed_classes_rejected():
     act = DiagonalAction(2, (0, 0, 0, 0, 1, 1), 0)
     with pytest.raises(MixedWeightClassesError):
         symplectic_weight_check(act, degree3_monomials())
+
+
+@pytest.mark.parametrize("order,weights", [(0, (1, 0, 0, 0, 0, 0)), (-3, (1, 2, 0, 0, 0, 0)),
+                                           (3, (1, 2, 0))])
+def test_diagonal_action_refuses_bad_order_and_weight_count(order, weights):
+    """Refused at construction: order 0 would divide by zero in weight_of,
+    a negative order would store non-positive residues, and three weights
+    would run centralizer_dimension out of range."""
+    with pytest.raises(ValueError):
+        DiagonalAction(order, weights)

@@ -29,6 +29,14 @@ Recorded:
   rank2_enumerate_ms   per queries stratum of determinants: median and IQR
                        over RUNS (21) units of the mean time per call, in ms
                        at the reference speed
+  cold_start_ms        raw wall time from launch to exit, in ms, median and
+                       IQR over RUNS (21) fresh interpreters each, in this
+                       environment less PYTHONPATH (so PYTHONDONTWRITEBYTECODE
+                       decides whether the sources are compiled on every
+                       launch): `cli` imports latticelab and latticelab.cli
+                       and builds the CLI parser, `bare` runs nothing.  The
+                       two alternate, after one untimed `cli` launch.  From
+                       BENCH_23 on.
 """
 
 from __future__ import annotations
@@ -55,6 +63,8 @@ TABLE_RUNS = (("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
 SEED = 1  # seed of the queries stream the determinants come from
 RUNS = 21  # units per measurement in a full (not --quick) run
 UNIT_S = 0.1  # the length a unit's back-to-back runs fill
+COLD_START = ("import sys; sys.path.insert(0, sys.argv[1]); import latticelab, latticelab.cli; "
+              "latticelab.cli.build_parser()")
 
 
 def summary(values: list[float]) -> dict:
@@ -131,6 +141,24 @@ def time_rank2(runs: int, per_stratum: int, unit_s: float = UNIT_S) -> dict:
     return out
 
 
+def time_cold_start(runs: int) -> dict:
+    """Launch-to-exit times of fresh interpreters, in ms."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+    def launch(*args: str) -> float:
+        start = time.perf_counter()
+        subprocess.run([sys.executable, *args], env=env, check=True)
+        return (time.perf_counter() - start) * 1e3
+
+    cli = ("-c", COLD_START, str(ROOT / "src"))
+    launch(*cli)
+    times = {"cli": [], "bare": []}
+    for _ in range(runs):
+        times["cli"].append(launch(*cli))
+        times["bare"].append(launch("-c", "pass"))
+    return {name: summary(values) for name, values in times.items()}
+
+
 def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
     dirty = git("status", "--porcelain", "--untracked-files=no")
     return {
@@ -145,6 +173,7 @@ def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
         "runs": runs,
         "full_report_s": time_tables(runs, unit_s),
         "rank2_enumerate_ms": time_rank2(runs, per_stratum, unit_s),
+        "cold_start_ms": time_cold_start(runs),
     }
 
 
@@ -152,8 +181,8 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--quick", action="store_true",
-                        help="2 single-run units, 2 determinants per stratum; "
-                             "print, write no file")
+                        help="2 single-run units, 2 determinants per stratum, 2 "
+                             "launches of each interpreter; print, write no file")
     args = parser.parse_args(argv)
     if args.quick:
         print(json.dumps(bench(args.pr, 2, 2, 0), indent=1))
