@@ -17,6 +17,9 @@ invariant factor form, with generators lifted from the column transform.
 Loops over a whole group read one `scan()`, which builds each element's q
 value and order from its prefix in O(1); the Gauss-sum oracle in
 `cyclotomic.py` evaluates q pointwise and shares no code with the walk.
+The walk runs once per form and is kept in the form's private `_scan`
+slot: a form is immutable, so the tuple stays true for its life.  Pickle
+and copy rebuild a form from its stored integers and leave the walk out.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class FiniteQuadraticForm:
     public q()/b() return a value and in the constructor's input.
     """
 
-    __slots__ = ("orders", "level", "qints", "bints", "_order")
+    __slots__ = ("orders", "level", "qints", "bints", "_order", "_scan")
 
     def __init__(self, orders, qvals, bmat=None):
         orders = tuple(int(d) for d in orders)
@@ -92,9 +95,14 @@ class FiniteQuadraticForm:
         object.__setattr__(self, "qints", tuple(qints))
         object.__setattr__(self, "bints", tuple(tuple(row) for row in bints))
         object.__setattr__(self, "_order", prod(orders))
+        object.__setattr__(self, "_scan", None)
 
     def __setattr__(self, *a):
         raise AttributeError("FiniteQuadraticForm is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild the stored integers, never the cached scan
+        return self._from_ints, (self.orders, self.level, self.qints, self.bints)
 
     def _validate(self):
         n = self.level
@@ -181,13 +189,20 @@ class FiniteQuadraticForm:
     def b(self, x, y) -> Fraction:
         return Fraction(self.b_int(x, y), self.level)
 
-    def scan(self) -> list[tuple]:
+    def scan(self) -> tuple[tuple, ...]:
         """(x, q_int(x), element_order(x)) for x in elements(), each in O(1).
 
         Built one coordinate at a time: q(x + c e_i) = q(x) + c^2 q(e_i) +
         2c b(x, e_i) and ord(x + c e_i) = lcm(ord(x), d_i / gcd(c, d_i)),
         with level * b(x, e_j) carried only for the coordinates j to come.
+        Computed on the first call and kept on the form: the form is
+        immutable, so every later call returns the same tuple.
         """
+        if self._scan is None:
+            object.__setattr__(self, "_scan", self._walk())
+        return self._scan
+
+    def _walk(self) -> tuple[tuple, ...]:
         n, n2, k = self.level, 2 * self.level, len(self.orders)
         out, carries = [((), 0, 1)], [(0,) * k]
         for i, d in enumerate(self.orders):
@@ -198,7 +213,7 @@ class FiniteQuadraticForm:
             if i < k - 1:
                 carries = [tuple((a + c * b) % n for a, b in zip(bx[1:], brow))
                            for bx in carries for c in range(d)]
-        return out
+        return tuple(out)
 
     # -- constructions ---------------------------------------------------------
 
@@ -421,9 +436,19 @@ class Subgroup:
     __slots__ = ("ambient", "elements", "gens")
 
     def __init__(self, ambient: FiniteQuadraticForm, gens):
+        self._store(ambient, _span(ambient, (ambient.reduce(g) for g in gens)))
+
+    @classmethod
+    def _of_elements(cls, ambient: FiniteQuadraticForm, elements: frozenset) -> "Subgroup":
+        """The subgroup whose element set is elements, already closed."""
+        self = object.__new__(cls)
+        self._store(ambient, elements)
+        return self
+
+    def _store(self, ambient, elements):
         self.ambient = ambient
-        self.elements = _span(ambient, (ambient.reduce(g) for g in gens))
-        self.gens = tuple(_minimal_generators(ambient, self.elements))
+        self.elements = elements
+        self.gens = tuple(_minimal_generators(ambient, elements))
 
     @property
     def order(self) -> int:
@@ -501,7 +526,7 @@ def isotropic_subgroups(form: FiniteQuadraticForm):
     if form.order > BRUTE_CAP:
         raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
     zero_set = frozenset(x for x, q, _ in form.scan() if q == 0)
-    subs = [Subgroup(form, gens) for gens in _subgroups_within(form, zero_set).values()]
+    subs = [Subgroup._of_elements(form, els) for els in _subgroups_within(form, zero_set)]
     subs.sort(key=Subgroup.sort_key)
     return subs
 

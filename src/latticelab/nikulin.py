@@ -194,8 +194,8 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
     pool = frozenset(s + r for r, q, d in q_r.scan()
                      for e, s in by_q.get(-q * n_s % (2 * n_s * n_r), ()) if d % e == 0)
     witnesses = []
-    for gens in _subgroups_within(total, pool).values():
-        sub = Subgroup(total, gens)
+    for els in _subgroups_within(total, pool):
+        sub = Subgroup._of_elements(total, els)
         witnesses.append(SaturationWitness(
             glue_gens=sub.gens, index=sub.order,
             quotient=complement_quotient(total, sub)))

@@ -23,6 +23,16 @@ Two complications are handled here:
 * The Milgram signature is summed from the constituents' Gauss sum
   arguments (classical closed forms); the cyclotomic module re-derives
   it by direct summation for cross-checking.
+
+Two steps are cached per process, each keeping at most JORDAN_CACHE_SIZE
+results, least recently used first out: the split of one p-part
+(_split_primary), keyed by its integer data (p, level, orders, qs, gs),
+and the canonical 2-adic constituents (_canonical_two_adic), keyed by the
+constituent tuple in scale order.  Both are pure functions of integer
+tuples and return tuples of NamedTuples, so a cached result cannot
+change and every symbol is the same whatever the caches hold; the forms
+of one table share most of their p-parts.  clear_jordan_caches empties
+both.
 """
 
 from __future__ import annotations
@@ -35,6 +45,9 @@ from typing import NamedTuple
 from .errors import CapExceededError, DegenerateError, RealizabilityError, SymbolSyntaxError
 from .exactmat import factorize
 from .fqf import FiniteQuadraticForm, direct_sum_forms, trivial_form
+
+# results kept by each of _split_primary and _canonical_two_adic per process
+JORDAN_CACHE_SIZE = 1024
 
 # -- legendre symbol -------------------------------------------------------
 
@@ -89,7 +102,8 @@ def _primary_basis(form: FiniteQuadraticForm, p: int):
     Z/p^v summand, and these elements are a basis of the p-part.  Values
     are taken at the level L = p^e of the p-part's exponent:
     qs[i] = L*q mod 2L and gs[i][j] = L*b mod L.  The division by the
-    form's level is exact because q(c_i e_i) lies in (1/p^v)Z.
+    form's level is exact because q(c_i e_i) lies in (1/p^v)Z.  All four
+    are tuples, so they key the cache of _split_primary.
     """
     idx, orders, cs = [], [], []
     for i, d in enumerate(form.orders):
@@ -100,11 +114,11 @@ def _primary_basis(form: FiniteQuadraticForm, p: int):
             cs.append(d // p ** v)
     level = max(orders)
     n = form.level
-    qs = [c * c * form.qints[i] * level // n % (2 * level)
-          for c, i in zip(cs, idx)]
-    gs = [[ci * cj * form.bints[i][j] * level // n % level
-           for cj, j in zip(cs, idx)] for ci, i in zip(cs, idx)]
-    return level, orders, qs, gs
+    qs = tuple(c * c * form.qints[i] * level // n % (2 * level)
+               for c, i in zip(cs, idx))
+    gs = tuple(tuple(ci * cj * form.bints[i][j] * level // n % level
+                     for cj, j in zip(cs, idx)) for ci, i in zip(cs, idx))
+    return level, tuple(orders), qs, gs
 
 
 def _pivot(p: int, level: int, orders, qs, gs):
@@ -153,8 +167,10 @@ def _pivot(p: int, level: int, orders, qs, gs):
     return [x, y], _p_valuation(top, 2), _det_class_2(det), None
 
 
-def _split_primary(p: int, level: int, orders, qs, gs):
-    """Split a p-group form, given on a basis, into its Jordan constituents.
+@lru_cache(maxsize=JORDAN_CACHE_SIZE)
+def _split_primary(p: int, level: int, orders, qs, gs) -> tuple[JordanConstituent, ...]:
+    """Split a p-group form, given on a basis, into its Jordan constituents,
+    in scale order.
 
     Each step splits off the pivot summand <xs> and replaces every other
     basis element g by its projection g - sum_a c_a x_a onto xs-perp,
@@ -165,6 +181,7 @@ def _split_primary(p: int, level: int, orders, qs, gs):
     determinant classes multiply and the odd 2-adic units sum to the
     oddity, none of which depends on the order of the summands.
     """
+    qs, gs = list(qs), list(gs)  # _pivot replaces entries in place
     acc: dict[int, tuple] = {}  # k -> (rank, det class, unit sum or None)
     while orders:
         xs, k, eps, unit = _pivot(p, level, orders, qs, gs)
@@ -193,9 +210,16 @@ def _split_primary(p: int, level: int, orders, qs, gs):
                for h in rest] for g, c in zip(rest, cs)]
         orders = [orders[g] for g in rest]
         qs = new_qs
-    return {k: JordanConstituent(p, k, n, eps, even=t is None,
-                                 oddity=0 if t is None else t % 8)
-            for k, (n, eps, t) in sorted(acc.items())}
+    return tuple(JordanConstituent(p, k, n, eps, even=t is None,
+                                   oddity=0 if t is None else t % 8)
+                 for k, (n, eps, t) in sorted(acc.items()))
+
+
+def clear_jordan_caches() -> None:
+    """Empty the caches of _split_primary and _canonical_two_adic, as a
+    fresh process has them."""
+    _split_primary.cache_clear()
+    _canonical_two_adic.cache_clear()
 
 
 def jordan_constituents(
@@ -211,7 +235,8 @@ def jordan_constituents(
     constituents are not yet canonical (see _canonical_two_adic).  Raises
     DegenerateError when the form is degenerate.
     """
-    return {p: _split_primary(p, *_primary_basis(form, p)) for p in form.primes()}
+    return {p: {c.k: c for c in _split_primary(p, *_primary_basis(form, p))}
+            for p in form.primes()}
 
 
 # -- realizability -----------------------------------------------------------
@@ -276,17 +301,20 @@ def _walk_pairs(scales, cons):
     return pairs
 
 
-def _canonical_two_adic(cons: dict[int, JordanConstituent]):
-    """Canonical (scale -> constituent) map under fusion/walking moves.
+@lru_cache(maxsize=JORDAN_CACHE_SIZE)
+def _canonical_two_adic(
+        constituents: tuple[JordanConstituent, ...]) -> tuple[JordanConstituent, ...]:
+    """Canonical 2-adic constituents, in scale order, under fusion/walking moves.
 
-    States are (sign vector, compartment oddity totals).  An elementary
-    walk flips the two signs and adds 4 to the oddity of each odd
-    endpoint's compartment -- once only if both endpoints share a
-    compartment.  The extra scale-2 move (q_a(2) = q_{a+4}(2)) flips the
+    The constituents are given in scale order.  States are (sign vector,
+    compartment oddity totals).  An elementary walk flips the two signs
+    and adds 4 to the oddity of each odd endpoint's compartment -- once
+    only if both endpoints share a compartment.  The extra scale-2 move (q_a(2) = q_{a+4}(2)) flips the
     scale-2 sign and adds 4 to its compartment.  States admitting no
     valid oddity distribution are vacuous labels and are skipped.
     """
-    scales = sorted(cons)
+    cons = {c.k: c for c in constituents}
+    scales = list(cons)
     comps = _compartments(scales, cons)
     comp_index = {k: i for i, comp in enumerate(comps) for k in comp}
 
@@ -326,7 +354,7 @@ def _canonical_two_adic(cons: dict[int, JordanConstituent]):
                key=_render_key, default=None)
     if best is None:
         raise RealizabilityError("no realizable oddity distribution found")
-    return {k: c for k, c in zip(scales, best)}
+    return best
 
 
 def _render_key(rendered):
@@ -415,8 +443,8 @@ def to_symbol(form: FiniteQuadraticForm) -> GenusSymbol:
     cons = jordan_constituents(form)
     out = []
     for p in sorted(cons):
-        by_scale = _canonical_two_adic(cons[p]) if p == 2 else cons[p]
-        out.extend(by_scale[k] for k in sorted(by_scale))
+        by_scale = tuple(cons[p][k] for k in sorted(cons[p]))
+        out.extend(_canonical_two_adic(by_scale) if p == 2 else by_scale)
     return GenusSymbol(tuple(out))
 
 

@@ -26,6 +26,7 @@ from latticelab.fqf import (
     BRUTE_CAP,
     FiniteQuadraticForm,
     Subgroup,
+    _minimal_generators,
     _span,
     automorphisms,
 )
@@ -227,21 +228,20 @@ def test_isotropic_subgroups_match_brute_force(text):
 
 @pytest.mark.parametrize("text", SMALL_SYMBOLS + ["2_II^+6"])
 def test_isotropic_subgroups_span_generating_tuples(monkeypatch, text):
-    """Each subgroup is spanned once, from the generating tuple that
-    _subgroups_within found rather than from all of its elements."""
+    """No subgroup is spanned again: each is the element set that
+    _subgroups_within closed from a generating tuple, with the minimal
+    generators of that set, at most one per generator of the form."""
     import latticelab.fqf
     from latticelab import form_from_symbol_text
     q = form_from_symbol_text(text)
-    sizes = []
-
-    def counted(form, gens):
-        gens = list(gens)
-        sizes.append(len(gens))
-        return _span(form, gens)
-    monkeypatch.setattr(latticelab.fqf, "_span", counted)
+    spans = []
+    monkeypatch.setattr(latticelab.fqf, "_span",
+                        lambda form, gens: spans.append(gens) or _span(form, gens))
     subs = isotropic_subgroups(q)
-    assert len(sizes) == len(subs)
-    assert max(sizes) <= q.ngens
+    assert spans == []
+    for s in subs:
+        assert s.gens == tuple(_minimal_generators(q, s.elements))
+        assert len(s.gens) <= q.ngens
 
 
 @pytest.mark.parametrize("text", ["3^-2", "3^-1 9^+1", "2_II^+2 3^+1", "2_II^+4",
@@ -309,10 +309,10 @@ def _fraction_evaluators(q):
 
 
 def test_scan_matches_pointwise():
-    """scan() is the pointwise (x, q_int, element_order) list in elements()
-    order: on the small symbols as given and in invariant factor form, on
-    discriminant forms of random even lattices, on direct sums out of
-    invariant factor form and on degenerate forms."""
+    """scan() is the pointwise (x, q_int, element_order) tuple in elements()
+    order, computed once per form: on the small symbols as given and in
+    invariant factor form, on discriminant forms of random even lattices,
+    on direct sums out of invariant factor form and on degenerate forms."""
     from latticelab import form_from_symbol_text
     rng = random.Random(1511)
     given = [form_from_symbol_text(t) for t in SMALL_SYMBOLS]
@@ -322,9 +322,10 @@ def test_scan_matches_pointwise():
     forms += [direct_sum_forms(rng.choice(lattice_forms), rng.choice(given))
               for _ in range(10)]
     forms += DEGENERATE_FORMS
-    assert trivial_form().scan() == [((), 0, 1)]
+    assert trivial_form().scan() == (((), 0, 1),)
     for q in forms:
-        assert q.scan() == [(x, q.q_int(x), q.element_order(x)) for x in q.elements()]
+        assert q.scan() == tuple((x, q.q_int(x), q.element_order(x)) for x in q.elements())
+        assert q.scan() is q.scan()
 
 
 @pytest.mark.parametrize("text", SMALL_SYMBOLS)

@@ -349,8 +349,12 @@ def test_saturations_match_isotropic_filter(q_s, q_r):
 
 def test_saturations_take_no_subgroup_basis(monkeypatch, table_reports):
     """The witnesses come from one subgroup search in A_S + A_R, with no
-    Smith-form basis of a subgroup of A_R: on every record of the five
-    table runs against its root, and on SATURATION_CASES."""
+    Smith-form basis of a subgroup of A_R, and each is built from the
+    element set that search closed, with no _span call, its glue
+    generators the minimal generators of that set: on every record of the
+    five table runs against its root, and on SATURATION_CASES."""
+    import latticelab.fqf
+    from latticelab.fqf import _minimal_generators
     pairs = [(rec.q_S, polarization_root(root).q_R)
              for table, root in table_reports for rec in load_table(table)]
     pairs += [c[1:] for c in SATURATION_CASES]
@@ -359,8 +363,17 @@ def test_saturations_take_no_subgroup_basis(monkeypatch, table_reports):
         raise AssertionError("subquotient called")
 
     monkeypatch.setattr(FiniteQuadraticForm, "subquotient", refuse)
+    spans = []
+    real = latticelab.fqf._span
+    monkeypatch.setattr(latticelab.fqf, "_span",
+                        lambda form, gens: spans.append(gens) or real(form, gens))
     for q_s, q_r in pairs:
-        assert saturations_keeping_primitive(q_s, q_r)[0].trivial
+        total = q_s.direct_sum(q_r)
+        witnesses = saturations_keeping_primitive(q_s, q_r)
+        assert witnesses[0].trivial
+        for w in witnesses:
+            assert w.glue_gens == tuple(_minimal_generators(total, real(total, w.glue_gens)))
+    assert spans == []
 
 
 def test_saturations_cap_guard(monkeypatch):

@@ -25,9 +25,11 @@ from latticelab import (
     SaturationWitness,
     build_lattice,
     discriminant_form,
+    full_report,
     load_table,
     named_lattice,
     polarization_root,
+    to_symbol,
 )
 from latticelab.casebook import (
     ConditionVerdict,
@@ -141,15 +143,36 @@ def test_equality_and_hash_leave_out_the_attached_forms():
     assert GramLattice(((2, 0), (0, 2)), (2, 0), 3, True) != a2
 
 
+def _form_data(form):
+    return form.to_json_dict(), str(to_symbol(form))
+
+
 def test_records_of_plain_values_pickle_and_copy():
-    """A FiniteQuadraticForm does not pickle, so neither does a record that
-    holds one; the others do, and copies compare equal."""
+    """Records pickle and copy.  Copies of records of plain values compare
+    equal.  A FiniteQuadraticForm compares by identity, so a form, and the
+    forms in a record that holds one, compare by JSON and genus symbol;
+    a pickled form carries no cached scan."""
     for rec in (build_lattice([[2, 1], [1, 2]]), FORM, CONSTITUENT, SYMBOL,
                 DiagonalAction(3, (1, 2, 0, 1, 2, 0), 1), VERDICT,
                 ConditionVerdict(False, {3: 1}, "x"), TranscendentalClass(FORM, True, 2, 3, 4)):
         again = pickle.loads(pickle.dumps(rec))
         assert type(again) is type(rec) and again == rec and repr(again) == repr(rec)
         assert copy.copy(rec) == rec == copy.deepcopy(rec)
+    q = discriminant_form(named_lattice("E6"))
+    fresh = pickle.dumps(q)
+    q.scan()
+    assert pickle.dumps(q) == fresh
+    holders = [
+        (q, _form_data),
+        (polarization_root("E6"), lambda r: (r, _form_data(r.q_R))),
+        (load_table("k3max11")[0], lambda r: (r, _form_data(r.q_K), _form_data(r.q_S))),
+        (full_report("hm15", "E6")[0],
+         lambda v: (v.to_json_dict(), _form_data(v.record.q_S),
+                    [_form_data(o.witness.quotient) for o in v.criterion.outcomes])),
+    ]
+    for rec, data in holders:
+        for again in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+            assert type(again) is type(rec) and data(again) == data(rec)
 
 
 def test_equality_needs_the_same_class():

@@ -42,7 +42,7 @@ from latticelab.errors import (
 from latticelab.fqf import FiniteQuadraticForm, automorphisms
 from latticelab.nikulin import LatticeInvariant
 from latticelab.rank2 import Rank2Form
-from latticelab.symbol import _uv_form
+from latticelab.symbol import _uv_form, clear_jordan_caches
 from test_fqf import (
     DEGENERATE_FORMS,
     DEGENERATE_IDS,
@@ -274,6 +274,7 @@ def test_symbols_need_no_smith_normal_form(monkeypatch):
     for module in (latticelab.fqf, latticelab.exactmat):
         counted(module, "smith_normal_form")
         counted(module, "integer_kernel")
+    clear_jordan_caches()  # split every p-part again under the counters
     for form in forms:
         to_symbol(form)
         is_isomorphic(form, form)
@@ -301,6 +302,7 @@ def test_gram_to_symbol_makes_no_fraction(monkeypatch):
         if a * c > b * b:
             form = Rank2Form(a, b, c)
             cases.append((form.positive_lattice(), rank2_isometries(form)))
+    clear_jordan_caches()
     made = []
     real_new = Fraction.__new__
 
@@ -325,6 +327,7 @@ def test_symbol_forms_make_no_fraction(monkeypatch):
     is created by form_from_symbol on the small symbols, by loading both
     tables, or by the five table runs serialized with to_json_dict()."""
     symbols = [parse_symbol(t) for t in SMALL_SYMBOLS]
+    clear_jordan_caches()
     made = []
     real_new = Fraction.__new__
 
@@ -459,3 +462,68 @@ def test_pair_pivots_match_bruteforce():
         else:
             assert bruteforce_isomorphic(form, form_from_symbol(to_symbol(form)))
     assert 0 < degenerate < 30
+
+
+def test_cold_and_warm_caches_give_one_symbol(table_reports):
+    """to_symbol with the Jordan caches emptied before each form equals
+    to_symbol with them warm: on the small symbols, on every form of the
+    five table runs (records, witness quotients and complements) and on
+    discriminant forms of seeded random even lattices."""
+    forms = [form_from_symbol_text(t) for t in SMALL_SYMBOLS]
+    for verdicts in table_reports.values():
+        for verdict in verdicts:
+            forms += [verdict.record.q_K, verdict.record.q_S]
+            for outcome in verdict.criterion.outcomes if verdict.criterion else ():
+                forms += [outcome.witness.quotient, outcome.complement.form]
+    rng = random.Random(2401)
+    forms += [discriminant_form(random_even_lattice(rng)) for _ in range(40)]
+    warm = [to_symbol(form) for form in forms]
+    cold = []
+    for form in forms:
+        clear_jordan_caches()
+        cold.append(to_symbol(form))
+    assert cold == warm
+    assert len({str(s) for s in warm}) > 50
+
+
+def test_jordan_caches_hold_tuples():
+    """The cache keys are tuples of integers and the cached splits and
+    canonical forms are tuples of constituents, the same object on a hit."""
+    from latticelab.symbol import (
+        JordanConstituent,
+        _canonical_two_adic,
+        _primary_basis,
+        _split_primary,
+    )
+    form = form_from_symbol_text("2_3^-1 4_7^+1 8_II^+2 3^+2 5^+1")
+    for p in form.primes():
+        key = (p, *_primary_basis(form, p))
+        assert all(type(x) in (int, tuple) for x in key) and hash(key)
+        split = _split_primary(*key)
+        assert type(split) is tuple and _split_primary(*key) is split
+        assert all(type(c) is JordanConstituent for c in split)
+        if p == 2:
+            canon = _canonical_two_adic(split)
+            assert type(canon) is tuple and _canonical_two_adic(split) is canon
+            assert all(type(c) is JordanConstituent for c in canon)
+
+
+def test_k3_pass_misses_each_distinct_key_once(monkeypatch):
+    """One k3max11 pass over its four roots, from cold caches, splits each
+    distinct p-primary input once and canonicalizes each distinct 2-adic
+    constituent tuple once; every other call is a cache hit."""
+    sym = latticelab.symbol
+    clear_jordan_caches()
+    keys = {"_split_primary": [], "_canonical_two_adic": []}
+    for name, log in keys.items():
+        real = getattr(sym, name)
+        monkeypatch.setattr(sym, name,
+                            lambda *key, real=real, log=log: log.append(key) or real(*key))
+    for root in ("E6+A1", "D7", "E7", "E8"):
+        for verdict in full_report("k3max11", root):
+            verdict.to_json_dict()
+    monkeypatch.undo()
+    for name, log in keys.items():
+        info = getattr(sym, name).cache_info()
+        assert info.misses == len(set(log)) < len(log)
+        assert info.hits + info.misses == len(log)

@@ -18,6 +18,12 @@ operations, so a shared host's drift in core speed cancels; the unit is
 recorded as its mean time per run.  BENCH_16 to BENCH_18 hold raw wall
 times of single runs, BENCH_19 scaled single runs.
 
+Each table run starts from empty Jordan caches (the per-process caches of
+`symbol.py`, emptied by `clear_jordan_caches`), as every CLI launch does:
+back to back, later runs would otherwise find every split and canonical
+form cached, so `full_report_s` stays comparable with BENCH_23 and
+earlier.  Each run builds its forms anew, so no cached scan carries over.
+
 Recorded:
   git_sha, git_dirty   HEAD of the checkout, and whether tracked files differ
                        from it (null outside a git checkout)
@@ -25,7 +31,8 @@ Recorded:
   src_lines            lines in src/**/*.py
   full_report_s        per (table, root): median and IQR over RUNS (21) units
                        of full_report with to_json_dict() on every verdict,
-                       in seconds per run at the reference speed
+                       from empty Jordan caches, in seconds per run at the
+                       reference speed
   rank2_enumerate_ms   per queries stratum of determinants: median and IQR
                        over RUNS (21) units of the mean time per call, in ms
                        at the reference speed
@@ -57,6 +64,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import calib  # noqa: E402
 import gen  # noqa: E402
 from latticelab import full_report, rank2_enumerate  # noqa: E402
+from latticelab.symbol import clear_jordan_caches  # noqa: E402
 
 TABLE_RUNS = (("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
               ("k3max11", "E7"), ("k3max11", "E8"))
@@ -119,6 +127,7 @@ def timed(call, reps: int = 1) -> float:
 
 def time_tables(runs: int, unit_s: float = UNIT_S) -> dict:
     def one(table, root):
+        clear_jordan_caches()
         for verdict in full_report(table, root):
             verdict.to_json_dict()
 
