@@ -121,19 +121,22 @@ def _parse_gram(args) -> GramLattice:
     if args.file:
         return lattice_from_json_dict(args.file)
     if args.name:
-        return named_lattice(args.name, args.scale)
+        return named_lattice(args.name, 1 if args.scale is None else args.scale)
     if args.gram:
         return build_lattice(args.gram)
     raise LatticeLabError("provide --gram, --name or --file")
 
 
 def _add_lattice_args(p):
-    p.add_argument("--gram", type=_json_matrix,
-                   help="row-major Gram matrix, e.g. [[2,1],[1,2]]")
-    p.add_argument("--name", help="named lattice, e.g. E6, U, II(26,2), Lambda0")
-    p.add_argument("--scale", type=int, default=1, help="rescale a named lattice")
-    p.add_argument("--file", type=_lattice_file,
-                   help="JSON file with a gram or name entry")
+    """One of --gram, --name, --file, and --scale for --name; returns the group."""
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--gram", type=_json_matrix,
+                       help="row-major Gram matrix, e.g. [[2,1],[1,2]]")
+    group.add_argument("--name", help="named lattice, e.g. E6, U, II(26,2), Lambda0")
+    group.add_argument("--file", type=_lattice_file,
+                       help="JSON file with a gram or name entry")
+    p.add_argument("--scale", type=int, help="rescale a named lattice (needs --name)")
+    return group
 
 
 def _emit(args, data, human: str):
@@ -397,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = glue.add_subparsers(dest="subcommand", required=True)
     p = _leaf(gsub, "isotropic", _cmd_glue_isotropic,
               help="isotropic subgroups with quotients")
-    p.add_argument("--form", help="genus symbol text")
-    _add_lattice_args(p)
+    _add_lattice_args(p).add_argument("--form", help="genus symbol text")
 
     nik = sub.add_parser("nikulin", help="even lattice existence / embeddings")
     nsub = nik.add_subparsers(dest="subcommand", required=True)
@@ -462,6 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "scale", None) is not None and args.name is None:
+        parser.error("--scale rescales a named lattice and needs --name")
     try:
         args.func(args)
     except LatticeLabError as exc:

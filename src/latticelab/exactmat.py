@@ -137,6 +137,13 @@ def smith_normal_form(mat):
     GTM 138, 2.4.4): row operations on whole rows < m, column operations on
     whole columns < n, so the top-right block collects u and the
     bottom-left block v, and neither touches the other corner.
+
+    Only work whose result is read is done, so the operations and (d, u, v)
+    are those of the full sweep: the pivot search (the first least |x| in
+    row-major order) stops at a 1, which nothing undercuts; rows < t are
+    zero in the columns >= t, so column swaps and operations touch rows
+    >= t only (the v block included), and never swap a column with itself;
+    a pivot of 1 divides everything, so it gets no divisibility scan.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
@@ -145,40 +152,45 @@ def smith_normal_form(mat):
 
     t = 0
     while t < min(m, n):
-        best = None
+        best, least = None, 0
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                x = abs(row[j])
+                if x and (not least or x < least):
+                    best, least = (i, j), x
+                    if x == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
             break
         i, j = best
         a[t], a[i] = a[i], a[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
+        if j != t:
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
+        pivot = a[t][t]
         dirty = False
         for i in range(t + 1, m):
             if a[i][t] != 0:
-                c = a[i][t] // a[t][t]
+                c = a[i][t] // pivot
                 a[i] = [x - c * y for x, y in zip(a[i], a[t])]
                 dirty = dirty or a[i][t] != 0
         for j in range(t + 1, n):
             if a[t][j] != 0:
-                c = a[t][j] // a[t][t]
-                for row in a:
+                c = a[t][j] // pivot
+                for row in a[t:]:
                     row[j] -= c * row[t]
                 dirty = dirty or a[t][j] != 0
         if dirty:
             continue
         # pivot must divide every remaining entry for the d_i to chain
-        witness = None
-        for i in range(t + 1, m):
-            if any(a[i][j] % a[t][t] for j in range(t + 1, n)):
-                witness = i
-                break
+        witness = None if pivot == 1 else next(
+            (i for i in range(t + 1, m) if any(a[i][j] % pivot for j in range(t + 1, n))),
+            None)
         if witness is not None:
             a[t] = [x + y for x, y in zip(a[t], a[witness])]
             continue

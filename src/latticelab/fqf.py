@@ -247,28 +247,31 @@ class FiniteQuadraticForm:
         m = len(gens)
         # the kernel of (gens | diag(orders)) has rank m, and its first m
         # coordinates determine the rest
-        mat = [[g[i] for g in gens] + [d if j == i else 0 for j in range(self.ngens)]
-               for i, d in enumerate(self.orders)]
-        rel = [z[:m] for z in integer_kernel(mat)]
-        return self._torsion_form(transpose(rel), gens)
+        mat = self._with_relations(gens)
+        rel = transpose([z[:m] for z in integer_kernel(mat)])
+        return self._torsion_form(rel, mat_mul(transpose(gens), rel))
 
-    def _torsion_form(self, mat, images):
-        """The torsion of Z^r / mat Z^c with the form induced through images.
+    def _with_relations(self, gens):
+        """The k rows of (gens | diag(orders)): gens as columns, then d_j e_j."""
+        return [[g[i] for g in gens] + [d if j == i else 0 for j in range(self.ngens)]
+                for i, d in enumerate(self.orders)]
 
-        Coordinate j of Z^r maps to the element images[j] of self; the map
-        must vanish on the columns of mat.  From u*mat*v = diag(d), the
-        torsion is generated by u^-1 e_i = mat v e_i / d_i (an exact
-        division) of order d_i, over the d_i > 1.  Returns (form, lifts)
+    def _torsion_form(self, mat, image):
+        """The torsion of Z^r / mat Z^c with the form induced by a map to self.
+
+        image is P*mat for the matrix P of a map Z^r -> self (one row per
+        generator of self) that vanishes on the columns of mat.  From
+        u*mat*v = diag(d), the torsion is generated by u^-1 e_i = mat v e_i /
+        d_i (an exact division) of order d_i, over the d_i > 1, and its
+        image is P*mat v e_i / d_i, read off image.  Returns (form, lifts)
         with lifts[i] the image of the i-th generator.
         """
         d, _, v = smith_normal_form(mat)
-        coords = list(zip(*images))
         orders, lifts = [], []
         for i, di in enumerate(d):
             if di > 1:
                 vcol = [row[i] for row in v]
-                w = [sum(map(mul, row, vcol)) // di for row in mat]
-                lifts.append(self.reduce([sum(map(mul, w, c)) for c in coords]))
+                lifts.append(self.reduce([sum(map(mul, row, vcol)) // di for row in image]))
                 orders.append(di)
         qints = [self.q_int(x) for x in lifts]
         bints = [[sum(map(mul, row, y)) % self.level for y in lifts]
@@ -541,26 +544,23 @@ def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadr
     sublattice M of K of rank k, so H-perp / H = K / M: the torsion of
     Z^(k+m) / M, read off one Smith normal form.  A graph is integral for
     the generators of H exactly when b vanishes on them.
+    M is built as it stands, one column (x, -R x / N) per graph, and a
+    torsion generator M v e_i / d_i of K maps to its first k coordinates:
+    each lift is read off the first k rows of M v e_i / d_i.
     """
     for g in sub.gens:
         if form.q_int(g) != 0:
             raise NotIsotropicError("subgroup is not isotropic")
     if form.order > BRUTE_CAP:
         raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
-    rows = [form.b_row(g) for g in sub.gens]
-    relations = [tuple(d if i == j else 0 for i in range(form.ngens))
-                 for j, d in enumerate(form.orders)]
-    cols = []
-    for x in [*sub.gens, *relations]:
-        col = list(x)
-        for row in rows:
-            t, r = divmod(sum(map(mul, row, x)), form.level)
-            if r:
-                raise NotIsotropicError("subgroup is not isotropic")
-            col.append(-t)
-        cols.append(col)
-    images = form.gens() + [form.zero()] * len(rows)
-    quotient, _ = form._torsion_form(transpose(cols), images)
+    n = form.level
+    mat = form._with_relations(sub.gens)
+    for row in map(form.b_row, sub.gens):
+        graph = [divmod(sum(map(mul, row, g)), n) for g in sub.gens]
+        if any(r for _, r in graph):
+            raise NotIsotropicError("subgroup is not isotropic")
+        mat.append([-t for t, _ in graph] + [-(x * d // n) for x, d in zip(row, form.orders)])
+    quotient, _ = form._torsion_form(mat, mat[:form.ngens])
     return quotient
 
 

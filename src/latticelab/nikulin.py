@@ -26,7 +26,8 @@ that isotropic_subgroups uses.
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
+from operator import mul
 from typing import NamedTuple
 
 from .errors import BadSignatureError, CapExceededError
@@ -181,18 +182,27 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
 
     Witnesses are deduplicated by the subgroup itself (not by isomorphism
     of the quotient form) and sorted by (index, generators).
+
+    As ord(s) | ord(r) | e, the exponent of A_R, only A_S[e] = {s : e*s = 0}
+    is walked: Z/gcd(d_1, e) x ... with q_S on (d_i / gcd(d_i, e)) e_i.
     """
     if q_s.order * q_r.order > BRUTE_CAP:
         raise CapExceededError(
             f"group order {q_s.order * q_r.order} exceeds cap {BRUTE_CAP}")
     total = q_s.direct_sum(q_r)
-    n_s, n_r = q_s.level, q_r.level
+    e, n = q_r.exponent, q_s.level
+    steps = [d // gcd(d, e) for d in q_s.orders]
+    torsion = FiniteQuadraticForm._from_ints(
+        [gcd(d, e) for d in q_s.orders], n,
+        [v * c * c % (2 * n) for v, c in zip(q_s.qints, steps)],
+        [[x * c * c2 % n for x, c2 in zip(row, steps)] for row, c in zip(q_s.bints, steps)])
+    n_s, n_r = torsion.level, q_r.level
     # q_S(s) = -q_R(r) iff n_r*q_int(s) + n_s*q_int(r) = 0 mod 2*n_s*n_r
     by_q: dict[int, list] = {}
-    for s, q, e in q_s.scan():
-        by_q.setdefault(q * n_r, []).append((e, s))
+    for x, q, o in torsion.scan():
+        by_q.setdefault(q * n_r, []).append((o, tuple(map(mul, x, steps))))
     pool = frozenset(s + r for r, q, d in q_r.scan()
-                     for e, s in by_q.get(-q * n_s % (2 * n_s * n_r), ()) if d % e == 0)
+                     for o, s in by_q.get(-q * n_s % (2 * n_s * n_r), ()) if d % o == 0)
     witnesses = []
     for els in _subgroups_within(total, pool):
         sub = Subgroup._of_elements(total, els)

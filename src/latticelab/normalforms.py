@@ -41,21 +41,28 @@ class DiagonalAction(_DiagonalFields):
         return sum(w * a for w, a in zip(self.weights, monomial)) % self.order
 
 
+# The 56 cubic monomials x_i x_j x_k as index triples i <= j <= k.
+CUBIC_TRIPLES = tuple(itertools.combinations_with_replacement(range(6), 3))
+
+
 def degree3_monomials():
     """Exponent 6-tuples of the 56 cubic monomials in x1..x6."""
-    out = []
-    for combo in itertools.combinations_with_replacement(range(6), 3):
-        e = [0] * 6
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return out
+    return invariant_monomials([])
+
+
+def _invariant_triples(actions) -> list[tuple[int, int, int]]:
+    """The triples (i, j, k) with w_i + w_j + w_k = w0 (mod n) for every
+    action, in CUBIC_TRIPLES order."""
+    kept = list(CUBIC_TRIPLES)
+    for a in actions:
+        w, n, w0 = a.weights, a.order, a.w0
+        kept = [t for t in kept if (w[t[0]] + w[t[1]] + w[t[2]] - w0) % n == 0]
+    return kept
 
 
 def invariant_monomials(actions) -> list[tuple[int, ...]]:
     """Monomials lying in the prescribed weight class of every generator."""
-    return [m for m in degree3_monomials()
-            if all(a.weight_of(m) == a.w0 % a.order for a in actions)]
+    return [tuple(t.count(i) for i in range(6)) for t in _invariant_triples(actions)]
 
 
 def symplectic_weight_check(action: DiagonalAction, monomials) -> bool:
@@ -87,7 +94,5 @@ def family_dimension(actions) -> int:
     Accepts a single DiagonalAction or an iterable of them (an abelian
     diagonal group given by generators, each with its own weight class).
     """
-    if isinstance(actions, DiagonalAction):
-        actions = [actions]
-    actions = list(actions)
-    return len(invariant_monomials(actions)) - centralizer_dimension(actions)
+    actions = [actions] if isinstance(actions, DiagonalAction) else list(actions)
+    return len(_invariant_triples(actions)) - centralizer_dimension(actions)

@@ -21,3 +21,29 @@ def table_reports(hm15_report):
     """full_report of the five table runs, keyed by (table, root)."""
     return {run: hm15_report if run == ("hm15", "E6") else tuple(full_report(*run))
             for run in TABLE_RUNS}
+
+
+@pytest.fixture(scope="session")
+def table_run_inputs():
+    """(matrices, pairs) of one fresh pass of the five table runs: every
+    matrix given to smith_normal_form, copied as given, and every (form, H)
+    that the glue machinery passes to complement_quotient."""
+    import latticelab.exactmat
+    import latticelab.fqf
+    import latticelab.nikulin
+    mats, pairs = [], []
+    real_snf = latticelab.exactmat.smith_normal_form
+    real_cq = latticelab.nikulin.complement_quotient
+
+    def snf(mat):
+        mats.append([list(row) for row in mat])
+        return real_snf(mat)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(latticelab.exactmat, "smith_normal_form", snf)
+        mp.setattr(latticelab.fqf, "smith_normal_form", snf)
+        mp.setattr(latticelab.nikulin, "complement_quotient",
+                   lambda form, sub: pairs.append((form, sub)) or real_cq(form, sub))
+        for run in TABLE_RUNS:
+            full_report(*run)
+    return mats, pairs

@@ -25,9 +25,12 @@ def _check_summary(entry, runs):
 
 def check_schema(data, runs):
     keys = {"pr", "git_sha", "git_dirty", "python", "nproc", "PYTHONDONTWRITEBYTECODE",
-            "src_lines", "runs", "full_report_s", "rank2_enumerate_ms", "cold_start_ms"}
+            "src_lines", "runs", "full_report_s", "rank2_enumerate_ms", "cold_start_ms",
+            "complement_quotient_ms"}
     if data["pr"] in range(16, 23):  # BENCH_16 to BENCH_22 predate cold_start_ms
         keys.remove("cold_start_ms")
+    if data["pr"] in range(16, 25):  # BENCH_16 to BENCH_24 predate complement_quotient_ms
+        keys.remove("complement_quotient_ms")
     assert set(data) == keys
     assert (data["git_sha"] is None) == (data["git_dirty"] is None)
     assert data["git_sha"] is None or len(data["git_sha"]) == 40
@@ -37,6 +40,9 @@ def check_schema(data, runs):
                                            "k3max11/E7", "k3max11/E8"]
     for entry in data["full_report_s"].values():
         _check_summary(entry, runs)
+    if "complement_quotient_ms" in keys:
+        assert data["complement_quotient_ms"]["pairs"] > 100
+        _check_summary(data["complement_quotient_ms"], runs)
     assert list(data["rank2_enumerate_ms"]) == ["3-3000", "3001-30000", "30001-100000"]
     for entry in data["rank2_enumerate_ms"].values():
         assert entry["dets"] >= 2
@@ -72,6 +78,26 @@ def test_times_are_scaled_by_the_calibration_kernel(bench, monkeypatch):
     before_after = iter([bench.calib.K_REF_S, 3 * bench.calib.K_REF_S])
     monkeypatch.setattr(bench.calib, "kernel_s", lambda: next(before_after))
     assert bench.timed(lambda: None) == 0.25  # the mean of both kernel runs
+
+
+def test_glue_quotients_are_timed_per_call(bench, monkeypatch):
+    """complement_quotient_ms is the scaled mean per call over the captured
+    pairs: with the kernel at twice K_REF_S and each unit 0.5 s on the fake
+    clock, 20 pairs read 0.25 s / 20 per call, in ms; the capture pass
+    collects every pair the five table runs glue over, and restores the
+    name it wrapped."""
+    import latticelab.nikulin
+    real = latticelab.nikulin.complement_quotient
+    pairs = bench.glue_pairs()
+    assert len(pairs) > 100 and latticelab.nikulin.complement_quotient is real
+    monkeypatch.setattr(bench.calib, "kernel_s", lambda: 2 * bench.calib.K_REF_S)
+    clock = itertools.count(0, 0.5)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    calls = []
+    monkeypatch.setattr(bench, "complement_quotient", lambda form, sub: calls.append(sub))
+    entry = bench.time_complement_quotient(3, pairs[:20])
+    assert entry["pairs"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
+    assert len(calls) == 20 * 4
 
 
 def test_one_kernel_pair_per_unit(bench, monkeypatch):

@@ -374,6 +374,38 @@ def test_malformed_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice", "info", "--gram", "[[2,1],[1,2]]", "--name", "E8"],
+    ["lattice", "info", "--name", "E8", "--file", "named.json"],
+    ["lattice", "shortvec", "--file", "named.json", "--gram", "[[2]]", "--norm", "2"],
+    ["dform", "of", "--gram", "[[2,1],[1,2]]", "--scale", "5"],
+    ["dform", "of", "--file", "named.json", "--scale", "2"],
+    ["lattice", "info", "--scale", "2"],
+    ["glue", "isotropic", "--form", "3^-2", "--name", "A2"],
+    ["glue", "isotropic", "--gram", "[[6]]", "--form", "3^-2"],
+    ["glue", "isotropic", "--form", "3^-2", "--scale", "3"],
+])
+def test_ambiguous_lattice_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    """Two lattice sources, or a scale with no named lattice to rescale,
+    are refused before anything runs, not resolved by a silent choice."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "named.json").write_text('{"name": "E6"}', encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
+def test_scale_rescales_the_named_lattice(capsys):
+    """--scale with --name still rescales, also to 0, which is a domain error."""
+    code, data = capture_json(capsys, ["dform", "of", "--name", "A2", "--scale", "5"])
+    assert code == 0 and data["order"] == 3 * 5 ** 2
+    assert run(["lattice", "info", "--name", "A2", "--scale", "0"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]])
 def test_dform_symbol_decomposes_its_form_once(capsys, monkeypatch, flags):
     """Both outputs, signature included, come from one genus symbol."""

@@ -30,6 +30,7 @@ from latticelab.fqf import (
     _span,
     automorphisms,
 )
+from test_exactmat import reference_smith_normal_form
 
 
 def random_even_lattice(rng, max_rank=5, bound=3, max_det=400):
@@ -480,6 +481,54 @@ def _assert_lifts_present_quotient(form, gens):
         assert form.element_order(lift) == d
         assert quot.q(quot.gens()[i]) == form.q(lift)
     assert all(b % a == 0 for a, b in zip(quot.orders, quot.orders[1:]))
+
+
+def reference_complement_quotient(form, sub):
+    """Reference: H-perp / H by the route taken before the glue matrix was
+    built directly: the graphs of the generators of H and of the order
+    relations as columns, transposed, and the torsion mapped to the form
+    through the images e_1, ..., e_k, 0, ..., 0 of the coordinates, all on
+    the reference Smith normal form."""
+    rows = [form.b_row(g) for g in sub.gens]
+    relations = [tuple(d if i == j else 0 for i in range(form.ngens))
+                 for j, d in enumerate(form.orders)]
+    cols = []
+    for x in [*sub.gens, *relations]:
+        col = list(x)
+        for row in rows:
+            t, r = divmod(sum(a * b for a, b in zip(row, x)), form.level)
+            assert r == 0
+            col.append(-t)
+        cols.append(col)
+    images = form.gens() + [form.zero()] * len(rows)
+    mat = transpose(cols)
+    d, _, v = reference_smith_normal_form(mat)
+    coords = list(zip(*images))
+    orders, lifts = [], []
+    for i, di in enumerate(d):
+        if di > 1:
+            vcol = [row[i] for row in v]
+            w = [sum(a * b for a, b in zip(row, vcol)) // di for row in mat]
+            lifts.append(form.reduce([sum(a * b for a, b in zip(w, c)) for c in coords]))
+            orders.append(di)
+    qints = [form.q_int(x) for x in lifts]
+    bints = [[form.b_int(x, y) for y in lifts] for x in lifts]
+    return FiniteQuadraticForm._from_ints(orders, form.level, qints, bints)
+
+
+def test_complement_quotient_matches_reference_route(table_run_inputs):
+    """The same (orders, level, qints, bints) as the transposed route on
+    every isotropic subgroup of the small symbols and of a seeded corpus,
+    and on every (form, H) that one pass of the five table runs glues over."""
+    from latticelab import form_from_symbol_text
+    forms = [form_from_symbol_text(t) for t in SMALL_SYMBOLS]
+    forms += _glue_corpus(random.Random(1905))
+    pairs = [(q, sub) for q in forms for sub in isotropic_subgroups(q)]
+    assert len(pairs) > 700
+    pairs += table_run_inputs[1]
+    for form, sub in pairs:
+        assert (_form_data(complement_quotient(form, sub))
+                == _form_data(reference_complement_quotient(form, sub))), (form, sub)
 
 
 def test_subquotient_lifts_match_span():

@@ -290,7 +290,8 @@ def filtered_saturation_data(q_s, q_r):
 
 def _saturation_cases():
     """(id, q_S, q_R): small forms and their negations against non-cyclic
-    partners, forms with a degenerate b, and trivial factors.  A negation
+    partners, forms with a degenerate b, partners of smaller exponent
+    with nontrivial glue, and trivial factors.  A negation
     isometric to the form only re-labels its elements and is left out."""
     cases = []
     for text in SMALL_SYMBOLS:
@@ -305,6 +306,10 @@ def _saturation_cases():
     for i, form in enumerate(DEGENERATE_FORMS):
         cases.append((f"-degenerate{i}|degenerate{i}", negate_form(form), form))
         cases.append((f"2_II^+2|degenerate{i}", form_from_symbol_text("2_II^+2"), form))
+    # exp(A_R) a proper divisor of exp(A_S): the pool lies in A_S[exp(A_R)]
+    for pair in [("4_II^+2 3^+1", "2_II^+2"), ("3^+1 9^-1", "3^-1"), ("8_II^-2", "4_II^+2"),
+                 ("8_II^-2", "2_II^+2"), ("27^+1", "9^-1"), ("27^+1", "3^+1 9^-1")]:
+        cases.append(("|".join(pair), *map(form_from_symbol_text, pair)))
     cases.append(("3^+2 9^+1|trivial", form_from_symbol_text("3^+2 9^+1"), trivial_form()))
     cases.append(("trivial|2_0^+4", trivial_form(), form_from_symbol_text("2_0^+4")))
     cases.append(("trivial|trivial", trivial_form(), trivial_form()))
@@ -374,6 +379,17 @@ def test_saturations_take_no_subgroup_basis(monkeypatch, table_reports):
         for w in witnesses:
             assert w.glue_gens == tuple(_minimal_generators(total, real(total, w.glue_gens)))
     assert spans == []
+
+
+def test_k3_pass_walks_no_whole_q_s():
+    """The saturations walk A_S[e] alone, e the exponent of A_R, never A_S:
+    a k3max11 pass against all four roots leaves the walk of every record's
+    q_S unbuilt."""
+    from latticelab import full_report
+    verdicts = [v for root in ("E6+A1", "D7", "E7", "E8")
+                for v in full_report("k3max11", root)]
+    assert len(verdicts) == 44
+    assert [v.record.row for v in verdicts if v.record.q_S._scan is not None] == []
 
 
 def test_saturations_cap_guard(monkeypatch):

@@ -82,3 +82,41 @@ def test_diagonal_action_refuses_bad_order_and_weight_count(order, weights):
     would run centralizer_dimension out of range."""
     with pytest.raises(ValueError):
         DiagonalAction(order, weights)
+
+
+
+def reference_monomials():
+    """Reference: the exponent tuple of each cubic monomial, in the order of
+    its index triple."""
+    import itertools
+    return [tuple(combo.count(i) for i in range(6))
+            for combo in itertools.combinations_with_replacement(range(6), 3)]
+
+
+def reference_family_dimension(actions):
+    """Reference: every cubic monomial weighed by each action's weight_of,
+    less the centralizer dimension."""
+    kept = [m for m in reference_monomials()
+            if all(a.weight_of(m) == a.w0 % a.order for a in actions)]
+    chars = [tuple(a.weights[i] % a.order for a in actions) for i in range(6)]
+    return len(kept) - sum(chars.count(c) ** 2 for c in set(chars))
+
+
+def test_family_dimension_matches_reference():
+    """family_dimension and invariant_monomials agree with the reference on
+    3,000 seeded actions, one to three generators each, a lone action passed
+    as itself or in a list; degree3_monomials keeps its order."""
+    import random
+    assert degree3_monomials() == reference_monomials()
+    rng = random.Random(53)
+    for _ in range(3000):
+        acts = [DiagonalAction(n, [rng.randrange(-n, 2 * n) for _ in range(6)],
+                               rng.randrange(-n, 2 * n))
+                for n in [rng.randint(1, 12) for _ in range(rng.randint(1, 3))]]
+        expect = reference_family_dimension(acts)
+        assert family_dimension(acts) == family_dimension(iter(acts)) == expect, acts
+        if len(acts) == 1:
+            assert family_dimension(acts[0]) == expect
+        assert invariant_monomials(acts) == [
+            m for m in reference_monomials()
+            if all(a.weight_of(m) == a.w0 % a.order for a in acts)]

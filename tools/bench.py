@@ -1,4 +1,5 @@
-"""Write BENCH_<pr>.json: the table runs and the rank-2 enumeration, timed.
+"""Write BENCH_<pr>.json: the table runs, the glue quotients and the rank-2
+enumeration, timed.
 
     python3 tools/bench.py --pr N [--quick]
 
@@ -33,6 +34,13 @@ Recorded:
                        of full_report with to_json_dict() on every verdict,
                        from empty Jordan caches, in seconds per run at the
                        reference speed
+  complement_quotient_ms
+                       median and IQR over RUNS (21) units of the mean time
+                       per complement_quotient call, in ms at the reference
+                       speed, over the (form, H) pairs that one pass of the
+                       five table runs glues over, with their count; the
+                       pairs are captured once, in an untimed pass before
+                       any unit.  From BENCH_25 on.
   rank2_enumerate_ms   per queries stratum of determinants: median and IQR
                        over RUNS (21) units of the mean time per call, in ms
                        at the reference speed
@@ -63,7 +71,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import calib  # noqa: E402
 import gen  # noqa: E402
-from latticelab import full_report, rank2_enumerate  # noqa: E402
+import latticelab.nikulin  # noqa: E402
+from latticelab import complement_quotient, full_report, rank2_enumerate  # noqa: E402
 from latticelab.symbol import clear_jordan_caches  # noqa: E402
 
 TABLE_RUNS = (("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
@@ -137,6 +146,31 @@ def time_tables(runs: int, unit_s: float = UNIT_S) -> dict:
             for table, root in TABLE_RUNS}
 
 
+def glue_pairs() -> list:
+    """The (form, H) pairs that one pass of the five table runs hands
+    complement_quotient, through the name the saturations call."""
+    pairs = []
+    real = latticelab.nikulin.complement_quotient
+    latticelab.nikulin.complement_quotient = \
+        lambda form, sub: pairs.append((form, sub)) or real(form, sub)
+    try:
+        for table, root in TABLE_RUNS:
+            full_report(table, root)
+    finally:
+        latticelab.nikulin.complement_quotient = real
+    return pairs
+
+
+def time_complement_quotient(runs: int, pairs: list, unit_s: float = UNIT_S) -> dict:
+    def one():
+        for form, sub in pairs:
+            complement_quotient(form, sub)
+
+    reps = reps_for(one, unit_s)
+    means = [timed(one, reps) * 1e3 / len(pairs) for _ in range(runs)]
+    return {"pairs": len(pairs), **summary(means)}
+
+
 def time_rank2(runs: int, per_stratum: int, unit_s: float = UNIT_S) -> dict:
     out = {}
     for (lo, hi), inputs in rank2_inputs(per_stratum).items():
@@ -181,6 +215,7 @@ def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
                          for p in (ROOT / "src").rglob("*.py")),
         "runs": runs,
         "full_report_s": time_tables(runs, unit_s),
+        "complement_quotient_ms": time_complement_quotient(runs, glue_pairs(), unit_s),
         "rank2_enumerate_ms": time_rank2(runs, per_stratum, unit_s),
         "cold_start_ms": time_cold_start(runs),
     }
