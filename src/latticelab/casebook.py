@@ -39,6 +39,7 @@ from .fqf import (
     form_embeddings_mod_aut,
     negate_form,
     primary_lengths,
+    total_length,
 )
 from .lattice import direct_sum, named_lattice
 from .nikulin import (
@@ -268,22 +269,25 @@ def transcendental_candidates(rec: LeechPairRecord, root: PolarizationRoot,
 
     Only defined in the maximal-rank case (rank-2 complement): enumerate
     reduced even forms of the complement determinant and keep those whose
-    discriminant form matches.  Orders are compared first, off each form's
-    entries; only a form whose orders match gets a lattice, a discriminant
-    form and a canonical genus symbol, compared with outcome.symbol, the
-    quotient's symbol that polarized_criterion kept.  Equal orders mean
-    isomorphic groups here: the quotient (from complement_quotient, through
-    the torsion reader shared with subquotient) and q_T both carry the
-    invariant factors of a Smith normal form, each dividing the next with
-    the 1s dropped, and a finite abelian group is determined by that list.
+    discriminant form matches.  Groups are compared first, as invariant
+    factors read off each form's entries; only a form whose group matches
+    gets a lattice, a discriminant form and a canonical genus symbol,
+    compared with outcome.symbol, the quotient's symbol that
+    polarized_criterion kept.  The quotient (from complement_quotient)
+    comes in prime-power orders, not invariant factors, so its invariant
+    factors are read off its order, exponent and length: a group of
+    length at most 2 is Z/g x Z/e with e its exponent and g = |A| / e,
+    and a longer one has no rank-2 candidate.
     """
     comp_rank = BORCHERDS_SIGNATURE[0] + BORCHERDS_SIGNATURE[1] \
         - rec.rank_S - root.rank
     if comp_rank != 2:
         raise NotMaximalRankError("complement is not of rank 2")
     target = outcome.witness.quotient
+    orders = (tuple(d for d in (target.order // target.exponent, target.exponent) if d > 1)
+              if total_length(target) <= 2 else None)
     return [cand for cand in rank2_enumerate(target.order, negative=True)
-            if _discriminant_orders(cand) == target.orders
+            if _discriminant_orders(cand) == orders
             and to_symbol(discriminant_form(cand.positive_lattice()))
             == outcome.symbol]
 

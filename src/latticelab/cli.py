@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -118,18 +119,16 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_gram(args) -> GramLattice:
-    if args.file:
+    if args.file is not None:
         return lattice_from_json_dict(args.file)
-    if args.name:
+    if args.name is not None:
         return named_lattice(args.name, 1 if args.scale is None else args.scale)
-    if args.gram:
-        return build_lattice(args.gram)
-    raise LatticeLabError("provide --gram, --name or --file")
+    return build_lattice(args.gram)
 
 
 def _add_lattice_args(p):
-    """One of --gram, --name, --file, and --scale for --name; returns the group."""
-    group = p.add_mutually_exclusive_group()
+    """Exactly one of --gram, --name, --file, and --scale for --name; returns the group."""
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--gram", type=_json_matrix,
                        help="row-major Gram matrix, e.g. [[2,1],[1,2]]")
     group.add_argument("--name", help="named lattice, e.g. E6, U, II(26,2), Lambda0")
@@ -171,7 +170,7 @@ def _cmd_lattice_shortvec(args):
 
 
 def _form_of(args):
-    if args.form:
+    if args.form is not None:
         return form_from_symbol_text(args.form)
     latt = _parse_gram(args)
     return discriminant_form(latt)
@@ -468,8 +467,14 @@ def run(argv=None) -> int:
         parser.error("--scale rescales a named lattice and needs --name")
     try:
         args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
     except LatticeLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone: what is left to flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed", file=sys.stderr)
         return 1
     return 0
 

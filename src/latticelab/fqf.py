@@ -9,10 +9,13 @@ enumeration and the brute-force isomorphism oracle all live here.
 
 Every presentation in this module is faithful: the group *is*
 Z/d_1 x ... x Z/d_k for the stored orders, never a generating set
-inside some larger group.  Forms presented anew (a subgroup by
-`subquotient`, H-perp/H by `complement_quotient`) are read off one Smith
-normal form each: the group is the torsion of an integer cokernel, in
-invariant factor form, with generators lifted from the column transform.
+inside some larger group.  A subgroup presented anew by `subquotient` is
+read off one Smith normal form: the group is the torsion of an integer
+cokernel, in invariant factor form, with generators lifted from the
+column transform.  `complement_quotient` builds H-perp/H one prime at a
+time, in prime-power orders grouped by prime: a p-part that |H| misses
+is kept on its basis as it stands, and each other one is read off one
+Smith normal form on its own coordinates.
 
 Loops over a whole group read one `scan()`, which builds each element's q
 value and order from its prefix in O(1); the Gauss-sum oracle in
@@ -247,43 +250,28 @@ class FiniteQuadraticForm:
         m = len(gens)
         # the kernel of (gens | diag(orders)) has rank m, and its first m
         # coordinates determine the rest
-        mat = self._with_relations(gens)
+        mat = _with_relations(gens, self.orders)
         rel = transpose([z[:m] for z in integer_kernel(mat)])
-        return self._torsion_form(rel, mat_mul(transpose(gens), rel))
+        orders, lifts = _torsion(rel, mat_mul(transpose(gens), rel))
+        lifts = [self.reduce(x) for x in lifts]
+        return FiniteQuadraticForm._from_ints(orders, self.level,
+                                              *self._values(lifts)), lifts
 
-    def _with_relations(self, gens):
-        """The k rows of (gens | diag(orders)): gens as columns, then d_j e_j."""
-        return [[g[i] for g in gens] + [d if j == i else 0 for j in range(self.ngens)]
-                for i, d in enumerate(self.orders)]
+    def _values(self, xs):
+        """(qints, bints) of the elements xs: level*q(x) and level*b(x, y).
 
-    def _torsion_form(self, mat, image):
-        """The torsion of Z^r / mat Z^c with the form induced by a map to self.
-
-        image is P*mat for the matrix P of a map Z^r -> self (one row per
-        generator of self) that vanishes on the columns of mat.  From
-        u*mat*v = diag(d), the torsion is generated by u^-1 e_i = mat v e_i /
-        d_i (an exact division) of order d_i, over the d_i > 1, and its
-        image is P*mat v e_i / d_i, read off image.  Returns (form, lifts)
-        with lifts[i] the image of the i-th generator.
+        With Bx the products of x with the columns of bints, unreduced,
+        level*q(x) = x.Bx + sum_i x_i^2 (qints[i] - bints[i][i]) mod 2*level.
         """
-        d, _, v = smith_normal_form(mat)
-        orders, lifts = [], []
-        for i, di in enumerate(d):
-            if di > 1:
-                vcol = [row[i] for row in v]
-                lifts.append(self.reduce([sum(map(mul, row, vcol)) // di for row in image]))
-                orders.append(di)
-        qints = [self.q_int(x) for x in lifts]
-        bints = [[sum(map(mul, row, y)) % self.level for y in lifts]
-                 for row in map(self.b_row, lifts)]
-        return FiniteQuadraticForm._from_ints(orders, self.level, qints,
-                                              bints), lifts
+        n = self.level
+        diag = [q - row[i] for i, (q, row) in enumerate(zip(self.qints, self.bints))]
+        bxs = [[sum(map(mul, x, col)) for col in self.bints] for x in xs]
+        return ([(sum(map(mul, x, bx)) + sum(map(mul, map(mul, x, x), diag))) % (2 * n)
+                 for x, bx in zip(xs, bxs)],
+                [[sum(map(mul, bx, y)) % n for y in xs] for bx in bxs])
 
     def primes(self):
-        ps = set()
-        for d in self.orders:
-            ps.update(factorize(d))
-        return sorted(ps)
+        return sorted(factorize(self.exponent))
 
     # -- serialization ---------------------------------------------------------
 
@@ -391,6 +379,20 @@ def discriminant_form(latt: GramLattice) -> FiniteQuadraticForm:
 
 
 # -- lengths -------------------------------------------------------------------
+
+
+def primary_basis(orders, p: int) -> list[tuple[int, int, int]]:
+    """(i, c_i, p^v) for each order d_i = c_i * p^v with v > 0 and c_i prime to p.
+
+    Presentations are faithful, so the elements c_i e_i, of order p^v, are
+    a basis of the p-part of Z/d_1 x ... x Z/d_k.
+    """
+    return [(i, d // o, o) for i, d in enumerate(orders) if (o := _p_part(d, p)) > 1]
+
+
+def _p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n > 0 (p^bitlength(n) > n)."""
+    return gcd(n, p ** n.bit_length())
 
 
 def primary_lengths(form: FiniteQuadraticForm) -> dict[int, int]:
@@ -534,19 +536,46 @@ def isotropic_subgroups(form: FiniteQuadraticForm):
     return subs
 
 
+def _torsion(mat, image):
+    """The torsion of Z^r / mat Z^c, mapped by P.
+
+    image is P*mat for the matrix P of a map Z^r -> Z^s that vanishes on
+    the columns of mat modulo the target's orders.  From u*mat*v = diag(d),
+    the torsion is generated by u^-1 e_i = mat v e_i / d_i (an exact
+    division) of order d_i, over the d_i > 1, and its image is
+    P*mat v e_i / d_i, read off image.  Returns (orders, lifts) with
+    lifts[i] the image of the i-th generator, unreduced.
+    """
+    d, _, v = smith_normal_form(mat)
+    orders, lifts = [], []
+    for i, di in enumerate(d):
+        if di > 1:
+            vcol = [row[i] for row in v]
+            lifts.append([sum(map(mul, row, vcol)) // di for row in image])
+            orders.append(di)
+    return orders, lifts
+
+
+def _with_relations(gens, orders):
+    """The rows of (gens | diag(orders)): gens as columns, then d_j e_j."""
+    return [[g[i] for g in gens] + [d if j == i else 0 for j in range(len(orders))]
+            for i, d in enumerate(orders)]
+
+
 def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadraticForm:
     """The induced form on H-perp / H for an isotropic subgroup H.
 
-    With R the rows b_row(g) over the m generators g of H and N the level,
-    H-perp lifts to {x in Z^k : R x = 0 mod N}, and x -> (x, -R x / N) maps
-    it onto K = ker (R | N*I), saturated of rank k in Z^(k+m).  The graphs
-    of the generators of H and of the order relations d_j e_j span a
-    sublattice M of K of rank k, so H-perp / H = K / M: the torsion of
-    Z^(k+m) / M, read off one Smith normal form.  A graph is integral for
-    the generators of H exactly when b vanishes on them.
-    M is built as it stands, one column (x, -R x / N) per graph, and a
-    torsion generator M v e_i / d_i of K maps to its first k coordinates:
-    each lift is read off the first k rows of M v e_i / d_i.
+    b vanishes between p-parts, so H-perp / H is the sum over p of
+    H_p-perp / H_p on the basis c_i e_i of A_p (primary_basis), where
+    H_p = m*H (m = |H| / p^v, p^v the p-part of |H|).  Where p misses |H|
+    the block is that basis as it stands.  Otherwise, on coordinates y of
+    the basis, with R the rows N*b(h, c_i e_i) mod N over the nonzero
+    h = m*g (g a generator of H) and N the level, y -> (y, -R y / N) maps
+    the lift of H_p-perp onto K = ker (R | N*I); the graphs of the h and of
+    the order relations span a full-rank sublattice M of K, so
+    H_p-perp / H_p = K / M, the torsion of Z^(k_p+m_p) / M: one Smith
+    normal form, with P sending y to sum y_i c_i e_i.  The blocks are
+    joined at the level of form, in prime-power orders grouped by prime.
     """
     for g in sub.gens:
         if form.q_int(g) != 0:
@@ -554,14 +583,36 @@ def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadr
     if form.order > BRUTE_CAP:
         raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
     n = form.level
-    mat = form._with_relations(sub.gens)
-    for row in map(form.b_row, sub.gens):
-        graph = [divmod(sum(map(mul, row, g)), n) for g in sub.gens]
-        if any(r for _, r in graph):
-            raise NotIsotropicError("subgroup is not isotropic")
-        mat.append([-t for t, _ in graph] + [-(x * d // n) for x, d in zip(row, form.orders)])
-    quotient, _ = form._torsion_form(mat, mat[:form.ngens])
-    return quotient
+    rows = [form.b_row(g) for g in sub.gens]
+    if any(sum(map(mul, row, g)) % n for row in rows for g in sub.gens):
+        raise NotIsotropicError("subgroup is not isotropic")
+    orders, qints, bints = [], [], []
+    for p in form.primes():
+        basis = primary_basis(form.orders, p)
+        m = sub.order // _p_part(sub.order, p)
+        if m == sub.order:
+            o_p = [o for _, _, o in basis]
+            q_p = [c * c * form.qints[i] % (2 * n) for i, c, _ in basis]
+            b_p = [[ci * cj * form.bints[i][j] % n for j, cj, _ in basis] for i, ci, _ in basis]
+        else:
+            hs = [(y, row) for g, row in zip(sub.gens, rows)
+                  if any(y := [m * g[i] % (c * o) // c for i, c, o in basis])]
+            ys = [y for y, _ in hs]
+            mat = _with_relations(ys, [o for _, _, o in basis])
+            for _, row in hs:
+                r = [m * c * row[i] % n for i, c, _ in basis]
+                mat.append([-(sum(map(mul, r, y)) // n) for y in ys]
+                           + [-(x * o // n) for x, (_, _, o) in zip(r, basis)])
+            o_p, coords = _torsion(mat, mat[:len(basis)])
+            lifts = [[0] * form.ngens for _ in coords]
+            for x, y in zip(lifts, coords):
+                for (i, c, _), a in zip(basis, y):
+                    x[i] = c * a
+            q_p, b_p = form._values(lifts)
+        bints = [row + [0] * len(o_p) for row in bints] + [[0] * len(orders) + row for row in b_p]
+        orders += o_p
+        qints += q_p
+    return FiniteQuadraticForm._from_ints(orders, n, qints, bints)
 
 
 # -- brute-force isomorphism oracle and automorphisms ---------------------------

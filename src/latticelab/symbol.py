@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .errors import CapExceededError, DegenerateError, RealizabilityError, SymbolSyntaxError
 from .exactmat import factorize
-from .fqf import FiniteQuadraticForm, direct_sum_forms, trivial_form
+from .fqf import FiniteQuadraticForm, direct_sum_forms, primary_basis, trivial_form
 
 # results kept by each of _split_primary and _canonical_two_adic per process
 JORDAN_CACHE_SIZE = 1024
@@ -97,28 +97,19 @@ def _p_valuation(n: int, p: int) -> int:
 def _primary_basis(form: FiniteQuadraticForm, p: int):
     """A basis of the p-part on integer data (level, orders, qs, gs).
 
-    Presentations are faithful, so for each generator e_i of order
-    d_i = c_i * p^v (v > 0, c_i prime to p) the element c_i * e_i spans a
-    Z/p^v summand, and these elements are a basis of the p-part.  Values
-    are taken at the level L = p^e of the p-part's exponent:
-    qs[i] = L*q mod 2L and gs[i][j] = L*b mod L.  The division by the
-    form's level is exact because q(c_i e_i) lies in (1/p^v)Z.  All four
-    are tuples, so they key the cache of _split_primary.
+    The basis is the c_i e_i of fqf.primary_basis, each spanning a Z/p^v
+    summand.  Values are taken at the level L = p^e of the p-part's
+    exponent: qs[i] = L*q mod 2L and gs[i][j] = L*b mod L.  The division
+    by the form's level is exact because q(c_i e_i) lies in (1/p^v)Z.
+    All four are tuples, so they key the cache of _split_primary.
     """
-    idx, orders, cs = [], [], []
-    for i, d in enumerate(form.orders):
-        v = _p_valuation(d, p)
-        if v:
-            idx.append(i)
-            orders.append(p ** v)
-            cs.append(d // p ** v)
-    level = max(orders)
+    basis = primary_basis(form.orders, p)
+    level = max(o for _, _, o in basis)
     n = form.level
-    qs = tuple(c * c * form.qints[i] * level // n % (2 * level)
-               for c, i in zip(cs, idx))
+    qs = tuple(c * c * form.qints[i] * level // n % (2 * level) for i, c, _ in basis)
     gs = tuple(tuple(ci * cj * form.bints[i][j] * level // n % level
-                     for cj, j in zip(cs, idx)) for ci, i in zip(cs, idx))
-    return level, tuple(orders), qs, gs
+                     for j, cj, _ in basis) for i, ci, _ in basis)
+    return level, tuple(o for _, _, o in basis), qs, gs
 
 
 def _pivot(p: int, level: int, orders, qs, gs):

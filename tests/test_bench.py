@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -26,15 +27,19 @@ def _check_summary(entry, runs):
 def check_schema(data, runs):
     keys = {"pr", "git_sha", "git_dirty", "python", "nproc", "PYTHONDONTWRITEBYTECODE",
             "src_lines", "runs", "full_report_s", "rank2_enumerate_ms", "cold_start_ms",
-            "complement_quotient_ms"}
+            "complement_quotient_ms", "src_sha256"}
     if data["pr"] in range(16, 23):  # BENCH_16 to BENCH_22 predate cold_start_ms
         keys.remove("cold_start_ms")
     if data["pr"] in range(16, 25):  # BENCH_16 to BENCH_24 predate complement_quotient_ms
         keys.remove("complement_quotient_ms")
+    if data["pr"] in range(16, 26):  # BENCH_16 to BENCH_25 predate src_sha256
+        keys.remove("src_sha256")
     assert set(data) == keys
     assert (data["git_sha"] is None) == (data["git_dirty"] is None)
     assert data["git_sha"] is None or len(data["git_sha"]) == 40
     assert data["nproc"] >= 1 and data["src_lines"] > 1000
+    if "src_sha256" in keys:
+        assert len(data["src_sha256"]) == 64 and int(data["src_sha256"], 16) >= 0
     assert data["runs"] == runs
     assert list(data["full_report_s"]) == ["hm15/E6", "k3max11/E6+A1", "k3max11/D7",
                                            "k3max11/E7", "k3max11/E8"]
@@ -117,6 +122,17 @@ def test_one_kernel_pair_per_unit(bench, monkeypatch):
         assert entry["runs"] == [0.25] * 3
     assert len(kernels) == 2 * 3 * 5
     assert len(tables) == 13 * 5 and len(set(tables)) == 5
+
+
+def test_src_sha256_hashes_the_sources_in_path_order(bench):
+    """The digest of every src/**/*.py, path and bytes, in sorted path
+    order, with no __pycache__ or other file in it."""
+    digest = hashlib.sha256()
+    paths = sorted(p for p in (ROOT / "src").rglob("*") if p.suffix == ".py")
+    assert paths and all("__pycache__" not in p.parts for p in paths)
+    for path in paths:
+        digest.update(str(path.relative_to(ROOT)).encode() + b"\0" + path.read_bytes())
+    assert bench.src_sha256() == digest.hexdigest()
 
 
 def test_rank2_inputs_are_the_queries_strata(bench):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -396,6 +400,50 @@ def test_ambiguous_lattice_input_is_usage_error(capsys, monkeypatch, tmp_path, a
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "info"],
+    ["lattice", "shortvec", "--norm", "2"],
+    ["glue", "isotropic"],
+    ["glue", "isotropic", "--json"],
+])
+def test_missing_lattice_source_is_usage_error(capsys, argv):
+    """A lattice command with no source is refused before anything runs,
+    and the message names every source, --form too on glue isotropic."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert all(f"--{s}" in errors[0] for s in ("gram", "name", "file"))
+    assert ("--form" in errors[0]) == (argv[0] == "glue")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "shortvec", "--name", "E8", "--norm", "8", "--json"],
+    ["glue", "isotropic", "--form", "2_II^+6", "--json"],
+    ["cubic", "check", "--all", "--json"],
+    ["k3", "check", "--degree", "2", "--json"],
+])
+def test_closed_stdout_ends_in_one_line(argv):
+    """A reader that takes a few bytes and closes the pipe: exit 0 (the
+    output fit in the pipe) or 1, at most one stderr line, no traceback."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "latticelab.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(10)
+        proc.stdout.close()
+        code = proc.wait(timeout=300)
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert code in (0, 1)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
 
 
 def test_scale_rescales_the_named_lattice(capsys):

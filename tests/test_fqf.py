@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -290,6 +292,129 @@ def test_subgroups_within_skips_refused_cosets(monkeypatch):
     assert len(calls) <= 8539
 
 
+# -- counting oracles: closed forms that share no code with the searches ------
+
+
+def _gaussian_binomial(n, k, q):
+    if not 0 <= k <= n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _conjugate(parts, length):
+    """The conjugate partition, padded with zeros to length entries."""
+    return [sum(1 for x in parts if x > i) for i in range(length)]
+
+
+def subgroups_of_type(lam, mu, p):
+    """The number of subgroups of type mu in the abelian p-group of type lam
+    (partitions of exponents): prod_i p^(mu'_{i+1} (lam'_i - mu'_i))
+    [lam'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_p, lam' and mu' the
+    conjugate partitions (Birkhoff 1935; Delsarte 1948; Butler, Mem. AMS
+    539, 1994)."""
+    top = max(lam, default=0)
+    lc, mc = _conjugate(lam, top + 1), _conjugate(mu, top + 1)
+    out = 1
+    for i in range(top):
+        out *= p ** (mc[i + 1] * (lc[i] - mc[i]))
+        out *= _gaussian_binomial(lc[i] - mc[i + 1], mc[i] - mc[i + 1], p)
+    return out
+
+
+def _subpartitions(lam):
+    """Every partition mu with mu_i <= lam_i, lam in decreasing order."""
+    for mu in itertools.product(*(range(x + 1) for x in lam)):
+        if all(a >= b for a, b in zip(mu, mu[1:])):
+            yield tuple(x for x in mu if x)
+
+
+def _subgroup_type(orders, elements, primes):
+    """{p: partition} of the subgroup with these elements, from the sizes
+    |H[p^j]| = p^(mu'_1 + ... + mu'_j)."""
+    out = {}
+    for p in primes:
+        sizes = [1]
+        while True:
+            pj = p ** len(sizes)
+            sizes.append(sum(all(x * pj % d == 0 for x, d in zip(el, orders))
+                             for el in elements))
+            if sizes[-1] == sizes[-2]:
+                break
+        conj = [_exponents(b // a, p) for a, b in zip(sizes, sizes[1:]) if b > a]
+        out[p] = tuple(x for x in _conjugate(conj, max(conj, default=0)) if x)
+    return tuple(sorted(out.items()))
+
+
+@pytest.mark.parametrize("text, total", [
+    ("2_II^+4", 67), ("4_II^+2 2_II^+2", 249), ("3^+3", 28), ("9^+1 3^+2", 50),
+    ("8_II^+2 2_II^+2", 671)] + [(t, None) for t in SMALL_SYMBOLS])
+def test_subgroup_counts_match_birkhoff(text, total):
+    """_subgroups_within on every element lists each subgroup once, as many
+    of each type as the closed form counts; counts multiply over primes."""
+    from latticelab import form_from_symbol_text
+    from latticelab.fqf import _subgroups_within
+    q = form_from_symbol_text(text)
+    primes = _primes_of(q.order)
+    lams = {p: sorted((_exponents(d, p) for d in q.orders if d % p == 0), reverse=True)
+            for p in primes}
+    want = Counter()
+    for mus in itertools.product(*(_subpartitions(lams[p]) for p in primes)):
+        want[tuple(zip(primes, mus))] = prod(subgroups_of_type(lams[p], mu, p)
+                                             for p, mu in zip(primes, mus))
+    found = _subgroups_within(q, frozenset(q.elements()))
+    got = Counter(_subgroup_type(q.orders, els, primes) for els in found)
+    assert got == want
+    assert len(found) == sum(want.values())
+    if total is not None:
+        assert len(found) == total
+
+
+def singular_subspaces(kind, dim, q, k):
+    """Totally singular k-spaces of a nondegenerate quadratic space of
+    dimension dim over F_q: kind "+" or "-" for O+(2n, q), O-(2n, q), and
+    "odd" for O(2n+1, q) (Wilson, The Finite Simple Groups, 3.7-3.8;
+    Taylor, The Geometry of the Classical Groups)."""
+    n = dim // 2
+    if kind == "+":
+        return _gaussian_binomial(n, k, q) * prod(q ** i + 1 for i in range(n - k, n))
+    if kind == "-":
+        return _gaussian_binomial(n - 1, k, q) * prod(q ** i + 1 for i in range(n - k + 1, n + 1))
+    return _gaussian_binomial(n, k, q) * prod(q ** i + 1 for i in range(n - k + 1, n + 1))
+
+
+ELEMENTARY_SYMBOLS = [
+    "2_II^+2", "2_II^-2", "2_II^+4", "2_II^-4", "2_II^+6", "2_II^-6", "2_II^+8",
+    "3^+2", "3^-2", "3^+3", "3^-3", "3^+4", "3^-4",
+    "5^+2", "5^-2", "5^+3", "5^+4", "5^-4", "7^+3",
+]
+
+
+@pytest.mark.parametrize("text", ELEMENTARY_SYMBOLS)
+def test_isotropic_subgroup_counts_match_singular_subspaces(text):
+    """On an elementary form p^(eps dim) the isotropic subgroups of order p^k
+    are the totally singular k-spaces.  At p = 2 (type II) the sign is the
+    type; at odd p, an even dimension 2n is of + type exactly when
+    eps = (-1/p)^n.  2_II^+8 has 4,006."""
+    from latticelab import form_from_symbol_text
+    scale, eps, dim = re.fullmatch(r"(\d+)(?:_II)?\^([+-])(\d+)", text).groups()
+    p, dim, sign = int(scale), int(dim), 1 if eps == "+" else -1
+    if dim % 2:
+        kind = "odd"
+    elif p == 2:
+        kind = eps
+    else:
+        kind = "+" if sign == (1 if p % 4 == 1 else -1) ** (dim // 2) else "-"
+    want = {p ** k: c for k in range(dim // 2 + 1) if (c := singular_subspaces(kind, dim, p, k))}
+    got = Counter(sub.order for sub in isotropic_subgroups(form_from_symbol_text(text)))
+    assert got == want
+    if text == "2_II^+8":
+        assert sum(got.values()) == 4006
+
+
 def _fraction_evaluators(q):
     """q and b evaluated term by term in Fraction from to_json_dict() data."""
     data = q.to_json_dict()
@@ -383,6 +508,31 @@ def _form_data(form):
     return form.orders, form.level, form.qints, form.bints
 
 
+def _primes_of(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % r for r in range(2, p))]
+
+
+def _exponents(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def prime_power_orders(orders):
+    """The orders of the cyclic prime-power summands of Z/d_1 x ... x Z/d_k,
+    sorted: a complete invariant of the group, as the invariant factors are."""
+    return sorted(p ** _exponents(d, p) for d in orders for p in _primes_of(d))
+
+
+def _assert_primary(quot):
+    """The orders are prime powers, grouped by prime in increasing order."""
+    primes = [_primes_of(d) for d in quot.orders]
+    assert all(len(ps) == 1 for ps in primes)
+    assert [ps[0] for ps in primes] == sorted(ps[0] for ps in primes)
+
+
 @pytest.mark.parametrize("text", SMALL_SYMBOLS)
 def test_complement_quotient_matches_perp_scan(text):
     """H-perp / H from one Smith normal form against H-perp by scanning
@@ -396,7 +546,8 @@ def test_complement_quotient_matches_perp_scan(text):
         ref, _ = _quotient_by_kernels(q, perp, sub.gens)
         assert quot.order * sub.order ** 2 == q.order
         assert len(perp) == quot.order * sub.order
-        assert quot.orders == ref.orders
+        _assert_primary(quot)
+        assert prime_power_orders(quot.orders) == prime_power_orders(ref.orders)
         assert bruteforce_isomorphic(quot, ref)
 
 
@@ -416,8 +567,8 @@ def _glue_corpus(rng):
 
 
 def test_complement_quotient_matches_two_kernel_route():
-    """On a seeded corpus, every isotropic H gives the orders of the
-    two-kernel route, an isometric form where |H-perp / H| <= 64, and
+    """On a seeded corpus, every isotropic H gives the group of the
+    two-kernel route (equal prime-power orders), an isometric form where |H-perp / H| <= 64, and
     |H-perp / H| * |H|^2 = |A| where b is nondegenerate."""
     rng = random.Random(1905)
     checked = 0
@@ -426,7 +577,8 @@ def test_complement_quotient_matches_two_kernel_route():
         for sub in isotropic_subgroups(q):
             quot = complement_quotient(q, sub)
             ref, _ = _quotient_by_kernels(q, _perp_by_kernel(q, sub.gens), sub.gens)
-            assert quot.orders == ref.orders
+            _assert_primary(quot)
+            assert prime_power_orders(quot.orders) == prime_power_orders(ref.orders)
             if quot.order <= 64:
                 assert bruteforce_isomorphic(quot, ref)
             if not degenerate:
@@ -436,9 +588,10 @@ def test_complement_quotient_matches_two_kernel_route():
 
 
 def test_complement_quotient_takes_one_smith_form(monkeypatch):
-    """One Smith normal form and no integer kernel or subquotient per
-    complement_quotient: on every isotropic subgroup of the small symbols
-    and on every (form, H) that the five table runs glue over."""
+    """One Smith normal form per prime dividing |H|, none for H = 0, and no
+    integer kernel or subquotient per complement_quotient: on every
+    isotropic subgroup of the small symbols and on every (form, H) that
+    the five table runs glue over."""
     import latticelab.fqf
     import latticelab.nikulin
     from latticelab import form_from_symbol_text, full_report
@@ -462,10 +615,14 @@ def test_complement_quotient_takes_one_smith_form(monkeypatch):
     counted(latticelab.fqf, "smith_normal_form")
     counted(latticelab.fqf, "integer_kernel")
     counted(FiniteQuadraticForm, "subquotient")
+    smith_forms = 0
     for form, sub in pairs:
         calls.clear()
         complement_quotient(form, sub)
-        assert calls == ["smith_normal_form"]
+        assert calls == ["smith_normal_form"] * len(_primes_of(sub.order))
+        smith_forms += len(calls)
+    assert sum(sub.order == 1 for _, sub in pairs) > 40
+    assert smith_forms < len(pairs)
 
 
 def _assert_lifts_present_quotient(form, gens):
@@ -516,19 +673,67 @@ def reference_complement_quotient(form, sub):
     return FiniteQuadraticForm._from_ints(orders, form.level, qints, bints)
 
 
+def _primary_part(form, p):
+    """A_p on the basis c_i e_i, d_i = c_i p^v with p prime to c_i, and the
+    map x -> coordinates on that basis, for an element x of A_p."""
+    basis = [(i, d // p ** _exponents(d, p), p ** _exponents(d, p))
+             for i, d in enumerate(form.orders) if d % p == 0]
+    n = form.level
+    part = FiniteQuadraticForm._from_ints(
+        [q for _, _, q in basis], n,
+        [c * c * form.qints[i] % (2 * n) for i, c, _ in basis],
+        [[ci * cj * form.bints[i][j] % n for j, cj, _ in basis] for i, ci, _ in basis])
+
+    def coords(x):
+        assert all(x[i] % c == 0 for i, c, _ in basis)
+        assert all(x[i] == 0 for i in range(form.ngens) if i not in {j for j, _, _ in basis})
+        return tuple(x[i] // c for i, c, _ in basis)
+    return part, coords
+
+
+class _Gens:
+    def __init__(self, gens):
+        self.gens = gens
+
+
 def test_complement_quotient_matches_reference_route(table_run_inputs):
-    """The same (orders, level, qints, bints) as the transposed route on
-    every isotropic subgroup of the small symbols and of a seeded corpus,
-    and on every (form, H) that one pass of the five table runs glues over."""
+    """Prime by prime, on every isotropic subgroup of the small symbols and
+    of a seeded corpus, and on every (form, H) that one pass of the five
+    table runs glues over: for p dividing |H| the p-block of the quotient
+    has the (orders, level, qints, bints) of the transposed route applied
+    to A_p and H_p = m*H, m = |H| / p^v, generated by the nonzero m*g; for
+    p prime to |H| the block is A_p on the basis c_i e_i as it stands."""
     from latticelab import form_from_symbol_text
     forms = [form_from_symbol_text(t) for t in SMALL_SYMBOLS]
     forms += _glue_corpus(random.Random(1905))
     pairs = [(q, sub) for q in forms for sub in isotropic_subgroups(q)]
     assert len(pairs) > 700
     pairs += table_run_inputs[1]
+    hit = kept = 0
     for form, sub in pairs:
-        assert (_form_data(complement_quotient(form, sub))
-                == _form_data(reference_complement_quotient(form, sub))), (form, sub)
+        quot = complement_quotient(form, sub)
+        _assert_primary(quot)
+        blocks = []
+        for p in _primes_of(form.exponent):
+            idx = [j for j, d in enumerate(quot.orders) if d % p == 0]
+            block = FiniteQuadraticForm._from_ints(
+                [quot.orders[j] for j in idx], quot.level, [quot.qints[j] for j in idx],
+                [[quot.bints[i][j] for j in idx] for i in idx])
+            part, coords = _primary_part(form, p)
+            m = sub.order
+            while m % p == 0:
+                m //= p
+            if m == sub.order:
+                want = part
+                kept += 1
+            else:
+                gens = [coords(form.scale(g, m)) for g in sub.gens]
+                want = reference_complement_quotient(part, _Gens([y for y in gens if any(y)]))
+                hit += 1
+            assert _form_data(block) == _form_data(want), (form, sub, p)
+            blocks += idx
+        assert blocks == list(range(quot.ngens))
+    assert hit > 500 and kept > 300
 
 
 def test_subquotient_lifts_match_span():

@@ -30,6 +30,10 @@ Recorded:
                        from it (null outside a git checkout)
   python, nproc, PYTHONDONTWRITEBYTECODE
   src_lines            lines in src/**/*.py
+  src_sha256           sha256 over src/**/*.py in sorted path order, each
+                       file as its path below the root, a NUL byte and its
+                       bytes: names the measured tree when git_dirty is
+                       true.  From BENCH_26 on.
   full_report_s        per (table, root): median and IQR over RUNS (21) units
                        of full_report with to_json_dict() on every verdict,
                        from empty Jordan caches, in seconds per run at the
@@ -57,6 +61,7 @@ Recorded:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -98,6 +103,13 @@ def git(*args: str) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return done.stdout.strip()
+
+
+def src_sha256() -> str:
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        digest.update(path.relative_to(ROOT).as_posix().encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def rank2_inputs(per_stratum: int) -> dict[tuple[int, int], list[tuple[int, bool]]]:
@@ -213,6 +225,7 @@ def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "src_lines": sum(len(p.read_text().splitlines())
                          for p in (ROOT / "src").rglob("*.py")),
+        "src_sha256": src_sha256(),
         "runs": runs,
         "full_report_s": time_tables(runs, unit_s),
         "complement_quotient_ms": time_complement_quotient(runs, glue_pairs(), unit_s),
