@@ -15,6 +15,7 @@ coordinate positive.
 from __future__ import annotations
 
 from math import isqrt, lcm
+from operator import mul
 
 from .errors import IndefiniteLatticeError, NormCapExceededError, RankTooLargeError
 from .exactmat import symmetric_bareiss
@@ -62,7 +63,7 @@ def short_vectors(latt: GramLattice, norm: int, norm_cap: int = NORM_CAP):
     def descend(i: int, rem: int, top: bool):
         row = rows[i]
         u = row[0]
-        p = sum(c * xj for c, xj in zip(row[1:], x[i + 1:]))
+        p = sum(map(mul, row[1:], x[i + 1:]))
         if i == 0:
             # the last coordinate must use up the norm: K_0 * t_0^2 == R
             s2, off = divmod(rem, k[0])
@@ -74,7 +75,7 @@ def short_vectors(latt: GramLattice, norm: int, norm_cap: int = NORM_CAP):
                 x0, off = divmod(t - p, u)
                 if off == 0:
                     v = (x0, *x[1:])
-                    if next(c for c in v if c) < 0:
+                    if next(filter(None, v)) < 0:
                         v = tuple(-c for c in v)
                     found.append(v)
             return

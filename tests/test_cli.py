@@ -1,12 +1,15 @@
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from latticelab.cli import run
+from latticelab.cli import build_parser, run
 
 
 def capture(capsys, argv):
@@ -285,21 +288,19 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def leaves(parser):
+    """Every leaf subcommand parser below parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield parser
+    for action in subs:
+        for child in action.choices.values():
+            yield from leaves(child)
+
+
 def test_every_leaf_takes_json():
     """Every leaf subcommand of the parser accepts --json and names the
     handler it runs."""
-    import argparse
-
-    from latticelab.cli import build_parser
-
-    def leaves(parser):
-        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        if not subs:
-            yield parser
-        for action in subs:
-            for child in action.choices.values():
-                yield from leaves(child)
-
     found = list(leaves(build_parser()))
     assert len(found) == 18
     for p in found:
@@ -444,6 +445,62 @@ def test_closed_stdout_ends_in_one_line(argv):
     proc.stderr.close()
     assert code in (0, 1)
     assert len(err.splitlines()) <= 1 and "Traceback" not in err
+
+
+# one cheap argv per leaf command, keyed by the leaf's prog
+LEAF_ARGV = {
+    "lattice info": ["--name", "A2"],
+    "lattice shortvec": ["--name", "A2", "--norm", "2"],
+    "rank2 enum": ["--det", "27"],
+    "rank2 reduce": ["--form", "14,-1,2"],
+    "rank2 autorders": ["--form", "6,3,6"],
+    "dform of": ["--name", "E7"],
+    "dform symbol": ["--form", "2_3^-1 4_7^+1 3^-1 5^+1"],
+    "dform iso": ["2_1^+1", "2_7^+1"],
+    "glue isotropic": ["--form", "3^-2"],
+    "nikulin exists": ["--sig", "0,2", "--form", "3^+1 9^+1"],
+    "nikulin embed": ["--sig", "20,2", "--form", "3^-1"],
+    "saturate": ["3^+2 9^-1", "3^+1"],
+    "cubic check": ["--row", "1"],
+    "k3 check": ["--degree", "2", "--row", "1"],
+    "uniqueness": ["--row", "1"],
+    "nonsymplectic": ["--row", "1"],
+    "family-dim": ["--order", "6", "--weights", "0,3,2,5,4,4"],
+    "symplectic-check": ["--order", "9", "--weights", "0,6,3,1,4,7", "--w0", "6"],
+}
+
+
+class ClosedStdout:
+    """A stdout whose reader is gone: every write and flush raises, and its
+    descriptor is a real one for the handler to point at devnull."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_ends_in_one_line_on_every_leaf(monkeypatch):
+    """In-process: every leaf command, its stdout closed, exits 1 with one
+    stderr line and no traceback."""
+    progs = [p.prog.removeprefix("latticelab ") for p in leaves(build_parser())]
+    assert sorted(progs) == sorted(LEAF_ARGV)
+    for prog in progs:
+        err = io.StringIO()
+        with tempfile.TemporaryFile() as target:
+            monkeypatch.setattr(sys, "stdout", ClosedStdout(target.fileno()))
+            monkeypatch.setattr(sys, "stderr", err)
+            code = run(prog.split() + LEAF_ARGV[prog])
+            monkeypatch.undo()
+        assert code == 1, prog
+        assert err.getvalue() == "error: standard output closed\n", prog
 
 
 def test_scale_rescales_the_named_lattice(capsys):

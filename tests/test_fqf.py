@@ -349,12 +349,36 @@ def _subgroup_type(orders, elements, primes):
     return tuple(sorted(out.items()))
 
 
+def seeded_symbols(seed, count, cap=300):
+    """count seeded symbols with 1 < |A| <= cap: each scale of 2, 3, 5 and 7
+    up to 27 holds a constituent or not, the 2-adic ones of type II in
+    dimension 2 or odd in dimension 1 with a sign that fits the oddity."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        parts, order = [], 1
+        for scale in (2, 4, 8):
+            if rng.random() < 0.3:
+                tail = rng.choice(["_II^+2", "_II^-2", "_1^+1", "_7^+1", "_3^-1", "_5^-1"])
+                parts.append(f"{scale}{tail}")
+                order *= scale ** int(tail[-1])
+        for scale in (3, 9, 27, 5, 25, 7):
+            if rng.random() < 0.25:
+                dim = rng.randint(1, 2)
+                parts.append(f"{scale}^{rng.choice('+-')}{dim}")
+                order *= scale ** dim
+        if 1 < order <= cap:
+            out.append(" ".join(parts))
+    return out
+
+
 @pytest.mark.parametrize("text, total", [
     ("2_II^+4", 67), ("4_II^+2 2_II^+2", 249), ("3^+3", 28), ("9^+1 3^+2", 50),
-    ("8_II^+2 2_II^+2", 671)] + [(t, None) for t in SMALL_SYMBOLS])
+    ("8_II^+2 2_II^+2", 671)] + [(t, None) for t in SMALL_SYMBOLS + seeded_symbols(43, 12)])
 def test_subgroup_counts_match_birkhoff(text, total):
     """_subgroups_within on every element lists each subgroup once, as many
-    of each type as the closed form counts; counts multiply over primes."""
+    of each type as the closed form counts; counts multiply over primes.
+    On named groups, the small symbols and seeded symbols with |A| <= 300."""
     from latticelab import form_from_symbol_text
     from latticelab.fqf import _subgroups_within
     q = form_from_symbol_text(text)

@@ -134,6 +134,37 @@ def test_enumerate_matches_full_window_scan():
             assert all(f.negative == negative for f in got)
 
 
+def test_enumerate_matches_full_window_scan_on_queries_strata():
+    """Seeded determinants from each stratum the queries workload draws
+    from, and two near 10^6, of either sign."""
+    rng = random.Random(31)
+    dets = [rng.randint(lo, hi) for lo, hi in ((3, 3000), (3001, 30000), (30001, 100000))
+            for _ in range(4)]
+    dets += [10**6 - 1, 10**6 + 4]
+    for det in dets:
+        det -= (det % 4) % 3  # det = 0, 3 mod 4 has even forms
+        for negative in (False, True):
+            assert rank2_enumerate(det, negative) == reference_enumerate(det, negative), det
+
+
+def test_enumerate_twin_rule():
+    """The walk over b >= 0 adds (a, -b, c) for (a, b, c) exactly when
+    2b < a < c, and its forms equal those of the checking constructor."""
+    for det in range(1, 3001):
+        for negative in (False, True):
+            forms = rank2_enumerate(det, negative)
+            triples = {(f.a, f.b, f.c) for f in forms}
+            for f in forms:
+                assert type(f) is Rank2Form and Rank2Form(f.a, f.b, f.c, f.negative) == f
+                if f.b > 0:
+                    assert ((f.a, -f.b, f.c) in triples) == (2 * f.b < f.a < f.c), f
+    # b = 0: listed once; 2b = a and a = c: no -b; 2b < a < c: both signs
+    assert rank2_enumerate(8) == [Rank2Form(2, 0, 4)]
+    assert rank2_enumerate(7) == [Rank2Form(2, 1, 4)]
+    assert rank2_enumerate(15) == [Rank2Form(2, 1, 8), Rank2Form(4, 1, 4)]
+    assert rank2_enumerate(23) == [Rank2Form(2, 1, 12), Rank2Form(4, -1, 6), Rank2Form(4, 1, 6)]
+
+
 def test_enumerate_refuses_determinants_above_the_cap():
     with pytest.raises(CapExceededError):
         rank2_enumerate(DET_CAP + 1)

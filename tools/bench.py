@@ -45,9 +45,10 @@ Recorded:
                        five table runs glues over, with their count; the
                        pairs are captured once, in an untimed pass before
                        any unit.  From BENCH_25 on.
-  rank2_enumerate_ms   per queries stratum of determinants: median and IQR
-                       over RUNS (21) units of the mean time per call, in ms
-                       at the reference speed
+  rank2_enumerate_ms   per queries stratum of determinants, and for the one
+                       determinant DET_CAP under `cap`: median and IQR over
+                       RUNS (21) units of the mean time per call, in ms at
+                       the reference speed.  `cap` from BENCH_27 on.
   cold_start_ms        raw wall time from launch to exit, in ms, median and
                        IQR over RUNS (21) fresh interpreters each, in this
                        environment less PYTHONPATH (so PYTHONDONTWRITEBYTECODE
@@ -78,6 +79,7 @@ import calib  # noqa: E402
 import gen  # noqa: E402
 import latticelab.nikulin  # noqa: E402
 from latticelab import complement_quotient, full_report, rank2_enumerate  # noqa: E402
+from latticelab.rank2 import DET_CAP  # noqa: E402
 from latticelab.symbol import clear_jordan_caches  # noqa: E402
 
 TABLE_RUNS = (("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
@@ -184,15 +186,17 @@ def time_complement_quotient(runs: int, pairs: list, unit_s: float = UNIT_S) -> 
 
 
 def time_rank2(runs: int, per_stratum: int, unit_s: float = UNIT_S) -> dict:
+    cases = {f"{lo}-{hi}": inputs for (lo, hi), inputs in rank2_inputs(per_stratum).items()}
+    cases["cap"] = [(DET_CAP, False)]
     out = {}
-    for (lo, hi), inputs in rank2_inputs(per_stratum).items():
+    for name, inputs in cases.items():
         def one():
             for det, negative in inputs:
                 rank2_enumerate(det, negative)
 
         reps = reps_for(one, unit_s)
         means = [timed(one, reps) * 1e3 / len(inputs) for _ in range(runs)]
-        out[f"{lo}-{hi}"] = {"dets": len(inputs), **summary(means)}
+        out[name] = {"dets": len(inputs), **summary(means)}
     return out
 
 
