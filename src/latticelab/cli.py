@@ -473,7 +473,9 @@ def run(argv=None) -> int:
         return 1
     except BrokenPipeError:
         # the reader is gone: what is left to flush at exit goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print("error: standard output closed", file=sys.stderr)
         return 1
     return 0

@@ -17,8 +17,8 @@ Two complications are handled here:
 * For p = 2 the constituent data is only unique up to *oddity fusion*
   inside compartments and *sign walking* along trains, plus the extra
   scale-2 identification q_a(2) = q_{a+4}(2).  to_symbol() therefore
-  canonicalizes by taking the lexicographic minimum over the (small)
-  orbit of the symbol under these moves, so isomorphic forms print
+  canonicalizes to the least symbol those moves reach, found in one pass
+  up the scales (_canonical_two_adic), so isomorphic forms print
   identically.
 * The Milgram signature is summed from the constituents' Gauss sum
   arguments (classical closed forms); the cyclotomic module re-derives
@@ -253,136 +253,57 @@ def constituent_is_realizable(c: JordanConstituent) -> bool:
 # -- 2-adic canonicalization --------------------------------------------------
 
 
-def _compartments(scales, cons):
-    """Maximal runs of adjacent odd-type scales."""
-    comps = []
-    run = []
-    for k in scales:
-        c = cons[k]
-        if not c.even:
-            if run and k != run[-1] + 1:
-                comps.append(run)
-                run = []
-            run.append(k)
-        else:
-            if run:
-                comps.append(run)
-                run = []
-    if run:
-        comps.append(run)
-    return comps
-
-
-def _walk_pairs(scales, cons):
-    """Bound pairs of *consecutive* present scales.
-
-    Scales at distance 1 are bound when at least one is odd type; scales
-    at distance 2 (one empty scale between them) only when both are odd;
-    larger gaps break the chain.  Longer-distance sign walks arise by
-    composing these elementary ones.
-    """
-    pairs = []
-    for a, b in zip(scales, scales[1:]):
-        odd_a = not cons[a].even
-        odd_b = not cons[b].even
-        if b - a == 1 and (odd_a or odd_b):
-            pairs.append((a, b))
-        elif b - a == 2 and odd_a and odd_b:
-            pairs.append((a, b))
-    return pairs
-
-
 @lru_cache(maxsize=JORDAN_CACHE_SIZE)
 def _canonical_two_adic(
         constituents: tuple[JordanConstituent, ...]) -> tuple[JordanConstituent, ...]:
     """Canonical 2-adic constituents, in scale order, under fusion/walking moves.
 
-    The constituents are given in scale order.  States are (sign vector,
-    compartment oddity totals).  An elementary walk flips the two signs
-    and adds 4 to the oddity of each odd endpoint's compartment -- once
-    only if both endpoints share a compartment.  The extra scale-2 move (q_a(2) = q_{a+4}(2)) flips the
-    scale-2 sign and adds 4 to its compartment.  States admitting no
-    valid oddity distribution are vacuous labels and are skipped.
+    Odd-type constituents at adjacent scales form a compartment, which
+    fixes only the sum of their oddities mod 8 (oddity fusion).  A walk
+    between consecutive present scales at distance 1, at least one of them
+    odd, or at distance 2, both odd, flips both signs and adds 4 to the
+    oddity of each odd end's compartment, once if both ends share one.
+    The scale-2 move (q_a(2) = q_{a+4}(2)), when scale 2 is odd, flips its
+    sign and adds 4 to its compartment.  The moves commute and undo
+    themselves, so the orbit is every set of moves; the canonical symbol
+    is the least rendering over all of them, keyed by (sign, oddity) scale
+    by scale, each compartment split into its least realizable oddities.
+
+    One pass up the scales finds it.  Past a scale, what the rest of the
+    symbol can be depends only on a state (x, r): whether the walk to the
+    next scale is taken, and the oddity still owed by a compartment running
+    on into the next scale (None if there is none).  The pass keeps the
+    least key prefix reaching each state, at most 18 per scale, where the
+    orbit of m moves has 2^m sets.
     """
-    cons = {c.k: c for c in constituents}
-    scales = list(cons)
-    comps = _compartments(scales, cons)
-    comp_index = {k: i for i, comp in enumerate(comps) for k in comp}
-
-    def move(ks):
-        """(sign multipliers, oddity increments) of flipping the scales ks."""
-        touched = {comp_index[k] for k in ks if k in comp_index}
-        return (tuple(-1 if k in ks else 1 for k in scales),
-                tuple(4 if i in touched else 0 for i in range(len(comps))))
-
-    moves = [move(pair) for pair in _walk_pairs(scales, cons)]
-    if 1 in comp_index:
-        moves.append(move((1,)))
-
-    def render(state):
-        return _render_state(scales, cons, comps, *state)
-
-    start = (
-        tuple(cons[k].eps for k in scales),
-        tuple(sum(cons[k].oddity for k in comp) % 8 for comp in comps),
-    )
-    # state -> its rendered constituents, None when no oddity split exists
-    rendered = {start: render(start)}
-    frontier = [start]
-    while frontier:
-        new = []
-        for eps_vec, tot_vec in frontier:
-            for flips, bumps in moves:
-                st = (tuple(e * f for e, f in zip(eps_vec, flips)),
-                      tuple((t + b) % 8 for t, b in zip(tot_vec, bumps)))
-                if st not in rendered:
-                    rendered[st] = render(st)
-                    if rendered[st] is not None:
-                        new.append(st)
-        frontier = new
-
-    best = min((r for r in rendered.values() if r is not None),
-               key=_render_key, default=None)
-    if best is None:
+    best = {(0, None): ()}
+    for c, nxt in zip(constituents, constituents[1:] + (None,)):
+        odd = not c.even
+        gap = nxt.k - c.k if nxt else 0
+        runs_on = odd and gap == 1 and not nxt.even
+        walk = nxt is not None and (gap == 1 and (odd or not nxt.even)
+                                    or gap == 2 and odd and not nxt.even)
+        reached = {}
+        for (x_in, r), prefix in best.items():
+            for x in (0, 1)[:1 + walk]:
+                for s in (0, 1)[:1 + (odd and c.k == 1)]:
+                    eps = -c.eps if (x_in + x + s) % 2 else c.eps
+                    if not odd:
+                        steps = [(0, None)]
+                    else:
+                        owed = (4 * x_in if r is None else r) + c.oddity + 4 * (x + s)
+                        steps = [(t, (owed - t) % 8 if runs_on else None)
+                                 for t in range(8) if (eps, t) in realizable_pairs(c.n)
+                                 and (runs_on or (owed - t) % 8 == 0)]
+                    for t, left in steps:
+                        key = prefix + ((eps < 0, t),)
+                        if reached.get((x, left), key) >= key:
+                            reached[x, left] = key
+        best = reached
+    if not best:
         raise RealizabilityError("no realizable oddity distribution found")
-    return best
-
-
-def _render_key(rendered):
-    """Canonical preference: plus signs first, then small oddities."""
-    return tuple((c.k, 0 if c.eps > 0 else 1, c.oddity) for c in rendered)
-
-
-def _render_state(scales, cons, comps, eps_vec, tot_vec):
-    """Constituents for one orbit state, with oddities distributed
-    lexicographically-minimally inside each compartment; None if impossible."""
-    eps_of = dict(zip(scales, eps_vec))
-    oddity_of = {}
-    for comp, total in zip(comps, tot_vec):
-        dist = _distribute(comp, [cons[k].n for k in comp],
-                           [eps_of[k] for k in comp], total)
-        if dist is None:
-            return None
-        for k, t in zip(comp, dist):
-            oddity_of[k] = t
-    return tuple(JordanConstituent(2, k, cons[k].n, eps_of[k], even=cons[k].even,
-                                   oddity=oddity_of.get(k, 0)) for k in scales)
-
-
-def _distribute(comp, ranks, epss, total):
-    """Lexicographically smallest oddity split across a compartment."""
-
-    def rec(idx, remaining):
-        if idx == len(comp):
-            return [] if remaining % 8 == 0 else None
-        for t in range(8):
-            if (epss[idx], t) in realizable_pairs(ranks[idx]):
-                rest = rec(idx + 1, (remaining - t) % 8)
-                if rest is not None:
-                    return [t] + rest
-        return None
-
-    return rec(0, total % 8)
+    return tuple(JordanConstituent(2, c.k, c.n, -1 if minus else 1, even=c.even, oddity=t)
+                 for c, (minus, t) in zip(constituents, min(best.values())))
 
 
 # -- the genus symbol ---------------------------------------------------------

@@ -27,13 +27,15 @@ def _check_summary(entry, runs):
 def check_schema(data, runs):
     keys = {"pr", "git_sha", "git_dirty", "python", "nproc", "PYTHONDONTWRITEBYTECODE",
             "src_lines", "runs", "full_report_s", "rank2_enumerate_ms", "cold_start_ms",
-            "complement_quotient_ms", "src_sha256"}
+            "complement_quotient_ms", "src_sha256", "to_symbol_ms"}
     if data["pr"] in range(16, 23):  # BENCH_16 to BENCH_22 predate cold_start_ms
         keys.remove("cold_start_ms")
     if data["pr"] in range(16, 25):  # BENCH_16 to BENCH_24 predate complement_quotient_ms
         keys.remove("complement_quotient_ms")
     if data["pr"] in range(16, 26):  # BENCH_16 to BENCH_25 predate src_sha256
         keys.remove("src_sha256")
+    if data["pr"] in range(16, 28):  # BENCH_16 to BENCH_27 predate to_symbol_ms
+        keys.remove("to_symbol_ms")
     assert set(data) == keys
     assert (data["git_sha"] is None) == (data["git_dirty"] is None)
     assert data["git_sha"] is None or len(data["git_sha"]) == 40
@@ -48,6 +50,9 @@ def check_schema(data, runs):
     if "complement_quotient_ms" in keys:
         assert data["complement_quotient_ms"]["pairs"] > 100
         _check_summary(data["complement_quotient_ms"], runs)
+    if "to_symbol_ms" in keys:
+        assert data["to_symbol_ms"]["forms"] > 150
+        _check_summary(data["to_symbol_ms"], runs)
     rank2 = ["3-3000", "3001-30000", "30001-100000"]
     if data["pr"] not in range(16, 27):  # BENCH_16 to BENCH_26 predate the cap entry
         rank2.append("cap")
@@ -109,6 +114,46 @@ def test_glue_quotients_are_timed_per_call(bench, monkeypatch):
     entry = bench.time_complement_quotient(3, pairs[:20])
     assert entry["pairs"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
     assert len(calls) == 20 * 4
+
+
+def test_symbols_are_timed_per_call_from_empty_caches(bench, monkeypatch):
+    """to_symbol_ms is the scaled mean per call over the captured forms:
+    with the kernel at twice K_REF_S and each unit 0.5 s on the fake clock,
+    20 forms read 0.25 s / 20 per call, in ms, and every run over them
+    starts by emptying the Jordan caches; the capture pass collects every
+    form the five table runs canonicalize, and restores the name it
+    wrapped."""
+    import latticelab.symbol
+    real = latticelab.symbol.jordan_constituents
+    forms = bench.symbol_forms()
+    assert len(forms) > 150 and latticelab.symbol.jordan_constituents is real
+    monkeypatch.setattr(bench.calib, "kernel_s", lambda: 2 * bench.calib.K_REF_S)
+    clock = itertools.count(0, 0.5)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    calls = []
+    monkeypatch.setattr(bench, "clear_jordan_caches", lambda: calls.append("clear"))
+    monkeypatch.setattr(bench, "to_symbol", lambda form: calls.append(form))
+    entry = bench.time_to_symbol(3, forms[:20])
+    assert entry["forms"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
+    assert calls == (["clear"] + forms[:20]) * 4
+
+
+def test_cold_starts_keep_bytecode_out_of_the_checkout(bench, monkeypatch):
+    """Every launch reads and writes bytecode under one fresh prefix, the
+    same for all of them, and not the checkout's own, also where the
+    environment would keep it from writing bytecode."""
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    launches = []
+    monkeypatch.setattr(bench.subprocess, "run",
+                        lambda argv, env, **kw: launches.append((argv, env)))
+    bench.time_cold_start(2)
+    assert len(launches) == 1 + 2 * 2
+    assert not any({"PYTHONPATH", "PYTHONDONTWRITEBYTECODE"} & set(env) for _, env in launches)
+    argvs = [argv for argv, _ in launches]
+    prefixes = {argv[argv.index("-X") + 1] for argv in argvs}
+    assert len(prefixes) == 1
+    prefix = prefixes.pop().removeprefix("pycache_prefix=")
+    assert not Path(prefix).is_relative_to(ROOT) and not Path(prefix).exists()
 
 
 def test_one_kernel_pair_per_unit(bench, monkeypatch):

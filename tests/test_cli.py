@@ -503,6 +503,23 @@ def test_closed_stdout_ends_in_one_line_on_every_leaf(monkeypatch):
         assert err.getvalue() == "error: standard output closed\n", prog
 
 
+def test_closed_stdout_closes_the_devnull_descriptor(monkeypatch):
+    """The handler points stdout at devnull and closes the descriptor it
+    opened for that, so in-process runs into a closed stdout leak none."""
+    opened = []
+    real_open = os.open
+    with tempfile.TemporaryFile() as target:
+        monkeypatch.setattr(os, "open", lambda *a, **k: opened.append(real_open(*a, **k))
+                            or opened[-1])
+        monkeypatch.setattr(sys, "stdout", ClosedStdout(target.fileno()))
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        code = run(["dform", "of", "--name", "E7"])
+        monkeypatch.undo()
+    assert code == 1 and len(opened) == 1
+    with pytest.raises(OSError):
+        os.fstat(opened[0])
+
+
 def test_scale_rescales_the_named_lattice(capsys):
     """--scale with --name still rescales, also to 0, which is a domain error."""
     code, data = capture_json(capsys, ["dform", "of", "--name", "A2", "--scale", "5"])

@@ -1,7 +1,12 @@
+import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +47,13 @@ from latticelab.errors import (
 from latticelab.fqf import FiniteQuadraticForm, automorphisms
 from latticelab.nikulin import LatticeInvariant
 from latticelab.rank2 import Rank2Form
-from latticelab.symbol import _uv_form, clear_jordan_caches
+from latticelab.symbol import (
+    JordanConstituent,
+    _canonical_two_adic,
+    _uv_form,
+    clear_jordan_caches,
+    realizable_pairs,
+)
 from test_fqf import (
     DEGENERATE_FORMS,
     DEGENERATE_IDS,
@@ -527,3 +538,140 @@ def test_k3_pass_misses_each_distinct_key_once(monkeypatch):
         info = getattr(sym, name).cache_info()
         assert info.misses == len(set(log)) < len(log)
         assert info.hits + info.misses == len(log)
+
+
+# -- the canonical 2-adic symbol against its definition ----------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _least_split(units, total):
+    """The least oddities (t_1, t_2, ...), compared in order, with each
+    (eps_i, t_i) realizable by n_i odd units and the sum total mod 8, for
+    units = ((n_i, eps_i), ...); None if there are none."""
+    options = [[t for t in range(8) if (eps, t) in realizable_pairs(n)] for n, eps in units]
+    sums = [{0}]  # sums mod 8 that the options from each position on can make
+    for ts in reversed(options):
+        sums.insert(0, {(t + u) % 8 for t in ts for u in sums[0]})
+    if total % 8 not in sums[0]:
+        return None
+    split = []
+    for ts, rest in zip(options, sums[1:]):
+        split.append(min(t for t in ts if (total - t) % 8 in rest))
+        total -= split[-1]
+    return split
+
+
+def orbit_minimum(constituents):
+    """The least rendering of 2-adic constituents in scale order over every
+    set of moves, written from the move rules alone; None if no set gives a
+    realizable one.  Compartments are the runs of odd constituents at
+    adjacent scales.  A walk between neighbours at distance 1 (not both
+    even) or 2 (both odd), and the scale-2 move on an odd scale 2, flip the
+    signs they touch and add 4 to each compartment they touch; a
+    compartment takes its least realizable oddity split, and renderings are
+    compared by (sign, oddity) scale by scale."""
+    cons = list(constituents)
+    runs, comp = [], []  # the compartments, and each constituent's (None if even)
+    for i, c in enumerate(cons):
+        if c.even:
+            comp.append(None)
+        elif i and comp[i - 1] is not None and cons[i - 1].k + 1 == c.k:
+            comp.append(comp[i - 1])
+            runs[-1].append(i)
+        else:
+            comp.append(len(runs))
+            runs.append([i])
+    moves = [({i, i + 1}, {comp[i], comp[i + 1]} - {None})
+             for i, (a, b) in enumerate(zip(cons, cons[1:]))
+             if b.k - a.k == 1 and not (a.even and b.even)
+             or b.k - a.k == 2 and not (a.even or b.even)]
+    if cons and cons[0].k == 1 and not cons[0].even:
+        moves.append(({0}, {comp[0]}))
+    signs = [c.eps for c in cons]
+    sums = [sum(cons[i].oddity for i in run) for run in runs]
+    best = None
+    for chosen in itertools.product((False, True), repeat=len(moves)):
+        eps, totals = signs[:], sums[:]
+        for flips, bumps in itertools.compress(moves, chosen):
+            for i in flips:
+                eps[i] = -eps[i]
+            for r in bumps:
+                totals[r] += 4
+        oddity = [0] * len(cons)
+        for run, total in zip(runs, totals):
+            split = _least_split(tuple([(cons[i].n, eps[i]) for i in run]), total % 8)
+            if split is None:
+                break
+            for i, t in zip(run, split):
+                oddity[i] = t
+        else:
+            key = [(e < 0, t) for e, t in zip(eps, oddity)]
+            if best is None or key < best[0]:
+                best = key, eps, oddity
+    if best is None:
+        return None
+    return tuple(JordanConstituent(2, c.k, c.n, e, even=c.even, oddity=t)
+                 for c, e, t in zip(cons, best[1], best[2]))
+
+
+def _canonical_or_none(constituents):
+    try:
+        return _canonical_two_adic.__wrapped__(constituents)
+    except RealizabilityError:
+        return None
+
+
+def _random_two_adic(rng):
+    """Up to 10 constituents at scales 2 to 2^16 of rank 1 to 4, odd or even
+    type, with a realizable (sign, oddity) 19 times in 20."""
+    out = []
+    for k in sorted(rng.sample(range(1, 17), rng.randint(1, 10))):
+        n = rng.randint(1, 4)
+        if n % 2 == 0 and rng.random() < 0.3:
+            out.append(JordanConstituent(2, k, n, rng.choice((1, -1))))
+        else:
+            eps, t = (rng.choice(sorted(realizable_pairs(n))) if rng.random() < 0.95
+                      else (rng.choice((1, -1)), rng.randrange(8)))
+            out.append(JordanConstituent(2, k, n, eps, even=False, oddity=t))
+    return tuple(out)
+
+
+def test_canonical_two_adic_is_the_orbit_minimum_on_seeded_tuples():
+    """The one pass up the scales finds the least rendering over every set
+    of moves, and raises exactly when no set of moves is realizable."""
+    rng = random.Random(2801)
+    cases = [_random_two_adic(rng) for _ in range(2000)]
+    expected = [orbit_minimum(c) for c in cases]
+    assert [_canonical_or_none(c) for c in cases] == expected
+    assert expected.count(None) > 20
+
+
+def test_canonical_two_adic_is_the_orbit_minimum_on_the_table_runs(monkeypatch):
+    """Every 2-adic constituent tuple that the five table runs canonicalize."""
+    sym = latticelab.symbol
+    clear_jordan_caches()
+    inputs = set()
+    real = sym._canonical_two_adic
+    monkeypatch.setattr(sym, "_canonical_two_adic",
+                        lambda cons: inputs.add(cons) or real(cons))
+    for table, root in [("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
+                        ("k3max11", "E7"), ("k3max11", "E8")]:
+        for verdict in full_report(table, root):
+            verdict.to_json_dict()
+    monkeypatch.undo()
+    assert len(inputs) > 50
+    assert all(real.__wrapped__(cons) == orbit_minimum(cons) for cons in inputs)
+
+
+@pytest.mark.parametrize("length", [24, 64])
+def test_long_odd_trains_end(length):
+    """An odd train 2_1^+1 4_1^+1 ... 2^n_1^+1 has n moves (n - 1 walks and
+    the scale-2 move), so an orbit of 2^n sets; the CLI canonicalizes it and
+    prints one line well inside the timeout."""
+    text = " ".join(f"{2 ** k}_1^+1" for k in range(1, length + 1))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-m", "latticelab.cli", "dform", "symbol",
+                           "--form", text], env=env, capture_output=True, text=True,
+                          timeout=30)
+    assert done.returncode == 0 and done.stderr == ""
+    assert len(done.stdout.splitlines()) == 1 and done.stdout.startswith("canonical: 2_")

@@ -1,5 +1,5 @@
-"""Write BENCH_<pr>.json: the table runs, the glue quotients and the rank-2
-enumeration, timed.
+"""Write BENCH_<pr>.json: the table runs, the glue quotients, the genus
+symbols and the rank-2 enumeration, timed.
 
     python3 tools/bench.py --pr N [--quick]
 
@@ -45,18 +45,32 @@ Recorded:
                        five table runs glues over, with their count; the
                        pairs are captured once, in an untimed pass before
                        any unit.  From BENCH_25 on.
+  to_symbol_ms         median and IQR over RUNS (21) units of the mean time
+                       per to_symbol call, in ms at the reference speed, over
+                       the forms that one pass of the five table runs (with
+                       to_json_dict()) canonicalizes, with their count; the
+                       forms are captured once, in an untimed pass before any
+                       unit, and each run over them starts from empty Jordan
+                       caches, as a table run does.  From BENCH_28 on.
   rank2_enumerate_ms   per queries stratum of determinants, and for the one
                        determinant DET_CAP under `cap`: median and IQR over
                        RUNS (21) units of the mean time per call, in ms at
                        the reference speed.  `cap` from BENCH_27 on.
   cold_start_ms        raw wall time from launch to exit, in ms, median and
-                       IQR over RUNS (21) fresh interpreters each, in this
-                       environment less PYTHONPATH (so PYTHONDONTWRITEBYTECODE
-                       decides whether the sources are compiled on every
-                       launch): `cli` imports latticelab and latticelab.cli
-                       and builds the CLI parser, `bare` runs nothing.  The
-                       two alternate, after one untimed `cli` launch.  From
-                       BENCH_23 on.
+                       IQR over RUNS (21) fresh interpreters each: `cli`
+                       imports latticelab and latticelab.cli and builds the
+                       CLI parser, `bare` runs nothing.  The two alternate,
+                       after one untimed `cli` launch.  Every launch runs
+                       with `-X pycache_prefix=` one fresh temporary
+                       directory, in this environment less PYTHONPATH and
+                       PYTHONDONTWRITEBYTECODE, so bytecode is read and
+                       written only there, never in a `__pycache__` of the
+                       checkout: the untimed launch compiles every module
+                       both launches import, and the timed ones read that
+                       bytecode, whatever the checkout holds.  From BENCH_23
+                       on; the prefix from BENCH_28 on (before it, launches
+                       read the checkout's bytecode if it had any, and
+                       PYTHONDONTWRITEBYTECODE kept them from writing it).
 """
 
 from __future__ import annotations
@@ -69,6 +83,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -78,9 +93,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import calib  # noqa: E402
 import gen  # noqa: E402
 import latticelab.nikulin  # noqa: E402
+import latticelab.symbol  # noqa: E402
 from latticelab import complement_quotient, full_report, rank2_enumerate  # noqa: E402
 from latticelab.rank2 import DET_CAP  # noqa: E402
-from latticelab.symbol import clear_jordan_caches  # noqa: E402
+from latticelab.symbol import clear_jordan_caches, to_symbol  # noqa: E402
 
 TABLE_RUNS = (("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
               ("k3max11", "E7"), ("k3max11", "E8"))
@@ -185,6 +201,32 @@ def time_complement_quotient(runs: int, pairs: list, unit_s: float = UNIT_S) -> 
     return {"pairs": len(pairs), **summary(means)}
 
 
+def symbol_forms() -> list:
+    """The forms that one pass of the five table runs, with to_json_dict(),
+    hands to_symbol, caught where to_symbol splits them."""
+    forms = []
+    real = latticelab.symbol.jordan_constituents
+    latticelab.symbol.jordan_constituents = lambda form: forms.append(form) or real(form)
+    try:
+        for table, root in TABLE_RUNS:
+            for verdict in full_report(table, root):
+                verdict.to_json_dict()
+    finally:
+        latticelab.symbol.jordan_constituents = real
+    return forms
+
+
+def time_to_symbol(runs: int, forms: list, unit_s: float = UNIT_S) -> dict:
+    def one():
+        clear_jordan_caches()
+        for form in forms:
+            to_symbol(form)
+
+    reps = reps_for(one, unit_s)
+    means = [timed(one, reps) * 1e3 / len(forms) for _ in range(runs)]
+    return {"forms": len(forms), **summary(means)}
+
+
 def time_rank2(runs: int, per_stratum: int, unit_s: float = UNIT_S) -> dict:
     cases = {f"{lo}-{hi}": inputs for (lo, hi), inputs in rank2_inputs(per_stratum).items()}
     cases["cap"] = [(DET_CAP, False)]
@@ -202,19 +244,21 @@ def time_rank2(runs: int, per_stratum: int, unit_s: float = UNIT_S) -> dict:
 
 def time_cold_start(runs: int) -> dict:
     """Launch-to-exit times of fresh interpreters, in ms."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
+    with tempfile.TemporaryDirectory() as prefix:
+        def launch(*args: str) -> float:
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-X", f"pycache_prefix={prefix}", *args],
+                           env=env, check=True)
+            return (time.perf_counter() - start) * 1e3
 
-    def launch(*args: str) -> float:
-        start = time.perf_counter()
-        subprocess.run([sys.executable, *args], env=env, check=True)
-        return (time.perf_counter() - start) * 1e3
-
-    cli = ("-c", COLD_START, str(ROOT / "src"))
-    launch(*cli)
-    times = {"cli": [], "bare": []}
-    for _ in range(runs):
-        times["cli"].append(launch(*cli))
-        times["bare"].append(launch("-c", "pass"))
+        cli = ("-c", COLD_START, str(ROOT / "src"))
+        launch(*cli)
+        times = {"cli": [], "bare": []}
+        for _ in range(runs):
+            times["cli"].append(launch(*cli))
+            times["bare"].append(launch("-c", "pass"))
     return {name: summary(values) for name, values in times.items()}
 
 
@@ -233,6 +277,7 @@ def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
         "runs": runs,
         "full_report_s": time_tables(runs, unit_s),
         "complement_quotient_ms": time_complement_quotient(runs, glue_pairs(), unit_s),
+        "to_symbol_ms": time_to_symbol(runs, symbol_forms(), unit_s),
         "rank2_enumerate_ms": time_rank2(runs, per_stratum, unit_s),
         "cold_start_ms": time_cold_start(runs),
     }
