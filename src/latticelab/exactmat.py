@@ -34,7 +34,7 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
 
 def transpose(mat):

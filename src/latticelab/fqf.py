@@ -20,9 +20,9 @@ Smith normal form on its own coordinates.
 Loops over a whole group read one `scan()`, which builds each element's q
 value and order from its prefix in O(1); the Gauss-sum oracle in
 `cyclotomic.py` evaluates q pointwise and shares no code with the walk.
-The walk runs once per form and is kept in the form's private `_scan`
-slot: a form is immutable, so the tuple stays true for its life.  Pickle
-and copy rebuild a form from its stored integers and leave the walk out.
+The walk, and the p-parts of a form that `complement_quotient` glues over
+or builds (`_primary`), are kept in private slots: a form is immutable.
+Pickle and copy leave both out, and `symbol.clear_jordan_caches` too.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class FiniteQuadraticForm:
     public q()/b() return a value and in the constructor's input.
     """
 
-    __slots__ = ("orders", "level", "qints", "bints", "_order", "_scan")
+    __slots__ = ("orders", "level", "qints", "bints", "_order", "_scan", "_parts")
 
     def __init__(self, orders, qvals, bmat=None):
         orders = tuple(int(d) for d in orders)
@@ -88,7 +88,7 @@ class FiniteQuadraticForm:
         return self
 
     def _store(self, orders, level, qints, bints):
-        g = gcd(level, *qints, *(x for row in bints for x in row))
+        g = gcd(level, *qints, *itertools.chain.from_iterable(bints))
         if g > 1:
             level //= g
             qints = [v // g for v in qints]
@@ -96,15 +96,16 @@ class FiniteQuadraticForm:
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "qints", tuple(qints))
-        object.__setattr__(self, "bints", tuple(tuple(row) for row in bints))
+        object.__setattr__(self, "bints", tuple(map(tuple, bints)))
         object.__setattr__(self, "_order", prod(orders))
         object.__setattr__(self, "_scan", None)
+        object.__setattr__(self, "_parts", None)
 
     def __setattr__(self, *a):
         raise AttributeError("FiniteQuadraticForm is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild the stored integers, never the cached scan
+        # pickle and copy rebuild the stored integers, never the cached scan or p-parts
         return self._from_ints, (self.orders, self.level, self.qints, self.bints)
 
     def _validate(self):
@@ -254,24 +255,23 @@ class FiniteQuadraticForm:
         rel = transpose([z[:m] for z in integer_kernel(mat)])
         orders, lifts = _torsion(rel, mat_mul(transpose(gens), rel))
         lifts = [self.reduce(x) for x in lifts]
-        return FiniteQuadraticForm._from_ints(orders, self.level,
-                                              *self._values(lifts)), lifts
-
-    def _values(self, xs):
-        """(qints, bints) of the elements xs: level*q(x) and level*b(x, y).
-
-        With Bx the products of x with the columns of bints, unreduced,
-        level*q(x) = x.Bx + sum_i x_i^2 (qints[i] - bints[i][i]) mod 2*level.
-        """
-        n = self.level
-        diag = [q - row[i] for i, (q, row) in enumerate(zip(self.qints, self.bints))]
-        bxs = [[sum(map(mul, x, col)) for col in self.bints] for x in xs]
-        return ([(sum(map(mul, x, bx)) + sum(map(mul, map(mul, x, x), diag))) % (2 * n)
-                 for x, bx in zip(xs, bxs)],
-                [[sum(map(mul, bx, y)) % n for y in xs] for bx in bxs])
+        return FiniteQuadraticForm._from_ints(
+            orders, self.level, *_values(self.level, self.qints, self.bints, lifts)), lifts
 
     def primes(self):
         return sorted(factorize(self.exponent))
+
+    def _primary(self) -> dict:
+        """{p: (key, block)} by prime; key (symbol._primary_key, or the form to
+        read it from) and block (complement_quotient) are None until read."""
+        if self._parts is None:
+            object.__setattr__(self, "_parts", dict.fromkeys(self.primes(), (None, None)))
+        return self._parts
+
+    def _basis(self, p: int) -> list[tuple[int, int, int]]:
+        """(i, c_i, p^v) per d_i = c_i p^v, v > 0: a basis c_i e_i of A_p."""
+        return [(i, d // o, o) for i, d in enumerate(self.orders)
+                if (o := gcd(d, p ** d.bit_length())) > 1]
 
     # -- serialization ---------------------------------------------------------
 
@@ -381,31 +381,13 @@ def discriminant_form(latt: GramLattice) -> FiniteQuadraticForm:
 # -- lengths -------------------------------------------------------------------
 
 
-def primary_basis(orders, p: int) -> list[tuple[int, int, int]]:
-    """(i, c_i, p^v) for each order d_i = c_i * p^v with v > 0 and c_i prime to p.
-
-    Presentations are faithful, so the elements c_i e_i, of order p^v, are
-    a basis of the p-part of Z/d_1 x ... x Z/d_k.
-    """
-    return [(i, d // o, o) for i, d in enumerate(orders) if (o := _p_part(d, p)) > 1]
-
-
-def _p_part(n: int, p: int) -> int:
-    """The largest power of p dividing n > 0 (p^bitlength(n) > n)."""
-    return gcd(n, p ** n.bit_length())
-
-
 def primary_lengths(form: FiniteQuadraticForm) -> dict[int, int]:
     """Minimal generator count of each p-primary part: the orders divisible by p."""
-    out: dict[int, int] = {}
-    for p in form.primes():
-        out[p] = sum(1 for d in form.orders if d % p == 0)
-    return out
+    return {p: sum(d % p == 0 for d in form.orders) for p in form.primes()}
 
 
 def total_length(form: FiniteQuadraticForm) -> int:
-    lens = primary_lengths(form)
-    return max(lens.values(), default=0)
+    return max(primary_lengths(form).values(), default=0)
 
 
 # -- subgroup machinery ---------------------------------------------------------
@@ -556,9 +538,20 @@ def _torsion(mat, image):
     return orders, lifts
 
 
+def _values(n, qints, bints, xs):
+    """n*q(x) and n*b(x, y) for the xs in the form (qints, bints) at level n:
+    with Bx the unreduced products of x with the columns of bints,
+    n*q(x) = x.Bx + sum_i x_i^2 (qints[i] - bints[i][i]) mod 2n."""
+    diag = [q - row[i] for i, (q, row) in enumerate(zip(qints, bints))]
+    bxs = [[sum(map(mul, x, col)) for col in bints] for x in xs]
+    return ([(sum(map(mul, x, bx)) + sum(map(mul, map(mul, x, x), diag))) % (2 * n)
+             for x, bx in zip(xs, bxs)],
+            [[sum(map(mul, bx, y)) % n for y in xs] for bx in bxs])
+
+
 def _with_relations(gens, orders):
     """The rows of (gens | diag(orders)): gens as columns, then d_j e_j."""
-    return [[g[i] for g in gens] + [d if j == i else 0 for j in range(len(orders))]
+    return [[g[i] for g in gens] + [0] * i + [d] + [0] * (len(orders) - i - 1)
             for i, d in enumerate(orders)]
 
 
@@ -566,16 +559,17 @@ def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadr
     """The induced form on H-perp / H for an isotropic subgroup H.
 
     b vanishes between p-parts, so H-perp / H is the sum over p of
-    H_p-perp / H_p on the basis c_i e_i of A_p (primary_basis), where
-    H_p = m*H (m = |H| / p^v, p^v the p-part of |H|).  Where p misses |H|
-    the block is that basis as it stands.  Otherwise, on coordinates y of
-    the basis, with R the rows N*b(h, c_i e_i) mod N over the nonzero
-    h = m*g (g a generator of H) and N the level, y -> (y, -R y / N) maps
-    the lift of H_p-perp onto K = ker (R | N*I); the graphs of the h and of
-    the order relations span a full-rank sublattice M of K, so
-    H_p-perp / H_p = K / M, the torsion of Z^(k_p+m_p) / M: one Smith
-    normal form, with P sending y to sum y_i c_i e_i.  The blocks are
-    joined at the level of form, in prime-power orders grouped by prime.
+    H_p-perp / H_p on the basis c_i e_i of A_p, where H_p = m*H (m = |H| /
+    p^v, p^v the p-part of |H|), read on the block that form keeps per p:
+    the basis, its orders and its values at the level N of form.  Where p
+    misses |H| the block stands as it is, and the quotient takes over the
+    p-part's key.  Otherwise, on coordinates y of the basis, with R the
+    rows N*b(h, c_i e_i) mod N over the nonzero h = m*g (g a generator of
+    H), y -> (y, -R y / N) maps the lift of H_p-perp onto K = ker (R | N*I);
+    the graphs of the h and of the order relations span a full-rank
+    sublattice M of K, so H_p-perp / H_p = K / M, the torsion of
+    Z^(k_p+m_p) / M: one Smith normal form, whose lifts are coordinates y.
+    The blocks are joined at level N, by prime.
     """
     for g in sub.gens:
         if form.q_int(g) != 0:
@@ -586,33 +580,39 @@ def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadr
     rows = [form.b_row(g) for g in sub.gens]
     if any(sum(map(mul, row, g)) % n for row in rows for g in sub.gens):
         raise NotIsotropicError("subgroup is not isotropic")
-    orders, qints, bints = [], [], []
-    for p in form.primes():
-        basis = primary_basis(form.orders, p)
-        m = sub.order // _p_part(sub.order, p)
-        if m == sub.order:
-            o_p = [o for _, _, o in basis]
-            q_p = [c * c * form.qints[i] % (2 * n) for i, c, _ in basis]
-            b_p = [[ci * cj * form.bints[i][j] % n for j, cj, _ in basis] for i, ci, _ in basis]
+    orders, qints, blocks, parts, h = [], [], [], {}, sub.order
+    ambient = form._primary()
+    for p, (key, block) in ambient.items():
+        if block is None:
+            basis = form._basis(p)
+            ambient[p] = key, (block := (basis, [o for _, _, o in basis], [
+                c * c * form.qints[i] % (2 * n) for i, c, _ in basis], [
+                [ci * cj * form.bints[i][j] % n for j, cj, _ in basis] for i, ci, _ in basis]))
+        basis = block[0]
+        if h % p:
+            (_, o_p, q_p, b_p), key = block, key or form
         else:
+            m = h // gcd(h, p ** h.bit_length())
             hs = [(y, row) for g, row in zip(sub.gens, rows)
                   if any(y := [m * g[i] % (c * o) // c for i, c, o in basis])]
             ys = [y for y, _ in hs]
-            mat = _with_relations(ys, [o for _, _, o in basis])
+            mat = _with_relations(ys, block[1])
             for _, row in hs:
                 r = [m * c * row[i] % n for i, c, _ in basis]
                 mat.append([-(sum(map(mul, r, y)) // n) for y in ys]
                            + [-(x * o // n) for x, (_, _, o) in zip(r, basis)])
             o_p, coords = _torsion(mat, mat[:len(basis)])
-            lifts = [[0] * form.ngens for _ in coords]
-            for x, y in zip(lifts, coords):
-                for (i, c, _), a in zip(basis, y):
-                    x[i] = c * a
-            q_p, b_p = form._values(lifts)
-        bints = [row + [0] * len(o_p) for row in bints] + [[0] * len(orders) + row for row in b_p]
-        orders += o_p
-        qints += q_p
-    return FiniteQuadraticForm._from_ints(orders, n, qints, bints)
+            q_p, b_p = _values(n, *block[2:], coords)
+            key = None
+        if o_p:
+            parts[p] = key, None
+            blocks.append((len(orders), b_p))
+            orders += o_p
+            qints += q_p
+    quot = FiniteQuadraticForm._from_ints(orders, n, qints, [
+        [0] * j + row + [0] * (len(orders) - j - len(row)) for j, b in blocks for row in b])
+    object.__setattr__(quot, "_parts", parts)
+    return quot
 
 
 # -- brute-force isomorphism oracle and automorphisms ---------------------------

@@ -10,6 +10,7 @@ the classification pipelines.
 from __future__ import annotations
 
 import re
+from math import prod
 
 from .errors import (
     DegenerateError,
@@ -83,16 +84,16 @@ def lattice_from_json_dict(data) -> GramLattice:
 
 
 def direct_sum(*lattices: GramLattice) -> GramLattice:
-    """Orthogonal (block diagonal) sum; determinants multiply, signatures add."""
-    total = sum(latt.rank for latt in lattices)
-    rows = [[0] * total for _ in range(total)]
-    off = 0
+    """Orthogonal (block diagonal) sum, read off its summands with no
+    elimination: signatures add, determinants multiply, even iff each is."""
+    if not lattices:
+        raise DegenerateError("empty Gram matrix")
+    total, gram = sum(latt.rank for latt in lattices), []
     for latt in lattices:
-        for i in range(latt.rank):
-            for j in range(latt.rank):
-                rows[off + i][off + j] = latt.gram[i][j]
-        off += latt.rank
-    return build_lattice(rows)
+        off = len(gram)
+        gram += [(0,) * off + row + (0,) * (total - off - latt.rank) for row in latt.gram]
+    return GramLattice(tuple(gram), tuple(map(sum, zip(*(latt.signature for latt in lattices)))),
+                       prod(latt.det for latt in lattices), all(latt.even for latt in lattices))
 
 
 def rescale(latt: GramLattice, n: int) -> GramLattice:

@@ -32,7 +32,7 @@ constituent tuple in scale order.  Both are pure functions of integer
 tuples and return tuples of NamedTuples, so a cached result cannot
 change and every symbol is the same whatever the caches hold; the forms
 of one table share most of their p-parts.  clear_jordan_caches empties
-both.
+both, not the keys that a glued form keeps (_primary_key).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .errors import CapExceededError, DegenerateError, RealizabilityError, SymbolSyntaxError
 from .exactmat import factorize
-from .fqf import FiniteQuadraticForm, direct_sum_forms, primary_basis, trivial_form
+from .fqf import FiniteQuadraticForm, direct_sum_forms, trivial_form
 
 # results kept by each of _split_primary and _canonical_two_adic per process
 JORDAN_CACHE_SIZE = 1024
@@ -94,22 +94,28 @@ def _p_valuation(n: int, p: int) -> int:
     return v
 
 
-def _primary_basis(form: FiniteQuadraticForm, p: int):
-    """A basis of the p-part on integer data (level, orders, qs, gs).
-
-    The basis is the c_i e_i of fqf.primary_basis, each spanning a Z/p^v
-    summand.  Values are taken at the level L = p^e of the p-part's
-    exponent: qs[i] = L*q mod 2L and gs[i][j] = L*b mod L.  The division
-    by the form's level is exact because q(c_i e_i) lies in (1/p^v)Z.
-    All four are tuples, so they key the cache of _split_primary.
-    """
-    basis = primary_basis(form.orders, p)
-    level = max(o for _, _, o in basis)
-    n = form.level
-    qs = tuple(c * c * form.qints[i] * level // n % (2 * level) for i, c, _ in basis)
-    gs = tuple(tuple(ci * cj * form.bints[i][j] * level // n % level
-                     for j, cj, _ in basis) for i, ci, _ in basis)
-    return level, tuple(o for _, _, o in basis), qs, gs
+def _primary_key(form: FiniteQuadraticForm, p: int):
+    """(L, orders, qs, gs): the p-part on its basis c_i e_i at the level L =
+    p^e of its exponent, qs[i] = L*q mod 2L and gs[i][j] = L*b mod L (exact:
+    q(c_i e_i) lies in (1/p^v)Z), the key of _split_primary.  Kept only by a
+    glued form (FiniteQuadraticForm._primary); a quotient reads a p-part
+    that |H| misses off its ambient form."""
+    parts = form._parts
+    key, block = parts[p] if parts else (None, None)
+    if type(key) is tuple:
+        return key
+    if key is not None:
+        key = _primary_key(key, p)
+    else:
+        basis, n, qints, bints = form._basis(p), form.level, form.qints, form.bints
+        level = max([o for _, _, o in basis])
+        key = (level, tuple([o for _, _, o in basis]),
+               tuple([c * c * qints[i] * level // n % (2 * level) for i, c, _ in basis]),
+               tuple([tuple([ci * cj * bints[i][j] * level // n % level for j, cj, _ in basis])
+                      for i, ci, _ in basis]))
+    if parts:
+        parts[p] = key, block
+    return key
 
 
 def _pivot(p: int, level: int, orders, qs, gs):
@@ -208,7 +214,8 @@ def _split_primary(p: int, level: int, orders, qs, gs) -> tuple[JordanConstituen
 
 def clear_jordan_caches() -> None:
     """Empty the caches of _split_primary and _canonical_two_adic, as a
-    fresh process has them."""
+    fresh process has them; a form keeps its walk and, once glued over, its
+    p-parts, so only forms built after the call start from nothing."""
     _split_primary.cache_clear()
     _canonical_two_adic.cache_clear()
 
@@ -220,14 +227,14 @@ def jordan_constituents(
     This is the one decomposition behind every invariant in this module:
     to_symbol() is its only caller, and the lengths, determinant classes
     and signature are all read off the symbol.  Each p-part is read off
-    the form's own generators and split by integer row operations on its
-    values (the classical p-adic diagonalisation, SPLAG ch. 15); no
-    re-presentation or Smith normal form is needed.  At p = 2 the
-    constituents are not yet canonical (see _canonical_two_adic).  Raises
-    DegenerateError when the form is degenerate.
+    the form's own generators (_primary_key) and split by integer row
+    operations on its values (the classical p-adic diagonalisation, SPLAG
+    ch. 15); no re-presentation or Smith normal form is needed.  At p = 2
+    the constituents are not yet canonical (see _canonical_two_adic).
+    Raises DegenerateError when the form is degenerate.
     """
-    return {p: {c.k: c for c in _split_primary(p, *_primary_basis(form, p))}
-            for p in form.primes()}
+    return {p: {c.k: c for c in _split_primary(p, *_primary_key(form, p))}
+            for p in form._parts or form.primes()}
 
 
 # -- realizability -----------------------------------------------------------

@@ -27,7 +27,7 @@ def _check_summary(entry, runs):
 def check_schema(data, runs):
     keys = {"pr", "git_sha", "git_dirty", "python", "nproc", "PYTHONDONTWRITEBYTECODE",
             "src_lines", "runs", "full_report_s", "rank2_enumerate_ms", "cold_start_ms",
-            "complement_quotient_ms", "src_sha256", "to_symbol_ms"}
+            "complement_quotient_ms", "src_sha256", "to_symbol_ms", "witness_symbol_ms"}
     if data["pr"] in range(16, 23):  # BENCH_16 to BENCH_22 predate cold_start_ms
         keys.remove("cold_start_ms")
     if data["pr"] in range(16, 25):  # BENCH_16 to BENCH_24 predate complement_quotient_ms
@@ -36,6 +36,8 @@ def check_schema(data, runs):
         keys.remove("src_sha256")
     if data["pr"] in range(16, 28):  # BENCH_16 to BENCH_27 predate to_symbol_ms
         keys.remove("to_symbol_ms")
+    if data["pr"] in range(16, 29):  # BENCH_16 to BENCH_28 predate witness_symbol_ms
+        keys.remove("witness_symbol_ms")
     assert set(data) == keys
     assert (data["git_sha"] is None) == (data["git_dirty"] is None)
     assert data["git_sha"] is None or len(data["git_sha"]) == 40
@@ -53,6 +55,9 @@ def check_schema(data, runs):
     if "to_symbol_ms" in keys:
         assert data["to_symbol_ms"]["forms"] > 150
         _check_summary(data["to_symbol_ms"], runs)
+    if "witness_symbol_ms" in keys:
+        assert data["witness_symbol_ms"]["pairs"] == data["complement_quotient_ms"]["pairs"]
+        _check_summary(data["witness_symbol_ms"], runs)
     rank2 = ["3-3000", "3001-30000", "30001-100000"]
     if data["pr"] not in range(16, 27):  # BENCH_16 to BENCH_26 predate the cap entry
         rank2.append("cap")
@@ -110,19 +115,63 @@ def test_glue_quotients_are_timed_per_call(bench, monkeypatch):
     clock = itertools.count(0, 0.5)
     monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
     calls = []
-    monkeypatch.setattr(bench, "complement_quotient", lambda form, sub: calls.append(sub))
+    monkeypatch.setattr(bench, "complement_quotient",
+                        lambda form, sub: calls.append((form, sub)))
     entry = bench.time_complement_quotient(3, pairs[:20])
     assert entry["pairs"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
     assert len(calls) == 20 * 4
+    _assert_rebuilt_per_run(calls, pairs[:20], 4)
+
+
+def _form_data(form):
+    return form.orders, form.level, form.qints, form.bints
+
+
+def _assert_rebuilt_per_run(calls, pairs, runs):
+    """Each run sees every captured (form, H) on a form rebuilt from its
+    integers, with no walk or p-parts, new in each run and shared where the
+    captured forms are, and H with its elements on that form."""
+    assert len(calls) == runs * len(pairs)
+    seen = set()
+    for start in range(0, len(calls), len(pairs)):
+        run = calls[start:start + len(pairs)]
+        for (form, sub), (old_form, old_sub) in zip(run, pairs):
+            assert form is not old_form and id(form) not in seen
+            assert _form_data(form) == _form_data(old_form)
+            assert form._scan is None and form._parts is None
+            assert sub is old_sub or sub.ambient is form and sub.elements == old_sub.elements
+        for (x, old_x), (y, old_y) in itertools.combinations(zip(run, pairs), 2):
+            assert (x[0] is y[0]) == (old_x[0] is old_y[0])
+        seen |= {id(form) for form, _ in run}
+
+
+def test_witness_symbols_are_timed_per_pair_from_rebuilt_forms(bench, monkeypatch):
+    """witness_symbol_ms is the scaled mean per to_symbol(complement_quotient
+    (form, H)) over the captured pairs, each run on rebuilt forms and from
+    empty Jordan caches, both set up outside the timed span."""
+    pairs = bench.glue_pairs()
+    assert len({id(form) for form, _ in pairs}) < len(pairs)  # searches share their forms
+    monkeypatch.setattr(bench.calib, "kernel_s", lambda: 2 * bench.calib.K_REF_S)
+    clock = itertools.count(0, 0.5)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    calls, order = [], []
+    monkeypatch.setattr(bench, "clear_jordan_caches", lambda: order.append("clear"))
+    monkeypatch.setattr(bench, "complement_quotient",
+                        lambda form, sub: calls.append((form, sub)) or order.append("cq") or sub)
+    monkeypatch.setattr(bench, "to_symbol", lambda sub: order.append("symbol"))
+    entry = bench.time_witness_symbols(3, pairs[:20])
+    assert entry["pairs"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
+    assert order == (["clear"] + ["cq", "symbol"] * 20) * 4
+    _assert_rebuilt_per_run(calls, pairs[:20], 4)
 
 
 def test_symbols_are_timed_per_call_from_empty_caches(bench, monkeypatch):
     """to_symbol_ms is the scaled mean per call over the captured forms:
     with the kernel at twice K_REF_S and each unit 0.5 s on the fake clock,
     20 forms read 0.25 s / 20 per call, in ms, and every run over them
-    starts by emptying the Jordan caches; the capture pass collects every
-    form the five table runs canonicalize, and restores the name it
-    wrapped."""
+    starts by emptying the Jordan caches and runs on the forms rebuilt
+    from their integers; the capture pass collects every form the five
+    table runs canonicalize, and restores the name it wrapped."""
     import latticelab.symbol
     real = latticelab.symbol.jordan_constituents
     forms = bench.symbol_forms()
@@ -135,7 +184,10 @@ def test_symbols_are_timed_per_call_from_empty_caches(bench, monkeypatch):
     monkeypatch.setattr(bench, "to_symbol", lambda form: calls.append(form))
     entry = bench.time_to_symbol(3, forms[:20])
     assert entry["forms"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
-    assert calls == (["clear"] + forms[:20]) * 4
+    assert calls[::21] == ["clear"] * 4 and len(calls) == 21 * 4
+    runs = [calls[start + 1:start + 21] for start in range(0, len(calls), 21)]
+    _assert_rebuilt_per_run([(form, None) for run in runs for form in run],
+                            [(form, None) for form in forms[:20]], 4)
 
 
 def test_cold_starts_keep_bytecode_out_of_the_checkout(bench, monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import re
@@ -22,7 +23,12 @@ from latticelab import (
     rescale,
     trivial_form,
 )
-from latticelab.errors import CapExceededError, NotIsotropicError, OddLatticeError
+from latticelab.errors import (
+    CapExceededError,
+    DegenerateError,
+    NotIsotropicError,
+    OddLatticeError,
+)
 from latticelab.exactmat import integer_kernel, smith_normal_form, transpose
 from latticelab.fqf import (
     BRUTE_CAP,
@@ -32,6 +38,7 @@ from latticelab.fqf import (
     _span,
     automorphisms,
 )
+from latticelab.symbol import _primary_key, to_symbol
 from test_exactmat import reference_smith_normal_form
 
 
@@ -758,6 +765,73 @@ def test_complement_quotient_matches_reference_route(table_run_inputs):
             blocks += idx
         assert blocks == list(range(quot.ngens))
     assert hit > 500 and kept > 300
+
+
+def reference_quotient(form, sub):
+    """H-perp / H joined at the level of form from the reference blocks of
+    test_complement_quotient_matches_reference_route: A_p as it stands
+    where p misses |H|, the transposed route on A_p and H_p otherwise."""
+    n = form.level
+    orders, qints, rows = [], [], []
+    for p in _primes_of(form.exponent):
+        part, coords = _primary_part(form, p)
+        m = sub.order
+        while m % p == 0:
+            m //= p
+        if m != sub.order:
+            gens = [coords(form.scale(g, m)) for g in sub.gens]
+            part = reference_complement_quotient(part, _Gens([y for y in gens if any(y)]))
+        s = n // part.level
+        rows += [(len(orders), [x * s for x in row]) for row in part.bints]
+        orders += part.orders
+        qints += [v * s for v in part.qints]
+    k = len(orders)
+    return FiniteQuadraticForm._from_ints(
+        orders, n, qints, [[0] * j + row + [0] * (k - j - len(row)) for j, row in rows])
+
+
+def _symbol_or_error(form):
+    try:
+        return str(to_symbol(form))
+    except DegenerateError as exc:
+        return repr(exc)
+
+
+def assert_parts_inherited(form, sub):
+    """complement_quotient(form, sub) hands over the key of each p-part that
+    |H| misses (or the form to read it from) and leaves the others, and no
+    block, to be derived; every key it reads is the key that a copy of the
+    quotient, holding no p-parts, derives from its own integers, and so is
+    the symbol (or the degenerate form's error), and the copy keeps none
+    of them.  Its integers are those of the reference route.  Returns the
+    count of p-parts handed over."""
+    quot = complement_quotient(form, sub)
+    fresh = copy.copy(quot)
+    handed = 0
+    for p, (key, block) in quot._primary().items():
+        missed = sub.order % p != 0
+        assert (key is not None) == missed and block is None
+        handed += missed
+    assert list(quot._primary()) == quot.primes()
+    assert [_primary_key(quot, p) for p in quot._primary()] == \
+        [_primary_key(fresh, p) for p in fresh.primes()]
+    assert all(type(key) is tuple for key, _ in quot._primary().values())
+    assert _symbol_or_error(quot) == _symbol_or_error(fresh)
+    assert fresh._parts is None
+    assert _form_data(quot) == _form_data(reference_quotient(form, sub))
+    return handed
+
+
+def test_glue_quotients_inherit_p_parts(table_run_inputs):
+    """On every witness of the five table runs (the forms as the runs left
+    them, p-parts kept) and every isotropic subgroup of the small symbols
+    (fresh forms), the inherited p-parts are those a fresh copy derives."""
+    from latticelab import form_from_symbol_text
+    pairs = list(table_run_inputs[1])
+    for form in map(form_from_symbol_text, SMALL_SYMBOLS):
+        pairs += [(form, sub) for sub in isotropic_subgroups(form)]
+    handed = sum(assert_parts_inherited(form, sub) for form, sub in pairs)
+    assert len(pairs) > 220 and handed > 200
 
 
 def test_subquotient_lifts_match_span():

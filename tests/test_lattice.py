@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from latticelab import build_lattice, direct_sum, named_lattice, rescale
@@ -101,3 +104,43 @@ def test_json_round_trip():
     scaled = lattice_from_json_dict({"name": "A2", "scale": -3})
     assert scaled == rescale(a2, -3)
     assert scaled.det == 27 and scaled.signature == (0, 2)
+
+
+def _lattice_data(latt):
+    return latt.gram, latt.signature, latt.det, latt.even
+
+
+def _block_matrix(*lattices):
+    total, rows = sum(latt.rank for latt in lattices), []
+    for latt in lattices:
+        off = len(rows)
+        rows += [[0] * off + list(row) + [0] * (total - off - latt.rank) for row in latt.gram]
+    return rows
+
+
+def test_direct_sum_equals_the_block_matrix():
+    """direct_sum reads signature, det and parity off its summands, with no
+    elimination; they equal build_lattice of the block matrix on every pair
+    of registry lattices (definite, indefinite, odd, unimodular) and of
+    seeded Gram matrices, and on seeded triples of both.  No summands is a
+    degenerate sum."""
+    lattices = [named_lattice(name) for name in
+                ("A1", "A2", "D4", "E6", "E7", "E8", "U", "I(1,1)", "I(2,0)", "II(9,1)")]
+    rng = random.Random(2901)
+    while len(lattices) < 22:
+        n = rng.randint(1, 4)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+        try:
+            lattices.append(build_lattice(gram))
+        except DegenerateError:
+            continue
+    cases = [(a,) for a in lattices] + list(itertools.product(lattices, repeat=2))
+    cases += [tuple(rng.sample(lattices, 3)) for _ in range(40)]
+    assert any(not latt.even for latt in lattices) and any(latt.det < 0 for latt in lattices)
+    for case in cases:
+        assert _lattice_data(direct_sum(*case)) == _lattice_data(build_lattice(_block_matrix(*case)))
+    with pytest.raises(DegenerateError):
+        direct_sum()

@@ -24,6 +24,7 @@ from latticelab import (
     Rank2Form,
     SaturationWitness,
     build_lattice,
+    complement_quotient,
     discriminant_form,
     full_report,
     load_table,
@@ -38,6 +39,7 @@ from latticelab.casebook import (
     WitnessOutcome,
 )
 from latticelab.errors import NotDefiniteError
+from latticelab.fqf import Subgroup
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -151,7 +153,9 @@ def test_records_of_plain_values_pickle_and_copy():
     """Records pickle and copy.  Copies of records of plain values compare
     equal.  A FiniteQuadraticForm compares by identity, so a form, and the
     forms in a record that holds one, compare by JSON and genus symbol;
-    a pickled form carries no cached scan."""
+    a pickled or copied form carries no cached scan or p-parts, and a glue
+    quotient carries neither the p-parts it took over nor the ambient form
+    they name."""
     for rec in (build_lattice([[2, 1], [1, 2]]), FORM, CONSTITUENT, SYMBOL,
                 DiagonalAction(3, (1, 2, 0, 1, 2, 0), 1), VERDICT,
                 ConditionVerdict(False, {3: 1}, "x"), TranscendentalClass(FORM, True, 2, 3, 4)):
@@ -161,7 +165,15 @@ def test_records_of_plain_values_pickle_and_copy():
     q = discriminant_form(named_lattice("E6"))
     fresh = pickle.dumps(q)
     q.scan()
+    to_symbol(complement_quotient(q, Subgroup(q, [])))
+    assert q._scan is not None and q._parts is not None
     assert pickle.dumps(q) == fresh
+    for again in (pickle.loads(fresh), copy.copy(q), copy.deepcopy(q)):
+        assert again._scan is None and again._parts is None
+    quot = full_report("hm15", "E6")[0].criterion.outcomes[0].witness.quotient
+    assert quot._parts and pickle.dumps(quot) == pickle.dumps(copy.copy(quot))
+    for again in (pickle.loads(pickle.dumps(quot)), copy.copy(quot), copy.deepcopy(quot)):
+        assert again._parts is None and _form_data(again) == _form_data(quot)
     holders = [
         (q, _form_data),
         (polarization_root("E6"), lambda r: (r, _form_data(r.q_R))),

@@ -24,6 +24,11 @@ Each table run starts from empty Jordan caches (the per-process caches of
 back to back, later runs would otherwise find every split and canonical
 form cached, so `full_report_s` stays comparable with BENCH_23 and
 earlier.  Each run builds its forms anew, so no cached scan carries over.
+The glue and symbol measurements run on captured forms, which keep their
+walk and p-parts once used: before each run, untimed, every captured
+form is rebuilt from its integers (`copy.copy`, which carries neither) and
+every captured H onto its rebuilt form, one copy per captured form, so
+the forms that a table run shares stay shared.
 
 Recorded:
   git_sha, git_dirty   HEAD of the checkout, and whether tracked files differ
@@ -44,14 +49,24 @@ Recorded:
                        speed, over the (form, H) pairs that one pass of the
                        five table runs glues over, with their count; the
                        pairs are captured once, in an untimed pass before
-                       any unit.  From BENCH_25 on.
+                       any unit.  From BENCH_25 on; the forms rebuilt
+                       before each run from BENCH_29 on.
   to_symbol_ms         median and IQR over RUNS (21) units of the mean time
                        per to_symbol call, in ms at the reference speed, over
                        the forms that one pass of the five table runs (with
                        to_json_dict()) canonicalizes, with their count; the
                        forms are captured once, in an untimed pass before any
                        unit, and each run over them starts from empty Jordan
-                       caches, as a table run does.  From BENCH_28 on.
+                       caches, as a table run does.  From BENCH_28 on; the
+                       forms rebuilt and the caches emptied before each run,
+                       untimed, from BENCH_29 on.
+  witness_symbol_ms    median and IQR over RUNS (21) units of the mean time
+                       per to_symbol(complement_quotient(form, H)), in ms at
+                       the reference speed, over the pairs of
+                       complement_quotient_ms, each run from rebuilt forms
+                       and empty Jordan caches: the symbol of each witness
+                       quotient, as the saturation search and the criterion
+                       take it.  From BENCH_29 on.
   rank2_enumerate_ms   per queries stratum of determinants, and for the one
                        determinant DET_CAP under `cap`: median and IQR over
                        RUNS (21) units of the mean time per call, in ms at
@@ -76,6 +91,7 @@ Recorded:
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import os
@@ -95,6 +111,7 @@ import gen  # noqa: E402
 import latticelab.nikulin  # noqa: E402
 import latticelab.symbol  # noqa: E402
 from latticelab import complement_quotient, full_report, rank2_enumerate  # noqa: E402
+from latticelab.fqf import Subgroup  # noqa: E402
 from latticelab.rank2 import DET_CAP  # noqa: E402
 from latticelab.symbol import clear_jordan_caches, to_symbol  # noqa: E402
 
@@ -143,25 +160,52 @@ def rank2_inputs(per_stratum: int) -> dict[tuple[int, int], list[tuple[int, bool
     return strata
 
 
-def reps_for(call, unit_s: float) -> int:
-    """How many back-to-back runs of call() fill about unit_s, counted
-    from one untimed warm-up run."""
+def reps_for(call, unit_s: float, setup=tuple) -> int:
+    """How many back-to-back runs of call(*setup()) fill about unit_s,
+    counted from one untimed warm-up run; setup() is not timed."""
+    args = setup()
     start = time.perf_counter()
-    call()
+    call(*args)
     return max(1, round(unit_s / (time.perf_counter() - start)))
 
 
-def timed(call, reps: int = 1) -> float:
-    """Mean seconds per call() over reps back-to-back runs, scaled to the
-    calibration kernel's reference speed by one kernel run just before and
-    one just after all of them."""
+def timed(call, reps: int = 1, setup=tuple) -> float:
+    """Mean seconds per call(*setup()) over reps back-to-back runs, scaled
+    to the calibration kernel's reference speed by one kernel run just
+    before and one just after all of them; each setup() runs just before
+    its call, outside the timed span."""
     before = calib.kernel_s()
     elapsed = 0.0
     for _ in range(reps):
+        args = setup()
         start = time.perf_counter()
-        call()
+        call(*args)
         elapsed += time.perf_counter() - start
     return calib.scaled(elapsed / reps, before, calib.kernel_s())
+
+
+def per_call_ms(one, calls: int, runs: int, unit_s: float, setup=tuple) -> dict:
+    """Median and IQR over runs units of the mean time per call, in ms at
+    the reference speed, where one(*setup()) makes `calls` calls."""
+    reps = reps_for(one, unit_s, setup)
+    return summary([timed(one, reps, setup) * 1e3 / calls for _ in range(runs)])
+
+
+def rebuilt(forms: list) -> list:
+    """Each form rebuilt from its integers by copy.copy, which keeps no
+    walk or p-parts; a form met more than once is rebuilt once."""
+    copies = {}
+    for form in forms:
+        if id(form) not in copies:
+            copies[id(form)] = copy.copy(form)
+    return [copies[id(form)] for form in forms]
+
+
+def rebuilt_pairs(pairs: list) -> list:
+    """The (form, H) pairs on rebuilt forms, each H rebuilt on its form."""
+    forms = rebuilt([form for form, _ in pairs])
+    return [(form, Subgroup._of_elements(form, sub.elements))
+            for form, (_, sub) in zip(forms, pairs)]
 
 
 def time_tables(runs: int, unit_s: float = UNIT_S) -> dict:
@@ -192,13 +236,26 @@ def glue_pairs() -> list:
 
 
 def time_complement_quotient(runs: int, pairs: list, unit_s: float = UNIT_S) -> dict:
-    def one():
-        for form, sub in pairs:
+    def one(fresh):
+        for form, sub in fresh:
             complement_quotient(form, sub)
 
-    reps = reps_for(one, unit_s)
-    means = [timed(one, reps) * 1e3 / len(pairs) for _ in range(runs)]
-    return {"pairs": len(pairs), **summary(means)}
+    def setup():
+        return (rebuilt_pairs(pairs),)
+
+    return {"pairs": len(pairs), **per_call_ms(one, len(pairs), runs, unit_s, setup)}
+
+
+def time_witness_symbols(runs: int, pairs: list, unit_s: float = UNIT_S) -> dict:
+    def one(fresh):
+        for form, sub in fresh:
+            to_symbol(complement_quotient(form, sub))
+
+    def setup():
+        clear_jordan_caches()
+        return (rebuilt_pairs(pairs),)
+
+    return {"pairs": len(pairs), **per_call_ms(one, len(pairs), runs, unit_s, setup)}
 
 
 def symbol_forms() -> list:
@@ -217,14 +274,15 @@ def symbol_forms() -> list:
 
 
 def time_to_symbol(runs: int, forms: list, unit_s: float = UNIT_S) -> dict:
-    def one():
-        clear_jordan_caches()
-        for form in forms:
+    def one(fresh):
+        for form in fresh:
             to_symbol(form)
 
-    reps = reps_for(one, unit_s)
-    means = [timed(one, reps) * 1e3 / len(forms) for _ in range(runs)]
-    return {"forms": len(forms), **summary(means)}
+    def setup():
+        clear_jordan_caches()
+        return (rebuilt(forms),)
+
+    return {"forms": len(forms), **per_call_ms(one, len(forms), runs, unit_s, setup)}
 
 
 def time_rank2(runs: int, per_stratum: int, unit_s: float = UNIT_S) -> dict:
@@ -236,9 +294,7 @@ def time_rank2(runs: int, per_stratum: int, unit_s: float = UNIT_S) -> dict:
             for det, negative in inputs:
                 rank2_enumerate(det, negative)
 
-        reps = reps_for(one, unit_s)
-        means = [timed(one, reps) * 1e3 / len(inputs) for _ in range(runs)]
-        out[name] = {"dets": len(inputs), **summary(means)}
+        out[name] = {"dets": len(inputs), **per_call_ms(one, len(inputs), runs, unit_s)}
     return out
 
 
@@ -264,6 +320,7 @@ def time_cold_start(runs: int) -> dict:
 
 def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
     dirty = git("status", "--porcelain", "--untracked-files=no")
+    pairs = glue_pairs()
     return {
         "pr": pr,
         "git_sha": git("rev-parse", "HEAD"),
@@ -276,8 +333,9 @@ def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
         "src_sha256": src_sha256(),
         "runs": runs,
         "full_report_s": time_tables(runs, unit_s),
-        "complement_quotient_ms": time_complement_quotient(runs, glue_pairs(), unit_s),
+        "complement_quotient_ms": time_complement_quotient(runs, pairs, unit_s),
         "to_symbol_ms": time_to_symbol(runs, symbol_forms(), unit_s),
+        "witness_symbol_ms": time_witness_symbols(runs, pairs, unit_s),
         "rank2_enumerate_ms": time_rank2(runs, per_stratum, unit_s),
         "cold_start_ms": time_cold_start(runs),
     }
