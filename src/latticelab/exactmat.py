@@ -2,10 +2,9 @@
 
 Everything here computes with Python ints.  One fraction-free symmetric
 (Bareiss) elimination gives the signature and the determinant together,
-and the short-vector bounds; the Smith normal form keeps both unimodular
-transforms, so callers present finite quotient groups exactly and read
-their generators off the column transform.  No floating point and no
-fractions anywhere.
+and the short-vector bounds; the Smith normal form keeps its column
+transform, so callers present finite quotient groups exactly and read
+their generators off it.  No floating point and no fractions anywhere.
 """
 
 from __future__ import annotations
@@ -129,26 +128,24 @@ def signature_and_det(mat) -> tuple[int, int, int]:
 
 
 def smith_normal_form(mat):
-    """Smith normal form with transforms: returns (d, u, v), u*mat*v = diag(d).
+    """Smith normal form: returns (d, v), u*mat*v = diag(d) for some u.
 
-    d is the list of diagonal entries (d[0] | d[1] | ...), all >= 0; u and v
-    are unimodular.  Works for any rectangular integer matrix.  Every
-    operation runs once on the block matrix [[mat, I_m], [I_n, 0]] (Cohen,
-    GTM 138, 2.4.4): row operations on whole rows < m, column operations on
-    whole columns < n, so the top-right block collects u and the
-    bottom-left block v, and neither touches the other corner.
+    d is the list of diagonal entries (d[0] | d[1] | ...), all >= 0; u and
+    v are unimodular, and u is not kept.  Works for any rectangular integer
+    matrix.  Every operation runs once on the block matrix [[mat], [I_n]]
+    (Cohen, GTM 138, 2.4.4), so the bottom block collects v.
 
-    Only work whose result is read is done, so the operations and (d, u, v)
+    Only work whose result is read is done, so the operations and (d, v)
     are those of the full sweep: the pivot search (the first least |x| in
     row-major order) stops at a 1, which nothing undercuts; rows < t are
-    zero in the columns >= t, so column swaps and operations touch rows
-    >= t only (the v block included), and never swap a column with itself;
+    zero in the columns >= t and rows >= t in the columns < t, so column
+    swaps and operations touch rows >= t only (the v block included), row
+    operations columns >= t only, and no column is swapped with itself;
     a pivot of 1 divides everything, so it gets no divisibility scan.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
-    a = [list(row) + e for row, e in zip(mat, identity_matrix(m))]
-    a += [e + [0] * m for e in identity_matrix(n)]
+    a = [list(row) for row in mat] + identity_matrix(n)
 
     t = 0
     while t < min(m, n):
@@ -172,12 +169,12 @@ def smith_normal_form(mat):
                 row[t], row[j] = row[j], row[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-        pivot = a[t][t]
+        pivot, top = a[t][t], a[t][t:]
         dirty = False
         for i in range(t + 1, m):
             if a[i][t] != 0:
                 c = a[i][t] // pivot
-                a[i] = [x - c * y for x, y in zip(a[i], a[t])]
+                a[i][t:] = [x - c * y for x, y in zip(a[i][t:], top)]
                 dirty = dirty or a[i][t] != 0
         for j in range(t + 1, n):
             if a[t][j] != 0:
@@ -195,8 +192,23 @@ def smith_normal_form(mat):
             a[t] = [x + y for x, y in zip(a[t], a[witness])]
             continue
         t += 1
-    d = [a[i][i] for i in range(min(m, n))]
-    return d, [row[n:] for row in a[:m]], [row[:n] for row in a[m:]]
+    return [a[i][i] for i in range(min(m, n))], a[m:]
+
+
+def unimodular_inverse(mat) -> list[list[int]]:
+    """The integer inverse of a unimodular matrix: Euclid row operations
+    take [mat | I] to [I | mat^-1], each pivot the column's gcd +-1."""
+    n = len(mat)
+    a = [list(row) + e for row, e in zip(mat, identity_matrix(n))]
+    for t in range(n):
+        for i in range(t + 1, n):
+            while a[i][t]:
+                c = a[t][t] // a[i][t]
+                a[t], a[i] = a[i], [x - c * y for x, y in zip(a[t], a[i])]
+        top = [x * a[t][t] for x in a[t]]
+        a = [top if i == t else [x - row[t] * y for x, y in zip(row, top)]
+             for i, row in enumerate(a)]
+    return [row[n:] for row in a]
 
 
 def integer_kernel(mat) -> list[list[int]]:
@@ -205,6 +217,6 @@ def integer_kernel(mat) -> list[list[int]]:
     n = len(mat[0]) if m else 0
     if n == 0:
         return []
-    d, _, v = smith_normal_form(mat)
+    d, v = smith_normal_form(mat)
     rank = sum(1 for x in d if x != 0)
     return [[v[r][j] for r in range(n)] for j in range(rank, n)]

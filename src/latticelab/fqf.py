@@ -29,24 +29,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm, prod
 from operator import add, and_, mod, mul
 
-from .errors import (
-    CapExceededError,
-    DegenerateError,
-    NotIsotropicError,
-    OddLatticeError,
-)
-from .exactmat import (
-    factorize,
-    integer_kernel,
-    mat_mul,
-    mat_vec,
-    smith_normal_form,
-    transpose,
-)
+from .errors import CapExceededError, DegenerateError, NotIsotropicError, OddLatticeError
+from .exactmat import (factorize, integer_kernel, mat_mul, mat_vec, smith_normal_form,
+                       transpose, unimodular_inverse)
 from .lattice import GramLattice
 
 BRUTE_CAP = 4096
@@ -93,10 +82,13 @@ class FiniteQuadraticForm:
             level //= g
             qints = [v // g for v in qints]
             bints = [[x // g for x in row] for row in bints]
+        self._set(orders, level, tuple(qints), tuple(map(tuple, bints)))
+
+    def _set(self, orders, level, qints, bints):
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "qints", tuple(qints))
-        object.__setattr__(self, "bints", tuple(map(tuple, bints)))
+        object.__setattr__(self, "qints", qints)
+        object.__setattr__(self, "bints", bints)
         object.__setattr__(self, "_order", prod(orders))
         object.__setattr__(self, "_scan", None)
         object.__setattr__(self, "_parts", None)
@@ -232,10 +224,11 @@ class FiniteQuadraticForm:
                                               qints, bints)
 
     def negated(self) -> "FiniteQuadraticForm":
-        n = self.level
-        return FiniteQuadraticForm._from_ints(
-            self.orders, n, [-v % (2 * n) for v in self.qints],
-            [[-x % n for x in row] for row in self.bints])
+        """-q: negation keeps every gcd, so the integers stay reduced."""
+        n, out = self.level, object.__new__(FiniteQuadraticForm)
+        out._set(self.orders, n, tuple([-v % (2 * n) for v in self.qints]),
+                 tuple([tuple([-x % n for x in row]) for row in self.bints]))
+        return out
 
     def subquotient(self, gens):
         """Present the subgroup <gens> with the induced form.
@@ -324,16 +317,16 @@ class DiscriminantGroup:
 
     From u*G*v = diag(d) (Smith normal form), the i-th generator of A_L is
     the dual vector w_i = G^-1 u^-1 e_i = v e_i / d_i; cols[i] holds its
-    integer numerators v e_i.  The form is read off the integer matrix
-    v^T G v: q(w_i) = (v^T G v)_ii / d_i^2 and b(w_i, w_j) =
-    (v^T G v)_ij / (d_i d_j), both over the level max(d)^2.
+    integer numerators v e_i, and u is never needed.  The form is read off
+    the integer matrix v^T G v: q(w_i) = (v^T G v)_ii / d_i^2 and
+    b(w_i, w_j) = (v^T G v)_ij / (d_i d_j), both over the level max(d)^2.
     """
 
     def __init__(self, latt: GramLattice):
         if not latt.even:
             raise OddLatticeError("discriminant quadratic form needs an even lattice")
         gram = latt.gram_rows()
-        d, u, v = smith_normal_form(gram)
+        d, v = smith_normal_form(gram)
         if any(x == 0 for x in d):
             raise DegenerateError("lattice is degenerate")
         keep = [i for i, di in enumerate(d) if di != 1]
@@ -346,8 +339,8 @@ class DiscriminantGroup:
                  for row, di in zip(vgv, orders)]
         self.orders = tuple(orders)
         self.cols = cols
-        self.u = u
         self.d = d
+        self._v = v
         self.form = FiniteQuadraticForm._from_ints(orders, n, qints, bints)
         self._gram = gram
 
@@ -355,18 +348,21 @@ class DiscriminantGroup:
         """Images of the form generators under a lattice isometry matrix.
 
         M w_i = M v e_i / d_i lies in L* iff G*M*v e_i is divisible by d_i,
-        and then its class has coordinates u*G*M*v e_i / d_i modulo the
-        orders.
+        and then, as u*G = diag(d)*v^-1, its class has coordinates
+        d_k (v^-1*M*v e_i)_k / d_i modulo the orders d_k.
         """
-        keep = [(row, dj) for row, dj in zip(self.u, self.d) if dj != 1]
+        keep = [(row, dk) for row, dk in zip(self._vinv, self.d) if dk != 1]
         images = []
         for col, di in zip(self.cols, self.orders):
-            gmc = mat_vec(self._gram, mat_vec(matrix, col))
-            if any(x % di for x in gmc):
+            mc = mat_vec(matrix, col)
+            if any(x % di for x in mat_vec(self._gram, mc)):
                 raise ValueError("matrix does not map the dual lattice into itself")
-            images.append(tuple(sum(a * x for a, x in zip(row, gmc)) // di % dj
-                                for row, dj in keep))
+            images.append(tuple(dk * sum(map(mul, row, mc)) // di % dk for row, dk in keep))
         return tuple(images)
+
+    @cached_property
+    def _vinv(self):
+        return unimodular_inverse(self._v)
 
 
 def discriminant_group(latt: GramLattice) -> DiscriminantGroup:
@@ -457,12 +453,13 @@ class Subgroup:
 def _minimal_generators(form: FiniteQuadraticForm, elements: frozenset):
     has = frozenset({form.zero()})
     gens = []
-    for x in sorted(elements, key=lambda e: (-form.element_order(e), e)):
+    for minus_order, x in sorted([(-form.element_order(e), e) for e in elements]):
         if len(has) == len(elements):
             break
         if x not in has:
             gens.append(x)
-            has = _extend(form, has, x)
+            # an x of order |H| spans H: the first pick of a cyclic H needs no closure
+            has = elements if -minus_order == len(elements) else _extend(form, has, x)
     return gens
 
 
@@ -528,7 +525,7 @@ def _torsion(mat, image):
     P*mat v e_i / d_i, read off image.  Returns (orders, lifts) with
     lifts[i] the image of the i-th generator, unreduced.
     """
-    d, _, v = smith_normal_form(mat)
+    d, v = smith_normal_form(mat)
     orders, lifts = [], []
     for i, di in enumerate(d):
         if di > 1:

@@ -171,9 +171,10 @@ def _split_primary(p: int, level: int, orders, qs, gs) -> tuple[JordanConstituen
 
     Each step splits off the pivot summand <xs> and replaces every other
     basis element g by its projection g - sum_a c_a x_a onto xs-perp,
-    c = M^-1 (ord(x)*b(x_a, g))_a mod ord(x) with M = ord(x)*b(xs, xs).
-    c_a x_a has order dividing ord(g), and the orders of the projections
-    multiply to |A|/|<xs>|, so they are again a basis of the complement.
+    c = M^-1 (ord(x)*b(x_a, g))_a mod ord(x) with M = ord(x)*b(xs, xs), in
+    closed form (a pair by its adjugate).  c_a x_a has order dividing
+    ord(g), and the orders of the projections multiply to |A|/|<xs>|, so
+    they are again a basis of the complement.
     The summands of one scale add up to its constituent: ranks add,
     determinant classes multiply and the odd 2-adic units sum to the
     oddity, none of which depends on the order of the summands.
@@ -185,28 +186,25 @@ def _split_primary(p: int, level: int, orders, qs, gs) -> tuple[JordanConstituen
         n0, eps0, t0 = acc.get(k, (0, 1, None))
         acc[k] = (n0 + len(xs), eps0 * eps,
                   t0 if unit is None else (t0 or 0) + unit)
-        o = orders[xs[0]]
+        x, y = xs[0], xs[-1]
+        o, gx, gy, n2 = orders[x], gs[x], gs[y], 2 * level
         s = level // o
-        m = [[gs[a][b] // s for b in xs] for a in xs]
-        if len(xs) == 1:
-            adj, det = [[1]], m[0][0]
-        else:
-            adj = [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
-            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        inv = pow(det, -1, o)
         rest = [g for g in range(len(orders)) if g not in xs]
-        cs = [[inv * sum(u * (gs[a][g] // s) for u, a in zip(row, xs)) % o
-               for row in adj] for g in rest]
-        new_qs = []
-        for g, c in zip(rest, cs):
-            z = sum(ca * ca * qs[a] - 2 * ca * gs[a][g] for ca, a in zip(c, xs))
-            if len(xs) == 2:
-                z += 2 * c[0] * c[1] * gs[xs[0]][xs[1]]
-            new_qs.append((qs[g] + z) % (2 * level))
-        gs = [[(gs[g][h] - sum(ca * gs[a][h] for ca, a in zip(c, xs))) % level
-               for h in rest] for g, c in zip(rest, cs)]
+        if x == y:
+            inv = pow(gx[x] // s, -1, o)
+            cs = [inv * (gx[g] // s) % o for g in rest]
+            qs = [(qs[g] + c * (c * qs[x] - 2 * gx[g])) % n2 for g, c in zip(rest, cs)]
+            gs = [[(gs[g][h] - c * gx[h]) % level for h in rest] for g, c in zip(rest, cs)]
+        else:
+            m00, m01, m10, m11 = gx[x] // s, gx[y] // s, gy[x] // s, gy[y] // s
+            inv = pow(m00 * m11 - m01 * m10, -1, o)
+            cs = [(inv * (m11 * (gx[g] // s) - m01 * (gy[g] // s)) % o,
+                   inv * (m00 * (gy[g] // s) - m10 * (gx[g] // s)) % o) for g in rest]
+            qs = [(qs[g] + c0 * (c0 * qs[x] - 2 * gx[g] + 2 * c1 * gx[y])
+                   + c1 * (c1 * qs[y] - 2 * gy[g])) % n2 for g, (c0, c1) in zip(rest, cs)]
+            gs = [[(gs[g][h] - c0 * gx[h] - c1 * gy[h]) % level for h in rest]
+                  for g, (c0, c1) in zip(rest, cs)]
         orders = [orders[g] for g in rest]
-        qs = new_qs
     return tuple(JordanConstituent(p, k, n, eps, even=t is None,
                                    oddity=0 if t is None else t % 8)
                  for k, (n, eps, t) in sorted(acc.items()))
@@ -248,6 +246,12 @@ def realizable_pairs(n: int) -> frozenset[tuple[int, int]]:
         states = {(e * _det_class_2(a), (t + a) % 8)
                   for (e, t) in states for a in (1, 3, 5, 7)}
     return frozenset(states)
+
+
+@lru_cache(maxsize=None)
+def _oddities(eps: int, n: int) -> tuple[int, ...]:
+    """The oddities t, ascending, with (eps, t) realizable by n odd units."""
+    return tuple([t for t in range(8) if (eps, t) in realizable_pairs(n)])
 
 
 def constituent_is_realizable(c: JordanConstituent) -> bool:
@@ -300,8 +304,8 @@ def _canonical_two_adic(
                     else:
                         owed = (4 * x_in if r is None else r) + c.oddity + 4 * (x + s)
                         steps = [(t, (owed - t) % 8 if runs_on else None)
-                                 for t in range(8) if (eps, t) in realizable_pairs(c.n)
-                                 and (runs_on or (owed - t) % 8 == 0)]
+                                 for t in _oddities(eps, c.n)
+                                 if runs_on or (owed - t) % 8 == 0]
                     for t, left in steps:
                         key = prefix + ((eps < 0, t),)
                         if reached.get((x, left), key) >= key:

@@ -27,7 +27,8 @@ def _check_summary(entry, runs):
 def check_schema(data, runs):
     keys = {"pr", "git_sha", "git_dirty", "python", "nproc", "PYTHONDONTWRITEBYTECODE",
             "src_lines", "runs", "full_report_s", "rank2_enumerate_ms", "cold_start_ms",
-            "complement_quotient_ms", "src_sha256", "to_symbol_ms", "witness_symbol_ms"}
+            "complement_quotient_ms", "src_sha256", "to_symbol_ms", "witness_symbol_ms",
+            "smith_normal_form_ms", "split_primary_ms"}
     if data["pr"] in range(16, 23):  # BENCH_16 to BENCH_22 predate cold_start_ms
         keys.remove("cold_start_ms")
     if data["pr"] in range(16, 25):  # BENCH_16 to BENCH_24 predate complement_quotient_ms
@@ -38,6 +39,8 @@ def check_schema(data, runs):
         keys.remove("to_symbol_ms")
     if data["pr"] in range(16, 29):  # BENCH_16 to BENCH_28 predate witness_symbol_ms
         keys.remove("witness_symbol_ms")
+    if data["pr"] in range(16, 30):  # BENCH_16 to BENCH_29 predate the kernel timings
+        keys -= {"smith_normal_form_ms", "split_primary_ms"}
     assert set(data) == keys
     assert (data["git_sha"] is None) == (data["git_dirty"] is None)
     assert data["git_sha"] is None or len(data["git_sha"]) == 40
@@ -58,6 +61,11 @@ def check_schema(data, runs):
     if "witness_symbol_ms" in keys:
         assert data["witness_symbol_ms"]["pairs"] == data["complement_quotient_ms"]["pairs"]
         _check_summary(data["witness_symbol_ms"], runs)
+    if "smith_normal_form_ms" in keys:
+        assert data["smith_normal_form_ms"]["matrices"] > 100
+        assert data["split_primary_ms"]["keys"] > 100
+        _check_summary(data["smith_normal_form_ms"], runs)
+        _check_summary(data["split_primary_ms"], runs)
     rank2 = ["3-3000", "3001-30000", "30001-100000"]
     if data["pr"] not in range(16, 27):  # BENCH_16 to BENCH_26 predate the cap entry
         rank2.append("cap")
@@ -188,6 +196,37 @@ def test_symbols_are_timed_per_call_from_empty_caches(bench, monkeypatch):
     runs = [calls[start + 1:start + 21] for start in range(0, len(calls), 21)]
     _assert_rebuilt_per_run([(form, None) for run in runs for form in run],
                             [(form, None) for form in forms[:20]], 4)
+
+
+def test_kernels_are_timed_per_call_on_one_pass(bench, monkeypatch):
+    """smith_normal_form_ms and split_primary_ms are the scaled means per
+    call over the inputs one pass of the five table runs gives each
+    kernel: every matrix as given, and each distinct key once, split by
+    the uncached function; the capture restores every name it wrapped."""
+    import latticelab.exactmat
+    import latticelab.fqf
+    import latticelab.symbol
+    names = [(latticelab.exactmat, "smith_normal_form"), (latticelab.fqf, "smith_normal_form"),
+             (latticelab.symbol, "_split_primary")]
+    real = [getattr(owner, name) for owner, name in names]
+    mats, keys = bench.kernel_inputs()
+    assert [getattr(owner, name) for owner, name in names] == real
+    assert len(mats) > 100 and len(keys) == len(set(keys)) > 100
+    assert all(type(x) is int for m in mats for row in m for x in row)
+    monkeypatch.setattr(bench.calib, "kernel_s", lambda: 2 * bench.calib.K_REF_S)
+    clock = itertools.count(0, 0.5)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    calls = []
+    monkeypatch.setattr(bench, "smith_normal_form", lambda mat: calls.append(mat))
+    entry = bench.time_smith_normal_form(3, mats[:20])
+    assert entry["matrices"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
+    assert calls == mats[:20] * 4
+    calls.clear()
+    monkeypatch.setattr(latticelab.symbol, "_split_primary",
+                        SimpleNamespace(__wrapped__=lambda *key: calls.append(key)))
+    entry = bench.time_split_primary(3, keys[:20])
+    assert entry["keys"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
+    assert calls == keys[:20] * 4
 
 
 def test_cold_starts_keep_bytecode_out_of_the_checkout(bench, monkeypatch):

@@ -15,6 +15,7 @@ from latticelab.exactmat import (
     smith_normal_form,
     symmetric_bareiss,
     transpose,
+    unimodular_inverse,
 )
 
 
@@ -110,12 +111,15 @@ def test_bareiss_matches_cofactor_expansion():
 def test_smith_normal_form_properties():
     """u*m*v = diag(d) with u, v unimodular and d a divisor chain, on every
     shape up to 6x6, also those with 0 rows or 0 columns (a 0-row matrix
-    has no column count, so its v is empty)."""
+    has no column count, so its v is empty).  smith_normal_form keeps no u:
+    u is the reference's, whose pivots are the same, so it belongs to the
+    same (d, v)."""
     rng = random.Random(2)
     shapes = [(rows, cols) for rows in range(7) for cols in range(7)]
     for rows, cols in shapes + [rng.choice(shapes) for _ in range(60)]:
         m = random_matrix(rng, rows, cols, rng.choice((1, 6)))
-        d, u, v = smith_normal_form(m)
+        d, u, v = reference_smith_normal_form(m)
+        assert smith_normal_form(m) == (d, v), m
         assert len(u) == rows and len(v) == (cols if rows else 0)
         assert abs(naive_det(u)) == 1
         assert abs(naive_det(v)) == 1
@@ -184,7 +188,7 @@ def reference_smith_normal_form(mat):
 
 
 def test_smith_normal_form_matches_reference():
-    """The same (d, u, v) as the full sweep on 1,500 seeded matrices of every
+    """The same (d, v) as the full sweep on 1,500 seeded matrices of every
     shape up to 7x7, entries bounded by 1, 5, 30 or 1000 and some rows zero,
     and on three small ones whose first 1 follows a larger entry."""
     rng = random.Random(47)
@@ -197,16 +201,18 @@ def test_smith_normal_form_matches_reference():
                 row[:] = [0] * cols
         mats.append(m)
     for m in mats:
-        assert smith_normal_form(m) == reference_smith_normal_form(m), m
+        d, _, v = reference_smith_normal_form(m)
+        assert smith_normal_form(m) == (d, v), m
 
 
 def test_smith_normal_form_matches_reference_on_table_runs(table_run_inputs):
-    """The same (d, u, v) as the full sweep on every matrix that one pass of
+    """The same (d, v) as the full sweep on every matrix that one pass of
     the five table runs gives smith_normal_form."""
     mats, _ = table_run_inputs
     assert len(mats) > 100
     for m in mats:
-        assert smith_normal_form(m) == reference_smith_normal_form(m), m
+        d, _, v = reference_smith_normal_form(m)
+        assert smith_normal_form(m) == (d, v), m
 
 
 def test_integer_kernel():
@@ -242,13 +248,15 @@ def test_inverses():
 
 def test_smith_columns_invert_row_transform():
     """u*B*v = diag(d) with every d_i nonzero (a finite cokernel) gives
-    u^-1 e_i = B v e_i / d_i: column i of B*v is d_i times column i of u^-1."""
+    u^-1 e_i = B v e_i / d_i: column i of B*v is d_i times column i of u^-1,
+    with u from the reference (same pivots, so the same (d, v))."""
     rng = random.Random(5)
     checked = 0
     for _ in range(200):
         rows = rng.randint(1, 4)
         mat = random_matrix(rng, rows, rng.randint(rows, 6), rng.choice((2, 6)))
-        d, u, v = smith_normal_form(mat)
+        d, u, v = reference_smith_normal_form(mat)
+        assert smith_normal_form(mat) == (d, v), mat
         if any(x == 0 for x in d):
             continue
         bv = mat_mul(mat, v)
@@ -257,6 +265,18 @@ def test_smith_columns_invert_row_transform():
             assert [row[i] for row in bv] == [di * row[i] for row in uinv], mat
         checked += 1
     assert checked >= 100
+
+
+def test_unimodular_inverse():
+    """v * unimodular_inverse(v) = I for the column transforms of 200 seeded
+    matrices up to 6x6, the identity and a permutation included."""
+    rng = random.Random(59)
+    mats = [identity_matrix(3), [[0, 1, 0], [0, 0, 1], [1, 0, 0]], []]
+    for _ in range(200):
+        mats.append(smith_normal_form(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6),
+                                                    rng.choice((2, 30))))[1])
+    for v in mats:
+        assert mat_mul(v, unimodular_inverse(v)) == identity_matrix(len(v)), v
 
 
 def test_signature_and_det_matches_rational_elimination():

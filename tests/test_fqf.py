@@ -34,6 +34,7 @@ from latticelab.fqf import (
     BRUTE_CAP,
     FiniteQuadraticForm,
     Subgroup,
+    _extend,
     _minimal_generators,
     _span,
     automorphisms,
@@ -72,7 +73,9 @@ REGISTRY_NAMES = ["A1", "A2", "A3", "A6", "D4", "D5", "D7", "E6", "E7", "E8", "U
 
 def test_dual_generators_match_rational_inverse():
     """The integer numerators cols[i] = v e_i over d_i are G^-1 u^-1 e_i, and
-    the form's q and b values are w_i^T G w_j of these dual vectors."""
+    the form's q and b values are w_i^T G w_j of these dual vectors.  The
+    group keeps no u: u is the reference kernel's, whose pivots are the
+    same, so it belongs to the same (d, v)."""
     from latticelab.exactmat import mat_vec
     from test_exactmat import rational_inverse
     rng = random.Random(57)
@@ -83,7 +86,9 @@ def test_dual_generators_match_rational_inverse():
         dg = discriminant_group(latt)
         gram = latt.gram_rows()
         ginv = rational_inverse(gram)
-        uinv = rational_inverse(dg.u)
+        d, u, v = reference_smith_normal_form(gram)
+        assert smith_normal_form(gram) == (d, v) and dg.d == d
+        uinv = rational_inverse(u)
         expect = [mat_vec(ginv, [row[i] for row in uinv])
                   for i, d in enumerate(dg.d) if d != 1]
         assert list(dg.orders) == [d for d in dg.d if d != 1]
@@ -252,6 +257,64 @@ def test_isotropic_subgroups_span_generating_tuples(monkeypatch, text):
     for s in subs:
         assert s.gens == tuple(_minimal_generators(q, s.elements))
         assert len(s.gens) <= q.ngens
+
+
+def reference_minimal_generators(form, elements):
+    """Reference: the greedy as written before its cyclic shortcut: the
+    elements by falling order, then value, each one not yet spanned taken
+    and closed with _extend."""
+    has = frozenset({form.zero()})
+    gens = []
+    for x in sorted(elements, key=lambda e: (-form.element_order(e), e)):
+        if len(has) == len(elements):
+            break
+        if x not in has:
+            gens.append(x)
+            has = _extend(form, has, x)
+    return gens
+
+
+def test_minimal_generators_match_the_greedy(monkeypatch, table_run_inputs):
+    """The greedy's generators on every subgroup of the small symbols and
+    on every witness of the five table runs; a cyclic H (every witness
+    there) is its first pick alone, with no _extend closure."""
+    import latticelab.fqf
+    from latticelab import form_from_symbol_text
+    from latticelab.fqf import _subgroups_within
+    cases = []
+    for form in map(form_from_symbol_text, SMALL_SYMBOLS):
+        cases += [(form, els) for els in _subgroups_within(form, frozenset(form.elements()))]
+    witnesses = [(form, sub.elements) for form, sub in table_run_inputs[1]]
+    calls = []
+    monkeypatch.setattr(latticelab.fqf, "_extend", lambda *a: calls.append(a) or _extend(*a))
+    cyclic = 0
+    for form, els in cases + witnesses:
+        expect = reference_minimal_generators(form, els)
+        calls.clear()
+        assert _minimal_generators(form, els) == expect
+        if len(expect) <= 1:
+            cyclic += 1
+            assert calls == []
+    assert all(len(reference_minimal_generators(*w)) <= 1 for w in witnesses)
+    assert len(witnesses) > 150 and len(cases) + len(witnesses) - cyclic > 100
+
+
+def test_negated_keeps_the_reduced_integers():
+    """negated() gives the orders, level, qints and bints of the _from_ints
+    route, which reduces them again, on 200 seeded forms; negating twice
+    gives the form back, and the result carries no scan or p-parts."""
+    rng = random.Random(61)
+    for _ in range(200):
+        form = discriminant_form(random_even_lattice(rng))
+        form.scan(), form._primary()
+        n = form.level
+        neg = form.negated()
+        assert _form_data(neg) == _form_data(FiniteQuadraticForm._from_ints(
+            form.orders, n, [-v % (2 * n) for v in form.qints],
+            [[-x % n for x in row] for row in form.bints]))
+        assert all(type(row) is tuple for row in neg.bints) and type(neg.qints) is tuple
+        assert _form_data(neg.negated()) == _form_data(form)
+        assert neg._scan is None and neg._parts is None
 
 
 @pytest.mark.parametrize("text", ["3^-2", "3^-1 9^+1", "2_II^+2 3^+1", "2_II^+4",
@@ -511,7 +574,7 @@ def _quotient_by_kernels(form, gens, mods):
              for j, d in enumerate(form.orders)]
     rel = [z[:m] for z in integer_kernel(transpose(cols))]
     bmatrix = transpose(rel)
-    d, _, v = smith_normal_form(bmatrix)
+    d, v = smith_normal_form(bmatrix)
     orders, lifts = [], []
     for i, di in enumerate(d):
         if di > 1:
@@ -944,6 +1007,38 @@ def test_induced_automorphism_needs_the_dual_lattice():
     dg = discriminant_group(named_lattice("A2"))
     with pytest.raises(ValueError, match="dual lattice"):
         dg.induced_automorphism([[2, 0], [0, 1]])
+
+
+def _row_transform_images(latt, matrix):
+    """Reference: the generator images u*G*M*v e_i / d_i modulo the orders,
+    with u and v from the reference Smith normal form of the Gram matrix."""
+    from latticelab.exactmat import mat_vec
+    gram = latt.gram_rows()
+    d, u, v = reference_smith_normal_form(gram)
+    keep = [i for i, di in enumerate(d) if di != 1]
+    images = []
+    for i in keep:
+        gmc = mat_vec(gram, mat_vec(matrix, [row[i] for row in v]))
+        assert all(x % d[i] == 0 for x in gmc)
+        images.append(tuple(sum(a * x for a, x in zip(u[k], gmc)) // d[i] % d[k]
+                            for k in keep))
+    return tuple(images)
+
+
+def test_induced_automorphism_matches_row_transform():
+    """The images read through v^-1 are those of the row transform u: on
+    every isometry of every reduced even rank-2 form of det <= 400, and on
+    +-I for the registry lattices."""
+    from latticelab import rank2_enumerate, rank2_isometries
+    cases = [(form.positive_lattice(), m) for det in range(3, 401)
+             for form in rank2_enumerate(det) for m in rank2_isometries(form)]
+    for latt in map(named_lattice, REGISTRY_NAMES):
+        n = latt.rank
+        cases += [(latt, [[s * (i == j) for j in range(n)] for i in range(n)]) for s in (1, -1)]
+    for latt, m in cases:
+        assert discriminant_group(latt).induced_automorphism(m) == \
+            _row_transform_images(latt, m), (latt.gram_rows(), m)
+    assert len(cases) > 2000
 
 
 def test_form_json_round_trip():

@@ -540,6 +540,124 @@ def test_k3_pass_misses_each_distinct_key_once(monkeypatch):
         assert info.hits + info.misses == len(log)
 
 
+def reference_split_primary(p, level, orders, qs, gs):
+    """Reference: _split_primary as written before its projections were in
+    closed form, with the coefficients c = adj(M) (ord(x)*b(x_a, g))_a / det M
+    and every projected entry summed over the pivots by a generator."""
+    qs, gs = list(qs), list(gs)
+    acc = {}
+    while orders:
+        xs, k, eps, unit = latticelab.symbol._pivot(p, level, orders, qs, gs)
+        n0, eps0, t0 = acc.get(k, (0, 1, None))
+        acc[k] = (n0 + len(xs), eps0 * eps,
+                  t0 if unit is None else (t0 or 0) + unit)
+        o = orders[xs[0]]
+        s = level // o
+        m = [[gs[a][b] // s for b in xs] for a in xs]
+        if len(xs) == 1:
+            adj, det = [[1]], m[0][0]
+        else:
+            adj = [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
+            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        inv = pow(det, -1, o)
+        rest = [g for g in range(len(orders)) if g not in xs]
+        cs = [[inv * sum(u * (gs[a][g] // s) for u, a in zip(row, xs)) % o
+               for row in adj] for g in rest]
+        new_qs = []
+        for g, c in zip(rest, cs):
+            z = sum(ca * ca * qs[a] - 2 * ca * gs[a][g] for ca, a in zip(c, xs))
+            if len(xs) == 2:
+                z += 2 * c[0] * c[1] * gs[xs[0]][xs[1]]
+            new_qs.append((qs[g] + z) % (2 * level))
+        gs = [[(gs[g][h] - sum(ca * gs[a][h] for ca, a in zip(c, xs))) % level
+               for h in rest] for g, c in zip(rest, cs)]
+        orders = [orders[g] for g in rest]
+        qs = new_qs
+    return tuple(JordanConstituent(p, k, n, eps, even=t is None,
+                                   oddity=0 if t is None else t % 8)
+                 for k, (n, eps, t) in sorted(acc.items()))
+
+
+def _split_or_error(split, key):
+    try:
+        return split(*key)
+    except DegenerateError as err:
+        return f"DegenerateError: {err}"
+
+
+def _random_p_key(rng, p):
+    """A _split_primary key: rank 1 to 6, orders p to p^3 in any order, at
+    the level of the largest; b values random multiples of their least
+    denominator, the diagonal ones units, except in a third of the keys,
+    of one order, where every diagonal b value is divisible by p (so odd p
+    needs pair pivots, p = 2 u/v blocks), and another third with a zero
+    row (degenerate)."""
+    k, style = rng.randint(1, 6), rng.randrange(3)
+    orders = [p ** rng.randint(1, 3) for _ in range(k)] if style != 1 else \
+        [p ** rng.randint(1, 3)] * k
+    level = max(orders)
+    gs = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            o = min(orders[i], orders[j])
+            r = rng.randrange(o)
+            if i == j:  # a unit, or for style 1 a multiple of p
+                r = r * p % o if style == 1 else r - r % p + 1
+            gs[i][j] = gs[j][i] = r * (level // o)
+    if style == 2:
+        zero = rng.randrange(k)
+        for i in range(k):
+            gs[i][zero] = gs[zero][i] = 0
+    # q = b(e, e) + 0 or 1, even over the odd level for odd p
+    qs = [(g[i] + level * (g[i] % 2 if p != 2 else rng.randrange(2))) % (2 * level)
+          for i, g in enumerate(gs)]
+    return p, level, tuple(orders), tuple(qs), tuple(map(tuple, gs))
+
+
+def test_closed_form_split_matches_reference(monkeypatch):
+    """The closed-form projections give the reference's constituents, or
+    the same DegenerateError, on every key of the five table runs and on
+    3,000 seeded p-group keys (p = 2, 3, 5, 7, rank <= 6), which take odd
+    pair pivots, 2-adic u/v blocks and degenerate forms."""
+    sym = latticelab.symbol
+    table_keys = set()
+    real = sym._split_primary
+    monkeypatch.setattr(sym, "_split_primary",
+                        lambda *key: table_keys.add(key) or real(*key))
+    for table, root in [("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
+                        ("k3max11", "E7"), ("k3max11", "E8")]:
+        for verdict in full_report(table, root):
+            verdict.to_json_dict()
+    rng = random.Random(3001)
+    keys = sorted(table_keys) + [_random_p_key(rng, rng.choice((2, 3, 5, 7)))
+                                 for _ in range(3000)]
+    kinds = {}
+    real_pivot = sym._pivot
+
+    def pivot(p, level, orders, qs, gs):
+        before = list(qs)
+        out = real_pivot(p, level, orders, qs, gs)
+        kind = (p == 2, len(out[0]), qs != before)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        return out
+
+    monkeypatch.setattr(sym, "_pivot", pivot)
+    expected = [_split_or_error(reference_split_primary, key) for key in keys]
+    assert [_split_or_error(real.__wrapped__, key) for key in keys] == expected
+    assert len(table_keys) > 100
+    assert kinds[False, 1, True] > 100 and kinds[True, 2, False] > 100
+    assert 500 < sum(type(e) is str for e in expected) < 2000
+
+
+def test_oddities_table_matches_the_scan():
+    """_oddities(eps, n) is the range(8) scan of realizable_pairs(n)."""
+    from latticelab.symbol import _oddities
+    for n in range(9):
+        for eps in (1, -1):
+            assert _oddities(eps, n) == tuple(
+                t for t in range(8) if (eps, t) in realizable_pairs(n))
+
+
 # -- the canonical 2-adic symbol against its definition ----------------------
 
 

@@ -67,6 +67,17 @@ Recorded:
                        and empty Jordan caches: the symbol of each witness
                        quotient, as the saturation search and the criterion
                        take it.  From BENCH_29 on.
+  smith_normal_form_ms median and IQR over RUNS (21) units of the mean time
+                       per smith_normal_form call, in ms at the reference
+                       speed, over the matrices that one pass of the five
+                       table runs (with to_json_dict()) gives it, with their
+                       count; the matrices are captured once, in an untimed
+                       pass before any unit.  From BENCH_30 on.
+  split_primary_ms     median and IQR over RUNS (21) units of the mean time
+                       per uncached Jordan split (`_split_primary.__wrapped__`)
+                       over the distinct p-part keys of that same pass, in ms
+                       at the reference speed, with their count.  From
+                       BENCH_30 on.
   rank2_enumerate_ms   per queries stratum of determinants, and for the one
                        determinant DET_CAP under `cap`: median and IQR over
                        RUNS (21) units of the mean time per call, in ms at
@@ -108,9 +119,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import calib  # noqa: E402
 import gen  # noqa: E402
+import latticelab.exactmat  # noqa: E402
+import latticelab.fqf  # noqa: E402
 import latticelab.nikulin  # noqa: E402
 import latticelab.symbol  # noqa: E402
 from latticelab import complement_quotient, full_report, rank2_enumerate  # noqa: E402
+from latticelab.exactmat import smith_normal_form  # noqa: E402
 from latticelab.fqf import Subgroup  # noqa: E402
 from latticelab.rank2 import DET_CAP  # noqa: E402
 from latticelab.symbol import clear_jordan_caches, to_symbol  # noqa: E402
@@ -285,6 +299,49 @@ def time_to_symbol(runs: int, forms: list, unit_s: float = UNIT_S) -> dict:
     return {"forms": len(forms), **per_call_ms(one, len(forms), runs, unit_s, setup)}
 
 
+def kernel_inputs() -> tuple[list, list]:
+    """(matrices, keys): every matrix that one pass of the five table runs,
+    with to_json_dict(), gives smith_normal_form (copied as given), and
+    the distinct keys it splits with _split_primary, in first-seen order;
+    caught under the names the library calls, which are restored after."""
+    mats, keys = [], {}
+    sym = latticelab.symbol
+    snf, split = latticelab.exactmat.smith_normal_form, sym._split_primary
+
+    def logged_snf(mat):
+        mats.append([list(row) for row in mat])
+        return snf(mat)
+
+    latticelab.exactmat.smith_normal_form = latticelab.fqf.smith_normal_form = logged_snf
+    sym._split_primary = lambda *key: keys.setdefault(key) or split(*key)
+    try:
+        for table, root in TABLE_RUNS:
+            for verdict in full_report(table, root):
+                verdict.to_json_dict()
+    finally:
+        latticelab.exactmat.smith_normal_form = latticelab.fqf.smith_normal_form = snf
+        sym._split_primary = split
+    return mats, list(keys)
+
+
+def time_smith_normal_form(runs: int, mats: list, unit_s: float = UNIT_S) -> dict:
+    def one():
+        for mat in mats:
+            smith_normal_form(mat)
+
+    return {"matrices": len(mats), **per_call_ms(one, len(mats), runs, unit_s)}
+
+
+def time_split_primary(runs: int, keys: list, unit_s: float = UNIT_S) -> dict:
+    split = latticelab.symbol._split_primary.__wrapped__
+
+    def one():
+        for key in keys:
+            split(*key)
+
+    return {"keys": len(keys), **per_call_ms(one, len(keys), runs, unit_s)}
+
+
 def time_rank2(runs: int, per_stratum: int, unit_s: float = UNIT_S) -> dict:
     cases = {f"{lo}-{hi}": inputs for (lo, hi), inputs in rank2_inputs(per_stratum).items()}
     cases["cap"] = [(DET_CAP, False)]
@@ -321,6 +378,7 @@ def time_cold_start(runs: int) -> dict:
 def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
     dirty = git("status", "--porcelain", "--untracked-files=no")
     pairs = glue_pairs()
+    mats, keys = kernel_inputs()
     return {
         "pr": pr,
         "git_sha": git("rev-parse", "HEAD"),
@@ -336,6 +394,8 @@ def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
         "complement_quotient_ms": time_complement_quotient(runs, pairs, unit_s),
         "to_symbol_ms": time_to_symbol(runs, symbol_forms(), unit_s),
         "witness_symbol_ms": time_witness_symbols(runs, pairs, unit_s),
+        "smith_normal_form_ms": time_smith_normal_form(runs, mats, unit_s),
+        "split_primary_ms": time_split_primary(runs, keys, unit_s),
         "rank2_enumerate_ms": time_rank2(runs, per_stratum, unit_s),
         "cold_start_ms": time_cold_start(runs),
     }
