@@ -19,7 +19,7 @@ from latticelab import (
     uniqueness_for_record,
 )
 from latticelab.errors import AssumptionMissingError, NotMaximalRankError
-from test_fqf import prime_power_orders
+from test_fqf import EMBEDDING_SUMMANDS, prime_power_orders
 from test_rank2 import reference_enumerate
 
 
@@ -183,6 +183,24 @@ def test_embedding_counts_match_burnside(monkeypatch):
         assert classes == count
         found.append((len(images), classes))
     assert found == [(6, 1), (1, 1), (1, 1), (3, 1), (2, 2), (1, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("text", EMBEDDING_SUMMANDS)
+def test_elementwise_embedding_cases_match_burnside(text):
+    """The cases of test_embedding_orbits_match_elementwise, counted by the
+    oracle: full Aut(big), and one or two non-identity maps.  The
+    components under a list of permutations are the orbits of the group
+    the list generates, so Burnside counts them too."""
+    from latticelab import (automorphisms, direct_sum_forms, embedding_images,
+                            form_embeddings_mod_aut, form_from_symbol_text)
+    small = form_from_symbol_text(text)
+    big = direct_sum_forms(small, form_from_symbol_text(EMBEDDING_SUMMANDS[text]))
+    auts = automorphisms(big)
+    moving = [m for m in auts if m != tuple(big.gens())]
+    for maps in (auts, moving[:1], moving[-2:]):
+        images, classes = _burnside_embedding_count(small, big, maps)
+        assert set(images) == set(embedding_images(small, big))
+        assert form_embeddings_mod_aut(small, big, maps)[0] == classes
 
 
 def test_nonsymplectic_orders():
