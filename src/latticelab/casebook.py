@@ -306,10 +306,10 @@ def embedding_class_count(rec: LeechPairRecord, t_form: Rank2Form) -> int:
     dg = discriminant_group(t_form.positive_lattice())
     if rec.q_S.order <= dg.form.order:
         # automorphisms of -q_T induced by the isometry group of T
-        aut_maps = sorted({dg.induced_automorphism(m) for m in rank2_isometries(t_form)})
-        count, _ = form_embeddings_mod_aut(rec.q_S, dg.form, aut_maps)
+        count, _ = form_embeddings_mod_aut(rec.q_S, dg.form, lambda: sorted(
+            {dg.induced_automorphism(m) for m in rank2_isometries(t_form)}))
     else:
-        count, _ = form_embeddings_mod_aut(dg.form, rec.q_S, automorphisms(rec.q_S))
+        count, _ = form_embeddings_mod_aut(dg.form, rec.q_S, lambda: automorphisms(rec.q_S))
     return count
 
 

@@ -422,16 +422,20 @@ class Subgroup:
         self._store(ambient, _span(ambient, (ambient.reduce(g) for g in gens)))
 
     @classmethod
-    def _of_elements(cls, ambient: FiniteQuadraticForm, elements: frozenset) -> "Subgroup":
-        """The subgroup whose element set is elements, already closed."""
+    def _of_elements(cls, ambient: FiniteQuadraticForm, elements: frozenset,
+                     gens=None) -> "Subgroup":
+        """The subgroup whose element set is elements, already closed, with
+        gens a generating tuple of it (from _subgroups_within) if known."""
         self = object.__new__(cls)
-        self._store(ambient, elements)
+        self._store(ambient, elements, gens)
         return self
 
-    def _store(self, ambient, elements):
-        self.ambient = ambient
-        self.elements = elements
-        self.gens = tuple(_minimal_generators(ambient, elements))
+    def _store(self, ambient, elements, gens=None):
+        self.ambient, self.elements, n = ambient, elements, len(elements)
+        # H = <g> (or trivial): its least element of order |H| is the least k*g, k prime to |H|
+        self.gens = tuple(_minimal_generators(ambient, elements) if gens is None or len(gens) > 1
+                          else [min(ambient.scale(g, k) for k in range(1, n) if gcd(k, n) == 1)
+                                for g in gens])
 
     @property
     def order(self) -> int:
@@ -510,7 +514,8 @@ def isotropic_subgroups(form: FiniteQuadraticForm):
     if form.order > BRUTE_CAP:
         raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
     zero_set = frozenset(x for x, q, _ in form.scan() if q == 0)
-    subs = [Subgroup._of_elements(form, els) for els in _subgroups_within(form, zero_set)]
+    subs = [Subgroup._of_elements(form, els, gens)
+            for els, gens in _subgroups_within(form, zero_set).items()]
     subs.sort(key=Subgroup.sort_key)
     return subs
 
@@ -716,19 +721,23 @@ def form_embeddings_mod_aut(small: FiniteQuadraticForm, big: FiniteQuadraticForm
 
     aut_maps is a list of generator-image tuples of isometries of `big`
     (for example automorphisms(big), or the maps induced by lattice
-    isometries).  The maps need not form a group: the classes are the
-    connected components of the graph that joins each image to its image
-    under each map.  Each map permutes the images, so a component is what
-    the maps reach forward from its first image in embedding_images order.
-    Returns (count, orbit_representatives), one first image per component,
-    and stops moving generators once every image is reached.
+    isometries), or a function of no arguments returning one, called only
+    to join two or more images: one image is one class.  The maps need not
+    form a group: the classes are the components of the graph that joins
+    each image to its image under each map, each a forward walk from its
+    first image, as each map permutes the images.  Returns (count, one
+    first image per component), and stops once every image is reached.
 
-    An isometry sends an image onto an image of the same order, and the
-    images are distinct subgroups of that order: the target is the one
-    image that holds the images of a generating set, the one bit left in
-    the AND of their masks in holders (element -> mask of images holding it).
+    A map's target is read off probes of the popped image H_i: elements
+    whose masks in holders (element -> mask of images holding it) AND to
+    bit i alone, one element where H_i holds one of its own.  Only H_i
+    holds them all, so only sigma(H_i) holds their images: the target is
+    the one bit left in the AND of those images' masks.
     """
     images = embedding_images(small, big)
+    if len(images) < 2:
+        return len(images), images[:1]
+    maps = aut_maps() if callable(aut_maps) else aut_maps
     holders: dict[tuple, int] = {}
     for i, img in enumerate(images):
         for x in img:
@@ -741,13 +750,20 @@ def form_embeddings_mod_aut(small: FiniteQuadraticForm, big: FiniteQuadraticForm
         seen.add(i)
         stack = [i]
         while stack and len(seen) < len(images):
-            gens = _minimal_generators(big, images[stack.pop()])
-            for mp in aut_maps:
+            probes, mask, j = [], (1 << len(images)) - 1, stack.pop()
+            for x in images[j]:
+                if holders[x] == 1 << j:
+                    probes = [x]
+                    break
+                if mask & holders[x] != mask:
+                    probes.append(x)
+                    mask &= holders[x]
+            for mp in maps:
                 if len(seen) == len(images):
                     break
-                j = reduce(and_, [holders[apply_gen_map(big, mp, g)]
-                                  for g in gens]).bit_length() - 1
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
+                k = reduce(and_, [holders[apply_gen_map(big, mp, x)]
+                                  for x in probes]).bit_length() - 1
+                if k not in seen:
+                    seen.add(k)
+                    stack.append(k)
     return len(reps), reps

@@ -204,8 +204,8 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
     pool = frozenset(s + r for r, q, d in q_r.scan()
                      for o, s in by_q.get(-q * n_s % (2 * n_s * n_r), ()) if d % o == 0)
     witnesses = []
-    for els in _subgroups_within(total, pool):
-        sub = Subgroup._of_elements(total, els)
+    for els, gens in _subgroups_within(total, pool).items():
+        sub = Subgroup._of_elements(total, els, gens)
         witnesses.append(SaturationWitness(
             glue_gens=sub.gens, index=sub.order,
             quotient=complement_quotient(total, sub)))

@@ -28,7 +28,7 @@ def check_schema(data, runs):
     keys = {"pr", "git_sha", "git_dirty", "python", "nproc", "PYTHONDONTWRITEBYTECODE",
             "src_lines", "runs", "full_report_s", "rank2_enumerate_ms", "cold_start_ms",
             "complement_quotient_ms", "src_sha256", "to_symbol_ms", "witness_symbol_ms",
-            "smith_normal_form_ms", "split_primary_ms"}
+            "smith_normal_form_ms", "split_primary_ms", "embedding_class_count_ms"}
     if data["pr"] in range(16, 23):  # BENCH_16 to BENCH_22 predate cold_start_ms
         keys.remove("cold_start_ms")
     if data["pr"] in range(16, 25):  # BENCH_16 to BENCH_24 predate complement_quotient_ms
@@ -41,6 +41,8 @@ def check_schema(data, runs):
         keys.remove("witness_symbol_ms")
     if data["pr"] in range(16, 30):  # BENCH_16 to BENCH_29 predate the kernel timings
         keys -= {"smith_normal_form_ms", "split_primary_ms"}
+    if data["pr"] in range(16, 31):  # BENCH_16 to BENCH_30 predate embedding_class_count_ms
+        keys.remove("embedding_class_count_ms")
     assert set(data) == keys
     assert (data["git_sha"] is None) == (data["git_dirty"] is None)
     assert data["git_sha"] is None or len(data["git_sha"]) == 40
@@ -66,6 +68,9 @@ def check_schema(data, runs):
         assert data["split_primary_ms"]["keys"] > 100
         _check_summary(data["smith_normal_form_ms"], runs)
         _check_summary(data["split_primary_ms"], runs)
+    if "embedding_class_count_ms" in keys:
+        assert data["embedding_class_count_ms"]["calls"] == 7
+        _check_summary(data["embedding_class_count_ms"], runs)
     rank2 = ["3-3000", "3001-30000", "30001-100000"]
     if data["pr"] not in range(16, 27):  # BENCH_16 to BENCH_26 predate the cap entry
         rank2.append("cap")
@@ -227,6 +232,38 @@ def test_kernels_are_timed_per_call_on_one_pass(bench, monkeypatch):
     entry = bench.time_split_primary(3, keys[:20])
     assert entry["keys"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
     assert calls == keys[:20] * 4
+
+
+def test_embedding_counts_are_timed_per_call_on_rebuilt_records(bench, monkeypatch):
+    """embedding_class_count_ms is the scaled mean per call over the 7
+    (record, T) calls of one hm15/E6 pass, each run from empty Jordan
+    caches and on records rebuilt with rebuilt forms, one copy per record,
+    both set up outside the timed span; the capture restores the name it
+    wrapped."""
+    import latticelab.casebook
+    real = latticelab.casebook.embedding_class_count
+    calls = bench.embedding_calls()
+    assert latticelab.casebook.embedding_class_count is real
+    assert [rec.row for rec, _ in calls] == [1, 4, 4, 5, 10, 11, 13]
+    monkeypatch.setattr(bench.calib, "kernel_s", lambda: 2 * bench.calib.K_REF_S)
+    clock = itertools.count(0, 0.5)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    seen, order = [], []
+    monkeypatch.setattr(bench, "clear_jordan_caches", lambda: order.append("clear"))
+    monkeypatch.setattr(bench, "embedding_class_count",
+                        lambda rec, t_form: seen.append((rec, t_form)) or order.append("count"))
+    entry = bench.time_embedding_class_count(3, calls)
+    assert entry["calls"] == 7 and entry["runs"] == [0.25 * 1e3 / 7] * 3
+    assert order == (["clear"] + ["count"] * 7) * 4
+    for start in range(0, len(seen), 7):
+        run = seen[start:start + 7]
+        for (rec, t_form), (old_rec, old_t) in zip(run, calls):
+            assert rec == old_rec and rec is not old_rec and t_form is old_t
+            for name in ("q_K", "q_S"):
+                form, old_form = getattr(rec, name), getattr(old_rec, name)
+                assert form is not old_form and _form_data(form) == _form_data(old_form)
+                assert form._scan is None and form._parts is None
+        assert run[1][0] is run[2][0]  # row 4's two classes share one record
 
 
 def test_cold_starts_keep_bytecode_out_of_the_checkout(bench, monkeypatch):

@@ -178,11 +178,37 @@ def test_embedding_counts_match_burnside(monkeypatch):
     full_report("hm15", "E6")
     found = []
     for small, big, maps, count in calls:
+        maps = maps() if callable(maps) else maps
         images, classes = _burnside_embedding_count(small, big, maps)
         assert set(images) == set(embedding_images(small, big))
         assert classes == count
         found.append((len(images), classes))
     assert found == [(6, 1), (1, 1), (1, 1), (3, 1), (2, 2), (1, 1), (1, 1)]
+
+
+def test_embedding_counts_list_maps_only_to_join_images(monkeypatch):
+    """Per hm15/E6 pass with JSON, Aut(q_S) is listed for rows 1 and 5 (6
+    and 3 images) and the O(T) maps for row 10 (2 images) alone: the one-
+    image calls (rows 4 twice, 11 and 13) list none.  Neither the walk nor
+    the witnesses, all cyclic, take minimal generators."""
+    from latticelab import casebook, fqf
+    rows, listed = [], Counter()
+
+    def by_row(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: listed.update(
+            [(name, rows[-1] if rows else None)]) or real(*a))
+    real_count = casebook.embedding_class_count
+    monkeypatch.setattr(casebook, "embedding_class_count",
+                        lambda rec, t_form: rows.append(rec.row) or real_count(rec, t_form))
+    by_row(casebook, "automorphisms")
+    by_row(fqf.DiscriminantGroup, "induced_automorphism")
+    by_row(fqf, "_minimal_generators")
+    for verdict in full_report("hm15", "E6"):
+        verdict.to_json_dict()
+    assert rows == [1, 4, 4, 5, 10, 11, 13]
+    assert listed == {("automorphisms", 1): 1, ("automorphisms", 5): 1,
+                      ("induced_automorphism", 10): 4}
 
 
 @pytest.mark.parametrize("text", EMBEDDING_SUMMANDS)
@@ -371,6 +397,35 @@ def test_transcendental_candidates_match_full_scan(table_reports):
                 assert transcendental_candidates(verdict.record, root, outcome) == scan
                 assert outcome.verdict.exists == bool(scan), outcome.witness
                 built[bool(scan)] += 1
+    assert built == {True: 85, False: 78}
+
+
+def test_table_verdicts_match_rank2_construction(table_reports):
+    """Every table verdict is a rank-2 verdict: the complement of signature
+    (0, 2) and form -q exists iff some reduced positive even binary form T
+    of determinant |q| has q_T isometric to q.  Decided by rank2_enumerate,
+    discriminant_form and bruteforce_isomorphic alone, with nothing from
+    symbol.py or nikulin.py: one list of T forms per determinant, and one
+    search per quotient presentation (its integers)."""
+    from latticelab import bruteforce_isomorphic, discriminant_form, rank2_enumerate
+    t_forms, truths, built = {}, {}, Counter()
+    for report in table_reports.values():
+        for verdict in report:
+            crit = verdict.criterion
+            if not crit:
+                continue
+            assert not crit.outcomes or crit.complement_rank == 2
+            for outcome in crit.outcomes:
+                q = outcome.witness.quotient
+                if q.order not in t_forms:
+                    t_forms[q.order] = [discriminant_form(t.positive_lattice())
+                                        for t in rank2_enumerate(q.order)]
+                key = q.orders, q.level, q.qints, q.bints
+                if key not in truths:
+                    truths[key] = any(bruteforce_isomorphic(q_t, q) for q_t in t_forms[q.order])
+                truth = truths[key]
+                assert outcome.verdict.exists == truth, outcome.witness
+                built[truth] += 1
     assert built == {True: 85, False: 78}
 
 

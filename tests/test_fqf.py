@@ -1261,7 +1261,8 @@ def test_embedding_orbits_match_elementwise(text):
 @pytest.mark.parametrize("text", SMALL_SYMBOLS)
 def test_orbit_walk_reads_the_image_list_a_fixed_number_of_times(monkeypatch, text):
     """The walk finds each target through the element masks, so it
-    iterates the image list as often for no map as for all of Aut(big)."""
+    iterates the image list as often for no map as for all of Aut(big):
+    twice, or not at all where one image is the one class."""
     import latticelab.fqf
     from latticelab import form_embeddings_mod_aut, form_from_symbol_text
 
@@ -1283,7 +1284,23 @@ def test_orbit_walk_reads_the_image_list_a_fixed_number_of_times(monkeypatch, te
         CountedList.iterations = 0
         form_embeddings_mod_aut(small, big, maps)
         counts.append(CountedList.iterations)
-    assert counts == [2, 2, 2]
+    assert counts == [2 if len(real(small, big)) > 1 else 0] * 3
+
+
+@pytest.mark.parametrize("text", SMALL_SYMBOLS)
+def test_embedding_maps_are_listed_only_to_join_images(text):
+    """A function given for the maps is called once where two or more
+    images must be joined and never for one image, and counts as the
+    list it returns."""
+    from latticelab import embedding_images, form_embeddings_mod_aut, form_from_symbol_text
+    small = form_from_symbol_text(text)
+    big = direct_sum_forms(small, form_from_symbol_text(EMBEDDING_SUMMANDS[text]))
+    auts, calls = automorphisms(big), []
+    for maps in (auts, auts[-1:], []):
+        calls.clear()
+        out = form_embeddings_mod_aut(small, big, lambda: calls.append(1) or maps)
+        assert out == form_embeddings_mod_aut(small, big, maps)
+        assert len(calls) == (len(embedding_images(small, big)) > 1)
 
 
 def _classical_order(rank, p, sign):

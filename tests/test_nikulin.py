@@ -396,6 +396,23 @@ def test_saturations_take_no_subgroup_basis(monkeypatch, table_reports):
     assert spans == []
 
 
+def test_cyclic_witnesses_read_their_generating_tuples(monkeypatch, table_reports):
+    """Every witness of the five table runs is cyclic or trivial, so its glue
+    generator is the least k*g of the one-generator tuple that the subgroup
+    search returns (the tuple () for the trivial one): no record takes
+    _minimal_generators, and test_saturations_take_no_subgroup_basis pins
+    the generators against it."""
+    import latticelab.fqf
+    calls = []
+    real = latticelab.fqf._minimal_generators
+    monkeypatch.setattr(latticelab.fqf, "_minimal_generators",
+                        lambda *a: calls.append(a) or real(*a))
+    witnesses = [w for table, root in table_reports for rec in load_table(table)
+                 for w in saturations_keeping_primitive(rec.q_S, polarization_root(root).q_R)]
+    assert len(witnesses) > 150 and all(len(w.glue_gens) <= 1 for w in witnesses)
+    assert calls == []
+
+
 def test_k3_pass_walks_no_whole_q_s():
     """The saturations walk A_S[e] alone, e the exponent of A_R, never A_S:
     a k3max11 pass against all four roots leaves the walk of every record's

@@ -1,5 +1,5 @@
 """Write BENCH_<pr>.json: the table runs, the glue quotients, the genus
-symbols and the rank-2 enumeration, timed.
+symbols, the embedding counts and the rank-2 enumeration, timed.
 
     python3 tools/bench.py --pr N [--quick]
 
@@ -78,6 +78,16 @@ Recorded:
                        over the distinct p-part keys of that same pass, in ms
                        at the reference speed, with their count.  From
                        BENCH_30 on.
+  embedding_class_count_ms
+                       median and IQR over RUNS (21) units of the mean time
+                       per embedding_class_count call, in ms at the
+                       reference speed, over the (record, T) calls that one
+                       hm15/E6 pass (with to_json_dict()) makes, with their
+                       count; the calls are captured once, in an untimed
+                       pass before any unit, and before each run, untimed,
+                       the Jordan caches are emptied and every captured
+                       record is rebuilt with its forms rebuilt, one copy
+                       per record.  From BENCH_31 on.
   rank2_enumerate_ms   per queries stratum of determinants, and for the one
                        determinant DET_CAP under `cap`: median and IQR over
                        RUNS (21) units of the mean time per call, in ms at
@@ -119,11 +129,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import calib  # noqa: E402
 import gen  # noqa: E402
+import latticelab.casebook  # noqa: E402
 import latticelab.exactmat  # noqa: E402
 import latticelab.fqf  # noqa: E402
 import latticelab.nikulin  # noqa: E402
 import latticelab.symbol  # noqa: E402
-from latticelab import complement_quotient, full_report, rank2_enumerate  # noqa: E402
+from latticelab import (complement_quotient, embedding_class_count, full_report,  # noqa: E402
+                        rank2_enumerate)
 from latticelab.exactmat import smith_normal_form  # noqa: E402
 from latticelab.fqf import Subgroup  # noqa: E402
 from latticelab.rank2 import DET_CAP  # noqa: E402
@@ -342,6 +354,45 @@ def time_split_primary(runs: int, keys: list, unit_s: float = UNIT_S) -> dict:
     return {"keys": len(keys), **per_call_ms(one, len(keys), runs, unit_s)}
 
 
+def embedding_calls() -> list:
+    """The (record, T) pairs that one hm15/E6 pass, with to_json_dict(),
+    hands embedding_class_count, through the name analyze_record calls."""
+    calls = []
+    real = latticelab.casebook.embedding_class_count
+    latticelab.casebook.embedding_class_count = \
+        lambda rec, t_form: calls.append((rec, t_form)) or real(rec, t_form)
+    try:
+        for verdict in full_report("hm15", "E6"):
+            verdict.to_json_dict()
+    finally:
+        latticelab.casebook.embedding_class_count = real
+    return calls
+
+
+def rebuilt_calls(calls: list) -> list:
+    """The (record, T) pairs on records rebuilt with rebuilt forms; a
+    record met more than once is rebuilt once."""
+    copies = {}
+    for rec, _ in calls:
+        if id(rec) not in copies:
+            fields = {name: getattr(rec, name) for name in rec.__slots__}
+            fields["q_K"], fields["q_S"] = rebuilt([rec.q_K, rec.q_S])
+            copies[id(rec)] = type(rec)(**fields)
+    return [(copies[id(rec)], t_form) for rec, t_form in calls]
+
+
+def time_embedding_class_count(runs: int, calls: list, unit_s: float = UNIT_S) -> dict:
+    def one(fresh):
+        for rec, t_form in fresh:
+            embedding_class_count(rec, t_form)
+
+    def setup():
+        clear_jordan_caches()
+        return (rebuilt_calls(calls),)
+
+    return {"calls": len(calls), **per_call_ms(one, len(calls), runs, unit_s, setup)}
+
+
 def time_rank2(runs: int, per_stratum: int, unit_s: float = UNIT_S) -> dict:
     cases = {f"{lo}-{hi}": inputs for (lo, hi), inputs in rank2_inputs(per_stratum).items()}
     cases["cap"] = [(DET_CAP, False)]
@@ -396,6 +447,7 @@ def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
         "witness_symbol_ms": time_witness_symbols(runs, pairs, unit_s),
         "smith_normal_form_ms": time_smith_normal_form(runs, mats, unit_s),
         "split_primary_ms": time_split_primary(runs, keys, unit_s),
+        "embedding_class_count_ms": time_embedding_class_count(runs, embedding_calls(), unit_s),
         "rank2_enumerate_ms": time_rank2(runs, per_stratum, unit_s),
         "cold_start_ms": time_cold_start(runs),
     }
