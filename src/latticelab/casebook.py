@@ -126,14 +126,8 @@ def load_table(table: str) -> list[LeechPairRecord]:
 
 def load_involution_controls() -> list[LeechPairRecord]:
     data = _load_json("involutions.json")
-    out = []
-    for row in data["rows"]:
-        q_k = form_from_symbol(parse_symbol(row["qK"]))
-        out.append(LeechPairRecord(
-            table="INVOLUTIONS", row=0, group=row["name"], order=2,
-            rank_K=row["rank_K"], qK_symbol=row["qK"],
-            aut_qS_surjective=False, q_K=q_k, q_S=negate_form(q_k)))
-    return out
+    return [_record_from_row("INVOLUTIONS", {"row": 0, "group": row["name"], "order": 2, **row})
+            for row in data["rows"]]
 
 
 # -- polarization roots ----------------------------------------------------------
@@ -194,19 +188,19 @@ def condition_check(rec: LeechPairRecord) -> ConditionVerdict:
 
 
 class WitnessOutcome(NamedTuple):
-    """One overlattice, its complement and the verdict; symbol is the
-    canonical symbol of the quotient form q, which decides the verdict (on
-    the swapped signature) and fixes the transcendental candidates."""
+    """One overlattice, the signature (n+, n-) of its complement, of form
+    -q, and the verdict; symbol is the canonical symbol of the quotient
+    form q, which decides the verdict (on the swapped signature) and fixes
+    the transcendental candidates."""
 
     witness: SaturationWitness
-    complement: LatticeInvariant
+    complement_signature: tuple[int, int]
     verdict: ExistenceVerdict
     symbol: GenusSymbol
 
     def to_json_dict(self):
         return {"witness": self.witness._json_dict(str(self.symbol)),
-                "complement_signature": [self.complement.n_plus,
-                                         self.complement.n_minus],
+                "complement_signature": list(self.complement_signature),
                 **self.verdict.to_json_dict()}
 
 
@@ -241,16 +235,13 @@ def polarized_criterion(rec: LeechPairRecord, root: PolarizationRoot) -> Criteri
     if comp_plus < 0:
         # S + R does not even fit by rank
         return CriterionResult(False, [], comp_plus + comp_minus)
-    outcomes = []
+    outcomes, signature = [], (comp_plus, comp_minus)
     verdicts: dict[GenusSymbol, ExistenceVerdict] = {}
     for witness in saturations_keeping_primitive(rec.q_S, root.q_R):
         symbol = to_symbol(witness.quotient)
         if symbol not in verdicts:
             verdicts[symbol] = genus_exists(comp_minus, comp_plus, symbol)
-        outcomes.append(WitnessOutcome(
-            witness, LatticeInvariant(comp_plus, comp_minus,
-                                      negate_form(witness.quotient)),
-            verdicts[symbol], symbol))
+        outcomes.append(WitnessOutcome(witness, signature, verdicts[symbol], symbol))
     return CriterionResult(any(o.verdict.exists for o in outcomes), outcomes,
                            comp_plus + comp_minus)
 

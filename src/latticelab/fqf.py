@@ -20,8 +20,8 @@ Smith normal form on its own coordinates.
 Loops over a whole group read one `scan()`, which builds each element's q
 value and order from its prefix in O(1); the Gauss-sum oracle in
 `cyclotomic.py` evaluates q pointwise and shares no code with the walk.
-The walk, and the p-parts of a form that `complement_quotient` glues over
-or builds (`_primary`), are kept in private slots: a form is immutable.
+The walk, and the p-part blocks of a form that `complement_quotient`
+glues over (`_primary`), are kept in private slots: a form is immutable.
 Pickle and copy leave both out, and `symbol.clear_jordan_caches` too.
 """
 
@@ -82,13 +82,10 @@ class FiniteQuadraticForm:
             level //= g
             qints = [v // g for v in qints]
             bints = [[x // g for x in row] for row in bints]
-        self._set(orders, level, tuple(qints), tuple(map(tuple, bints)))
-
-    def _set(self, orders, level, qints, bints):
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "qints", qints)
-        object.__setattr__(self, "bints", bints)
+        object.__setattr__(self, "qints", tuple(qints))
+        object.__setattr__(self, "bints", tuple(map(tuple, bints)))
         object.__setattr__(self, "_order", prod(orders))
         object.__setattr__(self, "_scan", None)
         object.__setattr__(self, "_parts", None)
@@ -97,7 +94,7 @@ class FiniteQuadraticForm:
         raise AttributeError("FiniteQuadraticForm is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild the stored integers, never the cached scan or p-parts
+        # pickle and copy rebuild the stored integers, never the cached scan or blocks
         return self._from_ints, (self.orders, self.level, self.qints, self.bints)
 
     def _validate(self):
@@ -224,11 +221,10 @@ class FiniteQuadraticForm:
                                               qints, bints)
 
     def negated(self) -> "FiniteQuadraticForm":
-        """-q: negation keeps every gcd, so the integers stay reduced."""
-        n, out = self.level, object.__new__(FiniteQuadraticForm)
-        out._set(self.orders, n, tuple([-v % (2 * n) for v in self.qints]),
-                 tuple([tuple([-x % n for x in row]) for row in self.bints]))
-        return out
+        n = self.level
+        return FiniteQuadraticForm._from_ints(
+            self.orders, n, [-v % (2 * n) for v in self.qints],
+            [[-x % n for x in row] for row in self.bints])
 
     def subquotient(self, gens):
         """Present the subgroup <gens> with the induced form.
@@ -255,10 +251,18 @@ class FiniteQuadraticForm:
         return sorted(factorize(self.exponent))
 
     def _primary(self) -> dict:
-        """{p: (key, block)} by prime; key (symbol._primary_key, or the form to
-        read it from) and block (complement_quotient) are None until read."""
+        """{p: (basis, orders, qs, bs)} by prime: A_p on its basis c_i e_i
+        (_basis) with its orders and its values at the form's level, built
+        on the first read and kept for complement_quotient."""
         if self._parts is None:
-            object.__setattr__(self, "_parts", dict.fromkeys(self.primes(), (None, None)))
+            n, parts = self.level, {}
+            for p in self.primes():
+                basis = self._basis(p)
+                parts[p] = (basis, [o for _, _, o in basis],
+                            [c * c * self.qints[i] % (2 * n) for i, c, _ in basis],
+                            [[ci * cj * self.bints[i][j] % n for j, cj, _ in basis]
+                             for i, ci, _ in basis])
+            object.__setattr__(self, "_parts", parts)
         return self._parts
 
     def _basis(self, p: int) -> list[tuple[int, int, int]]:
@@ -562,15 +566,15 @@ def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadr
 
     b vanishes between p-parts, so H-perp / H is the sum over p of
     H_p-perp / H_p on the basis c_i e_i of A_p, where H_p = m*H (m = |H| /
-    p^v, p^v the p-part of |H|), read on the block that form keeps per p:
-    the basis, its orders and its values at the level N of form.  Where p
-    misses |H| the block stands as it is, and the quotient takes over the
-    p-part's key.  Otherwise, on coordinates y of the basis, with R the
-    rows N*b(h, c_i e_i) mod N over the nonzero h = m*g (g a generator of
-    H), y -> (y, -R y / N) maps the lift of H_p-perp onto K = ker (R | N*I);
-    the graphs of the h and of the order relations span a full-rank
-    sublattice M of K, so H_p-perp / H_p = K / M, the torsion of
-    Z^(k_p+m_p) / M: one Smith normal form, whose lifts are coordinates y.
+    p^v, p^v the p-part of |H|), read on the block that form keeps per p
+    (_primary): the basis, its orders and its values at the level N of
+    form.  Where p misses |H| the block stands as it is.  Otherwise, on
+    coordinates y of the basis, with R the rows N*b(h, c_i e_i) mod N over
+    the nonzero h = m*g (g a generator of H), y -> (y, -R y / N) maps the
+    lift of H_p-perp onto K = ker (R | N*I); the graphs of the h and of
+    the order relations span a full-rank sublattice M of K, so H_p-perp /
+    H_p = K / M, the torsion of Z^(k_p+m_p) / M: one Smith normal form,
+    whose lifts are coordinates y.
     The blocks are joined at level N, by prime.
     """
     for g in sub.gens:
@@ -582,39 +586,26 @@ def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadr
     rows = [form.b_row(g) for g in sub.gens]
     if any(sum(map(mul, row, g)) % n for row in rows for g in sub.gens):
         raise NotIsotropicError("subgroup is not isotropic")
-    orders, qints, blocks, parts, h = [], [], [], {}, sub.order
-    ambient = form._primary()
-    for p, (key, block) in ambient.items():
-        if block is None:
-            basis = form._basis(p)
-            ambient[p] = key, (block := (basis, [o for _, _, o in basis], [
-                c * c * form.qints[i] % (2 * n) for i, c, _ in basis], [
-                [ci * cj * form.bints[i][j] % n for j, cj, _ in basis] for i, ci, _ in basis]))
-        basis = block[0]
-        if h % p:
-            (_, o_p, q_p, b_p), key = block, key or form
-        else:
+    orders, qints, blocks, h = [], [], [], sub.order
+    for p, (basis, o_p, q_p, b_p) in form._primary().items():
+        if h % p == 0:
             m = h // gcd(h, p ** h.bit_length())
             hs = [(y, row) for g, row in zip(sub.gens, rows)
                   if any(y := [m * g[i] % (c * o) // c for i, c, o in basis])]
             ys = [y for y, _ in hs]
-            mat = _with_relations(ys, block[1])
+            mat = _with_relations(ys, o_p)
             for _, row in hs:
                 r = [m * c * row[i] % n for i, c, _ in basis]
                 mat.append([-(sum(map(mul, r, y)) // n) for y in ys]
                            + [-(x * o // n) for x, (_, _, o) in zip(r, basis)])
             o_p, coords = _torsion(mat, mat[:len(basis)])
-            q_p, b_p = _values(n, *block[2:], coords)
-            key = None
+            q_p, b_p = _values(n, q_p, b_p, coords)
         if o_p:
-            parts[p] = key, None
             blocks.append((len(orders), b_p))
             orders += o_p
             qints += q_p
-    quot = FiniteQuadraticForm._from_ints(orders, n, qints, [
+    return FiniteQuadraticForm._from_ints(orders, n, qints, [
         [0] * j + row + [0] * (len(orders) - j - len(row)) for j, b in blocks for row in b])
-    object.__setattr__(quot, "_parts", parts)
-    return quot
 
 
 # -- brute-force isomorphism oracle and automorphisms ---------------------------

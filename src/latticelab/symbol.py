@@ -32,7 +32,7 @@ constituent tuple in scale order.  Both are pure functions of integer
 tuples and return tuples of NamedTuples, so a cached result cannot
 change and every symbol is the same whatever the caches hold; the forms
 of one table share most of their p-parts.  clear_jordan_caches empties
-both, not the keys that a glued form keeps (_primary_key).
+both; a form keeps no symbol data of its own.
 """
 
 from __future__ import annotations
@@ -97,25 +97,14 @@ def _p_valuation(n: int, p: int) -> int:
 def _primary_key(form: FiniteQuadraticForm, p: int):
     """(L, orders, qs, gs): the p-part on its basis c_i e_i at the level L =
     p^e of its exponent, qs[i] = L*q mod 2L and gs[i][j] = L*b mod L (exact:
-    q(c_i e_i) lies in (1/p^v)Z), the key of _split_primary.  Kept only by a
-    glued form (FiniteQuadraticForm._primary); a quotient reads a p-part
-    that |H| misses off its ambient form."""
-    parts = form._parts
-    key, block = parts[p] if parts else (None, None)
-    if type(key) is tuple:
-        return key
-    if key is not None:
-        key = _primary_key(key, p)
-    else:
-        basis, n, qints, bints = form._basis(p), form.level, form.qints, form.bints
-        level = max([o for _, _, o in basis])
-        key = (level, tuple([o for _, _, o in basis]),
-               tuple([c * c * qints[i] * level // n % (2 * level) for i, c, _ in basis]),
-               tuple([tuple([ci * cj * bints[i][j] * level // n % level for j, cj, _ in basis])
-                      for i, ci, _ in basis]))
-    if parts:
-        parts[p] = key, block
-    return key
+    q(c_i e_i) lies in (1/p^v)Z), the key of _split_primary, read off the
+    form's own integers."""
+    basis, n, qints, bints = form._basis(p), form.level, form.qints, form.bints
+    level = max([o for _, _, o in basis])
+    return (level, tuple([o for _, _, o in basis]),
+            tuple([c * c * qints[i] * level // n % (2 * level) for i, c, _ in basis]),
+            tuple([tuple([ci * cj * bints[i][j] * level // n % level for j, cj, _ in basis])
+                   for i, ci, _ in basis]))
 
 
 def _pivot(p: int, level: int, orders, qs, gs):
@@ -213,7 +202,7 @@ def _split_primary(p: int, level: int, orders, qs, gs) -> tuple[JordanConstituen
 def clear_jordan_caches() -> None:
     """Empty the caches of _split_primary and _canonical_two_adic, as a
     fresh process has them; a form keeps its walk and, once glued over, its
-    p-parts, so only forms built after the call start from nothing."""
+    p-part blocks, so only forms built after the call start from nothing."""
     _split_primary.cache_clear()
     _canonical_two_adic.cache_clear()
 
@@ -232,7 +221,7 @@ def jordan_constituents(
     Raises DegenerateError when the form is degenerate.
     """
     return {p: {c.k: c for c in _split_primary(p, *_primary_key(form, p))}
-            for p in form._parts or form.primes()}
+            for p in form.primes()}
 
 
 # -- realizability -----------------------------------------------------------

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from latticelab import (
+    LeechPairRecord,
     Rank2Form,
     analyze_record,
     condition_check,
@@ -54,6 +55,12 @@ def test_condition_check_involution_controls():
     assert not condition_check(controls["E8(2)"]).passed
     assert not condition_check(controls["D12+(2)"]).passed
     assert condition_check(controls["BW16"]).passed
+    assert list(controls.values()) == [
+        LeechPairRecord("INVOLUTIONS", 0, name, 2, rank, qk, False, None, None)
+        for name, rank, qk in (("E8(2)", 8, "2_II^+8"), ("D12+(2)", 12, "2_4^+12"),
+                               ("BW16", 16, "2_II^+8"))]
+    for rec in controls.values():
+        assert (rec.q_S.level, rec.q_S.qints) == (rec.q_K.level, rec.q_K.negated().qints)
 
 
 def test_polarization_roots():
@@ -297,16 +304,43 @@ def test_degree0_runs_without_rank2_analysis():
 def test_every_passing_witness_is_checkable(table_reports):
     """The verdict kept once per complement symbol is the public verdict of
     every witness's own complement, on all five table runs."""
-    from latticelab import even_lattice_exists
+    from latticelab import LatticeInvariant, even_lattice_exists, negate_form
     seen = 0
     for report in table_reports.values():
         for verdict in report:
             if not verdict.criterion:
                 continue
             for outcome in verdict.criterion.outcomes:
-                assert outcome.verdict == even_lattice_exists(outcome.complement)
+                complement = LatticeInvariant(*outcome.complement_signature,
+                                              negate_form(outcome.witness.quotient))
+                assert outcome.verdict == even_lattice_exists(complement)
                 seen += 1
     assert seen == 163
+
+
+def test_one_negation_per_record(monkeypatch):
+    """A hm15/E6 pass with JSON negates each record's q_K once, for q_S,
+    and no witness quotient."""
+    from latticelab.fqf import FiniteQuadraticForm
+    calls = []
+    real = FiniteQuadraticForm.negated
+    monkeypatch.setattr(FiniteQuadraticForm, "negated",
+                        lambda form: calls.append(form) or real(form))
+    [verdict.to_json_dict() for verdict in full_report("hm15", "E6")]
+    assert len(calls) == 15
+
+
+def test_witness_quotients_keep_no_blocks(table_reports):
+    """A quotient is never glued over, so it holds no p-part blocks once
+    its symbol is taken: on every witness of the five table runs."""
+    from latticelab import to_symbol
+    quotients = [outcome.witness.quotient for report in table_reports.values()
+                 for verdict in report if verdict.criterion
+                 for outcome in verdict.criterion.outcomes]
+    for quot in quotients:
+        to_symbol(quot)
+        assert quot._parts is None
+    assert len(quotients) == 163
 
 
 def test_report_determinism():

@@ -50,7 +50,7 @@ SYMBOL = GenusSymbol((CONSTITUENT,))
 WITNESS = SaturationWitness((), 1, Q3)
 INVARIANT = LatticeInvariant(2, 0, Q3)
 VERDICT = ExistenceVerdict(True, None, "")
-OUTCOME = WitnessOutcome(WITNESS, INVARIANT, VERDICT, SYMBOL)
+OUTCOME = WitnessOutcome(WITNESS, (2, 0), VERDICT, SYMBOL)
 CRITERION = CriterionResult(True, [OUTCOME], 2)
 FORM = Rank2Form(2, 1, 2, False)
 T_CLASS = TranscendentalClass(FORM, False, 2, 3, 4)
@@ -72,8 +72,8 @@ FIELDS = [
      ("HM15", 1, "G", 3, 4, "3^-1", True, Q3, Q2)),
     (PolarizationRoot, ("name", "rank", "q_R"), ("A2", 2, Q3)),
     (ConditionVerdict, ("passed", "alpha", "detail"), (False, {3: 1}, "x")),
-    (WitnessOutcome, ("witness", "complement", "verdict", "symbol"),
-     (WITNESS, INVARIANT, VERDICT, SYMBOL)),
+    (WitnessOutcome, ("witness", "complement_signature", "verdict", "symbol"),
+     (WITNESS, (2, 0), VERDICT, SYMBOL)),
     (CriterionResult, ("passed", "outcomes", "complement_rank"), (True, [OUTCOME], 2)),
     (TranscendentalClass, ("form", "nontrivial_glue", "embedding_count",
                            "nonsymplectic", "total_order"), (FORM, True, 2, 3, 4)),
@@ -153,9 +153,8 @@ def test_records_of_plain_values_pickle_and_copy():
     """Records pickle and copy.  Copies of records of plain values compare
     equal.  A FiniteQuadraticForm compares by identity, so a form, and the
     forms in a record that holds one, compare by JSON and genus symbol;
-    a pickled or copied form carries no cached scan or p-parts, and a glue
-    quotient carries neither the p-parts it took over nor the ambient form
-    they name."""
+    a pickled or copied form carries no cached scan or p-part blocks, and a
+    glue quotient keeps none of its own."""
     for rec in (build_lattice([[2, 1], [1, 2]]), FORM, CONSTITUENT, SYMBOL,
                 DiagonalAction(3, (1, 2, 0, 1, 2, 0), 1), VERDICT,
                 ConditionVerdict(False, {3: 1}, "x"), TranscendentalClass(FORM, True, 2, 3, 4)):
@@ -171,7 +170,7 @@ def test_records_of_plain_values_pickle_and_copy():
     for again in (pickle.loads(fresh), copy.copy(q), copy.deepcopy(q)):
         assert again._scan is None and again._parts is None
     quot = full_report("hm15", "E6")[0].criterion.outcomes[0].witness.quotient
-    assert quot._parts and pickle.dumps(quot) == pickle.dumps(copy.copy(quot))
+    assert quot._parts is None and pickle.dumps(quot) == pickle.dumps(copy.copy(quot))
     for again in (pickle.loads(pickle.dumps(quot)), copy.copy(quot), copy.deepcopy(quot)):
         assert again._parts is None and _form_data(again) == _form_data(quot)
     holders = [
@@ -244,7 +243,7 @@ def test_reprs():
         "ConditionVerdict(passed=True, alpha={3: 1}, detail='')"
     witness = repr(WITNESS)
     assert witness.startswith(f"SaturationWitness(glue_gens=(), index=1, quotient={q3}")
-    assert repr(OUTCOME) == (f"WitnessOutcome(witness={witness}, complement={INVARIANT!r}, "
+    assert repr(OUTCOME) == (f"WitnessOutcome(witness={witness}, complement_signature=(2, 0), "
                              f"verdict={VERDICT!r}, symbol={SYMBOL!r})")
     assert repr(CRITERION) == \
         f"CriterionResult(passed=True, outcomes=[{OUTCOME!r}], complement_rank=2)"

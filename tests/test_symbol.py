@@ -485,7 +485,7 @@ def test_cold_and_warm_caches_give_one_symbol(table_reports):
         for verdict in verdicts:
             forms += [verdict.record.q_K, verdict.record.q_S]
             for outcome in verdict.criterion.outcomes if verdict.criterion else ():
-                forms += [outcome.witness.quotient, outcome.complement.form]
+                forms += [outcome.witness.quotient, negate_form(outcome.witness.quotient)]
     rng = random.Random(2401)
     forms += [discriminant_form(random_even_lattice(rng)) for _ in range(40)]
     warm = [to_symbol(form) for form in forms]

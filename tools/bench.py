@@ -25,7 +25,7 @@ back to back, later runs would otherwise find every split and canonical
 form cached, so `full_report_s` stays comparable with BENCH_23 and
 earlier.  Each run builds its forms anew, so no cached scan carries over.
 The glue and symbol measurements run on captured forms, which keep their
-walk and p-parts once used: before each run, untimed, every captured
+walk and p-part blocks once used: before each run, untimed, every captured
 form is rebuilt from its integers (`copy.copy`, which carries neither) and
 every captured H onto its rebuilt form, one copy per captured form, so
 the forms that a table run shares stay shared.
@@ -219,7 +219,7 @@ def per_call_ms(one, calls: int, runs: int, unit_s: float, setup=tuple) -> dict:
 
 def rebuilt(forms: list) -> list:
     """Each form rebuilt from its integers by copy.copy, which keeps no
-    walk or p-parts; a form met more than once is rebuilt once."""
+    walk or p-part blocks; a form met more than once is rebuilt once."""
     copies = {}
     for form in forms:
         if id(form) not in copies:
