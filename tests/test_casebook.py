@@ -55,11 +55,17 @@ def test_condition_check_involution_controls():
     assert not condition_check(controls["E8(2)"]).passed
     assert not condition_check(controls["D12+(2)"]).passed
     assert condition_check(controls["BW16"]).passed
-    assert list(controls.values()) == [
+
+
+def test_involution_controls_hold_their_rows():
+    """Each control record carries its row's name, rank and symbol, order 2,
+    row 0 and no surjectivity flag, with q_S = -q_K."""
+    controls = load_involution_controls()
+    assert controls == [
         LeechPairRecord("INVOLUTIONS", 0, name, 2, rank, qk, False, None, None)
         for name, rank, qk in (("E8(2)", 8, "2_II^+8"), ("D12+(2)", 12, "2_4^+12"),
                                ("BW16", 16, "2_II^+8"))]
-    for rec in controls.values():
+    for rec in controls:
         assert (rec.q_S.level, rec.q_S.qints) == (rec.q_K.level, rec.q_K.negated().qints)
 
 

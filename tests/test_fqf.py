@@ -870,9 +870,9 @@ def assert_reference_quotient(form, sub):
 
 
 def test_glue_quotients_match_reference_quotient(table_run_inputs):
-    """On every witness of the five table runs (the forms as the runs left
+    """Every witness of the five table runs (the forms as the runs left
     them, blocks kept) and every isotropic subgroup of the small symbols
-    (fresh forms)."""
+    (fresh forms) has the quotient of the reference route."""
     from latticelab import form_from_symbol_text
     pairs = list(table_run_inputs[1])
     for form in map(form_from_symbol_text, SMALL_SYMBOLS):
