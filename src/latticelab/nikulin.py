@@ -19,9 +19,9 @@ embeddings into even unimodular lattices live here too.  An even
 overlattice of S + R in which S stays primitive has glue H <= A_S + A_R
 isotropic with H meet A_S = 0: the graph {(gamma(x), x) : x in H_R} of a
 homomorphism gamma: H_R -> A_S with q_S(gamma(x)) = -q_R(x) (Nikulin
-1979, 1.4-1.5).  saturations_keeping_primitive finds these as the
-subgroups of A_S + A_R inside one element pool, with the subgroup search
-that isotropic_subgroups uses.
+1979, 1.4-1.5).  saturations_keeping_primitive finds these as graphs:
+it searches the subgroups H_R of A_R whose elements r all have some s with
+q_S(s) = -q_R(r), and lifts the generators of each into A_S.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .fqf import (
     BRUTE_CAP,
     FiniteQuadraticForm,
     Subgroup,
+    _span,
     _subgroups_within,
     complement_quotient,
     negate_form,
@@ -173,15 +174,15 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
                                   q_r: FiniteQuadraticForm):
     """All isotropic H <= A_S + A_R with H meet A_S = 0, trivial H first.
 
-    Every element (s, r) of such an H has q_S(s) = -q_R(r) and
-    ord(s) | ord(r), since s = gamma(r) for a homomorphism gamma.
-    Conversely, q vanishes on a subgroup made only of such elements, so it
-    is isotropic, and it meets A_S trivially, since (s, 0) is one only for
-    s = 0.  So the witnesses are exactly the subgroups inside the pool of
-    these elements; each pool element generates a cyclic witness.
-
-    Witnesses are deduplicated by the subgroup itself (not by isomorphism
-    of the quotient form) and sorted by (index, generators).
+    Such an H is the graph of a homomorphism gamma: K -> A_S on some
+    K <= A_R with q_S(gamma(r)) = -q_R(r), so gamma(r) lies in the fibre
+    over r: the s with q_S(s) = -q_R(r) and ord(s) | ord(r).  The subgroup
+    search runs in A_R, on the r with a nonempty fibre.  For each K and its
+    generating tuple (g_1, ..., g_t), a pick of s_i over each g_i with the
+    s_i + g_i pairwise orthogonal under b spans an isotropic subgroup, kept
+    when it has |K| elements: it is then the graph of a well-defined gamma,
+    so it meets A_S trivially.  Distinct picks give distinct witnesses,
+    sorted by (index, generators); a cyclic K keeps every pick.
 
     As ord(s) | ord(r) | e, the exponent of A_R, only A_S[e] = {s : e*s = 0}
     is walked: Z/gcd(d_1, e) x ... with q_S on (d_i / gcd(d_i, e)) e_i.
@@ -201,13 +202,22 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
     by_q: dict[int, list] = {}
     for x, q, o in torsion.scan():
         by_q.setdefault(q * n_r, []).append((o, tuple(map(mul, x, steps))))
-    pool = frozenset(s + r for r, q, d in q_r.scan()
-                     for o, s in by_q.get(-q * n_s % (2 * n_s * n_r), ()) if d % o == 0)
+    fibres = {}
+    for r, q, d in q_r.scan():
+        for o, s in by_q.get(-q * n_s % (2 * n_s * n_r), ()):
+            if d % o == 0:
+                fibres.setdefault(r, []).append(s + r)
     witnesses = []
-    for els, gens in _subgroups_within(total, pool).items():
-        sub = Subgroup._of_elements(total, els, gens)
-        witnesses.append(SaturationWitness(
-            glue_gens=sub.gens, index=sub.order,
-            quotient=complement_quotient(total, sub)))
+    for k_els, gens in _subgroups_within(q_r, frozenset(fibres)).items():
+        lifts = [()]
+        for g in gens:
+            lifts = [t + (x,) for t in lifts for x in fibres[g]
+                     if not any(total.b_int(x, y) for y in t)]
+        for t in lifts:
+            if len(els := _span(total, t)) == len(k_els):
+                sub = Subgroup._of_elements(total, els, t)
+                witnesses.append(SaturationWitness(
+                    glue_gens=sub.gens, index=sub.order,
+                    quotient=complement_quotient(total, sub)))
     witnesses.sort(key=lambda w: (w.index, w.glue_gens))
     return witnesses

@@ -28,7 +28,8 @@ def check_schema(data, runs):
     keys = {"pr", "git_sha", "git_dirty", "python", "nproc", "PYTHONDONTWRITEBYTECODE",
             "src_lines", "runs", "full_report_s", "rank2_enumerate_ms", "cold_start_ms",
             "complement_quotient_ms", "src_sha256", "to_symbol_ms", "witness_symbol_ms",
-            "smith_normal_form_ms", "split_primary_ms", "embedding_class_count_ms"}
+            "smith_normal_form_ms", "split_primary_ms", "embedding_class_count_ms",
+            "saturations_ms"}
     if data["pr"] in range(16, 23):  # BENCH_16 to BENCH_22 predate cold_start_ms
         keys.remove("cold_start_ms")
     if data["pr"] in range(16, 25):  # BENCH_16 to BENCH_24 predate complement_quotient_ms
@@ -43,6 +44,8 @@ def check_schema(data, runs):
         keys -= {"smith_normal_form_ms", "split_primary_ms"}
     if data["pr"] in range(16, 31):  # BENCH_16 to BENCH_30 predate embedding_class_count_ms
         keys.remove("embedding_class_count_ms")
+    if data["pr"] in range(16, 33):  # BENCH_16 to BENCH_32 predate saturations_ms
+        keys.remove("saturations_ms")
     assert set(data) == keys
     assert (data["git_sha"] is None) == (data["git_dirty"] is None)
     assert data["git_sha"] is None or len(data["git_sha"]) == 40
@@ -71,6 +74,9 @@ def check_schema(data, runs):
     if "embedding_class_count_ms" in keys:
         assert data["embedding_class_count_ms"]["calls"] == 7
         _check_summary(data["embedding_class_count_ms"], runs)
+    if "saturations_ms" in keys:
+        assert data["saturations_ms"]["calls"] == 59
+        _check_summary(data["saturations_ms"], runs)
     rank2 = ["3-3000", "3001-30000", "30001-100000"]
     if data["pr"] not in range(16, 27):  # BENCH_16 to BENCH_26 predate the cap entry
         rank2.append("cap")
@@ -264,6 +270,24 @@ def test_embedding_counts_are_timed_per_call_on_rebuilt_records(bench, monkeypat
                 assert form is not old_form and _form_data(form) == _form_data(old_form)
                 assert form._scan is None and form._parts is None
         assert run[1][0] is run[2][0]  # row 4's two classes share one record
+
+
+def test_saturations_are_timed_per_call_on_rebuilt_forms(bench, monkeypatch):
+    """saturations_ms is the scaled mean per call over the 59 (q_S, q_R)
+    pairs of the five table runs, each run on forms rebuilt from their
+    integers, new in each run and shared where the captured forms are."""
+    pairs = bench.saturation_pairs()
+    assert len(pairs) == 59 and len({id(q_r) for _, q_r in pairs}) == 5
+    monkeypatch.setattr(bench.calib, "kernel_s", lambda: 2 * bench.calib.K_REF_S)
+    clock = itertools.count(0, 0.5)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    calls = []
+    monkeypatch.setattr(bench, "saturations_keeping_primitive",
+                        lambda q_s, q_r: calls.extend([(q_s, None), (q_r, None)]))
+    entry = bench.time_saturations(3, pairs)
+    assert entry["calls"] == 59 and entry["runs"] == [0.25 * 1e3 / 59] * 3
+    flat = [(form, None) for pair in pairs for form in pair]
+    _assert_rebuilt_per_run(calls, flat, 4)
 
 
 def test_cold_starts_keep_bytecode_out_of_the_checkout(bench, monkeypatch):

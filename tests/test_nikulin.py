@@ -288,10 +288,16 @@ def filtered_saturation_data(q_s, q_r):
     return sorted(out, key=lambda w: (w[0], w[1]))
 
 
+MIXED_EXPONENT_PAIRS = [("-", "2_1^+1 4_1^+1", "2_1^+1 4_1^+1"),
+                        ("+", "2_II^+2", "2_II^+2 4_II^+2"),
+                        ("-", "2_2^+2 4_1^+1", "2_2^+2 4_1^+1")]
+
+
 def _saturation_cases():
     """(id, q_S, q_R): small forms and their negations against non-cyclic
     partners, forms with a degenerate b, partners of smaller exponent
-    with nontrivial glue, and trivial factors.  A negation
+    with nontrivial glue, non-cyclic partners of mixed exponent, and
+    trivial factors.  A negation
     isometric to the form only re-labels its elements and is left out."""
     cases = []
     for text in SMALL_SYMBOLS:
@@ -306,10 +312,17 @@ def _saturation_cases():
     for i, form in enumerate(DEGENERATE_FORMS):
         cases.append((f"-degenerate{i}|degenerate{i}", negate_form(form), form))
         cases.append((f"2_II^+2|degenerate{i}", form_from_symbol_text("2_II^+2"), form))
-    # exp(A_R) a proper divisor of exp(A_S): the pool lies in A_S[exp(A_R)]
+    # exp(A_R) a proper divisor of exp(A_S): the fibres lie in A_S[exp(A_R)]
     for pair in [("4_II^+2 3^+1", "2_II^+2"), ("3^+1 9^-1", "3^-1"), ("8_II^-2", "4_II^+2"),
                  ("8_II^-2", "2_II^+2"), ("27^+1", "9^-1"), ("27^+1", "3^+1 9^-1")]:
         cases.append(("|".join(pair), *map(form_from_symbol_text, pair)))
+    # A_R non-cyclic of mixed exponent: a generating tuple of K can satisfy
+    # a relation, such as (2g, h, g), and a pick that breaks it spans more
+    # than |K| elements
+    for sign, text, partner in MIXED_EXPONENT_PAIRS:
+        q_s = form_from_symbol_text(text)
+        cases.append((f"{sign}{text}|{partner}", negate_form(q_s) if sign == "-" else q_s,
+                      form_from_symbol_text(partner)))
     cases.append(("3^+2 9^+1|trivial", form_from_symbol_text("3^+2 9^+1"), trivial_form()))
     cases.append(("trivial|2_0^+4", trivial_form(), form_from_symbol_text("2_0^+4")))
     cases.append(("trivial|trivial", trivial_form(), trivial_form()))
@@ -368,13 +381,32 @@ def test_saturation_quotients_match_reference_quotient(monkeypatch):
     assert len(pairs) > 2800
 
 
-def test_saturations_take_no_subgroup_basis(monkeypatch, table_reports):
-    """The witnesses come from one subgroup search in A_S + A_R, with no
-    Smith-form basis of a subgroup of A_R, and each is built from the
-    element set that search closed, with no _span call, its glue
-    generators the minimal generators of that set: on every record of the
-    five table runs against its root, and on SATURATION_CASES."""
+def _spy_spans(monkeypatch):
+    """Record (gens, element set) of every _span call, under the name fqf
+    defines and the name nikulin imports."""
     import latticelab.fqf
+    import latticelab.nikulin
+    spans = []
+    real = latticelab.fqf._span
+
+    def spy(form, gens):
+        els = real(form, gens)
+        spans.append((tuple(gens), els))
+        return els
+
+    monkeypatch.setattr(latticelab.fqf, "_span", spy)
+    monkeypatch.setattr(latticelab.nikulin, "_span", spy)
+    return spans, real
+
+
+def test_saturations_take_no_subgroup_basis(monkeypatch, table_reports):
+    """The witnesses are graphs over subgroups K of A_R, with no Smith-form
+    basis of any subgroup: each pick of fibre elements over a generating
+    tuple of K is spanned once, in A_S + A_R, and kept exactly when the
+    span has |K| elements (its projection to A_R is K); every kept span is
+    a witness's element set, and the glue generators are the minimal
+    generators of that set.  On every record of the five table runs
+    against its root, and on SATURATION_CASES."""
     from latticelab.fqf import _minimal_generators
     pairs = [(rec.q_S, polarization_root(root).q_R)
              for table, root in table_reports for rec in load_table(table)]
@@ -384,23 +416,95 @@ def test_saturations_take_no_subgroup_basis(monkeypatch, table_reports):
         raise AssertionError("subquotient called")
 
     monkeypatch.setattr(FiniteQuadraticForm, "subquotient", refuse)
-    spans = []
-    real = latticelab.fqf._span
-    monkeypatch.setattr(latticelab.fqf, "_span",
-                        lambda form, gens: spans.append(gens) or real(form, gens))
+    spans, real = _spy_spans(monkeypatch)
     for q_s, q_r in pairs:
-        total = q_s.direct_sum(q_r)
+        total, ns = q_s.direct_sum(q_r), q_s.ngens
+        spans.clear()
         witnesses = saturations_keeping_primitive(q_s, q_r)
         assert witnesses[0].trivial
+        assert len({gens for gens, _ in spans}) == len(spans)
+        kept = [els for gens, els in spans
+                if len(els) == len(real(q_r, [x[ns:] for x in gens]))]
+        assert len(kept) == len(witnesses)
+        assert set(kept) == {real(total, w.glue_gens) for w in witnesses}
         for w in witnesses:
             assert w.glue_gens == tuple(_minimal_generators(total, real(total, w.glue_gens)))
-    assert spans == []
+
+
+def test_mixed_exponent_partners_reject_some_picks(monkeypatch):
+    """The oracle cases of MIXED_EXPONENT_PAIRS reach both branches of the
+    size test: some K of two or more generators keeps a pick, and some
+    pick spans more than |K| elements and is dropped."""
+    spans, real = _spy_spans(monkeypatch)
+    kept = dropped = 0
+    for sign, text, partner in MIXED_EXPONENT_PAIRS:
+        q_s, q_r = (form_from_symbol_text(t) for t in (text, partner))
+        spans.clear()
+        saturations_keeping_primitive(negate_form(q_s) if sign == "-" else q_s, q_r)
+        for gens, els in spans:
+            k = len(real(q_r, [x[q_s.ngens:] for x in gens]))
+            assert len(els) >= k
+            kept += len(gens) > 1 and len(els) == k
+            dropped += len(els) > k
+    assert kept > 0 and dropped > 0
+
+
+def test_saturation_search_runs_in_the_roots_group(monkeypatch):
+    """The subgroup search of the saturations runs in A_R, never in
+    A_S + A_R: over an hm15/E6 pass and a k3max11 pass against all four
+    roots, _subgroups_within runs once per (record, root) that fits by rank
+    (48 of the 59), on the root's form, of at most 6 elements (the direct
+    sums reach 2,304)."""
+    import latticelab.fqf
+    import latticelab.nikulin
+    from latticelab import full_report
+    orders = []
+    real = latticelab.fqf._subgroups_within
+
+    def spy(form, pool):
+        orders.append(form.order)
+        return real(form, pool)
+
+    monkeypatch.setattr(latticelab.fqf, "_subgroups_within", spy)
+    monkeypatch.setattr(latticelab.nikulin, "_subgroups_within", spy)
+    searched = []
+    for table, root in (("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
+                        ("k3max11", "E7"), ("k3max11", "E8")):
+        orders.clear()
+        list(full_report(table, root))
+        assert set(orders) <= {polarization_root(root).q_R.order}
+        searched += orders
+    assert len(searched) == 48 and max(searched) <= 6
+
+
+def test_saturate_8_II_squared_adds_little(monkeypatch):
+    """saturations_keeping_primitive on 8_II^-2 against 8_II^-2 (4,096
+    elements, at the cap) lists the same 797 witnesses, pinned by their
+    index counts and a digest of their glue generators, with at most
+    100,000 FiniteQuadraticForm.add calls (the search in A_S + A_R made
+    1,039,358)."""
+    import hashlib
+    q = form_from_symbol_text("8_II^-2")
+    calls = [0]
+    real = FiniteQuadraticForm.add
+
+    def add(self, x, y):
+        calls[0] += 1
+        return real(self, x, y)
+
+    monkeypatch.setattr(FiniteQuadraticForm, "add", add)
+    witnesses = saturations_keeping_primitive(q, form_from_symbol_text("8_II^-2"))
+    assert calls[0] <= 100_000
+    assert sorted(Counter(w.index for w in witnesses).items()) == [
+        (1, 1), (2, 12), (4, 88), (8, 288), (16, 240), (32, 144), (64, 24)]
+    assert hashlib.sha256(repr([w.glue_gens for w in witnesses]).encode()).hexdigest() == (
+        "711d528b53f74b77558206f8e5d6629b5fbfa56ad662a9fd75161f6956275f83")
 
 
 def test_cyclic_witnesses_read_their_generating_tuples(monkeypatch, table_reports):
     """Every witness of the five table runs is cyclic or trivial, so its glue
-    generator is the least k*g of the one-generator tuple that the subgroup
-    search returns (the tuple () for the trivial one): no record takes
+    generator is the least k*g of the one-element pick that it is spanned
+    from (the tuple () for the trivial one): no record takes
     _minimal_generators, and test_saturations_take_no_subgroup_basis pins
     the generators against it."""
     import latticelab.fqf

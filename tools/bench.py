@@ -1,5 +1,6 @@
 """Write BENCH_<pr>.json: the table runs, the glue quotients, the genus
-symbols, the embedding counts and the rank-2 enumeration, timed.
+symbols, the embedding counts, the saturations and the rank-2
+enumeration, timed.
 
     python3 tools/bench.py --pr N [--quick]
 
@@ -88,6 +89,13 @@ Recorded:
                        the Jordan caches are emptied and every captured
                        record is rebuilt with its forms rebuilt, one copy
                        per record.  From BENCH_31 on.
+  saturations_ms       median and IQR over RUNS (21) units of the mean time
+                       per saturations_keeping_primitive call, in ms at the
+                       reference speed, over the (q_S, q_R) pairs of every
+                       record of the five table runs against its root, with
+                       their count; before each run, untimed, every form is
+                       rebuilt, one copy per form, so a root's q_R stays
+                       shared across its records.  From BENCH_33 on.
   rank2_enumerate_ms   per queries stratum of determinants, and for the one
                        determinant DET_CAP under `cap`: median and IQR over
                        RUNS (21) units of the mean time per call, in ms at
@@ -135,7 +143,8 @@ import latticelab.fqf  # noqa: E402
 import latticelab.nikulin  # noqa: E402
 import latticelab.symbol  # noqa: E402
 from latticelab import (complement_quotient, embedding_class_count, full_report,  # noqa: E402
-                        rank2_enumerate)
+                        load_table, polarization_root, rank2_enumerate,
+                        saturations_keeping_primitive)
 from latticelab.exactmat import smith_normal_form  # noqa: E402
 from latticelab.fqf import Subgroup  # noqa: E402
 from latticelab.rank2 import DET_CAP  # noqa: E402
@@ -393,6 +402,28 @@ def time_embedding_class_count(runs: int, calls: list, unit_s: float = UNIT_S) -
     return {"calls": len(calls), **per_call_ms(one, len(calls), runs, unit_s, setup)}
 
 
+def saturation_pairs() -> list:
+    """The (q_S, q_R) pair of every record of the five table runs against
+    its root, with one q_R per run."""
+    pairs = []
+    for table, root in TABLE_RUNS:
+        q_r = polarization_root(root).q_R
+        pairs += [(rec.q_S, q_r) for rec in load_table(table)]
+    return pairs
+
+
+def time_saturations(runs: int, pairs: list, unit_s: float = UNIT_S) -> dict:
+    def one(fresh):
+        for q_s, q_r in fresh:
+            saturations_keeping_primitive(q_s, q_r)
+
+    def setup():
+        forms = rebuilt([form for pair in pairs for form in pair])
+        return (list(zip(forms[::2], forms[1::2])),)
+
+    return {"calls": len(pairs), **per_call_ms(one, len(pairs), runs, unit_s, setup)}
+
+
 def time_rank2(runs: int, per_stratum: int, unit_s: float = UNIT_S) -> dict:
     cases = {f"{lo}-{hi}": inputs for (lo, hi), inputs in rank2_inputs(per_stratum).items()}
     cases["cap"] = [(DET_CAP, False)]
@@ -448,6 +479,7 @@ def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
         "smith_normal_form_ms": time_smith_normal_form(runs, mats, unit_s),
         "split_primary_ms": time_split_primary(runs, keys, unit_s),
         "embedding_class_count_ms": time_embedding_class_count(runs, embedding_calls(), unit_s),
+        "saturations_ms": time_saturations(runs, saturation_pairs(), unit_s),
         "rank2_enumerate_ms": time_rank2(runs, per_stratum, unit_s),
         "cold_start_ms": time_cold_start(runs),
     }
