@@ -449,7 +449,7 @@ def test_mixed_exponent_partners_reject_some_picks(monkeypatch):
     assert kept > 0 and dropped > 0
 
 
-def test_saturation_search_runs_in_the_roots_group(monkeypatch):
+def test_saturation_search_runs_in_the_roots_group(monkeypatch, table_reports):
     """The subgroup search of the saturations runs in A_R, never in
     A_S + A_R: over an hm15/E6 pass and a k3max11 pass against all four
     roots, _subgroups_within runs once per (record, root) that fits by rank
@@ -468,8 +468,7 @@ def test_saturation_search_runs_in_the_roots_group(monkeypatch):
     monkeypatch.setattr(latticelab.fqf, "_subgroups_within", spy)
     monkeypatch.setattr(latticelab.nikulin, "_subgroups_within", spy)
     searched = []
-    for table, root in (("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
-                        ("k3max11", "E7"), ("k3max11", "E8")):
+    for table, root in table_reports:
         orders.clear()
         list(full_report(table, root))
         assert set(orders) <= {polarization_root(root).q_R.order}
