@@ -118,8 +118,10 @@ def _record_from_row(table: str, row: dict) -> LeechPairRecord:
 
 
 def load_table(table: str) -> list[LeechPairRecord]:
-    """Load a bundled classification table ('hm15' or 'k3max11')."""
+    """Load a bundled classification table ('hm15' or 'k3max11', any case)."""
     name = table.lower()
+    if name not in ("hm15", "k3max11"):
+        raise DataFileMissingError(f"no table {table!r}: the tables are hm15 and k3max11")
     data = _load_json(f"{name}.json")
     return [_record_from_row(data["table"], row) for row in data["rows"]]
 
@@ -264,11 +266,13 @@ def transcendental_candidates(rec: LeechPairRecord, root: PolarizationRoot,
     factors read off each form's entries; only a form whose group matches
     gets a lattice, a discriminant form and a canonical genus symbol,
     compared with outcome.symbol, the quotient's symbol that
-    polarized_criterion kept.  The quotient (from complement_quotient)
-    comes in prime-power orders, not invariant factors, so its invariant
-    factors are read off its order, exponent and length: a group of
-    length at most 2 is Z/g x Z/e with e its exponent and g = |A| / e,
-    and a longer one has no rank-2 candidate.
+    polarized_criterion kept.  The quotient comes in any cyclic
+    decomposition, not invariant factors: complement_quotient gives
+    prime-power orders, and a trivial witness's A_S + A_R can carry a
+    composite order, such as E6+A1's Z/6.  So its invariant factors are
+    read off its order, exponent and length, which any decomposition
+    gives: a group of length at most 2 is Z/g x Z/e with e its exponent
+    and g = |A| / e, and a longer one has no rank-2 candidate.
     """
     comp_rank = BORCHERDS_SIGNATURE[0] + BORCHERDS_SIGNATURE[1] \
         - rec.rank_S - root.rank

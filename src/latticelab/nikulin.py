@@ -21,7 +21,9 @@ isotropic with H meet A_S = 0: the graph {(gamma(x), x) : x in H_R} of a
 homomorphism gamma: H_R -> A_S with q_S(gamma(x)) = -q_R(x) (Nikulin
 1979, 1.4-1.5).  saturations_keeping_primitive finds these as graphs:
 it searches the subgroups H_R of A_R whose elements r all have some s with
-q_S(s) = -q_R(r), and lifts the generators of each into A_S.
+q_S(s) = -q_R(r), and lifts the generators of each into A_S.  H = 0 is
+S + R itself, whose form is A_S + A_R with nothing to divide out; every
+other H is glued by complement_quotient.
 """
 
 from __future__ import annotations
@@ -149,7 +151,9 @@ class SaturationWitness(NamedTuple):
 
     glue is the isotropic subgroup H of A_S + A_R with H meet A_S = 0;
     quotient is the induced form on H-perp/H (the overlattice's
-    discriminant form); index = |H| is the overlattice index.
+    discriminant form); index = |H| is the overlattice index.  For index 1
+    the quotient is A_S + A_R as the search presents it, q_S's generators
+    then q_R's, not regrouped by prime.
     """
 
     glue_gens: tuple
@@ -182,7 +186,9 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
     s_i + g_i pairwise orthogonal under b spans an isotropic subgroup, kept
     when it has |K| elements: it is then the graph of a well-defined gamma,
     so it meets A_S trivially.  Distinct picks give distinct witnesses,
-    sorted by (index, generators); a cyclic K keeps every pick.
+    sorted by (index, generators); a cyclic K keeps every pick.  K = 0 is
+    H = 0, S + R itself: its witness takes A_S + A_R as its quotient, with
+    no span and no glue.
 
     As ord(s) | ord(r) | e, the exponent of A_R, only A_S[e] = {s : e*s = 0}
     is walked: Z/gcd(d_1, e) x ... with q_S on (d_i / gcd(d_i, e)) e_i.
@@ -209,6 +215,9 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
                 fibres.setdefault(r, []).append(s + r)
     witnesses = []
     for k_els, gens in _subgroups_within(q_r, frozenset(fibres)).items():
+        if not gens:
+            witnesses.append(SaturationWitness((), 1, total))
+            continue
         lifts = [()]
         for g in gens:
             lifts = [t + (x,) for t in lifts for x in fibres[g]

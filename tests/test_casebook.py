@@ -20,7 +20,7 @@ from latticelab import (
     uniqueness_for_record,
 )
 from latticelab.errors import AssumptionMissingError, NotMaximalRankError
-from test_fqf import EMBEDDING_SUMMANDS, prime_power_orders
+from test_fqf import EMBEDDING_SUMMANDS, _form_data, prime_power_orders
 from test_rank2 import reference_enumerate
 
 
@@ -337,16 +337,46 @@ def test_one_negation_per_record(monkeypatch):
 
 
 def test_witness_quotients_keep_no_blocks(table_reports):
-    """A quotient is never glued over, so it holds no p-part blocks once
-    its symbol is taken: on every witness of the five table runs."""
-    from latticelab import to_symbol
-    quotients = [outcome.witness.quotient for report in table_reports.values()
-                 for verdict in report if verdict.criterion
-                 for outcome in verdict.criterion.outcomes]
-    for quot in quotients:
-        to_symbol(quot)
-        assert quot._parts is None
-    assert len(quotients) == 163
+    """A glue quotient is never glued over, so it holds no p-part blocks
+    once its symbol is taken: on every nontrivial witness of the five
+    table runs.  A trivial witness is S + R itself: its quotient has the
+    integers of q_S + q_R, A_S's generators then A_R's."""
+    from latticelab import polarization_root, to_symbol
+    glued = trivial = 0
+    for (_, root), report in table_reports.items():
+        q_r = polarization_root(root).q_R
+        for verdict in report:
+            for outcome in verdict.criterion.outcomes if verdict.criterion else ():
+                quot = outcome.witness.quotient
+                if outcome.witness.trivial:
+                    assert _form_data(quot) == _form_data(verdict.record.q_S.direct_sum(q_r))
+                    trivial += 1
+                else:
+                    to_symbol(quot)
+                    assert quot._parts is None
+                    glued += 1
+    assert (glued, trivial) == (115, 48)
+
+
+def test_one_glue_per_nontrivial_witness(table_reports, monkeypatch):
+    """Per pass, complement_quotient runs once per nontrivial witness and
+    to_symbol once per witness or matched candidate: 32 and 57 calls on
+    hm15/E6, 83 and 144 on the four k3max11 roots.  The 48 trivial
+    witnesses are S + R and glue nothing."""
+    from latticelab import casebook, nikulin
+    calls = []
+    for module, name in ((nikulin, "complement_quotient"), (casebook, "to_symbol"),
+                         (nikulin, "to_symbol")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    counts = {"hm15": Counter(), "k3max11": Counter()}
+    for run in table_reports:
+        calls.clear()
+        full_report(*run)
+        counts[run[0]].update(calls)
+    assert counts == {"hm15": Counter(complement_quotient=32, to_symbol=57),
+                      "k3max11": Counter(complement_quotient=83, to_symbol=144)}
 
 
 def test_report_determinism():

@@ -183,6 +183,16 @@ def test_uniqueness_and_nonsymplectic(capsys):
     assert data["classes"][0]["total_order"] == 174960
 
 
+def test_uniqueness_takes_only_the_two_tables(capsys):
+    """Another bundled data file is not a table: one line, exit 1, naming
+    the two tables."""
+    code = run(["uniqueness", "--row", "1", "--table", "involutions"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: no table 'involutions': "
+                            "the tables are hm15 and k3max11\n")
+
+
 def test_family_dim_and_symplectic_check(capsys):
     code, data = capture_json(
         capsys, ["family-dim", "--order", "6", "--weights", "0,3,2,5,4,4"])

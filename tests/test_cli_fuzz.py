@@ -141,7 +141,8 @@ LEAVES = {
     "cubic check": cmd("cubic", "check", "--row", rows),
     "k3 check": cmd("k3", "check", "--degree", st.sampled_from("02463"), "--row", rows),
     "uniqueness": cmd("uniqueness", "--row", rows, "--table",
-                      st.sampled_from(["hm15", "k3max11", "none"])),
+                      st.sampled_from(["hm15", "k3max11", "none", "involutions",
+                                       "fu_cases", "../data/hm15"])),
     "nonsymplectic": cmd("nonsymplectic", "--row", rows),
     "family-dim": cmd("family-dim", "--order", st.integers(-1, 40).map(str),
                       "--weights", weights(), "--w0", st.integers(-3, 12).map(str)),

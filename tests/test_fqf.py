@@ -680,23 +680,16 @@ def test_complement_quotient_matches_two_kernel_route():
     assert checked > 600
 
 
-def test_complement_quotient_takes_one_smith_form(monkeypatch):
+def test_complement_quotient_takes_one_smith_form(monkeypatch, table_run_inputs):
     """One Smith normal form per prime dividing |H|, none for H = 0, and no
     integer kernel or subquotient per complement_quotient: on every
-    isotropic subgroup of the small symbols and on every (form, H) that
-    the five table runs glue over."""
+    isotropic subgroup of the small symbols and on every witness (form, H)
+    of the five table runs, H = 0 on each ambient form included."""
     import latticelab.fqf
-    import latticelab.nikulin
-    from latticelab import form_from_symbol_text, full_report
+    from latticelab import form_from_symbol_text
     pairs = [(q, sub) for q in map(form_from_symbol_text, SMALL_SYMBOLS)
              for sub in isotropic_subgroups(q)]
-    real = latticelab.nikulin.complement_quotient
-    monkeypatch.setattr(latticelab.nikulin, "complement_quotient",
-                        lambda form, sub: pairs.append((form, sub)) or real(form, sub))
-    for table, root in [("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
-                        ("k3max11", "E7"), ("k3max11", "E8")]:
-        full_report(table, root)
-    monkeypatch.undo()
+    pairs += table_run_inputs[1]
     assert len(pairs) > 200
     calls = []
 

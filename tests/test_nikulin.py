@@ -39,7 +39,7 @@ from latticelab.errors import (
 from latticelab.exactmat import factorize
 from latticelab.fqf import BRUTE_CAP, FiniteQuadraticForm
 from latticelab.nikulin import genus_exists
-from test_fqf import DEGENERATE_FORMS, SMALL_SYMBOLS, assert_reference_quotient
+from test_fqf import DEGENERATE_FORMS, SMALL_SYMBOLS, _form_data, assert_reference_quotient
 
 
 def inv(n1, n2, text):
@@ -127,26 +127,34 @@ def test_existence_sound_on_registry():
             assert even_lattice_exists(invariant).exists, (name, n)
 
 
-def _prime_part_tokens(p, e):
-    """Constituent token lists of every p-part of order p^e and length <= 2."""
-    shapes = [[(e, 1)]] + [[(a, 1), (e - a, 1)] for a in range(1, (e + 1) // 2)]
-    if e % 2 == 0:
-        shapes.append([(e // 2, 2)])
+def _partitions(e, most, least=1):
+    """The partitions of e into at most `most` parts, each >= least, ascending."""
+    if e == 0:
+        yield ()
+        return
+    for k in range(least, e + 1) if most else ():
+        for rest in _partitions(e - k, most - 1, k):
+            yield (k,) + rest
+
+
+def _prime_part_tokens(p, e, length):
+    """Constituent token lists of every p-part of order p^e and length <= length:
+    one constituent (p^k, rank n) per distinct part k of a partition of e."""
     tags = [""] if p > 2 else ["_II"] + [f"_{t}" for t in range(8)]
     out = []
-    for shape in shapes:
+    for parts in _partitions(e, length):
         out += itertools.product(*([f"{p ** k}{tag}^{sign}{n}"
                                     for tag in tags for sign in "+-"]
-                                   for k, n in shape))
+                                   for k, n in sorted(Counter(parts).items())))
     return out
 
 
-def _length2_symbols(order):
-    """Every symbol text of order `order` and length <= 2 that parses.
+def _symbols_of_length(order, length):
+    """Every symbol text of order `order` and length <= length that parses.
 
     Texts are generated blindly and filtered by parse_symbol, so one form
     may appear under several 2-adic texts; each is checked."""
-    parts = [_prime_part_tokens(p, e) for p, e in sorted(factorize(order).items())]
+    parts = [_prime_part_tokens(p, e, length) for p, e in sorted(factorize(order).items())]
     for combo in itertools.product(*parts):
         text = " ".join(token for part in combo for token in part)
         try:
@@ -155,7 +163,8 @@ def _length2_symbols(order):
             continue
 
 
-# |A| bound of the oracle below: 1,610 checks, about 1.3 s on a 2-vCPU Xeon
+# |A| bound of the construction oracles below: 1,610 checks at rank 2 and
+# 2,270 at rank 3, about 0.3 s and 1.2 s on a 2-vCPU Xeon
 ORACLE_MAX_ORDER = 64
 
 
@@ -173,7 +182,7 @@ def test_existence_matches_rank2_construction():
     for order in range(1, ORACLE_MAX_ORDER + 1):
         t_forms = [discriminant_form(t.positive_lattice())
                    for t in rank2_enumerate(order)]
-        for text, sym in _length2_symbols(order):
+        for text, sym in _symbols_of_length(order, 2):
             q = form_from_symbol(sym)
             truth = any(bruteforce_isomorphic(q_t, q) for q_t in t_forms)
             for n1, n2, form in ((2, 0, q), (0, 2, negate_form(q))):
@@ -182,6 +191,60 @@ def test_existence_matches_rank2_construction():
                 if verdict.exists != truth:
                     mismatches.append((text, n1, n2, truth))
     assert checked == 1610
+    assert not mismatches, mismatches[:10]
+
+
+def _even_ternary_grams(max_det):
+    """(det, Gram) of every positive definite even ternary Gram matrix
+    ((2a, f, e), (f, 2b, d), (e, d, 2c)) of det <= max_det in the box
+    a <= b <= c, 8abc <= 2*max_det, |f|, |e| <= a, |d| <= b.  A reduced
+    form has its diagonal product at most 2*det (Seeber's inequality,
+    proved by Gauss; Cassels, Rational Quadratic Forms, 1978), so the box
+    holds one Gram matrix of every positive even ternary lattice."""
+    a = 1
+    while 8 * a ** 3 <= 2 * max_det:
+        b = a
+        while 8 * a * b * b <= 2 * max_det:
+            c = b
+            while 8 * a * b * c <= 2 * max_det:
+                for f, e, d in itertools.product(range(-a, a + 1), range(-a, a + 1),
+                                                 range(-b, b + 1)):
+                    minor = 4 * a * b - f * f
+                    det = 2 * c * minor - 2 * a * d * d + 2 * f * d * e - 2 * b * e * e
+                    if minor > 0 and 0 < det <= max_det:
+                        yield det, [[2 * a, f, e], [f, 2 * b, d], [e, d, 2 * c]]
+                c += 1
+            b += 1
+        a += 1
+
+
+def test_existence_matches_rank3_construction():
+    """even_lattice_exists at rank 3 agrees with an explicit construction.
+
+    An even lattice of signature (3, 0) with form q exists iff some
+    positive definite even ternary T of determinant |A| has q_T isometric
+    to q; (0, 3) with -q asks for -T.  The oracle scans the Seeber box of
+    Gram matrices and tests isometry by brute force, sharing no code with
+    symbol.py or nikulin.py; only the input forms come from symbols, every
+    symbol of length <= 3 and order <= ORACLE_MAX_ORDER.
+    """
+    t_forms = {}
+    for det, gram in _even_ternary_grams(ORACLE_MAX_ORDER):
+        t_forms.setdefault(det, []).append(discriminant_form(build_lattice(gram)))
+    checked = realized = 0
+    mismatches = []
+    for order in range(1, ORACLE_MAX_ORDER + 1):
+        for text, sym in _symbols_of_length(order, 3):
+            q = form_from_symbol(sym)
+            truth = any(bruteforce_isomorphic(q_t, q) for q_t in t_forms.get(order, ()))
+            realized += truth
+            for n1, n2, form in ((3, 0, q), (0, 3, negate_form(q))):
+                verdict = even_lattice_exists(LatticeInvariant(n1, n2, form))
+                checked += 1
+                if verdict.exists != truth:
+                    mismatches.append((text, n1, n2, truth))
+    assert sum(map(len, t_forms.values())) == 644
+    assert (checked, realized) == (2270, 135)
     assert not mismatches, mismatches[:10]
 
 
@@ -278,10 +341,13 @@ def saturation_data(q_s, q_r):
 
 def filtered_saturation_data(q_s, q_r):
     """The reference: every isotropic subgroup of A_S + A_R, minus those
-    that meet A_S, each with its quotient on H-perp/H."""
+    that meet A_S, each with its quotient on H-perp/H.  H = 0 leaves S + R
+    itself (Nikulin 1979, 1.4), whose form is A_S + A_R as presented;
+    every other H is glued by complement_quotient."""
     total = q_s.direct_sum(q_r)
     ns = q_s.ngens
-    out = [_witness_data(sub.order, sub.gens, complement_quotient(total, sub),
+    out = [_witness_data(sub.order, sub.gens,
+                         complement_quotient(total, sub) if sub.order > 1 else total,
                          sub.order == 1)
            for sub in isotropic_subgroups(total)
            if not any(any(x[:ns]) and not any(x[ns:]) for x in sub.elements)]
@@ -368,7 +434,8 @@ def test_saturations_match_isotropic_filter(q_s, q_r):
 def test_saturation_quotients_match_reference_quotient(monkeypatch):
     """Every witness that a saturation oracle case glues over, degenerate
     forms included, on the ambient form the search shares between its
-    witnesses, has the quotient of the reference route."""
+    witnesses, has the quotient of the reference route; H = 0 is not
+    glued."""
     pairs = []
     real = latticelab.nikulin.complement_quotient
     monkeypatch.setattr(latticelab.nikulin, "complement_quotient",
@@ -377,6 +444,7 @@ def test_saturation_quotients_match_reference_quotient(monkeypatch):
         saturations_keeping_primitive(q_s, q_r)
     monkeypatch.undo()
     for form, sub in pairs:
+        assert sub.order > 1
         assert_reference_quotient(form, sub)
     assert len(pairs) > 2800
 
@@ -405,8 +473,9 @@ def test_saturations_take_no_subgroup_basis(monkeypatch, table_reports):
     tuple of K is spanned once, in A_S + A_R, and kept exactly when the
     span has |K| elements (its projection to A_R is K); every kept span is
     a witness's element set, and the glue generators are the minimal
-    generators of that set.  On every record of the five table runs
-    against its root, and on SATURATION_CASES."""
+    generators of that set.  H = 0 spans nothing: it is S + R itself,
+    with the integers of q_S + q_R.  On every record of the five table
+    runs against its root, and on SATURATION_CASES."""
     from latticelab.fqf import _minimal_generators
     pairs = [(rec.q_S, polarization_root(root).q_R)
              for table, root in table_reports for rec in load_table(table)]
@@ -422,11 +491,13 @@ def test_saturations_take_no_subgroup_basis(monkeypatch, table_reports):
         spans.clear()
         witnesses = saturations_keeping_primitive(q_s, q_r)
         assert witnesses[0].trivial
+        assert _form_data(witnesses[0].quotient) == _form_data(total)
+        assert all(gens for gens, _ in spans)
         assert len({gens for gens, _ in spans}) == len(spans)
         kept = [els for gens, els in spans
                 if len(els) == len(real(q_r, [x[ns:] for x in gens]))]
-        assert len(kept) == len(witnesses)
-        assert set(kept) == {real(total, w.glue_gens) for w in witnesses}
+        assert len(kept) == len(witnesses) - 1
+        assert set(kept) == {real(total, w.glue_gens) for w in witnesses[1:]}
         for w in witnesses:
             assert w.glue_gens == tuple(_minimal_generators(total, real(total, w.glue_gens)))
 

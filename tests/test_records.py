@@ -169,10 +169,15 @@ def test_records_of_plain_values_pickle_and_copy():
     assert pickle.dumps(q) == fresh
     for again in (pickle.loads(fresh), copy.copy(q), copy.deepcopy(q)):
         assert again._scan is None and again._parts is None
-    quot = full_report("hm15", "E6")[0].criterion.outcomes[0].witness.quotient
-    assert quot._parts is None and pickle.dumps(quot) == pickle.dumps(copy.copy(quot))
-    for again in (pickle.loads(pickle.dumps(quot)), copy.copy(quot), copy.deepcopy(quot)):
-        assert again._parts is None and _form_data(again) == _form_data(quot)
+    # the trivial witness's quotient is the ambient form A_S + A_R, whose
+    # blocks the glue quotients were cut from; outcomes[1] is glued
+    outcomes = full_report("hm15", "E6")[0].criterion.outcomes
+    ambient, quot = (o.witness.quotient for o in outcomes[:2])
+    assert ambient._parts is not None and quot._parts is None
+    for form in (ambient, quot):
+        assert pickle.dumps(form) == pickle.dumps(copy.copy(form))
+        for again in (pickle.loads(pickle.dumps(form)), copy.copy(form), copy.deepcopy(form)):
+            assert again._parts is None and _form_data(again) == _form_data(form)
     holders = [
         (q, _form_data),
         (polarization_root("E6"), lambda r: (r, _form_data(r.q_R))),

@@ -51,7 +51,10 @@ Recorded:
                        five table runs glues over, with their count; the
                        pairs are captured once, in an untimed pass before
                        any unit.  From BENCH_25 on; the forms rebuilt
-                       before each run from BENCH_29 on.
+                       before each run from BENCH_29 on.  From BENCH_34 on
+                       a trivial witness (H = 0) is not glued, so the
+                       pairs are the 115 nontrivial ones, where they were
+                       163: the 48 cheapest left, and the mean rose.
   to_symbol_ms         median and IQR over RUNS (21) units of the mean time
                        per to_symbol call, in ms at the reference speed, over
                        the forms that one pass of the five table runs (with
