@@ -69,18 +69,9 @@ class CyclotomicInt:
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs=None):
+    def __init__(self, n: int):
         self.n = n
         self.coeffs = [0] * n
-        if coeffs:
-            for e, c in coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs):
-                self.coeffs[e % n] += c
-
-    @staticmethod
-    def root(n: int, e: int, c: int = 1) -> "CyclotomicInt":
-        z = CyclotomicInt(n)
-        z.coeffs[e % n] = c
-        return z
 
     @staticmethod
     def integer(n: int, c: int) -> "CyclotomicInt":
@@ -90,11 +81,6 @@ class CyclotomicInt:
 
     def add_root(self, e: int, c: int = 1):
         self.coeffs[e % self.n] += c
-
-    def __add__(self, other):
-        z = CyclotomicInt(self.n)
-        z.coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        return z
 
     def __sub__(self, other):
         z = CyclotomicInt(self.n)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import itertools
@@ -120,25 +121,80 @@ def test_times_are_scaled_by_the_calibration_kernel(bench, monkeypatch):
     assert bench.timed(lambda: None) == 0.25  # the mean of both kernel runs
 
 
-def test_glue_quotients_are_timed_per_call(bench, monkeypatch):
-    """complement_quotient_ms is the scaled mean per call over the captured
-    pairs: with the kernel at twice K_REF_S and each unit 0.5 s on the fake
-    clock, 20 pairs read 0.25 s / 20 per call, in ms; the capture pass
-    collects every pair the five table runs glue over, and restores the
-    name it wrapped."""
-    import latticelab.nikulin
-    real = latticelab.nikulin.complement_quotient
-    pairs = bench.glue_pairs()
-    assert len(pairs) > 100 and latticelab.nikulin.complement_quotient is real
+@pytest.fixture(scope="module")
+def layers(bench):
+    """What bench() hands per_layer_ms for each key, as (call, count,
+    inputs), with the table, rank-2 and cold-start timings stubbed out."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "per_layer_ms",
+                   lambda call, count, inputs, runs, unit_s: (call, count, inputs))
+        for name in ("time_tables", "time_rank2", "time_cold_start"):
+            mp.setattr(bench, name, lambda *args: {})
+        return {key: entry for key, entry in bench.bench(0, 3, 2, 0).items()
+                if key.endswith("_ms") and entry}
+
+
+def _fake_time(bench, monkeypatch):
+    """The kernel at twice K_REF_S and each unit 0.5 s on the fake clock, so
+    a unit over n calls reads 0.25 s / n per call; the returned function
+    moves the clock on, so work it is called from shows if it is timed."""
     monkeypatch.setattr(bench.calib, "kernel_s", lambda: 2 * bench.calib.K_REF_S)
-    clock = itertools.count(0, 0.5)
-    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    now = [0.0]
+
+    def perf_counter():
+        now[0] += 0.5
+        return now[0]
+
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=perf_counter))
+    return lambda seconds: now.__setitem__(0, now[0] + seconds)
+
+
+def test_bench_hands_each_key_its_call(bench, layers):
+    """Each layer times its own function over its own captured inputs: the
+    witness symbols time to_symbol(complement_quotient(form, H)) over the
+    glue pairs, the split its uncached function, and the saturations the
+    59 (q_S, q_R) pairs of the five table runs, one q_R per root."""
+    import latticelab.symbol
+    calls = {key: call for key, (call, _, _) in layers.items()}
+    witness = calls.pop("witness_symbol_ms")
+    assert calls == {
+        "complement_quotient_ms": bench.complement_quotient,
+        "to_symbol_ms": bench.to_symbol,
+        "smith_normal_form_ms": bench.smith_normal_form,
+        "split_primary_ms": latticelab.symbol._split_primary.__wrapped__,
+        "embedding_class_count_ms": bench.embedding_class_count,
+        "saturations_ms": bench.saturations_keeping_primitive,
+    }
+    counts = {key: (count, len(inputs)) for key, (_, count, inputs) in layers.items()}
+    assert counts == {"complement_quotient_ms": ("pairs", 115), "to_symbol_ms": ("forms", 201),
+                      "witness_symbol_ms": ("pairs", 115), "smith_normal_form_ms": ("matrices", 165),
+                      "split_primary_ms": ("keys", 134), "embedding_class_count_ms": ("calls", 7),
+                      "saturations_ms": ("calls", 59)}
+    assert layers["witness_symbol_ms"][2] is layers["complement_quotient_ms"][2]
+    order = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "complement_quotient", lambda form, sub: order.append((form, sub)) or 7)
+        mp.setattr(bench, "to_symbol", lambda q: order.append(q) or "symbol")
+        assert witness("form", "H") == "symbol"
+    assert order == [("form", "H"), 7]
+    pairs = layers["saturations_ms"][2]
+    assert [(_form_data(q_s), _form_data(q_r)) for q_s, q_r in pairs] == \
+        [(_form_data(q_s), _form_data(q_r)) for q_s, q_r in bench.saturation_pairs()]
+    assert len({id(q_r) for _, q_r in pairs}) == 5
+
+
+def test_glue_quotients_are_timed_per_call(bench, layers, monkeypatch):
+    """complement_quotient_ms is the scaled mean per call over the captured
+    pairs: 20 pairs read 0.25 s / 20 per call, in ms; the capture pass
+    collects the 115 pairs the five table runs glue over, and the searches
+    share their forms."""
+    pairs = layers["complement_quotient_ms"][2]
+    assert len(pairs) == 115
+    assert len({id(form) for form, _ in pairs}) < len(pairs)  # searches share their forms
+    _fake_time(bench, monkeypatch)
     calls = []
-    monkeypatch.setattr(bench, "complement_quotient",
-                        lambda form, sub: calls.append((form, sub)))
-    entry = bench.time_complement_quotient(3, pairs[:20])
+    entry = bench.per_layer_ms(lambda form, sub: calls.append((form, sub)), "pairs", pairs[:20], 3)
     assert entry["pairs"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
-    assert len(calls) == 20 * 4
     _assert_rebuilt_per_run(calls, pairs[:20], 4)
 
 
@@ -149,7 +205,7 @@ def _form_data(form):
 def _assert_rebuilt_per_run(calls, pairs, runs):
     """Each run sees every captured (form, H) on a form rebuilt from its
     integers, with no walk or p-parts, new in each run and shared where the
-    captured forms are, and H with its elements on that form."""
+    captured forms are, and H as captured."""
     assert len(calls) == runs * len(pairs)
     seen = set()
     for start in range(0, len(calls), len(pairs)):
@@ -158,107 +214,92 @@ def _assert_rebuilt_per_run(calls, pairs, runs):
             assert form is not old_form and id(form) not in seen
             assert _form_data(form) == _form_data(old_form)
             assert form._scan is None and form._parts is None
-            assert sub is old_sub or sub.ambient is form and sub.elements == old_sub.elements
+            assert sub is old_sub
         for (x, old_x), (y, old_y) in itertools.combinations(zip(run, pairs), 2):
             assert (x[0] is y[0]) == (old_x[0] is old_y[0])
         seen |= {id(form) for form, _ in run}
 
 
-def test_witness_symbols_are_timed_per_pair_from_rebuilt_forms(bench, monkeypatch):
+def test_witness_symbols_are_timed_per_pair_from_rebuilt_forms(bench, layers, monkeypatch):
     """witness_symbol_ms is the scaled mean per to_symbol(complement_quotient
     (form, H)) over the captured pairs, each run on rebuilt forms and from
     empty Jordan caches, both set up outside the timed span."""
-    pairs = bench.glue_pairs()
-    assert len({id(form) for form, _ in pairs}) < len(pairs)  # searches share their forms
-    monkeypatch.setattr(bench.calib, "kernel_s", lambda: 2 * bench.calib.K_REF_S)
-    clock = itertools.count(0, 0.5)
-    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    call, count, pairs = layers["witness_symbol_ms"]
+    tick = _fake_time(bench, monkeypatch)
     calls, order = [], []
-    monkeypatch.setattr(bench, "clear_jordan_caches", lambda: order.append("clear"))
+    monkeypatch.setattr(bench, "clear_jordan_caches", lambda: order.append("clear") or tick(100))
     monkeypatch.setattr(bench, "complement_quotient",
                         lambda form, sub: calls.append((form, sub)) or order.append("cq") or sub)
     monkeypatch.setattr(bench, "to_symbol", lambda sub: order.append("symbol"))
-    entry = bench.time_witness_symbols(3, pairs[:20])
+    entry = bench.per_layer_ms(call, count, pairs[:20], 3)
     assert entry["pairs"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
     assert order == (["clear"] + ["cq", "symbol"] * 20) * 4
     _assert_rebuilt_per_run(calls, pairs[:20], 4)
 
 
-def test_symbols_are_timed_per_call_from_empty_caches(bench, monkeypatch):
+def test_symbols_are_timed_per_call_from_empty_caches(bench, layers, monkeypatch):
     """to_symbol_ms is the scaled mean per call over the captured forms:
-    with the kernel at twice K_REF_S and each unit 0.5 s on the fake clock,
     20 forms read 0.25 s / 20 per call, in ms, and every run over them
     starts by emptying the Jordan caches and runs on the forms rebuilt
-    from their integers; the capture pass collects every form the five
-    table runs canonicalize, and restores the name it wrapped."""
-    import latticelab.symbol
-    real = latticelab.symbol.jordan_constituents
-    forms = bench.symbol_forms()
-    assert len(forms) > 150 and latticelab.symbol.jordan_constituents is real
-    monkeypatch.setattr(bench.calib, "kernel_s", lambda: 2 * bench.calib.K_REF_S)
-    clock = itertools.count(0, 0.5)
-    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    from their integers; the capture pass collects the 201 forms the five
+    table runs canonicalize."""
+    forms = layers["to_symbol_ms"][2]
+    assert len(forms) == 201
+    tick = _fake_time(bench, monkeypatch)
     calls = []
-    monkeypatch.setattr(bench, "clear_jordan_caches", lambda: calls.append("clear"))
-    monkeypatch.setattr(bench, "to_symbol", lambda form: calls.append(form))
-    entry = bench.time_to_symbol(3, forms[:20])
+    monkeypatch.setattr(bench, "clear_jordan_caches", lambda: calls.append("clear") or tick(100))
+    entry = bench.per_layer_ms(lambda form: calls.append(form), "forms", forms[:20], 3)
     assert entry["forms"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
     assert calls[::21] == ["clear"] * 4 and len(calls) == 21 * 4
     runs = [calls[start + 1:start + 21] for start in range(0, len(calls), 21)]
     _assert_rebuilt_per_run([(form, None) for run in runs for form in run],
-                            [(form, None) for form in forms[:20]], 4)
+                            [(form, None) for (form,) in forms[:20]], 4)
 
 
-def test_kernels_are_timed_per_call_on_one_pass(bench, monkeypatch):
+def test_kernels_are_timed_per_call_on_one_pass(bench, layers, monkeypatch):
     """smith_normal_form_ms and split_primary_ms are the scaled means per
     call over the inputs one pass of the five table runs gives each
-    kernel: every matrix as given, and each distinct key once, split by
-    the uncached function; the capture restores every name it wrapped."""
+    kernel: the 165 matrices as given, and the 134 distinct keys once
+    each; the capture restores every name it wrapped, both bindings of
+    smith_normal_form included."""
+    import latticelab.casebook
     import latticelab.exactmat
     import latticelab.fqf
+    import latticelab.nikulin
     import latticelab.symbol
-    names = [(latticelab.exactmat, "smith_normal_form"), (latticelab.fqf, "smith_normal_form"),
-             (latticelab.symbol, "_split_primary")]
+    names = [(latticelab.nikulin, "complement_quotient"), (latticelab.symbol, "jordan_constituents"),
+             (latticelab.exactmat, "smith_normal_form"), (latticelab.fqf, "smith_normal_form"),
+             (latticelab.symbol, "_split_primary"), (latticelab.casebook, "embedding_class_count")]
     real = [getattr(owner, name) for owner, name in names]
-    mats, keys = bench.kernel_inputs()
+    bench.table_inputs()
     assert [getattr(owner, name) for owner, name in names] == real
-    assert len(mats) > 100 and len(keys) == len(set(keys)) > 100
-    assert all(type(x) is int for m in mats for row in m for x in row)
-    monkeypatch.setattr(bench.calib, "kernel_s", lambda: 2 * bench.calib.K_REF_S)
-    clock = itertools.count(0, 0.5)
-    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    mats, keys = layers["smith_normal_form_ms"][2], layers["split_primary_ms"][2]
+    assert len(mats) == 165 and len(keys) == len(set(keys)) == 134
+    assert all(type(x) is int for (m,) in mats for row in m for x in row)
+    _fake_time(bench, monkeypatch)
     calls = []
-    monkeypatch.setattr(bench, "smith_normal_form", lambda mat: calls.append(mat))
-    entry = bench.time_smith_normal_form(3, mats[:20])
+    entry = bench.per_layer_ms(lambda mat: calls.append(mat), "matrices", mats[:20], 3)
     assert entry["matrices"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
-    assert calls == mats[:20] * 4
+    assert calls == [mat for (mat,) in mats[:20]] * 4
+    assert all(new is old for new, (old,) in zip(calls, mats[:20] * 4))
     calls.clear()
-    monkeypatch.setattr(latticelab.symbol, "_split_primary",
-                        SimpleNamespace(__wrapped__=lambda *key: calls.append(key)))
-    entry = bench.time_split_primary(3, keys[:20])
+    entry = bench.per_layer_ms(lambda *key: calls.append(key), "keys", keys[:20], 3)
     assert entry["keys"] == 20 and entry["runs"] == [0.25 * 1e3 / 20] * 3
     assert calls == keys[:20] * 4
 
 
-def test_embedding_counts_are_timed_per_call_on_rebuilt_records(bench, monkeypatch):
+def test_embedding_counts_are_timed_per_call_on_rebuilt_records(bench, layers, monkeypatch):
     """embedding_class_count_ms is the scaled mean per call over the 7
-    (record, T) calls of one hm15/E6 pass, each run from empty Jordan
-    caches and on records rebuilt with rebuilt forms, one copy per record,
-    both set up outside the timed span; the capture restores the name it
-    wrapped."""
-    import latticelab.casebook
-    real = latticelab.casebook.embedding_class_count
-    calls = bench.embedding_calls()
-    assert latticelab.casebook.embedding_class_count is real
+    (record, T) calls of the hm15/E6 run, each run from empty Jordan
+    caches and on records rebuilt around rebuilt forms, one copy per
+    record, both set up outside the timed span."""
+    calls = layers["embedding_class_count_ms"][2]
     assert [rec.row for rec, _ in calls] == [1, 4, 4, 5, 10, 11, 13]
-    monkeypatch.setattr(bench.calib, "kernel_s", lambda: 2 * bench.calib.K_REF_S)
-    clock = itertools.count(0, 0.5)
-    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    tick = _fake_time(bench, monkeypatch)
     seen, order = [], []
-    monkeypatch.setattr(bench, "clear_jordan_caches", lambda: order.append("clear"))
-    monkeypatch.setattr(bench, "embedding_class_count",
-                        lambda rec, t_form: seen.append((rec, t_form)) or order.append("count"))
-    entry = bench.time_embedding_class_count(3, calls)
+    monkeypatch.setattr(bench, "clear_jordan_caches", lambda: order.append("clear") or tick(100))
+    entry = bench.per_layer_ms(lambda rec, t_form: seen.append((rec, t_form)) or order.append("count"),
+                               "calls", calls, 3)
     assert entry["calls"] == 7 and entry["runs"] == [0.25 * 1e3 / 7] * 3
     assert order == (["clear"] + ["count"] * 7) * 4
     for start in range(0, len(seen), 7):
@@ -275,16 +316,21 @@ def test_embedding_counts_are_timed_per_call_on_rebuilt_records(bench, monkeypat
 def test_saturations_are_timed_per_call_on_rebuilt_forms(bench, monkeypatch):
     """saturations_ms is the scaled mean per call over the 59 (q_S, q_R)
     pairs of the five table runs, each run on forms rebuilt from their
-    integers, new in each run and shared where the captured forms are."""
+    integers, new in each run and shared where the captured forms are;
+    the rebuilding leaves no garbage cycle, so no run's copies wait for
+    the cycle collector, which could run inside a later timed span."""
     pairs = bench.saturation_pairs()
     assert len(pairs) == 59 and len({id(q_r) for _, q_r in pairs}) == 5
-    monkeypatch.setattr(bench.calib, "kernel_s", lambda: 2 * bench.calib.K_REF_S)
-    clock = itertools.count(0, 0.5)
-    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    _fake_time(bench, monkeypatch)
     calls = []
-    monkeypatch.setattr(bench, "saturations_keeping_primitive",
-                        lambda q_s, q_r: calls.extend([(q_s, None), (q_r, None)]))
-    entry = bench.time_saturations(3, pairs)
+    gc.collect()
+    gc.disable()
+    try:
+        entry = bench.per_layer_ms(lambda q_s, q_r: calls.extend([(q_s, None), (q_r, None)]),
+                                   "calls", pairs, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
     assert entry["calls"] == 59 and entry["runs"] == [0.25 * 1e3 / 59] * 3
     flat = [(form, None) for pair in pairs for form in pair]
     _assert_rebuilt_per_run(calls, flat, 4)

@@ -25,11 +25,24 @@ Each table run starts from empty Jordan caches (the per-process caches of
 back to back, later runs would otherwise find every split and canonical
 form cached, so `full_report_s` stays comparable with BENCH_23 and
 earlier.  Each run builds its forms anew, so no cached scan carries over.
-The glue and symbol measurements run on captured forms, which keep their
-walk and p-part blocks once used: before each run, untimed, every captured
-form is rebuilt from its integers (`copy.copy`, which carries neither) and
-every captured H onto its rebuilt form, one copy per captured form, so
-the forms that a table run shares stay shared.
+
+Each `_ms` measurement but cold_start_ms times one layer: one function
+called on each of a list of argument tuples.  The tuples of the glue,
+symbol, Smith-form, split and embedding-count layers are what one pass
+of the five table runs, with to_json_dict() on every verdict, hands the
+function, captured once in an untimed pass before any unit under the
+names the library calls, which are restored after.  A captured form
+keeps its walk and p-part blocks once used, so before each run of every
+layer, untimed, the Jordan caches are emptied and the tuples rebuilt:
+every form from its integers (`copy.copy`, which carries neither), every
+record around its rebuilt forms, and anything else (H, a matrix, a key,
+a rank-2 form) as captured, each object copied once, so the forms that a
+table run shares stay shared.  A layer is recorded as the median and IQR
+over RUNS (21) units of the mean time per call, in ms at the reference
+speed, with the number of calls.  From BENCH_35 on every layer's run
+starts so; before it, the glue, Smith-form, split, saturation and rank-2
+runs kept the Jordan caches, which none of them reads, and each H was
+rebuilt onto its rebuilt form, with the generators it was captured with.
 
 Recorded:
   git_sha, git_dirty   HEAD of the checkout, and whether tracked files differ
@@ -45,64 +58,42 @@ Recorded:
                        from empty Jordan caches, in seconds per run at the
                        reference speed
   complement_quotient_ms
-                       median and IQR over RUNS (21) units of the mean time
-                       per complement_quotient call, in ms at the reference
-                       speed, over the (form, H) pairs that one pass of the
-                       five table runs glues over, with their count; the
-                       pairs are captured once, in an untimed pass before
-                       any unit.  From BENCH_25 on; the forms rebuilt
-                       before each run from BENCH_29 on.  From BENCH_34 on
-                       a trivial witness (H = 0) is not glued, so the
-                       pairs are the 115 nontrivial ones, where they were
-                       163: the 48 cheapest left, and the mean rose.
-  to_symbol_ms         median and IQR over RUNS (21) units of the mean time
-                       per to_symbol call, in ms at the reference speed, over
-                       the forms that one pass of the five table runs (with
-                       to_json_dict()) canonicalizes, with their count; the
-                       forms are captured once, in an untimed pass before any
-                       unit, and each run over them starts from empty Jordan
-                       caches, as a table run does.  From BENCH_28 on; the
-                       forms rebuilt and the caches emptied before each run,
-                       untimed, from BENCH_29 on.
-  witness_symbol_ms    median and IQR over RUNS (21) units of the mean time
-                       per to_symbol(complement_quotient(form, H)), in ms at
-                       the reference speed, over the pairs of
-                       complement_quotient_ms, each run from rebuilt forms
-                       and empty Jordan caches: the symbol of each witness
-                       quotient, as the saturation search and the criterion
-                       take it.  From BENCH_29 on.
-  smith_normal_form_ms median and IQR over RUNS (21) units of the mean time
-                       per smith_normal_form call, in ms at the reference
-                       speed, over the matrices that one pass of the five
-                       table runs (with to_json_dict()) gives it, with their
-                       count; the matrices are captured once, in an untimed
-                       pass before any unit.  From BENCH_30 on.
-  split_primary_ms     median and IQR over RUNS (21) units of the mean time
-                       per uncached Jordan split (`_split_primary.__wrapped__`)
-                       over the distinct p-part keys of that same pass, in ms
-                       at the reference speed, with their count.  From
+                       the layer of complement_quotient over the (form, H)
+                       pairs it is handed (`pairs`).  From BENCH_25 on; the
+                       forms rebuilt before each run from BENCH_29 on.  From
+                       BENCH_34 on a trivial witness (H = 0) is not glued,
+                       so the pairs are the 115 nontrivial ones, where they
+                       were 163: the 48 cheapest left, and the mean rose.
+  to_symbol_ms         the layer of to_symbol over the forms it is handed
+                       (`forms`), caught where it splits them.  From
+                       BENCH_28 on; the forms rebuilt and the caches
+                       emptied before each run from BENCH_29 on.
+  witness_symbol_ms    the layer of to_symbol(complement_quotient(form, H))
+                       over the pairs of complement_quotient_ms: the symbol
+                       of each witness quotient, as the saturation search
+                       and the criterion take it.  From BENCH_29 on.
+  smith_normal_form_ms the layer of smith_normal_form over the matrices it
+                       is handed, each copied as given (`matrices`).  From
                        BENCH_30 on.
+  split_primary_ms     the layer of the uncached Jordan split
+                       (`_split_primary.__wrapped__`) over the distinct
+                       p-part keys it is handed, in first-seen order
+                       (`keys`).  From BENCH_30 on.
   embedding_class_count_ms
-                       median and IQR over RUNS (21) units of the mean time
-                       per embedding_class_count call, in ms at the
-                       reference speed, over the (record, T) calls that one
-                       hm15/E6 pass (with to_json_dict()) makes, with their
-                       count; the calls are captured once, in an untimed
-                       pass before any unit, and before each run, untimed,
-                       the Jordan caches are emptied and every captured
-                       record is rebuilt with its forms rebuilt, one copy
-                       per record.  From BENCH_31 on.
-  saturations_ms       median and IQR over RUNS (21) units of the mean time
-                       per saturations_keeping_primitive call, in ms at the
-                       reference speed, over the (q_S, q_R) pairs of every
-                       record of the five table runs against its root, with
-                       their count; before each run, untimed, every form is
-                       rebuilt, one copy per form, so a root's q_R stays
-                       shared across its records.  From BENCH_33 on.
+                       the layer of embedding_class_count over the
+                       (record, T) calls of the hm15/E6 run (`calls`), on
+                       records rebuilt around rebuilt forms.  From BENCH_31
+                       on.
+  saturations_ms       the layer of saturations_keeping_primitive over the
+                       (q_S, q_R) pairs of every record of the five table
+                       runs against its root (`calls`), not captured but
+                       read from the tables, one q_R per root, so a root's
+                       q_R stays shared across its records.  From BENCH_33
+                       on.
   rank2_enumerate_ms   per queries stratum of determinants, and for the one
-                       determinant DET_CAP under `cap`: median and IQR over
-                       RUNS (21) units of the mean time per call, in ms at
-                       the reference speed.  `cap` from BENCH_27 on.
+                       determinant DET_CAP under `cap`: the layer of
+                       rank2_enumerate over (det, negative) (`dets`).
+                       `cap` from BENCH_27 on.
   cold_start_ms        raw wall time from launch to exit, in ms, median and
                        IQR over RUNS (21) fresh interpreters each: `cli`
                        imports latticelab and latticelab.cli and builds the
@@ -145,11 +136,10 @@ import latticelab.exactmat  # noqa: E402
 import latticelab.fqf  # noqa: E402
 import latticelab.nikulin  # noqa: E402
 import latticelab.symbol  # noqa: E402
-from latticelab import (complement_quotient, embedding_class_count, full_report,  # noqa: E402
-                        load_table, polarization_root, rank2_enumerate,
-                        saturations_keeping_primitive)
+from latticelab import (FiniteQuadraticForm, LeechPairRecord, complement_quotient,  # noqa: E402
+                        embedding_class_count, full_report, load_table, polarization_root,
+                        rank2_enumerate, saturations_keeping_primitive)
 from latticelab.exactmat import smith_normal_form  # noqa: E402
-from latticelab.fqf import Subgroup  # noqa: E402
 from latticelab.rank2 import DET_CAP  # noqa: E402
 from latticelab.symbol import clear_jordan_caches, to_symbol  # noqa: E402
 
@@ -158,6 +148,11 @@ TABLE_RUNS = (("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
 SEED = 1  # seed of the queries stream the determinants come from
 RUNS = 21  # units per measurement in a full (not --quick) run
 UNIT_S = 0.1  # the length a unit's back-to-back runs fill
+# the names table_inputs wraps, where the library calls them: both bindings
+# of smith_normal_form log into one list
+WRAPPED = ((latticelab.nikulin, "complement_quotient"), (latticelab.symbol, "jordan_constituents"),
+           (latticelab.exactmat, "smith_normal_form"), (latticelab.fqf, "smith_normal_form"),
+           (latticelab.symbol, "_split_primary"), (latticelab.casebook, "embedding_class_count"))
 COLD_START = ("import sys; sys.path.insert(0, sys.argv[1]); import latticelab, latticelab.cli; "
               "latticelab.cli.build_parser()")
 
@@ -222,28 +217,41 @@ def timed(call, reps: int = 1, setup=tuple) -> float:
     return calib.scaled(elapsed / reps, before, calib.kernel_s())
 
 
-def per_call_ms(one, calls: int, runs: int, unit_s: float, setup=tuple) -> dict:
-    """Median and IQR over runs units of the mean time per call, in ms at
-    the reference speed, where one(*setup()) makes `calls` calls."""
+def rebuilt(obj, copies: dict):
+    """obj rebuilt if a form, from its integers by copy.copy, which keeps
+    no walk or p-part blocks, or a record, around its rebuilt forms, and
+    otherwise as captured; copies maps the id of each object already
+    rebuilt to its copy, so shared forms stay shared.  A closure here
+    would form a cycle, and a run's copies would wait for the cycle
+    collector, which can run inside a later timed span."""
+    if not isinstance(obj, (FiniteQuadraticForm, LeechPairRecord)):
+        return obj
+    if id(obj) not in copies:
+        copies[id(obj)] = (copy.copy(obj) if isinstance(obj, FiniteQuadraticForm) else
+                           type(obj)(*[rebuilt(getattr(obj, name), copies)
+                                       for name in obj.__slots__]))
+    return copies[id(obj)]
+
+
+def per_layer_ms(call, count: str, inputs: list[tuple], runs: int,
+                 unit_s: float = UNIT_S) -> dict:
+    """Median and IQR over runs units of the mean time per call(*args) over
+    the argument tuples, in ms at the reference speed, with their number
+    under `count`; before each run, outside the timed span, the Jordan
+    caches are emptied and every object of the tuples rebuilt, one copy
+    per object."""
+    def one(fresh):
+        for args in fresh:
+            call(*args)
+
+    def setup():
+        clear_jordan_caches()
+        copies = {}
+        return ([tuple(rebuilt(obj, copies) for obj in args) for args in inputs],)
+
     reps = reps_for(one, unit_s, setup)
-    return summary([timed(one, reps, setup) * 1e3 / calls for _ in range(runs)])
-
-
-def rebuilt(forms: list) -> list:
-    """Each form rebuilt from its integers by copy.copy, which keeps no
-    walk or p-part blocks; a form met more than once is rebuilt once."""
-    copies = {}
-    for form in forms:
-        if id(form) not in copies:
-            copies[id(form)] = copy.copy(form)
-    return [copies[id(form)] for form in forms]
-
-
-def rebuilt_pairs(pairs: list) -> list:
-    """The (form, H) pairs on rebuilt forms, each H rebuilt on its form."""
-    forms = rebuilt([form for form, _ in pairs])
-    return [(form, Subgroup._of_elements(form, sub.elements))
-            for form, (_, sub) in zip(forms, pairs)]
+    return {count: len(inputs),
+            **summary([timed(one, reps, setup) * 1e3 / len(inputs) for _ in range(runs)])}
 
 
 def time_tables(runs: int, unit_s: float = UNIT_S) -> dict:
@@ -258,151 +266,32 @@ def time_tables(runs: int, unit_s: float = UNIT_S) -> dict:
             for table, root in TABLE_RUNS}
 
 
-def glue_pairs() -> list:
-    """The (form, H) pairs that one pass of the five table runs hands
-    complement_quotient, through the name the saturations call."""
-    pairs = []
-    real = latticelab.nikulin.complement_quotient
-    latticelab.nikulin.complement_quotient = \
-        lambda form, sub: pairs.append((form, sub)) or real(form, sub)
-    try:
-        for table, root in TABLE_RUNS:
-            full_report(table, root)
-    finally:
-        latticelab.nikulin.complement_quotient = real
-    return pairs
+def table_inputs() -> dict[str, list[tuple]]:
+    """The argument tuples that one pass of the five table runs, with
+    to_json_dict() on every verdict, hands each name of WRAPPED, by name
+    and in call order: each matrix copied as given, each _split_primary
+    key once, in first-seen order.  Every name is restored after."""
+    logs = {name: [] for _, name in WRAPPED}
+    real = [getattr(owner, name) for owner, name in WRAPPED]
 
+    def logged(name, fn):
+        def call(*args):
+            logs[name].append(([list(row) for row in args[0]],)
+                              if name == "smith_normal_form" else args)
+            return fn(*args)
+        return call
 
-def time_complement_quotient(runs: int, pairs: list, unit_s: float = UNIT_S) -> dict:
-    def one(fresh):
-        for form, sub in fresh:
-            complement_quotient(form, sub)
-
-    def setup():
-        return (rebuilt_pairs(pairs),)
-
-    return {"pairs": len(pairs), **per_call_ms(one, len(pairs), runs, unit_s, setup)}
-
-
-def time_witness_symbols(runs: int, pairs: list, unit_s: float = UNIT_S) -> dict:
-    def one(fresh):
-        for form, sub in fresh:
-            to_symbol(complement_quotient(form, sub))
-
-    def setup():
-        clear_jordan_caches()
-        return (rebuilt_pairs(pairs),)
-
-    return {"pairs": len(pairs), **per_call_ms(one, len(pairs), runs, unit_s, setup)}
-
-
-def symbol_forms() -> list:
-    """The forms that one pass of the five table runs, with to_json_dict(),
-    hands to_symbol, caught where to_symbol splits them."""
-    forms = []
-    real = latticelab.symbol.jordan_constituents
-    latticelab.symbol.jordan_constituents = lambda form: forms.append(form) or real(form)
+    for (owner, name), fn in zip(WRAPPED, real):
+        setattr(owner, name, logged(name, fn))
     try:
         for table, root in TABLE_RUNS:
             for verdict in full_report(table, root):
                 verdict.to_json_dict()
     finally:
-        latticelab.symbol.jordan_constituents = real
-    return forms
-
-
-def time_to_symbol(runs: int, forms: list, unit_s: float = UNIT_S) -> dict:
-    def one(fresh):
-        for form in fresh:
-            to_symbol(form)
-
-    def setup():
-        clear_jordan_caches()
-        return (rebuilt(forms),)
-
-    return {"forms": len(forms), **per_call_ms(one, len(forms), runs, unit_s, setup)}
-
-
-def kernel_inputs() -> tuple[list, list]:
-    """(matrices, keys): every matrix that one pass of the five table runs,
-    with to_json_dict(), gives smith_normal_form (copied as given), and
-    the distinct keys it splits with _split_primary, in first-seen order;
-    caught under the names the library calls, which are restored after."""
-    mats, keys = [], {}
-    sym = latticelab.symbol
-    snf, split = latticelab.exactmat.smith_normal_form, sym._split_primary
-
-    def logged_snf(mat):
-        mats.append([list(row) for row in mat])
-        return snf(mat)
-
-    latticelab.exactmat.smith_normal_form = latticelab.fqf.smith_normal_form = logged_snf
-    sym._split_primary = lambda *key: keys.setdefault(key) or split(*key)
-    try:
-        for table, root in TABLE_RUNS:
-            for verdict in full_report(table, root):
-                verdict.to_json_dict()
-    finally:
-        latticelab.exactmat.smith_normal_form = latticelab.fqf.smith_normal_form = snf
-        sym._split_primary = split
-    return mats, list(keys)
-
-
-def time_smith_normal_form(runs: int, mats: list, unit_s: float = UNIT_S) -> dict:
-    def one():
-        for mat in mats:
-            smith_normal_form(mat)
-
-    return {"matrices": len(mats), **per_call_ms(one, len(mats), runs, unit_s)}
-
-
-def time_split_primary(runs: int, keys: list, unit_s: float = UNIT_S) -> dict:
-    split = latticelab.symbol._split_primary.__wrapped__
-
-    def one():
-        for key in keys:
-            split(*key)
-
-    return {"keys": len(keys), **per_call_ms(one, len(keys), runs, unit_s)}
-
-
-def embedding_calls() -> list:
-    """The (record, T) pairs that one hm15/E6 pass, with to_json_dict(),
-    hands embedding_class_count, through the name analyze_record calls."""
-    calls = []
-    real = latticelab.casebook.embedding_class_count
-    latticelab.casebook.embedding_class_count = \
-        lambda rec, t_form: calls.append((rec, t_form)) or real(rec, t_form)
-    try:
-        for verdict in full_report("hm15", "E6"):
-            verdict.to_json_dict()
-    finally:
-        latticelab.casebook.embedding_class_count = real
-    return calls
-
-
-def rebuilt_calls(calls: list) -> list:
-    """The (record, T) pairs on records rebuilt with rebuilt forms; a
-    record met more than once is rebuilt once."""
-    copies = {}
-    for rec, _ in calls:
-        if id(rec) not in copies:
-            fields = {name: getattr(rec, name) for name in rec.__slots__}
-            fields["q_K"], fields["q_S"] = rebuilt([rec.q_K, rec.q_S])
-            copies[id(rec)] = type(rec)(**fields)
-    return [(copies[id(rec)], t_form) for rec, t_form in calls]
-
-
-def time_embedding_class_count(runs: int, calls: list, unit_s: float = UNIT_S) -> dict:
-    def one(fresh):
-        for rec, t_form in fresh:
-            embedding_class_count(rec, t_form)
-
-    def setup():
-        clear_jordan_caches()
-        return (rebuilt_calls(calls),)
-
-    return {"calls": len(calls), **per_call_ms(one, len(calls), runs, unit_s, setup)}
+        for (owner, name), fn in zip(WRAPPED, real):
+            setattr(owner, name, fn)
+    logs["_split_primary"] = list(dict.fromkeys(logs["_split_primary"]))
+    return logs
 
 
 def saturation_pairs() -> list:
@@ -415,29 +304,11 @@ def saturation_pairs() -> list:
     return pairs
 
 
-def time_saturations(runs: int, pairs: list, unit_s: float = UNIT_S) -> dict:
-    def one(fresh):
-        for q_s, q_r in fresh:
-            saturations_keeping_primitive(q_s, q_r)
-
-    def setup():
-        forms = rebuilt([form for pair in pairs for form in pair])
-        return (list(zip(forms[::2], forms[1::2])),)
-
-    return {"calls": len(pairs), **per_call_ms(one, len(pairs), runs, unit_s, setup)}
-
-
 def time_rank2(runs: int, per_stratum: int, unit_s: float = UNIT_S) -> dict:
     cases = {f"{lo}-{hi}": inputs for (lo, hi), inputs in rank2_inputs(per_stratum).items()}
     cases["cap"] = [(DET_CAP, False)]
-    out = {}
-    for name, inputs in cases.items():
-        def one():
-            for det, negative in inputs:
-                rank2_enumerate(det, negative)
-
-        out[name] = {"dets": len(inputs), **per_call_ms(one, len(inputs), runs, unit_s)}
-    return out
+    return {name: per_layer_ms(rank2_enumerate, "dets", inputs, runs, unit_s)
+            for name, inputs in cases.items()}
 
 
 def time_cold_start(runs: int) -> dict:
@@ -462,8 +333,8 @@ def time_cold_start(runs: int) -> dict:
 
 def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
     dirty = git("status", "--porcelain", "--untracked-files=no")
-    pairs = glue_pairs()
-    mats, keys = kernel_inputs()
+    logs = table_inputs()
+    pairs = logs["complement_quotient"]
     return {
         "pr": pr,
         "git_sha": git("rev-parse", "HEAD"),
@@ -476,13 +347,18 @@ def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
         "src_sha256": src_sha256(),
         "runs": runs,
         "full_report_s": time_tables(runs, unit_s),
-        "complement_quotient_ms": time_complement_quotient(runs, pairs, unit_s),
-        "to_symbol_ms": time_to_symbol(runs, symbol_forms(), unit_s),
-        "witness_symbol_ms": time_witness_symbols(runs, pairs, unit_s),
-        "smith_normal_form_ms": time_smith_normal_form(runs, mats, unit_s),
-        "split_primary_ms": time_split_primary(runs, keys, unit_s),
-        "embedding_class_count_ms": time_embedding_class_count(runs, embedding_calls(), unit_s),
-        "saturations_ms": time_saturations(runs, saturation_pairs(), unit_s),
+        "complement_quotient_ms": per_layer_ms(complement_quotient, "pairs", pairs, runs, unit_s),
+        "to_symbol_ms": per_layer_ms(to_symbol, "forms", logs["jordan_constituents"], runs, unit_s),
+        "witness_symbol_ms": per_layer_ms(lambda form, sub: to_symbol(complement_quotient(form, sub)),
+                                          "pairs", pairs, runs, unit_s),
+        "smith_normal_form_ms": per_layer_ms(smith_normal_form, "matrices",
+                                             logs["smith_normal_form"], runs, unit_s),
+        "split_primary_ms": per_layer_ms(latticelab.symbol._split_primary.__wrapped__, "keys",
+                                         logs["_split_primary"], runs, unit_s),
+        "embedding_class_count_ms": per_layer_ms(embedding_class_count, "calls",
+                                                 logs["embedding_class_count"], runs, unit_s),
+        "saturations_ms": per_layer_ms(saturations_keeping_primitive, "calls",
+                                       saturation_pairs(), runs, unit_s),
         "rank2_enumerate_ms": time_rank2(runs, per_stratum, unit_s),
         "cold_start_ms": time_cold_start(runs),
     }
