@@ -68,7 +68,6 @@ from .casebook import (
     condition_check,
     embedding_class_count,
     full_report,
-    load_involution_controls,
     load_table,
     nonsymplectic_order,
     phi_order_bound,

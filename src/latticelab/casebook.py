@@ -126,12 +126,6 @@ def load_table(table: str) -> list[LeechPairRecord]:
     return [_record_from_row(data["table"], row) for row in data["rows"]]
 
 
-def load_involution_controls() -> list[LeechPairRecord]:
-    data = _load_json("involutions.json")
-    return [_record_from_row("INVOLUTIONS", {"row": 0, "group": row["name"], "order": 2, **row})
-            for row in data["rows"]]
-
-
 # -- polarization roots ----------------------------------------------------------
 
 

@@ -20,9 +20,12 @@ Smith normal form on its own coordinates.
 Loops over a whole group read one `scan()`, which builds each element's q
 value and order from its prefix in O(1); the Gauss-sum oracle in
 `cyclotomic.py` evaluates q pointwise and shares no code with the walk.
+One reader (`_part`) presents a p-part: its basis and its values there
+at the level p^e of its exponent, the key of `symbol._split_primary`.
 The walk, and the p-part blocks of a form that `complement_quotient`
 glues over (`_primary`), are kept in private slots: a form is immutable.
-Pickle and copy leave both out, and `symbol.clear_jordan_caches` too.
+Pickle and copy leave both out, and `symbol.clear_jordan_caches` too;
+`to_symbol` reads its blocks anew and keeps none.
 """
 
 from __future__ import annotations
@@ -244,31 +247,32 @@ class FiniteQuadraticForm:
         rel = transpose([z[:m] for z in integer_kernel(mat)])
         orders, lifts = _torsion(rel, mat_mul(transpose(gens), rel))
         lifts = [self.reduce(x) for x in lifts]
-        return FiniteQuadraticForm._from_ints(
-            orders, self.level, *_values(self.level, self.qints, self.bints, lifts)), lifts
+        qints, bints, _ = _values(self.level, self.qints, self.bints, lifts)
+        return FiniteQuadraticForm._from_ints(orders, self.level, qints, bints), lifts
 
     def primes(self):
         return sorted(factorize(self.exponent))
 
     def _primary(self) -> dict:
-        """{p: (basis, orders, qs, bs)} by prime: A_p on its basis c_i e_i
-        (_basis) with its orders and its values at the form's level, built
-        on the first read and kept for complement_quotient."""
+        """{p: _part(p)}, built on the first read, kept for complement_quotient."""
         if self._parts is None:
-            n, parts = self.level, {}
-            for p in self.primes():
-                basis = self._basis(p)
-                parts[p] = (basis, [o for _, _, o in basis],
-                            [c * c * self.qints[i] % (2 * n) for i, c, _ in basis],
-                            [[ci * cj * self.bints[i][j] % n for j, cj, _ in basis]
-                             for i, ci, _ in basis])
-            object.__setattr__(self, "_parts", parts)
+            object.__setattr__(self, "_parts", {p: self._part(p) for p in self.primes()})
         return self._parts
 
-    def _basis(self, p: int) -> list[tuple[int, int, int]]:
-        """(i, c_i, p^v) per d_i = c_i p^v, v > 0: a basis c_i e_i of A_p."""
-        return [(i, d // o, o) for i, d in enumerate(self.orders)
-                if (o := gcd(d, p ** d.bit_length())) > 1]
+    def _part(self, p: int):
+        """(basis, key) of A_p: (i, c_i, p^v) per d_i = c_i p^v, v > 0, for
+        the basis c_i e_i, and the key (L, orders, qs, gs) of _split_primary,
+        its values at the level L = p^e of A_p's exponent: qs[i] = L*q mod
+        2L, gs[i][j] = L*b mod L (exact: q(c_i e_i) lies in (1/p^v)Z)."""
+        n, qints, bints = self.level, self.qints, self.bints
+        basis = [(i, d // o, o) for i, d in enumerate(self.orders)
+                 if (o := gcd(d, p ** d.bit_length())) > 1]
+        orders = tuple([o for _, _, o in basis])
+        level = max(orders)
+        return basis, (level, orders,
+                       tuple([c * c * qints[i] * level // n % (2 * level) for i, c, _ in basis]),
+                       tuple([tuple([ci * cj * bints[i][j] * level // n % level
+                                     for j, cj, _ in basis]) for i, ci, _ in basis]))
 
     # -- serialization ---------------------------------------------------------
 
@@ -545,14 +549,14 @@ def _torsion(mat, image):
 
 
 def _values(n, qints, bints, xs):
-    """n*q(x) and n*b(x, y) for the xs in the form (qints, bints) at level n:
-    with Bx the unreduced products of x with the columns of bints,
+    """n*q(x), n*b(x, y) and Bx for the xs in the form (qints, bints) at
+    level n: with Bx the unreduced products of x with the columns of bints,
     n*q(x) = x.Bx + sum_i x_i^2 (qints[i] - bints[i][i]) mod 2n."""
     diag = [q - row[i] for i, (q, row) in enumerate(zip(qints, bints))]
     bxs = [[sum(map(mul, x, col)) for col in bints] for x in xs]
     return ([(sum(map(mul, x, bx)) + sum(map(mul, map(mul, x, x), diag))) % (2 * n)
              for x, bx in zip(xs, bxs)],
-            [[sum(map(mul, bx, y)) % n for y in xs] for bx in bxs])
+            [[sum(map(mul, bx, y)) % n for y in xs] for bx in bxs], bxs)
 
 
 def _with_relations(gens, orders):
@@ -567,45 +571,43 @@ def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadr
     b vanishes between p-parts, so H-perp / H is the sum over p of
     H_p-perp / H_p on the basis c_i e_i of A_p, where H_p = m*H (m = |H| /
     p^v, p^v the p-part of |H|), read on the block that form keeps per p
-    (_primary): the basis, its orders and its values at the level N of
-    form.  Where p misses |H| the block stands as it is.  Otherwise, on
-    coordinates y of the basis, with R the rows N*b(h, c_i e_i) mod N over
-    the nonzero h = m*g (g a generator of H), y -> (y, -R y / N) maps the
-    lift of H_p-perp onto K = ker (R | N*I); the graphs of the h and of
-    the order relations span a full-rank sublattice M of K, so H_p-perp /
-    H_p = K / M, the torsion of Z^(k_p+m_p) / M: one Smith normal form,
-    whose lifts are coordinates y.
-    The blocks are joined at level N, by prime.
+    (_primary): its basis and key, at the level L = p^e of A_p's exponent.
+    Where p misses |H| the block stands as it is.  Otherwise, on
+    coordinates y of the basis, the rows L*b(h, c_i e_i) over the nonzero
+    h = m*g (g a generator of H) test H_p for isotropy (H is isotropic iff
+    each H_p is); with R those rows mod L, y -> (y, -R y / L) maps the lift
+    of H_p-perp onto K = ker (R | L*I); the graphs of the h and of the
+    order relations span a full-rank sublattice M of K, so H_p-perp / H_p
+    = K / M, the torsion of Z^(k_p+m_p) / M: one Smith normal form, whose
+    lifts are coordinates y.  The blocks join at the exponent of form.
     """
-    for g in sub.gens:
-        if form.q_int(g) != 0:
-            raise NotIsotropicError("subgroup is not isotropic")
     if form.order > BRUTE_CAP:
         raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
-    n = form.level
-    rows = [form.b_row(g) for g in sub.gens]
-    if any(sum(map(mul, row, g)) % n for row in rows for g in sub.gens):
-        raise NotIsotropicError("subgroup is not isotropic")
-    orders, qints, blocks, h = [], [], [], sub.order
-    for p, (basis, o_p, q_p, b_p) in form._primary().items():
+    n, h = form.exponent, sub.order
+    orders, qints, blocks = [], [], []
+    for p, (basis, (level, o_p, q_p, b_p)) in form._primary().items():
         if h % p == 0:
             m = h // gcd(h, p ** h.bit_length())
-            hs = [(y, row) for g, row in zip(sub.gens, rows)
+            ys = [y for g in sub.gens
                   if any(y := [m * g[i] % (c * o) // c for i, c, o in basis])]
-            ys = [y for y, _ in hs]
+            q_h, b_h, rows = _values(level, q_p, b_p, ys)
+            if any(q_h) or any(map(any, b_h)):
+                raise NotIsotropicError("subgroup is not isotropic")
             mat = _with_relations(ys, o_p)
-            for _, row in hs:
-                r = [m * c * row[i] % n for i, c, _ in basis]
-                mat.append([-(sum(map(mul, r, y)) // n) for y in ys]
-                           + [-(x * o // n) for x, (_, _, o) in zip(r, basis)])
+            for row in rows:
+                r = [x % level for x in row]
+                mat.append([-(sum(map(mul, r, y)) // level) for y in ys]
+                           + [-(x * o // level) for x, o in zip(r, o_p)])
             o_p, coords = _torsion(mat, mat[:len(basis)])
-            q_p, b_p = _values(n, q_p, b_p, coords)
+            q_p, b_p, _ = _values(level, q_p, b_p, coords)
         if o_p:
-            blocks.append((len(orders), b_p))
+            s = n // level
+            blocks.append((len(orders), s, b_p))
             orders += o_p
-            qints += q_p
+            qints += [v * s for v in q_p]
     return FiniteQuadraticForm._from_ints(orders, n, qints, [
-        [0] * j + row + [0] * (len(orders) - j - len(row)) for j, b in blocks for row in b])
+        (0,) * j + tuple([x * s for x in row]) + (0,) * (len(orders) - j - len(row))
+        for j, s, b in blocks for row in b])
 
 
 # -- brute-force isomorphism oracle and automorphisms ---------------------------

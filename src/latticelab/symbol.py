@@ -94,19 +94,6 @@ def _p_valuation(n: int, p: int) -> int:
     return v
 
 
-def _primary_key(form: FiniteQuadraticForm, p: int):
-    """(L, orders, qs, gs): the p-part on its basis c_i e_i at the level L =
-    p^e of its exponent, qs[i] = L*q mod 2L and gs[i][j] = L*b mod L (exact:
-    q(c_i e_i) lies in (1/p^v)Z), the key of _split_primary, read off the
-    form's own integers."""
-    basis, n, qints, bints = form._basis(p), form.level, form.qints, form.bints
-    level = max([o for _, _, o in basis])
-    return (level, tuple([o for _, _, o in basis]),
-            tuple([c * c * qints[i] * level // n % (2 * level) for i, c, _ in basis]),
-            tuple([tuple([ci * cj * bints[i][j] * level // n % level for j, cj, _ in basis])
-                   for i, ci, _ in basis]))
-
-
 def _pivot(p: int, level: int, orders, qs, gs):
     """The next orthogonal summand: basis indices, scale exponent, det class, unit.
 
@@ -213,14 +200,15 @@ def jordan_constituents(
 
     This is the one decomposition behind every invariant in this module:
     to_symbol() is its only caller, and the lengths, determinant classes
-    and signature are all read off the symbol.  Each p-part is read off
-    the form's own generators (_primary_key) and split by integer row
-    operations on its values (the classical p-adic diagonalisation, SPLAG
-    ch. 15); no re-presentation or Smith normal form is needed.  At p = 2
+    and signature are all read off the symbol.  Each p-part's key is read
+    off the form's own generators (FiniteQuadraticForm._part) and split by
+    integer row operations on its values (the classical p-adic
+    diagonalisation, SPLAG ch. 15); no re-presentation or Smith normal
+    form is needed, and the form keeps nothing of it.  At p = 2
     the constituents are not yet canonical (see _canonical_two_adic).
     Raises DegenerateError when the form is degenerate.
     """
-    return {p: {c.k: c for c in _split_primary(p, *_primary_key(form, p))}
+    return {p: {c.k: c for c in _split_primary(p, *form._part(p)[1])}
             for p in form.primes()}
 
 

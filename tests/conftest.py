@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from latticelab import full_report
@@ -14,6 +17,18 @@ def hm15_report():
 
 TABLE_RUNS = (("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
               ("k3max11", "E7"), ("k3max11", "E8"))
+
+
+@pytest.fixture(scope="session")
+def involution_controls():
+    """The fixed lattices of the three involution classes on the rank-24
+    root-free unimodular lattice (tests/data/involutions.json), as records
+    of order 2 and row 0: controls for the slack condition."""
+    from latticelab.casebook import _record_from_row
+    path = Path(__file__).parent / "data" / "involutions.json"
+    rows = json.loads(path.read_text(encoding="utf-8"))["rows"]
+    return [_record_from_row("INVOLUTIONS", {"row": 0, "group": row["name"], "order": 2, **row})
+            for row in rows]
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ from latticelab import (
     invariant_monomials,
     is_isomorphic,
     isotropic_subgroups,
-    load_involution_controls,
     load_table,
     named_lattice,
     rank2_enumerate,
@@ -317,11 +316,11 @@ def test_criterion_11_glue_sanity():
 # -- criterion 12: condition filter sanity ------------------------------------------------
 
 
-def test_criterion_12_condition_filter():
+def test_criterion_12_condition_filter(involution_controls):
     for table in ("hm15", "k3max11"):
         for rec in load_table(table):
             assert condition_check(rec).passed, (table, rec.row)
     controls = {r.group: condition_check(r).passed
-                for r in load_involution_controls()}
+                for r in involution_controls}
     assert controls == {"E8(2)": False, "D12+(2)": False, "BW16": True}
     report("12 condition filter", "15 + 11 rows pass; E8(2), D12+(2) fail")

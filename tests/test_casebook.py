@@ -9,7 +9,6 @@ from latticelab import (
     condition_check,
     embedding_class_count,
     full_report,
-    load_involution_controls,
     load_table,
     nonsymplectic_order,
     phi_order_bound,
@@ -50,17 +49,17 @@ def test_condition_check_examples():
     assert verdict.alpha == {2: 2, 3: 3, 5: 3}
 
 
-def test_condition_check_involution_controls():
-    controls = {r.group: r for r in load_involution_controls()}
+def test_condition_check_involution_controls(involution_controls):
+    controls = {r.group: r for r in involution_controls}
     assert not condition_check(controls["E8(2)"]).passed
     assert not condition_check(controls["D12+(2)"]).passed
     assert condition_check(controls["BW16"]).passed
 
 
-def test_involution_controls_hold_their_rows():
+def test_involution_controls_hold_their_rows(involution_controls):
     """Each control record carries its row's name, rank and symbol, order 2,
     row 0 and no surjectivity flag, with q_S = -q_K."""
-    controls = load_involution_controls()
+    controls = involution_controls
     assert controls == [
         LeechPairRecord("INVOLUTIONS", 0, name, 2, rank, qk, False, None, None)
         for name, rank, qk in (("E8(2)", 8, "2_II^+8"), ("D12+(2)", 12, "2_4^+12"),
@@ -402,7 +401,7 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
     from latticelab.casebook import data_dir
     from latticelab.errors import DataFileMissingError
     src = data_dir()
-    for name in ("hm15.json", "k3max11.json", "fu_cases.json", "involutions.json"):
+    for name in ("hm15.json", "k3max11.json", "fu_cases.json"):
         shutil.copy(src / name, tmp_path / name)
     monkeypatch.setenv("LATTICELAB_DATA", str(tmp_path))
     assert len(load_table("hm15")) == 15

@@ -682,7 +682,7 @@ def test_complement_quotient_matches_two_kernel_route():
 
 def test_complement_quotient_takes_one_smith_form(monkeypatch, table_run_inputs):
     """One Smith normal form per prime dividing |H|, none for H = 0, and no
-    integer kernel or subquotient per complement_quotient: on every
+    integer kernel, subquotient, q_int or b_row per complement_quotient: on every
     isotropic subgroup of the small symbols and on every witness (form, H)
     of the five table runs, H = 0 on each ambient form included."""
     import latticelab.fqf
@@ -701,6 +701,8 @@ def test_complement_quotient_takes_one_smith_form(monkeypatch, table_run_inputs)
     counted(latticelab.fqf, "smith_normal_form")
     counted(latticelab.fqf, "integer_kernel")
     counted(FiniteQuadraticForm, "subquotient")
+    counted(FiniteQuadraticForm, "q_int")
+    counted(FiniteQuadraticForm, "b_row")
     smith_forms = 0
     for form, sub in pairs:
         calls.clear()
@@ -931,6 +933,28 @@ def test_complement_quotient_rejects_non_isotropic():
         q = form_from_symbol_text(text)
         bad = Subgroup(q, gens)
         assert all(q.q(g) == 0 for g in bad.gens)
+        with pytest.raises(NotIsotropicError):
+            complement_quotient(q, bad)
+    # q(2e) = 1 on (Z/4, 1/4): b vanishes on H, q does not
+    q = form_from_symbol_text("4_1^+1")
+    bad = Subgroup(q, [(2,)])
+    assert q.b((2,), (2,)) == 0 and q.q((2,)) == 1
+    with pytest.raises(NotIsotropicError):
+        complement_quotient(q, bad)
+    # mixed primes on (Z/2)^2 + (Z/3)^2: H_p = m*H fails at p = 3 alone, at
+    # p = 2 alone on b with q = 0 on every generator, and at p = 3 with an
+    # isotropic 2-part
+    q = form_from_symbol_text("2_II^+2 3^-2")
+    for gens, p, order in [([(1, 0, 1, 0)], 3, 6),
+                           ([(1, 0, 1, 1), (0, 1, 0, 0)], 2, 12),
+                           ([(1, 0, 1, 1), (0, 0, 1, 2)], 3, 18)]:
+        bad = Subgroup(q, gens)
+        assert bad.order == order
+        for r in (2, 3):
+            h_r = _span(q, [q.scale(g, order // r ** _exponents(order, r)) for g in bad.gens])
+            assert all(q.q(x) == 0 for x in h_r) == (r != p)
+        if order == 12:
+            assert all(q.q(g) == 0 for g in bad.gens)
         with pytest.raises(NotIsotropicError):
             complement_quotient(q, bad)
 

@@ -503,12 +503,11 @@ def test_jordan_caches_hold_tuples():
     from latticelab.symbol import (
         JordanConstituent,
         _canonical_two_adic,
-        _primary_key,
         _split_primary,
     )
     form = form_from_symbol_text("2_3^-1 4_7^+1 8_II^+2 3^+2 5^+1")
     for p in form.primes():
-        key = (p, *_primary_key(form, p))
+        key = (p, *form._part(p)[1])
         assert all(type(x) in (int, tuple) for x in key) and hash(key)
         split = _split_primary(*key)
         assert type(split) is tuple and _split_primary(*key) is split
