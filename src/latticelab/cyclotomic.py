@@ -118,6 +118,8 @@ class CyclotomicInt:
         return all(c == 0 for c in _reduce_mod_phi(self.coeffs, self.n))
 
     def __eq__(self, other):
+        if not isinstance(other, CyclotomicInt):
+            return NotImplemented
         return self.n == other.n and (self - other).is_zero()
 
 

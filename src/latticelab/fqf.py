@@ -22,6 +22,8 @@ value and order from its prefix in O(1); the Gauss-sum oracle in
 `cyclotomic.py` evaluates q pointwise and shares no code with the walk.
 One reader (`_part`) presents a p-part: its basis and its values there
 at the level p^e of its exponent, the key of `symbol._split_primary`.
+One writer (`_joined`) builds a form from blocks in that layout: direct
+sums, glue quotients and `symbol.form_from_symbol` all go through it.
 The walk, and the p-part blocks of a form that `complement_quotient`
 glues over (`_primary`), are kept in private slots: a form is immutable.
 Pickle and copy leave both out, and `symbol.clear_jordan_caches` too;
@@ -214,14 +216,7 @@ class FiniteQuadraticForm:
     # -- constructions ---------------------------------------------------------
 
     def direct_sum(self, other: "FiniteQuadraticForm") -> "FiniteQuadraticForm":
-        k1, k2 = self.ngens, other.ngens
-        level = lcm(self.level, other.level)
-        s1, s2 = level // self.level, level // other.level
-        qints = [v * s1 for v in self.qints] + [v * s2 for v in other.qints]
-        bints = [[x * s1 for x in row] + [0] * k2 for row in self.bints]
-        bints += [[0] * k1 + [x * s2 for x in row] for row in other.bints]
-        return FiniteQuadraticForm._from_ints(self.orders + other.orders, level,
-                                              qints, bints)
+        return direct_sum_forms(self, other)
 
     def negated(self) -> "FiniteQuadraticForm":
         n = self.level
@@ -303,14 +298,26 @@ def _fraction_text(x: Fraction) -> str:
 
 
 def trivial_form() -> FiniteQuadraticForm:
-    return FiniteQuadraticForm((), ())
+    return _joined(())
 
 
 def direct_sum_forms(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    out = trivial_form()
-    for f in forms:
-        out = out.direct_sum(f)
-    return out
+    return _joined([(f.level, f.orders, f.qints, f.bints) for f in forms])
+
+
+def _joined(blocks) -> FiniteQuadraticForm:
+    """The orthogonal sum of the blocks (level, orders, qints, bints), the
+    layout of a _part key, at the lcm n of their levels: one _from_ints,
+    whose _store reduces the integers to the form's one representative."""
+    n, orders, placed = 1, [], []
+    for level, o, q, b in blocks:
+        n = lcm(n, level)
+        placed.append((len(orders), level, q, b))
+        orders += o
+    return FiniteQuadraticForm._from_ints(
+        orders, n, [v * (n // level) for _, level, q, _ in placed for v in q],
+        [(0,) * j + tuple([x * (n // level) for x in row]) + (0,) * (len(orders) - j - len(row))
+         for j, level, _, b in placed for row in b])
 
 
 def negate_form(form: FiniteQuadraticForm) -> FiniteQuadraticForm:
@@ -424,7 +431,7 @@ def _span(form: FiniteQuadraticForm, gens) -> frozenset:
 class Subgroup:
     """A subgroup of a finite quadratic form, stored as an explicit element set."""
 
-    __slots__ = ("ambient", "elements", "gens")
+    __slots__ = ("elements", "gens")
 
     def __init__(self, ambient: FiniteQuadraticForm, gens):
         self._store(ambient, _span(ambient, (ambient.reduce(g) for g in gens)))
@@ -439,7 +446,7 @@ class Subgroup:
         return self
 
     def _store(self, ambient, elements, gens=None):
-        self.ambient, self.elements, n = ambient, elements, len(elements)
+        self.elements, n = elements, len(elements)
         # H = <g> (or trivial): its least element of order |H| is the least k*g, k prime to |H|
         self.gens = tuple(_minimal_generators(ambient, elements) if gens is None or len(gens) > 1
                           else [min(ambient.scale(g, k) for k in range(1, n) if gcd(k, n) == 1)
@@ -453,7 +460,7 @@ class Subgroup:
         return (len(self.elements), tuple(sorted(self.elements)))
 
     def __eq__(self, other):
-        return self.elements == other.elements
+        return self.elements == other.elements if isinstance(other, Subgroup) else NotImplemented
 
     def __hash__(self):
         return hash(self.elements)
@@ -579,12 +586,11 @@ def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadr
     of H_p-perp onto K = ker (R | L*I); the graphs of the h and of the
     order relations span a full-rank sublattice M of K, so H_p-perp / H_p
     = K / M, the torsion of Z^(k_p+m_p) / M: one Smith normal form, whose
-    lifts are coordinates y.  The blocks join at the exponent of form.
+    lifts are coordinates y.  _joined writes the sum of the blocks.
     """
     if form.order > BRUTE_CAP:
         raise CapExceededError(f"group order {form.order} exceeds cap {BRUTE_CAP}")
-    n, h = form.exponent, sub.order
-    orders, qints, blocks = [], [], []
+    h, blocks = sub.order, []
     for p, (basis, (level, o_p, q_p, b_p)) in form._primary().items():
         if h % p == 0:
             m = h // gcd(h, p ** h.bit_length())
@@ -600,14 +606,8 @@ def complement_quotient(form: FiniteQuadraticForm, sub: Subgroup) -> FiniteQuadr
                            + [-(x * o // level) for x, o in zip(r, o_p)])
             o_p, coords = _torsion(mat, mat[:len(basis)])
             q_p, b_p, _ = _values(level, q_p, b_p, coords)
-        if o_p:
-            s = n // level
-            blocks.append((len(orders), s, b_p))
-            orders += o_p
-            qints += [v * s for v in q_p]
-    return FiniteQuadraticForm._from_ints(orders, n, qints, [
-        (0,) * j + tuple([x * s for x in row]) + (0,) * (len(orders) - j - len(row))
-        for j, s, b in blocks for row in b])
+        blocks.append((level, o_p, q_p, b_p))
+    return _joined(blocks)
 
 
 # -- brute-force isomorphism oracle and automorphisms ---------------------------

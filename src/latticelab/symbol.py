@@ -10,7 +10,8 @@ p-part off the form's own generators, projects onto orthogonal
 complements by integer row operations, with no Smith normal form, and
 sums each summand's rank, determinant class and unit into the
 constituent of its scale.  It raises DegenerateError on a form with a
-radical.
+radical.  form_from_symbol goes back: one block per constituent, in the
+layout of a p-part key, joined once by fqf._joined.
 
 Two complications are handled here:
 
@@ -39,12 +40,11 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from math import gcd
 from typing import NamedTuple
 
 from .errors import CapExceededError, DegenerateError, RealizabilityError, SymbolSyntaxError
 from .exactmat import factorize
-from .fqf import FiniteQuadraticForm, direct_sum_forms, trivial_form
+from .fqf import FiniteQuadraticForm, _joined
 
 # results kept by each of _split_primary and _canonical_two_adic per process
 JORDAN_CACHE_SIZE = 1024
@@ -195,8 +195,8 @@ def clear_jordan_caches() -> None:
 
 
 def jordan_constituents(
-        form: FiniteQuadraticForm) -> dict[int, dict[int, JordanConstituent]]:
-    """The Jordan constituents of the form, {p: {k: JordanConstituent}}.
+        form: FiniteQuadraticForm) -> dict[int, tuple[JordanConstituent, ...]]:
+    """The Jordan constituents of the form, {p: _split_primary's tuple}.
 
     This is the one decomposition behind every invariant in this module:
     to_symbol() is its only caller, and the lengths, determinant classes
@@ -204,12 +204,11 @@ def jordan_constituents(
     off the form's own generators (FiniteQuadraticForm._part) and split by
     integer row operations on its values (the classical p-adic
     diagonalisation, SPLAG ch. 15); no re-presentation or Smith normal
-    form is needed, and the form keeps nothing of it.  At p = 2
-    the constituents are not yet canonical (see _canonical_two_adic).
-    Raises DegenerateError when the form is degenerate.
+    form is needed, and the form keeps nothing of it.  Primes ascend and
+    each tuple is in scale order, at p = 2 not yet canonical (see
+    _canonical_two_adic).  Raises DegenerateError when the form is degenerate.
     """
-    return {p: {c.k: c for c in _split_primary(p, *form._part(p)[1])}
-            for p in form.primes()}
+    return {p: _split_primary(p, *form._part(p)[1]) for p in form.primes()}
 
 
 # -- realizability -----------------------------------------------------------
@@ -340,11 +339,9 @@ class GenusSymbol(NamedTuple):
 
 def to_symbol(form: FiniteQuadraticForm) -> GenusSymbol:
     """Canonical genus symbol; isomorphic forms yield identical symbols."""
-    cons = jordan_constituents(form)
     out = []
-    for p in sorted(cons):
-        by_scale = tuple(cons[p][k] for k in sorted(cons[p]))
-        out.extend(_canonical_two_adic(by_scale) if p == 2 else by_scale)
+    for p, cons in jordan_constituents(form).items():
+        out.extend(_canonical_two_adic(cons) if p == 2 else cons)
     return GenusSymbol(tuple(out))
 
 
@@ -439,51 +436,34 @@ def _odd_unit_multiset(n: int, eps: int, t: int):
 
 
 def form_from_symbol(sym: GenusSymbol) -> FiniteQuadraticForm:
-    """A finite quadratic form realizing the symbol."""
-    parts = []
+    """A finite quadratic form realizing the symbol: one block (level,
+    orders, qints, bints) per constituent, the layout of a _split_primary
+    key, joined once by fqf._joined."""
+    blocks = []
     for c in sym.constituents:
-        scale = c.scale
+        scale, n = c.scale, c.n
+        if c.p == 2 and not constituent_is_realizable(c):
+            raise RealizabilityError(f"constituent {c} is not realizable")
         if c.p != 2:
-            # n-1 square units and one unit fixing the total sign;
-            # (Z/p^k, 2a/p^k) stores q as the integer 2a over level p^k
-            need_last = c.eps
-            qints = []
-            for i in range(c.n):
-                want = 1 if i < c.n - 1 else need_last
-                a = next(a for a in range(1, scale)
-                         if gcd(a, c.p) == 1 and legendre(2 * a % c.p, c.p) == want)
-                qints.append(2 * a)
-            parts.append(_diagonal_form(scale, qints))
+            # (Z/p^k, 2a/p^k): n-1 least units a with 2a a square, one fixing the sign
+            square, last = [next(a for a in range(1, c.p) if legendre(2 * a, c.p) == e)
+                            for e in (1, c.eps)]
+            blocks.append(_diagonal(scale, [2 * square] * (n - 1) + [2 * last]))
         elif c.even:
-            blocks = c.n // 2
-            kinds = ["u"] * blocks
-            if c.eps < 0:
-                kinds[0] = "v"
-            for kind in kinds:
-                parts.append(_uv_form(c.k, kind))
+            # u(2^k) (q = 0, 0) n/2 times, the first v(2^k) (q = 2/2^k, 2/2^k) if eps < 0
+            q = [2 * (c.eps < 0)] * 2 + [0] * (n - 2)
+            blocks.append((scale, [scale] * n, q, [[q[i] % scale if i == j else int(i ^ j == 1)
+                                                    for j in range(n)] for i in range(n)]))
         else:
-            units = _odd_unit_multiset(c.n, c.eps, c.oddity)
-            if units is None:
-                raise RealizabilityError(f"constituent {c} is not realizable")
-            parts.append(_diagonal_form(scale, units))
-    return direct_sum_forms(*parts) if parts else trivial_form()
+            blocks.append(_diagonal(scale, _odd_unit_multiset(n, c.eps, c.oddity)))
+    return _joined(blocks)
 
 
-def _diagonal_form(scale: int, qints) -> FiniteQuadraticForm:
-    """Orthogonal sum of the cyclic forms (Z/scale, v/scale), v in qints."""
-    n = len(qints)
-    qints = [v % (2 * scale) for v in qints]
-    bints = [[qints[i] % scale if i == j else 0 for j in range(n)]
-             for i in range(n)]
-    return FiniteQuadraticForm._from_ints([scale] * n, scale, qints, bints)
-
-
-def _uv_form(k: int, kind: str) -> FiniteQuadraticForm:
-    """u(2^k) (q = 0, 0) or v(2^k) (q = 2/2^k, 2/2^k), with b(e_1, e_2) = 1/2^k."""
-    scale = 2 ** k
-    q = 0 if kind == "u" else 2
-    return FiniteQuadraticForm._from_ints(
-        [scale, scale], scale, [q, q], [[q % scale, 1], [1, q % scale]])
+def _diagonal(scale: int, units):
+    """The block of the sum of the cyclic forms (Z/scale, v/scale), v in units."""
+    qs = [v % (2 * scale) for v in units]
+    return scale, [scale] * len(qs), qs, [[v % scale if i == j else 0 for j in range(len(qs))]
+                                          for i, v in enumerate(qs)]
 
 
 def form_from_symbol_text(text: str) -> FiniteQuadraticForm:

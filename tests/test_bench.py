@@ -30,7 +30,7 @@ def check_schema(data, runs):
             "src_lines", "runs", "full_report_s", "rank2_enumerate_ms", "cold_start_ms",
             "complement_quotient_ms", "src_sha256", "to_symbol_ms", "witness_symbol_ms",
             "smith_normal_form_ms", "split_primary_ms", "embedding_class_count_ms",
-            "saturations_ms"}
+            "saturations_ms", "form_from_symbol_ms"}
     if data["pr"] in range(16, 23):  # BENCH_16 to BENCH_22 predate cold_start_ms
         keys.remove("cold_start_ms")
     if data["pr"] in range(16, 25):  # BENCH_16 to BENCH_24 predate complement_quotient_ms
@@ -47,6 +47,8 @@ def check_schema(data, runs):
         keys.remove("embedding_class_count_ms")
     if data["pr"] in range(16, 33):  # BENCH_16 to BENCH_32 predate saturations_ms
         keys.remove("saturations_ms")
+    if data["pr"] in range(16, 39):  # BENCH_16 to BENCH_38 predate form_from_symbol_ms
+        keys.remove("form_from_symbol_ms")
     assert set(data) == keys
     assert (data["git_sha"] is None) == (data["git_dirty"] is None)
     assert data["git_sha"] is None or len(data["git_sha"]) == 40
@@ -78,6 +80,9 @@ def check_schema(data, runs):
     if "saturations_ms" in keys:
         assert data["saturations_ms"]["calls"] == 59
         _check_summary(data["saturations_ms"], runs)
+    if "form_from_symbol_ms" in keys:
+        assert data["form_from_symbol_ms"]["symbols"] == 59
+        _check_summary(data["form_from_symbol_ms"], runs)
     rank2 = ["3-3000", "3001-30000", "30001-100000"]
     if data["pr"] not in range(16, 27):  # BENCH_16 to BENCH_26 predate the cap entry
         rank2.append("cap")
@@ -164,12 +169,13 @@ def test_bench_hands_each_key_its_call(bench, layers):
         "split_primary_ms": latticelab.symbol._split_primary.__wrapped__,
         "embedding_class_count_ms": bench.embedding_class_count,
         "saturations_ms": bench.saturations_keeping_primitive,
+        "form_from_symbol_ms": bench.form_from_symbol,
     }
     counts = {key: (count, len(inputs)) for key, (_, count, inputs) in layers.items()}
     assert counts == {"complement_quotient_ms": ("pairs", 115), "to_symbol_ms": ("forms", 201),
                       "witness_symbol_ms": ("pairs", 115), "smith_normal_form_ms": ("matrices", 165),
                       "split_primary_ms": ("keys", 134), "embedding_class_count_ms": ("calls", 7),
-                      "saturations_ms": ("calls", 59)}
+                      "saturations_ms": ("calls", 59), "form_from_symbol_ms": ("symbols", 59)}
     assert layers["witness_symbol_ms"][2] is layers["complement_quotient_ms"][2]
     order = []
     with pytest.MonkeyPatch.context() as mp:

@@ -1,9 +1,10 @@
+import functools
 import itertools
 import random
 import re
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -125,6 +126,63 @@ def test_direct_sum_and_negation():
     assert bruteforce_isomorphic(q2, negate_form(q1))
     assert bruteforce_isomorphic(negate_form(negate_form(s)), s)
     assert direct_sum_forms(q1, trivial_form()).order == 3
+
+
+def _random_cyclic_sum(rng):
+    """A form from the Fraction constructor on up to three generators of
+    orders with coprime and composite factors, zero values included."""
+    orders = [rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 12]) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.2:
+        return FiniteQuadraticForm(orders, [0] * len(orders))
+    qs = [Fraction(rng.randrange(2 * d) if d % 2 == 0 else 2 * rng.randrange(d), d)
+          for d in orders]
+    b = [[Fraction(rng.randrange(gcd(d, e)), gcd(d, e)) for e in orders] for d in orders]
+    b = [[b[min(i, j)][max(i, j)] for j in range(len(orders))] for i in range(len(orders))]
+    return FiniteQuadraticForm(orders, qs, b)
+
+
+def test_direct_sums_are_one_join_with_the_fraction_constructors_integers():
+    """direct_sum_forms of k forms, the pairwise fold of direct_sum and the
+    Fraction constructor on the block-diagonal values give the same
+    integers, on levels that do not divide each other, orders such as
+    Z/6 and Z/12, and zero and trivial summands."""
+    def data(f):
+        return f.orders, f.level, f.qints, f.bints
+
+    rng = random.Random(39)
+    assert data(direct_sum_forms()) == data(trivial_form()) == ((), 1, (), ())
+    levels = set()
+    for _ in range(300):
+        forms = [_random_cyclic_sum(rng) for _ in range(rng.randint(1, 4))]
+        orders = [d for f in forms for d in f.orders]
+        qs = [f.q(x) for f in forms for x in f.gens()]
+        b = [[Fraction(0)] * len(orders) for _ in orders]
+        at = 0
+        for f in forms:
+            for i, x in enumerate(f.gens()):
+                for j, y in enumerate(f.gens()):
+                    b[at + i][at + j] = f.b(x, y)
+            at += f.ngens
+        want = data(FiniteQuadraticForm(orders, qs, b))
+        assert data(direct_sum_forms(*forms)) == want
+        assert data(functools.reduce(FiniteQuadraticForm.direct_sum, forms)) == want
+        levels.add(tuple(f.level for f in forms))
+    assert any(len(ls) > 1 and all(a % b and b % a for a, b in itertools.combinations(ls, 2))
+               for ls in levels)
+
+
+def test_subgroups_and_cyclotomic_ints_refuse_other_types():
+    """Equality against another type is NotImplemented, so comparing with
+    a number or looking up in a list holding None answers instead of
+    raising."""
+    from latticelab import form_from_symbol_text
+    from latticelab.cyclotomic import CyclotomicInt
+    sub = isotropic_subgroups(form_from_symbol_text("2_II^+2 3^-2"))[1]
+    assert sub != 5 and not sub == None  # noqa: E711
+    assert sub in [None, sub] and [None, sub].index(sub) == 1
+    z = CyclotomicInt.integer(8, 3)
+    assert z != 3 and not z == None  # noqa: E711
+    assert z in [None, z] and [None, 3, z].index(z) == 2
 
 
 def test_q_and_b_consistency():

@@ -50,7 +50,8 @@ from latticelab.rank2 import Rank2Form
 from latticelab.symbol import (
     JordanConstituent,
     _canonical_two_adic,
-    _uv_form,
+    _det_class_2,
+    _odd_unit_multiset,
     clear_jordan_caches,
     realizable_pairs,
 )
@@ -205,6 +206,13 @@ def test_gauss_sum_agrees_with_constituent_signature():
         checked += 1
 
 
+def _uv_form(k, kind):
+    """u(2^k) (q = 0, 0) or v(2^k) (q = 2/2^k, 2/2^k), with b(e_1, e_2) = 1/2^k."""
+    scale, q = 2 ** k, 0 if kind == "u" else 2
+    return FiniteQuadraticForm._from_ints([scale, scale], scale, [q, q],
+                                          [[q % scale, 1], [1, q % scale]])
+
+
 def test_canonical_symbol_equality_matches_bruteforce_on_hard_two_adic_forms():
     forms = []
     for a in (1, 3):
@@ -230,6 +238,80 @@ def test_canonical_symbol_equality_matches_bruteforce_on_hard_two_adic_forms():
         if is_isomorphic(f1, f2) != bruteforce_isomorphic(f1, f2):
             mismatches.append((str(to_symbol(f1)), str(to_symbol(f2))))
     assert not mismatches
+
+
+def reference_form_from_symbol(sym):
+    """The form of form_from_symbol written with the Fraction constructor
+    on all generators at once: odd p takes n-1 least units a with 2a a
+    square mod p and one least a fixing the sign, an even 2-adic
+    constituent u(2^k) blocks with the first one v(2^k) if eps = -1, an
+    odd one the least unit multiset."""
+    orders, qs, pairs = [], [], []
+    for c in sym.constituents:
+        scale = c.scale
+        if c.p != 2:
+            want = [1] * (c.n - 1) + [c.eps]
+            units = [2 * next(a for a in range(1, scale) if gcd(a, c.p) == 1 and
+                              pow(2 * a, (c.p - 1) // 2, c.p) == w % c.p) for w in want]
+        elif c.even:
+            units = [2 if c.eps < 0 and i < 2 else 0 for i in range(c.n)]
+            pairs += [(len(orders) + i, len(orders) + i + 1, Fraction(1, scale))
+                      for i in range(0, c.n, 2)]
+        else:
+            units = _odd_unit_multiset(c.n, c.eps, c.oddity)
+        orders += [scale] * c.n
+        qs += [Fraction(a, scale) for a in units]
+    b = [[0] * len(orders) for _ in orders]
+    for i, j, x in pairs:
+        b[i][j] = b[j][i] = x
+    return FiniteQuadraticForm(orders, qs, b)
+
+
+def _random_realizable_symbol(rng):
+    """Up to three primes p <= 13, total rank 1 to 4, one or two scales
+    per prime; a 2-adic constituent even or odd, an odd one's sign and
+    oddity those of random units."""
+    cons, left = [], rng.randint(1, 4)
+    for p in sorted(rng.sample([2, 3, 5, 7, 11, 13], rng.randint(1, 3))):
+        for k in sorted(rng.sample(range(1, 4), rng.randint(1, 2))):
+            if left == 0:
+                break
+            n = rng.randint(1, left)
+            if p != 2:
+                cons.append(JordanConstituent(p, k, n, rng.choice((1, -1))))
+            elif n >= 2 and rng.random() < 0.5:
+                n -= n % 2
+                cons.append(JordanConstituent(2, k, n, rng.choice((1, -1)), even=True))
+            else:
+                units = [rng.choice((1, 3, 5, 7)) for _ in range(n)]
+                cons.append(JordanConstituent(2, k, n, prod(map(_det_class_2, units)),
+                                              even=False, oddity=sum(units) % 8))
+            left -= n
+    return latticelab.symbol.GenusSymbol(tuple(cons))
+
+
+def test_form_from_symbol_matches_the_fraction_reference():
+    """form_from_symbol writes the integers of the reference, on every
+    symbol of the two tables, the small symbols and 1,500 seeded random
+    realizable ones, both 2-adic types among them, and refuses a
+    hand-built 2-adic constituent that is not realizable, even or odd."""
+    def data(f):
+        return f.orders, f.level, f.qints, f.bints
+
+    rng = random.Random(39)
+    syms = [parse_symbol(rec.qK_symbol) for table in ("hm15", "k3max11")
+            for rec in load_table(table)]
+    syms += [parse_symbol(t) for t in SMALL_SYMBOLS]
+    syms += [_random_realizable_symbol(rng) for _ in range(1500)]
+    kinds = {(c.p == 2, c.even) for sym in syms for c in sym.constituents}
+    assert kinds == {(False, True), (True, True), (True, False)}
+    for sym in syms:
+        assert data(form_from_symbol(sym)) == data(reference_form_from_symbol(sym)), str(sym)
+    for c in [JordanConstituent(2, 1, 1, 1, even=True), JordanConstituent(2, 2, 3, -1, even=True),
+              JordanConstituent(2, 1, 2, 1, even=True, oddity=4),
+              JordanConstituent(2, 1, 1, 1, even=False, oddity=3)]:
+        with pytest.raises(RealizabilityError):
+            form_from_symbol(latticelab.symbol.GenusSymbol((c,)))
 
 
 def test_three_scale_chains_match_bruteforce():

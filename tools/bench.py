@@ -28,15 +28,16 @@ earlier.  Each run builds its forms anew, so no cached scan carries over.
 
 Each `_ms` measurement but cold_start_ms times one layer: one function
 called on each of a list of argument tuples.  The tuples of the glue,
-symbol, Smith-form, split and embedding-count layers are what one pass
-of the five table runs, with to_json_dict() on every verdict, hands the
-function, captured once in an untimed pass before any unit under the
-names the library calls, which are restored after.  A captured form
-keeps its walk and p-part blocks once used, so before each run of every
-layer, untimed, the Jordan caches are emptied and the tuples rebuilt:
-every form from its integers (`copy.copy`, which carries neither), every
-record around its rebuilt forms, and anything else (H, a matrix, a key,
-a rank-2 form) as captured, each object copied once, so the forms that a
+symbol, Smith-form, split, embedding-count and symbol-writer layers are
+what one pass of the five table runs, with to_json_dict() on every
+verdict, hands the function, captured once in an untimed pass before
+any unit under the names the library calls, which are restored after.
+A captured form keeps its walk and p-part blocks once used, so before
+each run of every layer, untimed, the Jordan caches are emptied and the
+tuples rebuilt: every form from its integers (`copy.copy`, which
+carries neither), every record around its rebuilt forms, and anything
+else (H, a matrix, a key, a symbol, a rank-2 form) as captured, each
+object copied once, so the forms that a
 table run shares stay shared.  A layer is recorded as the median and IQR
 over RUNS (21) units of the mean time per call, in ms at the reference
 speed, with the number of calls.  From BENCH_35 on every layer's run
@@ -90,6 +91,9 @@ Recorded:
                        read from the tables, one q_R per root, so a root's
                        q_R stays shared across its records.  From BENCH_33
                        on.
+  form_from_symbol_ms  the layer of form_from_symbol over the genus symbols
+                       the table records are built from (`symbols`), 59
+                       per pass on 26 distinct symbols.  From BENCH_39 on.
   rank2_enumerate_ms   per queries stratum of determinants, and for the one
                        determinant DET_CAP under `cap`: the layer of
                        rank2_enumerate over (det, negative) (`dets`).
@@ -141,7 +145,7 @@ from latticelab import (FiniteQuadraticForm, LeechPairRecord, complement_quotien
                         rank2_enumerate, saturations_keeping_primitive)
 from latticelab.exactmat import smith_normal_form  # noqa: E402
 from latticelab.rank2 import DET_CAP  # noqa: E402
-from latticelab.symbol import clear_jordan_caches, to_symbol  # noqa: E402
+from latticelab.symbol import clear_jordan_caches, form_from_symbol, to_symbol  # noqa: E402
 
 TABLE_RUNS = (("hm15", "E6"), ("k3max11", "E6+A1"), ("k3max11", "D7"),
               ("k3max11", "E7"), ("k3max11", "E8"))
@@ -152,7 +156,8 @@ UNIT_S = 0.1  # the length a unit's back-to-back runs fill
 # of smith_normal_form log into one list
 WRAPPED = ((latticelab.nikulin, "complement_quotient"), (latticelab.symbol, "jordan_constituents"),
            (latticelab.exactmat, "smith_normal_form"), (latticelab.fqf, "smith_normal_form"),
-           (latticelab.symbol, "_split_primary"), (latticelab.casebook, "embedding_class_count"))
+           (latticelab.symbol, "_split_primary"), (latticelab.casebook, "embedding_class_count"),
+           (latticelab.casebook, "form_from_symbol"))
 COLD_START = ("import sys; sys.path.insert(0, sys.argv[1]); import latticelab, latticelab.cli; "
               "latticelab.cli.build_parser()")
 
@@ -359,6 +364,8 @@ def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
                                                  logs["embedding_class_count"], runs, unit_s),
         "saturations_ms": per_layer_ms(saturations_keeping_primitive, "calls",
                                        saturation_pairs(), runs, unit_s),
+        "form_from_symbol_ms": per_layer_ms(form_from_symbol, "symbols",
+                                            logs["form_from_symbol"], runs, unit_s),
         "rank2_enumerate_ms": time_rank2(runs, per_stratum, unit_s),
         "cold_start_ms": time_cold_start(runs),
     }
