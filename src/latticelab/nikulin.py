@@ -23,7 +23,9 @@ homomorphism gamma: H_R -> A_S with q_S(gamma(x)) = -q_R(x) (Nikulin
 it searches the subgroups H_R of A_R whose elements r all have some s with
 q_S(s) = -q_R(r), and lifts the generators of each into A_S.  H = 0 is
 S + R itself, whose form is A_S + A_R with nothing to divide out; every
-other H is glued by complement_quotient.
+other H is glued by complement_quotient, once per pair {H, sigma(H)} for
+the isometry sigma = -1 on A_S, 1 on A_R, which maps the graph of gamma to
+the graph of -gamma.
 """
 
 from __future__ import annotations
@@ -153,7 +155,10 @@ class SaturationWitness(NamedTuple):
     quotient is the induced form on H-perp/H (the overlattice's
     discriminant form); index = |H| is the overlattice index.  For index 1
     the quotient is A_S + A_R as the search presents it, q_S's generators
-    then q_R's, not regrouped by prime.
+    then q_R's, not regrouped by prime.  A twin (see
+    saturations_keeping_primitive) holds its partner's quotient object:
+    isometric to complement_quotient on its own glue, not always equal to
+    it integer for integer.
     """
 
     glue_gens: tuple
@@ -190,6 +195,13 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
     H = 0, S + R itself: its witness takes A_S + A_R as its quotient, with
     no span and no glue.
 
+    The other witnesses are glued in that order.  sigma = -1 on A_S, 1 on
+    A_R is an isometry of A_S + A_R mapping the graph of gamma to the graph
+    of -gamma and H-perp/H onto sigma(H)-perp/sigma(H), so a twin, a
+    witness whose glue is sigma(H) for a witness H glued earlier, takes
+    H's quotient object with no complement_quotient call: its own quotient
+    up to isometry, so the same symbol, though its integers may differ.
+
     As ord(s) | ord(r) | e, the exponent of A_R, only A_S[e] = {s : e*s = 0}
     is walked: Z/gcd(d_1, e) x ... with q_S on (d_i / gcd(d_i, e)) e_i.
     """
@@ -213,20 +225,22 @@ def saturations_keeping_primitive(q_s: FiniteQuadraticForm,
         for o, s in by_q.get(-q * n_s % (2 * n_s * n_r), ()):
             if d % o == 0:
                 fibres.setdefault(r, []).append(s + r)
-    witnesses = []
+    subs = []
     for k_els, gens in _subgroups_within(q_r, frozenset(fibres)).items():
         if not gens:
-            witnesses.append(SaturationWitness((), 1, total))
             continue
         lifts = [()]
         for g in gens:
             lifts = [t + (x,) for t in lifts for x in fibres[g]
                      if not any(total.b_int(x, y) for y in t)]
-        for t in lifts:
-            if len(els := _span(total, t)) == len(k_els):
-                sub = Subgroup._of_elements(total, els, t)
-                witnesses.append(SaturationWitness(
-                    glue_gens=sub.gens, index=sub.order,
-                    quotient=complement_quotient(total, sub)))
-    witnesses.sort(key=lambda w: (w.index, w.glue_gens))
+        subs += [Subgroup._of_elements(total, els, t) for t in lifts
+                 if len(els := _span(total, t)) == len(k_els)]
+    subs.sort(key=lambda sub: (sub.order, sub.gens))
+    witnesses, glued, d_s = [SaturationWitness((), 1, total)], {}, q_s.orders
+    for sub in subs:
+        twin = frozenset(tuple(-x % d for x, d in zip(h, d_s)) + h[len(d_s):]
+                         for h in sub.elements)
+        quot = glued[twin] if twin in glued else complement_quotient(total, sub)
+        glued[sub.elements] = quot
+        witnesses.append(SaturationWitness(sub.gens, sub.order, quot))
     return witnesses

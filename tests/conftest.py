@@ -42,17 +42,15 @@ def table_reports(hm15_report):
 def table_run_inputs():
     """(matrices, pairs) of one fresh pass of the five table runs: every
     matrix given to smith_normal_form, copied as given, and every (form, H)
-    of a witness: the pairs that the glue machinery passes to
-    complement_quotient, and before them each search's ambient form
-    A_S + A_R with H = 0, which is S + R itself and is not glued."""
+    of a witness returned, in witness order: each search's ambient form
+    A_S + A_R with H = 0, which is S + R itself and is not glued, then H
+    for every other witness, twins of an earlier witness included."""
     import latticelab.casebook
     import latticelab.exactmat
     import latticelab.fqf
-    import latticelab.nikulin
     from latticelab.fqf import Subgroup
     mats, pairs = [], []
     real_snf = latticelab.exactmat.smith_normal_form
-    real_cq = latticelab.nikulin.complement_quotient
     real_sat = latticelab.casebook.saturations_keeping_primitive
 
     def snf(mat):
@@ -60,17 +58,14 @@ def table_run_inputs():
         return real_snf(mat)
 
     def saturations(q_s, q_r):
-        at = len(pairs)
         witnesses = real_sat(q_s, q_r)
         total = witnesses[0].quotient
-        pairs.insert(at, (total, Subgroup(total, ())))
+        pairs.extend((total, Subgroup(total, w.glue_gens)) for w in witnesses)
         return witnesses
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(latticelab.exactmat, "smith_normal_form", snf)
         mp.setattr(latticelab.fqf, "smith_normal_form", snf)
-        mp.setattr(latticelab.nikulin, "complement_quotient",
-                   lambda form, sub: pairs.append((form, sub)) or real_cq(form, sub))
         mp.setattr(latticelab.casebook, "saturations_keeping_primitive", saturations)
         for run in TABLE_RUNS:
             full_report(*run)

@@ -173,8 +173,8 @@ def test_bench_hands_each_key_its_call(bench, layers):
     }
     counts = {key: (count, len(inputs)) for key, (_, count, inputs) in layers.items()}
     assert counts == {"complement_quotient_ms": ("pairs", 115), "to_symbol_ms": ("forms", 201),
-                      "witness_symbol_ms": ("pairs", 115), "smith_normal_form_ms": ("matrices", 165),
-                      "split_primary_ms": ("keys", 134), "embedding_class_count_ms": ("calls", 7),
+                      "witness_symbol_ms": ("pairs", 115), "smith_normal_form_ms": ("matrices", 125),
+                      "split_primary_ms": ("keys", 131), "embedding_class_count_ms": ("calls", 7),
                       "saturations_ms": ("calls", 59), "form_from_symbol_ms": ("symbols", 59)}
     assert layers["witness_symbol_ms"][2] is layers["complement_quotient_ms"][2]
     order = []
@@ -192,8 +192,8 @@ def test_bench_hands_each_key_its_call(bench, layers):
 def test_glue_quotients_are_timed_per_call(bench, layers, monkeypatch):
     """complement_quotient_ms is the scaled mean per call over the captured
     pairs: 20 pairs read 0.25 s / 20 per call, in ms; the capture pass
-    collects the 115 pairs the five table runs glue over, and the searches
-    share their forms."""
+    collects the (form, H) of the 115 nontrivial witnesses the five table
+    runs return, twins included, and the searches share their forms."""
     pairs = layers["complement_quotient_ms"][2]
     assert len(pairs) == 115
     assert len({id(form) for form, _ in pairs}) < len(pairs)  # searches share their forms
@@ -265,22 +265,22 @@ def test_symbols_are_timed_per_call_from_empty_caches(bench, layers, monkeypatch
 def test_kernels_are_timed_per_call_on_one_pass(bench, layers, monkeypatch):
     """smith_normal_form_ms and split_primary_ms are the scaled means per
     call over the inputs one pass of the five table runs gives each
-    kernel: the 165 matrices as given, and the 134 distinct keys once
+    kernel: the 125 matrices as given, and the 131 distinct keys once
     each; the capture restores every name it wrapped, both bindings of
     smith_normal_form included."""
     import latticelab.casebook
     import latticelab.exactmat
     import latticelab.fqf
-    import latticelab.nikulin
     import latticelab.symbol
-    names = [(latticelab.nikulin, "complement_quotient"), (latticelab.symbol, "jordan_constituents"),
+    names = [(latticelab.casebook, "saturations_keeping_primitive"),
+             (latticelab.symbol, "jordan_constituents"),
              (latticelab.exactmat, "smith_normal_form"), (latticelab.fqf, "smith_normal_form"),
              (latticelab.symbol, "_split_primary"), (latticelab.casebook, "embedding_class_count")]
     real = [getattr(owner, name) for owner, name in names]
     bench.table_inputs()
     assert [getattr(owner, name) for owner, name in names] == real
     mats, keys = layers["smith_normal_form_ms"][2], layers["split_primary_ms"][2]
-    assert len(mats) == 165 and len(keys) == len(set(keys)) == 134
+    assert len(mats) == 125 and len(keys) == len(set(keys)) == 131
     assert all(type(x) is int for (m,) in mats for row in m for x in row)
     _fake_time(bench, monkeypatch)
     calls = []

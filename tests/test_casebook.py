@@ -358,24 +358,48 @@ def test_witness_quotients_keep_no_blocks(table_reports):
 
 
 def test_one_glue_per_nontrivial_witness(table_reports, monkeypatch):
-    """Per pass, complement_quotient runs once per nontrivial witness and
-    to_symbol once per witness or matched candidate: 32 and 57 calls on
-    hm15/E6, 83 and 144 on the four k3max11 roots.  The 48 trivial
-    witnesses are S + R and glue nothing."""
+    """Per pass, complement_quotient runs once per nontrivial witness that
+    is no twin, and to_symbol once per witness or matched candidate: 16 and
+    57 calls on hm15/E6, 59 and 144 on the four k3max11 roots.  The 48
+    trivial witnesses are S + R and glue nothing.  A twin has the glue
+    sigma(H), sigma = -1 on A_S and 1 on A_R, of an earlier witness's H,
+    and holds that witness's quotient object: 16 twins on hm15/E6 and 24 on
+    k3max11; no other two witnesses share a quotient."""
     from latticelab import casebook, nikulin
-    calls = []
+    from latticelab.fqf import Subgroup
+    calls, searches = [], []
     for module, name in ((nikulin, "complement_quotient"), (casebook, "to_symbol"),
                          (nikulin, "to_symbol")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
                             calls.append(name) or real(*a))
+    real_sat = casebook.saturations_keeping_primitive
+
+    def saturations(q_s, q_r):
+        witnesses = real_sat(q_s, q_r)
+        searches.append((q_s.ngens, witnesses))
+        return witnesses
+
+    monkeypatch.setattr(casebook, "saturations_keeping_primitive", saturations)
     counts = {"hm15": Counter(), "k3max11": Counter()}
     for run in table_reports:
         calls.clear()
+        searches.clear()
         full_report(*run)
         counts[run[0]].update(calls)
-    assert counts == {"hm15": Counter(complement_quotient=32, to_symbol=57),
-                      "k3max11": Counter(complement_quotient=83, to_symbol=144)}
+        for ns, witnesses in searches:
+            total, glued = witnesses[0].quotient, {}
+            for w in witnesses[1:]:
+                els = Subgroup(total, w.glue_gens).elements
+                twin = frozenset(total.reduce([-x for x in h[:ns]] + list(h[ns:])) for h in els)
+                if twin != els and twin in glued:
+                    assert w.quotient is glued[twin].quotient
+                    counts[run[0]]["twin"] += 1
+                else:
+                    assert all(w.quotient is not v.quotient for v in glued.values())
+                    glued[els] = w
+    assert counts == {"hm15": Counter(complement_quotient=16, to_symbol=57, twin=16),
+                      "k3max11": Counter(complement_quotient=59, to_symbol=144, twin=24)}
 
 
 def test_report_determinism():

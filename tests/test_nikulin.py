@@ -37,7 +37,7 @@ from latticelab.errors import (
     RealizabilityError,
 )
 from latticelab.exactmat import factorize
-from latticelab.fqf import BRUTE_CAP, FiniteQuadraticForm
+from latticelab.fqf import BRUTE_CAP, FiniteQuadraticForm, Subgroup
 from latticelab.nikulin import genus_exists
 from test_fqf import DEGENERATE_FORMS, SMALL_SYMBOLS, _form_data, assert_reference_quotient
 
@@ -341,17 +341,31 @@ def saturation_data(q_s, q_r):
 
 def filtered_saturation_data(q_s, q_r):
     """The reference: every isotropic subgroup of A_S + A_R, minus those
-    that meet A_S, each with its quotient on H-perp/H.  H = 0 leaves S + R
-    itself (Nikulin 1979, 1.4), whose form is A_S + A_R as presented;
-    every other H is glued by complement_quotient."""
+    that meet A_S, sorted by (index, generators), each with its quotient on
+    H-perp/H.  H = 0 leaves S + R itself (Nikulin 1979, 1.4), whose form is
+    A_S + A_R as presented.  Every other H is glued by complement_quotient
+    in that order, except a twin: sigma(H) for an H glued before it, where
+    sigma = -1 on A_S, 1 on A_R.  sigma is an isometry mapping H-perp/H
+    onto sigma(H)-perp/sigma(H), so the twin takes H's quotient, checked
+    isometric by brute force to complement_quotient on the twin's own glue."""
     total = q_s.direct_sum(q_r)
     ns = q_s.ngens
-    out = [_witness_data(sub.order, sub.gens,
-                         complement_quotient(total, sub) if sub.order > 1 else total,
-                         sub.order == 1)
-           for sub in isotropic_subgroups(total)
-           if not any(any(x[:ns]) and not any(x[ns:]) for x in sub.elements)]
-    return sorted(out, key=lambda w: (w[0], w[1]))
+    subs = sorted((sub for sub in isotropic_subgroups(total)
+                   if not any(any(x[:ns]) and not any(x[ns:]) for x in sub.elements)),
+                  key=lambda sub: (sub.order, sub.gens))
+    out, glued = [], {}
+    for sub in subs:
+        quot = total
+        if sub.order > 1:
+            quot = complement_quotient(total, sub)
+            twin = frozenset(total.reduce([-x for x in h[:ns]] + list(h[ns:]))
+                             for h in sub.elements)
+            if twin in glued:
+                assert bruteforce_isomorphic(glued[twin], quot)
+                quot = glued[twin]
+            glued[sub.elements] = quot
+        out.append(_witness_data(sub.order, sub.gens, quot, sub.order == 1))
+    return out
 
 
 MIXED_EXPONENT_PAIRS = [("-", "2_1^+1 4_1^+1", "2_1^+1 4_1^+1"),
@@ -447,6 +461,31 @@ def test_saturation_quotients_match_reference_quotient(monkeypatch):
         assert sub.order > 1
         assert_reference_quotient(form, sub)
     assert len(pairs) > 2800
+
+
+def test_sign_change_on_a_s_permutes_the_table_witnesses(table_reports):
+    """sigma = -1 on A_S, 1 on A_R preserves q and b on the ambient form
+    A_S + A_R of each of the 59 table searches, and maps the glue of every
+    witness to the glue of a witness of the same index: the premise under
+    which a twin sigma(H) holds the quotient of H."""
+    searches = 0
+    for table, root in table_reports:
+        q_r = polarization_root(root).q_R
+        for rec in load_table(table):
+            witnesses = saturations_keeping_primitive(rec.q_S, q_r)
+            total, ns = witnesses[0].quotient, rec.q_S.ngens
+
+            def sigma(x):
+                return total.reduce([-c for c in x[:ns]] + list(x[ns:]))
+
+            assert all(total.q_int(sigma(x)) == q for x, q, _ in total.scan())
+            gens = total.gens()
+            assert all(total.b_int(sigma(x), sigma(y)) == total.b_int(x, y)
+                       for x in gens for y in gens)
+            index = {Subgroup(total, w.glue_gens).elements: w.index for w in witnesses}
+            assert all(index[frozenset(map(sigma, els))] == i for els, i in index.items())
+            searches += 1
+    assert searches == 59
 
 
 def _spy_spans(monkeypatch):

@@ -27,11 +27,13 @@ form cached, so `full_report_s` stays comparable with BENCH_23 and
 earlier.  Each run builds its forms anew, so no cached scan carries over.
 
 Each `_ms` measurement but cold_start_ms times one layer: one function
-called on each of a list of argument tuples.  The tuples of the glue,
-symbol, Smith-form, split, embedding-count and symbol-writer layers are
-what one pass of the five table runs, with to_json_dict() on every
-verdict, hands the function, captured once in an untimed pass before
-any unit under the names the library calls, which are restored after.
+called on each of a list of argument tuples.  The tuples of the symbol,
+Smith-form, split, embedding-count and symbol-writer layers are what one
+pass of the five table runs, with to_json_dict() on every verdict, hands
+the function, and those of the glue layers the (ambient, H) of every
+nontrivial witness that pass's saturation searches return, all captured
+once in an untimed pass before any unit under the names the library
+calls, which are restored after.
 A captured form keeps its walk and p-part blocks once used, so before
 each run of every layer, untimed, the Jordan caches are emptied and the
 tuples rebuilt: every form from its integers (`copy.copy`, which
@@ -60,11 +62,18 @@ Recorded:
                        reference speed
   complement_quotient_ms
                        the layer of complement_quotient over the (form, H)
-                       pairs it is handed (`pairs`).  From BENCH_25 on; the
+                       pairs of the nontrivial witnesses that the saturation
+                       searches return (`pairs`).  From BENCH_25 on; the
                        forms rebuilt before each run from BENCH_29 on.  From
                        BENCH_34 on a trivial witness (H = 0) is not glued,
                        so the pairs are the 115 nontrivial ones, where they
                        were 163: the 48 cheapest left, and the mean rose.
+                       Up to BENCH_39 the pairs were those the library
+                       handed complement_quotient; from BENCH_40 on a twin
+                       (the glue sigma(H), sigma = -1 on A_S, 1 on A_R, of
+                       an earlier witness's H) takes H's quotient unglued,
+                       so the pairs are read off the witnesses, and stay the
+                       same 115, while the tables glue 75 of them.
   to_symbol_ms         the layer of to_symbol over the forms it is handed
                        (`forms`), caught where it splits them.  From
                        BENCH_28 on; the forms rebuilt and the caches
@@ -138,12 +147,12 @@ import gen  # noqa: E402
 import latticelab.casebook  # noqa: E402
 import latticelab.exactmat  # noqa: E402
 import latticelab.fqf  # noqa: E402
-import latticelab.nikulin  # noqa: E402
 import latticelab.symbol  # noqa: E402
 from latticelab import (FiniteQuadraticForm, LeechPairRecord, complement_quotient,  # noqa: E402
                         embedding_class_count, full_report, load_table, polarization_root,
                         rank2_enumerate, saturations_keeping_primitive)
 from latticelab.exactmat import smith_normal_form  # noqa: E402
+from latticelab.fqf import Subgroup  # noqa: E402
 from latticelab.rank2 import DET_CAP  # noqa: E402
 from latticelab.symbol import clear_jordan_caches, form_from_symbol, to_symbol  # noqa: E402
 
@@ -154,7 +163,8 @@ RUNS = 21  # units per measurement in a full (not --quick) run
 UNIT_S = 0.1  # the length a unit's back-to-back runs fill
 # the names table_inputs wraps, where the library calls them: both bindings
 # of smith_normal_form log into one list
-WRAPPED = ((latticelab.nikulin, "complement_quotient"), (latticelab.symbol, "jordan_constituents"),
+WRAPPED = ((latticelab.casebook, "saturations_keeping_primitive"),
+           (latticelab.symbol, "jordan_constituents"),
            (latticelab.exactmat, "smith_normal_form"), (latticelab.fqf, "smith_normal_form"),
            (latticelab.symbol, "_split_primary"), (latticelab.casebook, "embedding_class_count"),
            (latticelab.casebook, "form_from_symbol"))
@@ -275,12 +285,19 @@ def table_inputs() -> dict[str, list[tuple]]:
     """The argument tuples that one pass of the five table runs, with
     to_json_dict() on every verdict, hands each name of WRAPPED, by name
     and in call order: each matrix copied as given, each _split_primary
-    key once, in first-seen order.  Every name is restored after."""
+    key once, in first-seen order; for saturations_keeping_primitive, the
+    (ambient, H) of every nontrivial witness it returns, in witness order,
+    twins included.  Every name is restored after."""
     logs = {name: [] for _, name in WRAPPED}
     real = [getattr(owner, name) for owner, name in WRAPPED]
 
     def logged(name, fn):
         def call(*args):
+            if name == "saturations_keeping_primitive":
+                witnesses = fn(*args)
+                total = witnesses[0].quotient
+                logs[name] += [(total, Subgroup(total, w.glue_gens)) for w in witnesses[1:]]
+                return witnesses
             logs[name].append(([list(row) for row in args[0]],)
                               if name == "smith_normal_form" else args)
             return fn(*args)
@@ -339,7 +356,7 @@ def time_cold_start(runs: int) -> dict:
 def bench(pr: int, runs: int, per_stratum: int, unit_s: float) -> dict:
     dirty = git("status", "--porcelain", "--untracked-files=no")
     logs = table_inputs()
-    pairs = logs["complement_quotient"]
+    pairs = logs["saturations_keeping_primitive"]
     return {
         "pr": pr,
         "git_sha": git("rev-parse", "HEAD"),
